@@ -13,7 +13,9 @@ One binary, subcommand style:
 
 Exit status: 0 on success, 1 on a verification failure, 2 on a usage error.
 Every subcommand takes --cap and --tol; the environment variables ZXW_CAP
-and ZXW_TOL supply the defaults.
+and ZXW_TOL supply the defaults (12 and 1e-9).  Only the command line reads
+them: library functions take ``cap`` as an argument (default 12), and the
+Pauli-sum builders return unfused diagrams.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -30,7 +33,7 @@ from scipy.linalg import expm as dense_expm
 from .controlled import (controlled_matrix, controlled_state_normal_form,
                          controlled_sum_matrices, controlled_sum_states,
                          state_oracle, verify_controlled)
-from .evaluate import env_cap, env_tol, eval_diagram
+from .evaluate import DEFAULT_CAP, eval_diagram
 from .expo import (Circuit, Gate, cayley_hamilton_diagram,
                    commuting_exponential, extract_axz_circuit, resolve_time,
                    taylor_diagram, trotter_diagram)
@@ -39,6 +42,11 @@ from .pauli import build_hamiltonian_diagram, oracle_matrix, parse_pauli_sum
 from .rules import check_template, template_names
 from .serialize import (diagram_from_json, diagram_to_dot, diagram_to_json,
                         matrix_from_text, matrix_to_text, vector_from_text)
+
+
+# The command line's verification contract, which the acceptance tests pin;
+# the library's DEFAULT_TOL (1e-10) is the stricter bound its own checks use.
+CLI_TOL = 1e-9
 
 
 class _Usage(Exception):
@@ -61,9 +69,22 @@ class Config:
             raise _Usage("tolerance must be positive")
 
 
+def _setting(flag, name: str, parse, default):
+    """The flag's value, else environment variable ``name``, else default."""
+    if flag is not None:
+        return flag
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError:
+        raise _Usage(f"bad {name} value {text!r}") from None
+
+
 def _config(args) -> Config:
-    cap = args.cap if args.cap is not None else env_cap()
-    tol = args.tol if args.tol is not None else env_tol()
+    cap = _setting(args.cap, "ZXW_CAP", int, DEFAULT_CAP)
+    tol = _setting(args.tol, "ZXW_TOL", float, CLI_TOL)
     seed = getattr(args, "seed", None)
     fmt = getattr(args, "export", None) or getattr(args, "format", None)
     return Config(cap=cap, tol=tol, seed=0 if seed is None else seed,
@@ -86,6 +107,18 @@ def _parse_weights(spec: str) -> list:
         except ValueError as exc:
             raise _Usage(f"bad weight {tok.strip()!r}: {exc}") from exc
     return out
+
+
+def _finite(text: str) -> float:
+    """argparse type for real-valued flags: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +189,7 @@ def _cmd_controlled(args, cfg: Config) -> int:
     sys.stdout.write(diagram_to_json(cd.diagram) + "\n")
     if args.verify:
         rep = verify_controlled(cd, np.asarray(target, dtype=complex),
-                                tol=cfg.tol)
+                                tol=cfg.tol, cap=cfg.cap)
         print(f"discharge residual {rep['err_discharge']:.3e}, "
               f"idle residual {rep['err_idle']:.3e} (tol {cfg.tol:g})",
               file=sys.stderr)
@@ -167,7 +200,7 @@ def _cmd_controlled(args, cfg: Config) -> int:
 
 def _cmd_ham_build(args, cfg: Config) -> int:
     h = parse_pauli_sum(_read(args.file))
-    cd, discharged = build_hamiltonian_diagram(h)
+    cd, discharged = build_hamiltonian_diagram(h, cap=cfg.cap)
     # keep stdout clean for piping when an export format was requested
     info = sys.stderr if args.export else sys.stdout
     if args.export == "json":
@@ -179,7 +212,7 @@ def _cmd_ham_build(args, cfg: Config) -> int:
           file=info)
     if args.verify:
         target = oracle_matrix(h, cap=cfg.cap)
-        rep = verify_controlled(cd, target, tol=cfg.tol)
+        rep = verify_controlled(cd, target, tol=cfg.tol, cap=cfg.cap)
         dim = 2 ** h.m
         if rep["ok"]:
             print(f"oracle match: {dim}x{dim}, residual < {cfg.tol:g}",
@@ -293,7 +326,7 @@ def _cmd_extract_demo(args, cfg: Config) -> int:
     h = parse_pauli_sum(f"{a!r} X\n{b!r} Z")
     d = cayley_hamilton_diagram(h, t)
     u_diagram = eval_diagram(d, cap=cfg.cap)
-    target = dense_expm(-0.5j * t * oracle_matrix(h))
+    target = dense_expm(-0.5j * t * oracle_matrix(h, cap=cfg.cap))
     circuit = extract_axz_circuit(a, b, t)
     err_d = float(np.abs(u_diagram - target).max())
     err_c = float(np.abs(circuit.to_matrix() - target).max())
@@ -335,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate a diagram JSON file to a dense matrix")
     p.add_argument("file")
-    p.add_argument("--t", type=float, default=None, metavar="VAL",
+    p.add_argument("--t", type=_finite, default=None, metavar="VAL",
                    help="value for the time parameter, if the diagram has one")
     p.set_defaults(func=_cmd_eval, _parser=p)
 
@@ -369,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--method", required=True,
                    choices=("taylor", "trotter", "exact"))
-    p.add_argument("--t", type=float, required=True, metavar="VAL")
+    p.add_argument("--t", type=_finite, required=True, metavar="VAL")
     p.add_argument("--order", type=int, default=None, metavar="N",
                    help="truncation order (taylor)")
     p.add_argument("--steps", type=int, default=None, metavar="N",
@@ -390,9 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract-demo", parents=[common],
                        help="exponentiate a X + b Z diagrammatically and "
                             "extract the rotation circuit")
-    p.add_argument("--a", type=float, default=1.0, metavar="VAL")
-    p.add_argument("--b", type=float, default=1.0, metavar="VAL")
-    p.add_argument("--t", type=float, default=0.7, metavar="VAL")
+    p.add_argument("--a", type=_finite, default=1.0, metavar="VAL")
+    p.add_argument("--b", type=_finite, default=1.0, metavar="VAL")
+    p.add_argument("--t", type=_finite, default=0.7, metavar="VAL")
     p.add_argument("--seed", type=int, default=None, metavar="S",
                    help="draw a, b and t at random instead")
     p.set_defaults(func=_cmd_extract_demo, _parser=p)

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import eval_diagram
+from .evaluate import DEFAULT_CAP, eval_diagram
 from .graph import (Builder, Diagram, DiagramError, attach_and, attach_pink,
                     attach_triangle, attach_w_merge, attach_w_spider,
                     compose_par, compose_seq, identity, plug_basis, splice)
+from .rules import apply_fusion
 
 _CTRL = "ctrl"
 
@@ -78,15 +79,17 @@ class ControlledDiagram:
 
 
 def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
-                      tol: float = 1e-9, t: float = None) -> dict:
+                      tol: float = 1e-9, t: float = None,
+                      cap: int = DEFAULT_CAP) -> dict:
     """Check both plug contracts against a dense target.
 
     Returns {"ok", "err_discharge", "err_idle"}; the idle reference is the
-    identity for matrices and |0...0> for states.
+    identity for matrices and |0...0> for states.  ``cap`` bounds the open
+    wires and node legs of each evaluation, as in ``eval_diagram``.
     """
     dim = 2 ** cd.m
-    got_d = eval_diagram(cd.discharge(), t=t)
-    got_i = eval_diagram(cd.idle(), t=t)
+    got_d = eval_diagram(cd.discharge(), t=t, cap=cap)
+    got_i = eval_diagram(cd.idle(), t=t, cap=cap)
     if cd.kind == "matrix":
         want_d = np.asarray(target, dtype=complex)
         want_i = np.eye(dim, dtype=complex)
@@ -409,6 +412,36 @@ def controlled_elementary(spec: ElementaryMatrixSpec) -> ControlledDiagram:
 # products and sums
 # ---------------------------------------------------------------------------
 
+def _gate_arms(b: Builder, ctrls, arms, data, weights=None) -> list:
+    """Splice the controlled ``arms`` into ``b``, gating arm i off ctrls[i].
+
+    With ``weights``, arm i's control passes through a ZBox labelled
+    weights[i], created just before the arm.  Each arm takes ``data`` on its
+    data inputs and hands its outputs on to the next, so matrix arms run in
+    series; state arms have no data inputs.  Returns every arm's outputs.
+    """
+    arm_outs = []
+    for idx, arm in enumerate(arms):
+        ctrl = ctrls[idx]
+        if weights is not None:
+            box = b.zbox(weights[idx], tag="weight")
+            b.wire(ctrl, box)
+            ctrl = b.leg(box)
+        ins, outs = splice(b, arm.diagram)
+        b.wire(ctrl, ins[0])
+        for ref, pin in zip(data, ins[1:]):
+            b.wire(ref, pin)
+        data = outs
+        arm_outs.append(outs)
+    return arm_outs
+
+
+def _fused(cd: ControlledDiagram) -> ControlledDiagram:
+    """Fuse spiders, keeping every fused node within DEFAULT_CAP legs."""
+    d = apply_fusion(cd.diagram, max_legs=DEFAULT_CAP).diagram
+    return ControlledDiagram(d, cd.kind, cd.m)
+
+
 def controlled_identity(m: int) -> ControlledDiagram:
     b = Builder()
     ctrl = b.input()
@@ -419,8 +452,7 @@ def controlled_identity(m: int) -> ControlledDiagram:
     return ControlledDiagram(b.build(), "matrix", m)
 
 
-def controlled_product(components, m: int = None,
-                       fuse: bool = True) -> ControlledDiagram:
+def controlled_product(components, m: int = None) -> ControlledDiagram:
     """Gate a product of controlled matrices with one shared control.
 
     Discharging gives components[0] @ components[1] @ ... (list order is
@@ -438,47 +470,37 @@ def controlled_product(components, m: int = None,
         raise DiagramError("product components must be matrices on one size")
     b = Builder()
     ctrl = b.input()
-    fan_refs = _zcopy_fan(b, ctrl, len(components), tag=_CTRL)
-    refs = [b.input() for _ in range(m)]
-    for idx, comp in enumerate(reversed(components)):
-        ins, outs = splice(b, comp.diagram)
-        b.wire(fan_refs[idx], ins[0])
-        for q in range(m):
-            b.wire(refs[q], ins[1 + q])
-        refs = outs
+    fan = _zcopy_fan(b, ctrl, len(components), tag=_CTRL)
+    data = [b.input() for _ in range(m)]
+    outs = _gate_arms(b, fan, components[::-1], data)[-1]
     for q in range(m):
-        b.wire(refs[q], b.output())
-    d = b.build()
-    if fuse:
-        from .evaluate import env_cap
-        from .rules import apply_fusion
-        d = apply_fusion(d, max_legs=min(env_cap(), 12)).diagram
-    return ControlledDiagram(d, "matrix", m)
+        b.wire(outs[q], b.output())
+    return _fused(ControlledDiagram(b.build(), "matrix", m))
 
 
-def controlled_matrix(matrix: np.ndarray, fuse: bool = True) -> ControlledDiagram:
+def controlled_matrix(matrix: np.ndarray) -> ControlledDiagram:
     """Controlled diagram of an arbitrary square matrix (dimension 2^m)."""
     matrix = np.asarray(matrix, dtype=complex)
     specs = decompose_elementary(matrix)
     m = _qubit_count(matrix.shape[0], "matrix dimension")
     comps = [controlled_elementary(s) for s in specs]
-    return controlled_product(comps, m=m, fuse=fuse)
+    return controlled_product(comps, m=m)
 
 
-def controlled_sum_matrices(components, weights=None,
-                            fuse: bool = True) -> ControlledDiagram:
-    """Gate a weighted sum of controlled matrices.
+def _controlled_sum(components, weights, kind: str) -> ControlledDiagram:
+    """Unfused weighted sum of controlled matrices or states.
 
-    The control feeds a W-node fan, so exactly one arm fires per branch of
-    the resulting superposition; idle arms contribute identity factors and
-    the discharge evaluates to sum_i weights[i] * M_i.
+    The control feeds a W fan with one weighted arm per component.  Matrix
+    arms run in series on the data wires; state arms merge their outputs
+    qubit by qubit.
     """
     components = list(components)
     if not components:
         raise DiagramError("empty sum")
     m = components[0].m
-    if any(c.kind != "matrix" or c.m != m for c in components):
-        raise DiagramError("sum components must be matrices on one size")
+    if any(c.kind != kind or c.m != m for c in components):
+        raise DiagramError(f"sum components must be {kind} diagrams on one "
+                           "size")
     k = len(components)
     if weights is None:
         weights = [1.0] * k
@@ -488,36 +510,38 @@ def controlled_sum_matrices(components, weights=None,
     b = Builder()
     ctrl = b.input()
     if k == 1:
-        fan_refs = [ctrl]
+        fan = [ctrl]
     else:
-        fan_in, fan_outs = attach_w_spider(b, k, assoc="balanced", tag=_CTRL)
+        fan_in, fan = attach_w_spider(b, k, assoc="balanced", tag=_CTRL)
         b.wire(ctrl, fan_in)
-        fan_refs = fan_outs
-    refs = [b.input() for _ in range(m)]
-    for idx, comp in enumerate(components):
-        box = b.zbox(weights[idx], tag="weight")
-        b.wire(fan_refs[idx], box)
-        ins, outs = splice(b, comp.diagram)
-        b.wire(b.leg(box), ins[0])
-        for q in range(m):
-            b.wire(refs[q], ins[1 + q])
-        refs = outs
+    data = [b.input() for _ in range(m)] if kind == "matrix" else []
+    arm_outs = _gate_arms(b, fan, components, data, weights)
     for q in range(m):
-        b.wire(refs[q], b.output())
-    d = b.build()
-    if fuse:
-        from .evaluate import env_cap
-        from .rules import apply_fusion
-        d = apply_fusion(d, max_legs=min(env_cap(), 12)).diagram
-    return ControlledDiagram(d, "matrix", m)
+        if kind == "matrix":
+            out = arm_outs[-1][q]
+        else:
+            merge_ins, out = attach_w_merge(b, k)
+            for idx in range(k):
+                b.wire(arm_outs[idx][q], merge_ins[idx])
+        b.wire(out, b.output())
+    return ControlledDiagram(b.build(), kind, m)
+
+
+def controlled_sum_matrices(components, weights=None) -> ControlledDiagram:
+    """Gate a weighted sum of controlled matrices.
+
+    The control feeds a W-node fan, so exactly one arm fires per branch of
+    the resulting superposition; idle arms contribute identity factors and
+    the discharge evaluates to sum_i weights[i] * M_i.
+    """
+    return _fused(_controlled_sum(components, weights, "matrix"))
 
 
 # ---------------------------------------------------------------------------
 # controlled states
 # ---------------------------------------------------------------------------
 
-def controlled_state_normal_form(vec: np.ndarray,
-                                 fuse: bool = True) -> ControlledDiagram:
+def controlled_state_normal_form(vec: np.ndarray) -> ControlledDiagram:
     """Controlled state with one W-fan branch per basis amplitude.
 
     Branch k carries a ZBox labelled vec[k] copying |1> onto exactly the
@@ -544,62 +568,18 @@ def controlled_state_normal_form(vec: np.ndarray,
         for leg, mi in zip(legs, merge_ins):
             b.wire(leg, mi)
         b.wire(merge_out, b.output())
-    d = b.build()
-    if fuse:
-        from .evaluate import env_cap
-        from .rules import apply_fusion
-        d = apply_fusion(d, max_legs=min(env_cap(), 12)).diagram
-    return ControlledDiagram(d, "state", m)
+    return _fused(ControlledDiagram(b.build(), "state", m))
 
 
-def controlled_sum_states(components, weights=None,
-                          fuse: bool = True) -> ControlledDiagram:
+def controlled_sum_states(components, weights=None) -> ControlledDiagram:
     """Weighted sum of controlled states via a W fan and per-qubit merges."""
-    components = list(components)
-    if not components:
-        raise DiagramError("empty sum")
-    m = components[0].m
-    if any(c.kind != "state" or c.m != m for c in components):
-        raise DiagramError("sum components must be states on one size")
-    k = len(components)
-    if weights is None:
-        weights = [1.0] * k
-    weights = [complex(x) for x in weights]
-    if len(weights) != k:
-        raise DiagramError("one weight per component")
-    b = Builder()
-    ctrl = b.input()
-    if k == 1:
-        fan_refs = [ctrl]
-    else:
-        fan_in, fan_outs = attach_w_spider(b, k, assoc="balanced", tag=_CTRL)
-        b.wire(ctrl, fan_in)
-        fan_refs = fan_outs
-    outs_per_comp = []
-    for idx, comp in enumerate(components):
-        box = b.zbox(weights[idx], tag="weight")
-        b.wire(fan_refs[idx], box)
-        ins, outs = splice(b, comp.diagram)
-        b.wire(b.leg(box), ins[0])
-        outs_per_comp.append(outs)
-    for q in range(m):
-        merge_ins, merge_out = attach_w_merge(b, k)
-        for idx in range(k):
-            b.wire(outs_per_comp[idx][q], merge_ins[idx])
-        b.wire(merge_out, b.output())
-    d = b.build()
-    if fuse:
-        from .evaluate import env_cap
-        from .rules import apply_fusion
-        d = apply_fusion(d, max_legs=min(env_cap(), 12)).diagram
-    return ControlledDiagram(d, "state", m)
+    return _fused(_controlled_sum(components, weights, "state"))
 
 
-def sum_normal_forms(vectors, weights=None,
-                     fuse: bool = True) -> ControlledDiagram:
+def sum_normal_forms(vectors, weights=None) -> ControlledDiagram:
     """Controlled weighted sum of plain vectors via their normal forms."""
-    comps = [controlled_state_normal_form(v, fuse=fuse) for v in vectors]
-    return controlled_sum_states(comps, weights=weights, fuse=fuse)
+    comps = [controlled_state_normal_form(v) for v in vectors]
+    return controlled_sum_states(comps, weights=weights)
 
 
 def state_oracle(vectors, weights) -> np.ndarray:

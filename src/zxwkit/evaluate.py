@@ -15,7 +15,6 @@ index appears on at most two tensors, so pairwise ``tensordot`` suffices.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +25,9 @@ from .graph import (HAD, IN, OUT, W, ZBOX, Diagram, DiagramError, PhaseVar)
 DEFAULT_CAP = 12
 DEFAULT_TOL = 1e-10
 
-_HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+HAD_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+# V = H S H, the X-basis quarter turn of ``graph.attach_v``
+V_MATRIX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _W_TENSOR = np.zeros((2, 2, 2), dtype=complex)
 _W_TENSOR[0, 0, 0] = 1.0   # |0>  ->  |00>
 _W_TENSOR[1, 0, 1] = 1.0   # |1>  ->  |01> + |10>
@@ -35,14 +36,6 @@ _W_TENSOR[1, 1, 0] = 1.0
 
 class CapExceeded(DiagramError):
     """Diagram has more open wires than the configured qubit cap."""
-
-
-def env_cap() -> int:
-    return int(os.environ.get("ZXW_CAP", DEFAULT_CAP))
-
-
-def env_tol() -> float:
-    return float(os.environ.get("ZXW_TOL", "1e-9"))
 
 
 def node_tensor(node, t: Optional[float] = None) -> np.ndarray:
@@ -59,7 +52,7 @@ def node_tensor(node, t: Optional[float] = None) -> np.ndarray:
         arr[(1,) * node.ports] += label
         return arr
     if node.kind == HAD:
-        return _HAD
+        return HAD_MATRIX
     if node.kind == W:
         return _W_TENSOR
     raise DiagramError(f"no tensor for node kind {node.kind!r}")
@@ -74,15 +67,15 @@ def _contract_pair(a: np.ndarray, ids_a: list, b: np.ndarray, ids_b: list):
     return out, ids
 
 
-def eval_diagram(d: Diagram, t: Optional[float] = None, cap: int = None,
-                 order: str = "greedy") -> np.ndarray:
+def eval_diagram(d: Diagram, t: Optional[float] = None,
+                 cap: int = DEFAULT_CAP, order: str = "greedy") -> np.ndarray:
     """Evaluate ``d`` to its (2^outputs, 2^inputs) matrix.
 
-    ``order`` picks the contraction schedule: "greedy" (default) or
-    "sequential" (node-id order); both give the same matrix to float
-    round-off, which the tests pin down.
+    ``cap`` bounds the open wires and the legs of any one node.  ``order``
+    picks the contraction schedule: "greedy" (default) or "sequential"
+    (node-id order); both give the same matrix to float round-off, which
+    the tests pin down.
     """
-    cap = env_cap() if cap is None else cap
     if d.n_inputs + d.n_outputs > cap:
         raise CapExceeded(
             f"{d.n_inputs + d.n_outputs} open wires exceed cap {cap}")

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import controlled_product, controlled_sum_matrices
-from .evaluate import eval_diagram
+from .controlled import (_gate_arms, controlled_product,
+                         controlled_sum_matrices)
+from .evaluate import HAD_MATRIX, eval_diagram
 from .graph import (Builder, Diagram, DiagramError, Node, PhaseVar,
                     attach_pink, compose_par, compose_seq, identity,
-                    scalar_of, splice)
+                    scalar_of)
 from .pauli import (PauliString, PauliSum, _attach_conjugation,
                     _CONJ_FOR_LETTER, build_hamiltonian_diagram,
                     controlled_pauli_string, oracle_matrix, strings_commute)
@@ -165,8 +166,7 @@ def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
     return compose_par(total, scalar_of(phase))
 
 
-def taylor_diagram(h: PauliSum, order: int, t: float,
-                   fuse: bool = True) -> Diagram:
+def taylor_diagram(h: PauliSum, order: int, t: float) -> Diagram:
     """Truncated power series as a controlled sum of controlled products.
 
     Branch k carries k chained copies of the Hamiltonian diagram with
@@ -176,10 +176,9 @@ def taylor_diagram(h: PauliSum, order: int, t: float,
     if order < 0:
         raise DiagramError("order must be >= 0")
     c_h, _ = build_hamiltonian_diagram(h)
-    comps = [controlled_product([c_h] * k, m=h.m, fuse=fuse)
-             for k in range(order + 1)]
+    comps = [controlled_product([c_h] * k, m=h.m) for k in range(order + 1)]
     weights = [(-0.5j * t) ** k / math.factorial(k) for k in range(order + 1)]
-    return controlled_sum_matrices(comps, weights, fuse=fuse).discharge()
+    return controlled_sum_matrices(comps, weights).discharge()
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +283,7 @@ def putzer_coefficients(H: np.ndarray, t_samples) -> CayleyCoeffs:
     return CayleyCoeffs(ts, table)
 
 
-def cayley_hamilton_diagram(h: PauliSum, t: float,
-                            fuse: bool = True) -> Diagram:
+def cayley_hamilton_diagram(h: PauliSum, t: float) -> Diagram:
     """Exact exponential as a controlled sum over Hamiltonian powers.
 
     Kept to two qubits: the coefficients come from a dense eigenvalue
@@ -296,10 +294,8 @@ def cayley_hamilton_diagram(h: PauliSum, t: float,
     H = oracle_matrix(h)
     coeffs = putzer_coefficients(H, [t]).table[0]
     c_h, _ = build_hamiltonian_diagram(h)
-    comps = [controlled_product([c_h] * k, m=h.m, fuse=fuse)
-             for k in range(len(coeffs))]
-    return controlled_sum_matrices(comps, list(coeffs),
-                                   fuse=fuse).discharge()
+    comps = [controlled_product([c_h] * k, m=h.m) for k in range(len(coeffs))]
+    return controlled_sum_matrices(comps, list(coeffs)).discharge()
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +365,7 @@ class Gate:
 
 def _single_qubit(name: str, angle: float) -> np.ndarray:
     if name == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        return HAD_MATRIX
     if name == "RZ":
         return np.diag([cmath.exp(-0.5j * angle), cmath.exp(0.5j * angle)])
     if name == "RX":
@@ -484,12 +480,8 @@ def _controls_product(ordered, m: int, link_controls: bool) -> Diagram:
         b.wire((hh, 1), b.leg(cy))
         b.zbox(math.sqrt(2.0) - 1.0, tag="cz-scalar")    # 0-leg: scalar sqrt(2)
         ctrls = [b.leg(cx), b.leg(cy)]
-    for cd, which in ordered:
-        ins, outs = splice(b, cd.diagram)
-        b.wire(ctrls[which], ins[0])
-        for q in range(m):
-            b.wire(data[q], ins[1 + q])
-        data = outs
+    arm_ctrls = [ctrls[which] for _, which in ordered]
+    data = _gate_arms(b, arm_ctrls, [cd for cd, _ in ordered], data)[-1]
     for q in range(m):
         b.wire(data[q], b.output())
     return b.build()

@@ -386,17 +386,6 @@ def triangle(transpose: bool = False, inverse: bool = False) -> Diagram:
     return b.build()
 
 
-def attach_shear(b: Builder, amount: Label, lower: bool = False,
-                 tag: str = "shear"):
-    """Triangle with an arbitrary label: [[1, a], [0, 1]] (or its transpose)."""
-    wnode = b.w(tag=tag)
-    eff = b.zbox(amount, tag=tag)
-    b.wire((wnode, 2), eff)
-    if lower:
-        return b.leg(wnode, 1), b.leg(wnode, 0)
-    return b.leg(wnode, 0), b.leg(wnode, 1)
-
-
 def green_phase(alpha: float, n_in: int = 1, n_out: int = 1) -> Diagram:
     """Green spider with phase alpha: a ZBox labelled exp(i alpha)."""
     return zbox_diagram(cmath.exp(1j * alpha), n_in, n_out)
@@ -439,12 +428,6 @@ def pink_spider(n_in: int, n_out: int, tau: float) -> Diagram:
     for ref in outs:
         b.wire(ref, b.output())
     return b.build()
-
-
-def attach_basis_state(b: Builder, bit: int, tag: str = "basis"):
-    """|0> or |1> as a 1-leg pink spider state; returns the output ref."""
-    _, outs = attach_pink(b, 0, 1, math.pi if bit else 0.0, tag=tag)
-    return outs[0]
 
 
 def attach_v(b: Builder, dagger: bool = False, tag: str = "v"):

@@ -10,15 +10,17 @@ control evaluates to the dense sum; idling gives the identity.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .controlled import (ControlledDiagram, _zcopy_fan, _copy_with_probe,
-                         controlled_sum_matrices, sum_normal_forms)
-from .evaluate import CapExceeded, env_cap, eval_diagram
-from .graph import Builder, Diagram, DiagramError, attach_and, attach_v
+from .controlled import (ControlledDiagram, _controlled_sum,
+                         _copy_with_probe, _zcopy_fan, sum_normal_forms)
+from .evaluate import (DEFAULT_CAP, HAD_MATRIX, V_MATRIX, CapExceeded,
+                       eval_diagram)
+from .graph import Builder, DiagramError, attach_and, attach_v
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -121,10 +123,14 @@ def _parse_coefficient(token: str) -> complex:
         re_s, _, im_s = token[1:-1].partition(",")
         if not _:
             raise ValueError("pair form needs a comma")
-        return complex(float(re_s), float(im_s))
-    if "j" in token or "J" in token:
-        return complex(token)
-    return complex(float(token))
+        value = complex(float(re_s), float(im_s))
+    elif "j" in token or "J" in token:
+        value = complex(token)
+    else:
+        value = complex(float(token))
+    if not cmath.isfinite(value):
+        raise ValueError("not finite")
+    return value
 
 
 def parse_pauli_sum(text: str) -> PauliSum:
@@ -165,9 +171,8 @@ def parse_pauli_sum(text: str) -> PauliSum:
     return PauliSum(terms, m)
 
 
-def oracle_matrix(h: PauliSum, cap: int = None) -> np.ndarray:
+def oracle_matrix(h: PauliSum, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Dense matrix of the sum via Kronecker products."""
-    cap = env_cap() if cap is None else cap
     if h.m > cap:
         raise CapExceeded(f"{h.m} qubits exceed cap {cap}")
     dim = 2 ** h.m
@@ -280,11 +285,8 @@ class DiagonalFactorSum:
 
     def oracle(self) -> np.ndarray:
         """Dense matrix of the sum."""
-        conj_mat = {"I": np.eye(2, dtype=complex),
-                    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-                    "V": None}
-        v = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-        conj_mat["V"] = v
+        conj_mat = {"I": np.eye(2, dtype=complex), "H": HAD_MATRIX,
+                    "V": V_MATRIX}
         dim = 2 ** self.m
         out = np.zeros((dim, dim), dtype=complex)
         for alpha, labels, conj in self.terms:
@@ -296,35 +298,36 @@ class DiagonalFactorSum:
         return out
 
 
-def _controlled_term_sum(components, weights, fuse):
+def _controlled_term_sum(components, weights):
+    # left unfused: fusing a wide sum (70 terms on 10 qubits) takes seconds
     if len(components) == 1 and weights[0] == 1:
         return components[0]
-    return controlled_sum_matrices(components, weights, fuse=fuse)
+    return _controlled_sum(components, weights, "matrix")
 
 
 def build_diagonal_sum_diagram(d: DiagonalFactorSum,
-                               fuse: bool = False) -> ControlledDiagram:
-    """Controlled diagram of a sum of conjugated diagonal factors."""
-    if d.m > env_cap():
-        raise CapExceeded(f"{d.m} qubits exceed cap {env_cap()}")
+                               cap: int = DEFAULT_CAP) -> ControlledDiagram:
+    """Unfused controlled diagram of a sum of conjugated diagonal factors."""
+    if d.m > cap:
+        raise CapExceeded(f"{d.m} qubits exceed cap {cap}")
     comps = [controlled_diagonal_factor(labels, conj)
              for _, labels, conj in d.terms]
     weights = [alpha for alpha, _, _ in d.terms]
-    return _controlled_term_sum(comps, weights, fuse)
+    return _controlled_term_sum(comps, weights)
 
 
-def build_hamiltonian_diagram(h: PauliSum, fuse: bool = False):
+def build_hamiltonian_diagram(h: PauliSum, cap: int = DEFAULT_CAP):
     """Controlled diagram of a Pauli sum, with its discharged form.
 
     Returns (controlled, discharged): discharging the control gives the
     Hamiltonian matrix, idling gives the identity.  Duplicate strings stay
-    separate branches.
+    separate branches, and the diagram is left unfused.
     """
-    if h.m > env_cap():
-        raise CapExceeded(f"{h.m} qubits exceed cap {env_cap()}")
+    if h.m > cap:
+        raise CapExceeded(f"{h.m} qubits exceed cap {cap}")
     comps = [controlled_pauli_string(p) for _, p in h.terms]
     weights = [alpha for alpha, _ in h.terms]
-    cd = _controlled_term_sum(comps, weights, fuse)
+    cd = _controlled_term_sum(comps, weights)
     return cd, cd.discharge()
 
 

@@ -15,6 +15,7 @@ separated by tabs.  There is deliberately no binary writer.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -55,6 +56,8 @@ def diagram_from_dict(data: dict) -> Diagram:
             if kind == ZBOX:
                 re, im = entry["a"]
                 label = complex(re, im)
+                if not cmath.isfinite(label):
+                    raise ValueError(f"node {nid} has a non-finite label")
                 ports = port_count.get(nid, 0)
             else:
                 label = None
@@ -134,9 +137,12 @@ def matrix_from_text(text: str) -> np.ndarray:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append([complex(tok) for tok in line.split("\t")])
+            row = [complex(tok) for tok in line.split("\t")]
         except ValueError as exc:
             raise DiagramError(f"matrix line {lineno}: {exc}") from exc
+        if not all(cmath.isfinite(z) for z in row):
+            raise DiagramError(f"matrix line {lineno}: non-finite entry")
+        rows.append(row)
     if not rows:
         raise DiagramError("empty matrix text")
     width = len(rows[0])

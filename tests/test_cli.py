@@ -5,7 +5,8 @@ import pytest
 
 from zxwkit import (diagram_from_json, diagram_to_json, matrix_from_text,
                     matrix_to_text, structural_equal, triangle)
-from zxwkit.cli import main
+from zxwkit.cli import CLI_TOL, _build_parser, _config, main
+from zxwkit.evaluate import DEFAULT_CAP
 
 EXAMPLE = "1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n-1.0 IIZ\n"
 
@@ -245,6 +246,74 @@ def test_cap_and_tol_flags(tmp_path, capsys):
     assert main(["ham", "build", str(f), "--verify", "--tol", "-1"]) == 2
     assert main(["ham", "build", str(f), "--verify", "--cap", "1"]) == 2
     capsys.readouterr()
+
+
+def test_ham_build_verify_honours_cap(tmp_path, capsys):
+    f = tmp_path / "h.txt"
+    f.write_text("1.0 XXIIIII\n-0.5 IIIIIZZ\n0.25 IIYIIII\n")
+    # 7 qubits: 14 open wires on each plug, above the default cap of 12
+    assert main(["ham", "build", str(f), "--verify"]) == 2
+    assert "14 open wires exceed cap 12" in capsys.readouterr().err
+    assert main(["ham", "build", str(f), "--verify", "--cap", "20"]) == 0
+    assert "oracle match: 128x128" in capsys.readouterr().out
+
+
+def test_controlled_verify_honours_cap(tmp_path, capsys):
+    f = tmp_path / "m.txt"
+    f.write_text(matrix_to_text(np.array([[1.0, 2.0, 0.0, 0.0],
+                                          [0.5j, -1.0, 0.0, 1.0],
+                                          [0.0, 0.0, 3.0, 0.0],
+                                          [1.0, 0.0, 0.0, 1.0]])))
+    # 2 qubits: 4 open wires on each plug
+    assert main(["controlled", "--matrix", str(f), "--verify",
+                 "--cap", "3"]) == 2
+    assert "4 open wires exceed cap 3" in capsys.readouterr().err
+    assert main(["controlled", "--matrix", str(f), "--verify",
+                 "--cap", "20"]) == 0
+    capsys.readouterr()
+
+
+def test_env_overrides(monkeypatch):
+    parser = _build_parser()
+    argv = ["eval", "d.json"]
+    monkeypatch.setenv("ZXW_CAP", "17")
+    monkeypatch.setenv("ZXW_TOL", "1e-6")
+    cfg = _config(parser.parse_args(argv))
+    assert (cfg.cap, cfg.tol) == (17, 1e-6)
+    cfg = _config(parser.parse_args(argv + ["--cap", "5", "--tol", "1e-3"]))
+    assert (cfg.cap, cfg.tol) == (5, 1e-3)
+    monkeypatch.delenv("ZXW_CAP")
+    monkeypatch.delenv("ZXW_TOL")
+    cfg = _config(parser.parse_args(argv))
+    assert (cfg.cap, cfg.tol) == (DEFAULT_CAP, CLI_TOL)
+
+
+@pytest.mark.parametrize("var", ["ZXW_CAP", "ZXW_TOL"])
+def test_bad_env_value_is_usage_error(var, ham_file, capsys, monkeypatch):
+    monkeypatch.setenv(var, "abc")
+    assert main(["ham", "build", ham_file]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"zxw: error: bad {var} value 'abc'"
+    assert "Traceback" not in err
+
+
+TROTTER = ["--method", "trotter", "--steps", "2", "--compare-oracle"]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["expm", "FILE", "--t", "0.5"] + TROTTER, "nan ZZ\n"),
+    (["expm", "FILE", "--t", "nan"] + TROTTER, EXAMPLE),
+    (["controlled", "--verify", "--matrix", "FILE"], "1\tinf\n0\t1\n"),
+    (["controlled", "--verify", "--state", "FILE"], "1\nnan\n"),
+    (["eval", "FILE"], diagram_to_json(triangle()).replace(
+        '"a": [1.0, 0.0]', '"a": [NaN, 0.0]', 1)),
+], ids=["coefficient", "time", "matrix", "vector", "json_label"])
+def test_non_finite_input_is_usage_error(argv, text, tmp_path, capsys):
+    f = tmp_path / "input"
+    f.write_text(text)
+    assert main([str(f) if a == "FILE" else a for a in argv]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("zxw") and "finite" in last
 
 
 def test_env_defaults(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,6 @@ from zxwkit import (Builder, CapExceeded, DiagramError, compose_par,
                     compose_seq, equal_up_to_scalar, eval_diagram,
                     hadamard_diagram, identity, matrices_close, scalar_of,
                     triangle, w_diagram, zbox_diagram)
-from zxwkit.evaluate import DEFAULT_CAP, env_cap, env_tol
 
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
@@ -97,15 +96,6 @@ def test_wide_node_cap_enforced():
     with pytest.raises(CapExceeded):
         eval_diagram(d, cap=4)
     assert eval_diagram(d, cap=10).shape == (32, 32)
-
-
-def test_env_overrides(monkeypatch):
-    monkeypatch.setenv("ZXW_CAP", "17")
-    monkeypatch.setenv("ZXW_TOL", "1e-6")
-    assert env_cap() == 17
-    assert env_tol() == 1e-6
-    monkeypatch.delenv("ZXW_CAP")
-    assert env_cap() == DEFAULT_CAP
 
 
 def test_equal_up_to_scalar():
