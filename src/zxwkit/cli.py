@@ -65,8 +65,8 @@ class Config:
     def __post_init__(self):
         if self.cap < 1:
             raise _Usage("cap must be at least 1")
-        if not self.tol > 0:
-            raise _Usage("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise _Usage(f"tolerance must be finite and positive, got {self.tol!r}")
 
 
 def _setting(flag, name: str, parse, default):
@@ -103,9 +103,12 @@ def _parse_weights(spec: str) -> list:
     out = []
     for tok in spec.split(","):
         try:
-            out.append(complex(tok.strip()))
+            w = complex(tok.strip())
         except ValueError as exc:
             raise _Usage(f"bad weight {tok.strip()!r}: {exc}") from exc
+        if not cmath.isfinite(w):
+            raise _Usage(f"bad weight {tok.strip()!r} (not finite)")
+        out.append(w)
     return out
 
 

@@ -8,12 +8,24 @@ parallel composition is the Kronecker product.
 
 Contraction builds one tensor per interior node and a 2x2 identity per
 boundary-to-boundary wire, then contracts greedily, always picking the pair
-of tensors whose contraction yields the smallest intermediate.  Every edge
-index appears on at most two tensors, so pairwise ``tensordot`` suffices.
+of tensors whose contraction yields the smallest intermediate, ties broken by
+the smaller (i, j) pair of tensor numbers (tensors are numbered in the order
+they are made).  Every edge index appears on at most two tensors, so pairwise
+``tensordot`` suffices.
+
+The candidate pairs sit in a heap of ``(rank, i, j)`` entries, rank being the
+number of open indices the contraction would leave.  A pair's rank depends
+only on its two tensors, and a contraction retires both of them, so entries
+are never updated: a popped entry naming a retired tensor is skipped (lazy
+invalidation), and each new tensor pushes one entry per neighbour.  This
+picks the same pairs as re-ranking every pair on every step would, so the
+matrices are bit-identical to that schedule, while each step costs a heap
+operation per neighbour instead of a scan over every pair.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -67,15 +79,10 @@ def _contract_pair(a: np.ndarray, ids_a: list, b: np.ndarray, ids_b: list):
     return out, ids
 
 
-def eval_diagram(d: Diagram, t: Optional[float] = None,
-                 cap: int = DEFAULT_CAP, order: str = "greedy") -> np.ndarray:
-    """Evaluate ``d`` to its (2^outputs, 2^inputs) matrix.
-
-    ``cap`` bounds the open wires and the legs of any one node.  ``order``
-    picks the contraction schedule: "greedy" (default) or "sequential"
-    (node-id order); both give the same matrix to float round-off, which
-    the tests pin down.
-    """
+def _network(d: Diagram, t: Optional[float], cap: int):
+    """The tensors of ``d`` as (array, edge ids) pairs, one per interior node
+    and one 2x2 identity per boundary-to-boundary wire, plus the edge ids of
+    the outputs then the inputs."""
     if d.n_inputs + d.n_outputs > cap:
         raise CapExceeded(
             f"{d.n_inputs + d.n_outputs} open wires exceed cap {cap}")
@@ -118,48 +125,47 @@ def eval_diagram(d: Diagram, t: Optional[float] = None,
 
     external = [port_edge[(nid, 0)] for nid in d.outputs] + \
                [port_edge[(nid, 0)] for nid in d.inputs]
+    return tensors, external
 
-    if not tensors:
-        return np.ones((1, 1), dtype=complex)
 
-    if order == "sequential":
-        arr, ids = tensors[0]
-        for nxt_arr, nxt_ids in tensors[1:]:
-            arr, ids = _contract_pair(arr, ids, nxt_arr, nxt_ids)
-        pool = [(arr, ids)]
-    elif order == "greedy":
-        live: dict = {k: tensors[k] for k in range(len(tensors))}
-        id2pos: dict = {}
-        for pos, (_, ids) in live.items():
-            for i in ids:
-                id2pos.setdefault(i, set()).add(pos)
-        fresh = len(tensors)
-        while True:
-            pairs = {tuple(sorted(ps)) for ps in id2pos.values() if len(ps) == 2}
-            if not pairs:
-                break
+def _contract_greedy(tensors: list) -> list:
+    """Contract connected tensors pairwise, smallest (rank, i, j) first;
+    returns one (array, ids) pair per connected component."""
+    live: dict = dict(enumerate(tensors))
+    id2pos: dict = {}
+    for pos, (_, ids) in live.items():
+        for i in ids:
+            id2pos.setdefault(i, set()).add(pos)
 
-            def rank_after(pair):
-                ids_a, ids_b = live[pair[0]][1], live[pair[1]][1]
-                shared = len(set(ids_a) & set(ids_b))
-                return len(ids_a) + len(ids_b) - 2 * shared
+    def candidate(i, j):
+        ids_a, ids_b = live[i][1], live[j][1]
+        shared = len(set(ids_a) & set(ids_b))
+        return (len(ids_a) + len(ids_b) - 2 * shared, i, j)
 
-            i, j = min(pairs, key=lambda p: (rank_after(p), p))
-            arr, ids = _contract_pair(live[i][0], live[i][1],
-                                      live[j][0], live[j][1])
-            for old in (i, j):
-                for idx in live[old][1]:
-                    id2pos[idx].discard(old)
-                del live[old]
-            live[fresh] = (arr, ids)
-            for idx in ids:
-                id2pos.setdefault(idx, set()).add(fresh)
-            fresh += 1
-        pool = list(live.values())
-    else:
-        raise DiagramError(f"unknown contraction order {order!r}")
+    heap = [candidate(*sorted(ps)) for ps in id2pos.values() if len(ps) == 2]
+    heapq.heapify(heap)
+    fresh = len(tensors)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if i not in live or j not in live:
+            continue
+        arr, ids = _contract_pair(*live.pop(i), *live.pop(j))
+        live[fresh] = (arr, ids)
+        neighbours = set()
+        for idx in ids:
+            ps = id2pos[idx]
+            ps -= {i, j}
+            neighbours |= ps
+            ps.add(fresh)
+        for nb in neighbours:
+            heapq.heappush(heap, candidate(nb, fresh))
+        fresh += 1
+    return list(live.values())
 
-    # disconnected components: multiply out (scalars fold into the tensor)
+
+def _to_matrix(pool: list, external: list, d: Diagram) -> np.ndarray:
+    """Multiply out the components in ``pool`` (scalars fold into the
+    tensor) and order the axes as ``d``'s (2^outputs, 2^inputs) matrix."""
     arr, ids = pool[0]
     for nxt_arr, nxt_ids in pool[1:]:
         arr = np.tensordot(arr, nxt_arr, axes=0)
@@ -169,6 +175,31 @@ def eval_diagram(d: Diagram, t: Optional[float] = None,
     perm = [ids.index(i) for i in external]
     arr = np.transpose(arr, perm) if perm else arr
     return arr.reshape(2 ** d.n_outputs, 2 ** d.n_inputs)
+
+
+def eval_diagram(d: Diagram, t: Optional[float] = None,
+                 cap: int = DEFAULT_CAP, order: str = "greedy") -> np.ndarray:
+    """Evaluate ``d`` to its (2^outputs, 2^inputs) matrix.
+
+    ``cap`` bounds the open wires and the legs of any one node.  ``order``
+    picks the contraction schedule: "greedy" (default) or "sequential"
+    (node-id order); both give the same matrix to float round-off, which
+    the tests pin down.
+    """
+    tensors, external = _network(d, t, cap)
+    if not tensors:
+        return np.ones((1, 1), dtype=complex)
+
+    if order == "sequential":
+        arr, ids = tensors[0]
+        for nxt_arr, nxt_ids in tensors[1:]:
+            arr, ids = _contract_pair(arr, ids, nxt_arr, nxt_ids)
+        pool = [(arr, ids)]
+    elif order == "greedy":
+        pool = _contract_greedy(tensors)
+    else:
+        raise DiagramError(f"unknown contraction order {order!r}")
+    return _to_matrix(pool, external, d)
 
 
 @dataclass

@@ -307,13 +307,27 @@ TROTTER = ["--method", "trotter", "--steps", "2", "--compare-oracle"]
     (["controlled", "--verify", "--state", "FILE"], "1\nnan\n"),
     (["eval", "FILE"], diagram_to_json(triangle()).replace(
         '"a": [1.0, 0.0]', '"a": [NaN, 0.0]', 1)),
-], ids=["coefficient", "time", "matrix", "vector", "json_label"])
+    (["controlled", "--verify", "--matrix", "FILE", "--matrix", "FILE",
+      "--sum", "1,nan"], "1\t0\n0\t1\n"),
+], ids=["coefficient", "time", "matrix", "vector", "json_label", "weight"])
 def test_non_finite_input_is_usage_error(argv, text, tmp_path, capsys):
     f = tmp_path / "input"
     f.write_text(text)
     assert main([str(f) if a == "FILE" else a for a in argv]) == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("zxw") and "finite" in last
+
+
+@pytest.mark.parametrize("source", ["flag", "variable"])
+def test_non_finite_tol_is_usage_error(source, ham_file, capsys, monkeypatch):
+    argv = ["ham", "build", ham_file, "--verify"]
+    if source == "flag":
+        argv += ["--tol", "inf"]
+    else:
+        monkeypatch.setenv("ZXW_TOL", "inf")
+    assert main(argv) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "zxw: error: tolerance must be finite and positive, got inf"
 
 
 def test_env_defaults(tmp_path, capsys, monkeypatch):
