@@ -14,8 +14,8 @@ One binary, subcommand style:
 Exit status: 0 on success, 1 on a verification failure, 2 on a usage error.
 Every subcommand takes --cap and --tol; the environment variables ZXW_CAP
 and ZXW_TOL supply the defaults (12 and 1e-9).  Only the command line reads
-them: library functions take ``cap`` as an argument (default 12), and the
-Pauli-sum builders return unfused diagrams.
+them: library functions take ``cap`` as an argument (default 12), and every
+builder returns an unfused diagram.
 """
 
 from __future__ import annotations

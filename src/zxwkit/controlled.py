@@ -14,6 +14,9 @@ pivot Gauss-Jordan, with a complete-pivot rank factorization for singular
 input) followed by ``controlled_product``.  Sums of matrices and sums of
 states distribute the control over a W-node fan, which turns the wire sum
 of branches into the matrix sum of the gated arms.
+
+Every builder here returns the diagram as built, unfused; spider fusion
+(``rules.apply_fusion``) is a pass the caller runs when it wants one.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .evaluate import DEFAULT_CAP, eval_diagram
 from .graph import (Builder, Diagram, DiagramError, attach_and, attach_pink,
                     attach_triangle, attach_w_merge, attach_w_spider,
                     compose_par, compose_seq, identity, plug_basis, splice)
-from .rules import apply_fusion
 
 _CTRL = "ctrl"
 
@@ -63,7 +65,7 @@ def _zcopy_fan(b: Builder, src, k: int, tag: str = None) -> list:
 
 @dataclass
 class ControlledDiagram:
-    """Diagram with the control on input wire 0."""
+    """Diagram with the control on input wire 0, unfused as built."""
 
     diagram: Diagram
     kind: str          # "matrix" | "state"
@@ -427,19 +429,11 @@ def _gate_arms(b: Builder, ctrls, arms, data, weights=None) -> list:
             box = b.zbox(weights[idx], tag="weight")
             b.wire(ctrl, box)
             ctrl = b.leg(box)
-        ins, outs = splice(b, arm.diagram)
-        b.wire(ctrl, ins[0])
-        for ref, pin in zip(data, ins[1:]):
-            b.wire(ref, pin)
-        data = outs
+        outs = splice(b, arm.diagram, [ctrl] + data)
+        if arm.kind == "matrix":
+            data = outs
         arm_outs.append(outs)
     return arm_outs
-
-
-def _fused(cd: ControlledDiagram) -> ControlledDiagram:
-    """Fuse spiders, keeping every fused node within DEFAULT_CAP legs."""
-    d = apply_fusion(cd.diagram, max_legs=DEFAULT_CAP).diagram
-    return ControlledDiagram(d, cd.kind, cd.m)
 
 
 def controlled_identity(m: int) -> ControlledDiagram:
@@ -475,7 +469,7 @@ def controlled_product(components, m: int = None) -> ControlledDiagram:
     outs = _gate_arms(b, fan, components[::-1], data)[-1]
     for q in range(m):
         b.wire(outs[q], b.output())
-    return _fused(ControlledDiagram(b.build(), "matrix", m))
+    return ControlledDiagram(b.build(), "matrix", m)
 
 
 def controlled_matrix(matrix: np.ndarray) -> ControlledDiagram:
@@ -488,7 +482,7 @@ def controlled_matrix(matrix: np.ndarray) -> ControlledDiagram:
 
 
 def _controlled_sum(components, weights, kind: str) -> ControlledDiagram:
-    """Unfused weighted sum of controlled matrices or states.
+    """Weighted sum of controlled matrices or states.
 
     The control feeds a W fan with one weighted arm per component.  Matrix
     arms run in series on the data wires; state arms merge their outputs
@@ -534,7 +528,7 @@ def controlled_sum_matrices(components, weights=None) -> ControlledDiagram:
     the resulting superposition; idle arms contribute identity factors and
     the discharge evaluates to sum_i weights[i] * M_i.
     """
-    return _fused(_controlled_sum(components, weights, "matrix"))
+    return _controlled_sum(components, weights, "matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +562,12 @@ def controlled_state_normal_form(vec: np.ndarray) -> ControlledDiagram:
         for leg, mi in zip(legs, merge_ins):
             b.wire(leg, mi)
         b.wire(merge_out, b.output())
-    return _fused(ControlledDiagram(b.build(), "state", m))
+    return ControlledDiagram(b.build(), "state", m)
 
 
 def controlled_sum_states(components, weights=None) -> ControlledDiagram:
     """Weighted sum of controlled states via a W fan and per-qubit merges."""
-    return _fused(_controlled_sum(components, weights, "state"))
+    return _controlled_sum(components, weights, "state")
 
 
 def sum_normal_forms(vectors, weights=None) -> ControlledDiagram:

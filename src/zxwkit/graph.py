@@ -619,13 +619,19 @@ def compose_par(f: Diagram, g: Diagram) -> Diagram:
                    list(f.outputs) + [o + off for o in g.outputs])
 
 
-def splice(b: Builder, sub: Diagram):
-    """Copy ``sub`` into builder ``b``; return (input_refs, output_refs).
+def splice(b: Builder, sub: Diagram, in_refs) -> list:
+    """Copy ``sub`` into builder ``b`` with input i wired to in_refs[i].
 
-    Interior nodes are cloned.  Each boundary node becomes a two-legged
-    label-1 ZBox (an exact plain wire) whose free leg is handed back for the
-    caller to wire, so even straight-through wires splice cleanly.
+    Returns one ref per output of ``sub`` for the caller to wire on.
+    Interior nodes are cloned and no boundary node is: an edge from input i
+    is wired to in_refs[i], and an output hands back the port its wire
+    leads to.  A plain wire hands back its input's ref, and a cup joins two
+    of the caller's refs.  Only a cap needs a node: a two-legged label-1
+    ZBox (an exact plain wire) whose two legs the two outputs hand back.
     """
+    if len(in_refs) != sub.n_inputs:
+        raise DiagramError(f"splice needs {sub.n_inputs} input refs, "
+                           f"got {len(in_refs)}")
     mapping = {}
     for nid, n in sub.nodes.items():
         if n.kind == ZBOX:
@@ -634,23 +640,29 @@ def splice(b: Builder, sub: Diagram):
             mapping[nid] = b.had(tag=n.tag)
         elif n.kind == W:
             mapping[nid] = b.w(tag=n.tag)
-        else:
-            mapping[nid] = b.zbox(1.0, tag="glue")
-    boundary = set(sub.inputs) | set(sub.outputs)
+    caller = dict(zip(sub.inputs, in_refs))
+    outputs = set(sub.outputs)
+    out_refs = {}
 
     def ref(end):
         nid, port = end
-        if nid in boundary:
-            return b.leg(mapping[nid], 0)
+        if nid in caller:
+            return caller[nid]
         if sub.nodes[nid].kind == ZBOX:
             return b.leg(mapping[nid], port)
         return (mapping[nid], port)
 
     for ea, eb in sub.edges:
-        b.wire(ref(ea), ref(eb))
-    in_refs = [b.leg(mapping[i], 1) for i in sub.inputs]
-    out_refs = [b.leg(mapping[o], 1) for o in sub.outputs]
-    return in_refs, out_refs
+        if ea[0] in outputs and eb[0] in outputs:
+            glue = b.zbox(1.0, tag="glue")
+            out_refs[ea[0]], out_refs[eb[0]] = b.leg(glue), b.leg(glue)
+        elif ea[0] in outputs:
+            out_refs[ea[0]] = ref(eb)
+        elif eb[0] in outputs:
+            out_refs[eb[0]] = ref(ea)
+        else:
+            b.wire(ref(ea), ref(eb))
+    return [out_refs[o] for o in sub.outputs]
 
 
 def transpose_diagram(d: Diagram) -> Diagram:

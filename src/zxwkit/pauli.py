@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .controlled import (ControlledDiagram, _controlled_sum,
-                         _copy_with_probe, _zcopy_fan, sum_normal_forms)
+from .controlled import (ControlledDiagram, _copy_with_probe, _zcopy_fan,
+                         controlled_sum_matrices, sum_normal_forms)
 from .evaluate import (DEFAULT_CAP, HAD_MATRIX, V_MATRIX, CapExceeded,
                        eval_diagram)
 from .graph import Builder, DiagramError, attach_and, attach_v
@@ -299,10 +299,9 @@ class DiagonalFactorSum:
 
 
 def _controlled_term_sum(components, weights):
-    # left unfused: fusing a wide sum (70 terms on 10 qubits) takes seconds
     if len(components) == 1 and weights[0] == 1:
         return components[0]
-    return _controlled_sum(components, weights, "matrix")
+    return controlled_sum_matrices(components, weights)
 
 
 def build_diagonal_sum_diagram(d: DiagonalFactorSum,

@@ -606,7 +606,7 @@ def _combine_labels(x, y):
     return x * y
 
 
-def _pass_fuse(w: _Work, steps: list, max_legs: int = None) -> bool:
+def _pass_fuse(w: _Work, steps: list) -> bool:
     for e in list(w.edges):
         (a, _), (b, _) = e
         if a == b or a not in w.nodes or b not in w.nodes:
@@ -617,11 +617,6 @@ def _pass_fuse(w: _Work, steps: list, max_legs: int = None) -> bool:
         lab = _combine_labels(na.label, nb.label)
         if lab is _NO_FUSE:
             continue
-        if max_legs is not None:
-            joins = sum(1 for ee in w.edges
-                        if {ee[0][0], ee[1][0]} == {a, b})
-            if na.ports + nb.ports - 2 * joins > max_legs:
-                continue
         for i, ed in enumerate(w.edges):
             ed = list(ed)
             touched = False
@@ -831,20 +826,14 @@ def _run_passes(w: _Work, steps: list, passes) -> None:
     raise DiagramError("rewrite loop exceeded its step bound")
 
 
-def apply_fusion(d: Diagram, max_legs: int = None) -> SimplifyResult:
+def apply_fusion(d: Diagram) -> SimplifyResult:
     """Fuse connected green boxes, drop self-loops, splice unit boxes.
 
     Evaluation is preserved exactly; the returned scalar is always 1.
-    ``max_legs`` skips fusions whose merged box would exceed that leg count,
-    keeping every node individually evaluable.
     """
     w = _Work(d)
     steps: list = []
-
-    def fuse(work, st):
-        return _pass_fuse(work, st, max_legs=max_legs)
-
-    _run_passes(w, steps, (_pass_loops, fuse, _pass_unit))
+    _run_passes(w, steps, (_pass_loops, _pass_fuse, _pass_unit))
     return SimplifyResult(w.to_diagram(), w.scalar, steps)
 
 

@@ -36,6 +36,40 @@ def test_environment_check_sees_reads():
     assert _environment_reads(tree) == [2, 3]
 
 
+def _rules_imports(tree) -> list:
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("rules", "zxwkit.rules") or (
+                    node.module in (None, "zxwkit")
+                    and any(a.name == "rules" for a in node.names)):
+                hits.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            hits += [node.lineno for a in node.names
+                     if a.name == "zxwkit.rules"]
+    return hits
+
+
+def test_builders_never_rewrite():
+    # only the package namespace and the CLI may reach the rewrite rules
+    builders = ("graph.py", "evaluate.py", "controlled.py", "pauli.py",
+                "expo.py", "serialize.py")
+    offenders = []
+    for name in builders:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        offenders += [f"{name}:{line}" for line in _rules_imports(tree)]
+    assert not offenders, f"builder imports the rewrite rules: {offenders}"
+
+
+def test_rules_import_check_sees_imports():
+    tree = ast.parse("from .rules import apply_fusion\n"
+                     "from . import rules\n"
+                     "def f():\n    from zxwkit.rules import simplify_basic\n"
+                     "import zxwkit.rules\n"
+                     "from .graph import splice\n")
+    assert sorted(_rules_imports(tree)) == [1, 2, 4, 5]
+
+
 def test_no_public_builder_takes_fuse():
     flagged = []
     for name in zxwkit.__all__:

@@ -12,6 +12,7 @@ from zxwkit import (Builder, DiagramError, PhaseVar, and_box, cap,
                     swap_pair, transpose_diagram, triangle, v_gate, validate,
                     w_diagram, w_spider, wire_permutation, zbox_diagram)
 from zxwkit.evaluate import eval_diagram
+from zxwkit.graph import splice
 
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
@@ -244,3 +245,26 @@ def test_double_use_of_port_rejected():
     b.wire(i, (h, 0))
     with pytest.raises(DiagramError):
         b.wire(b.input(), (h, 0))
+
+
+@pytest.mark.parametrize("make", [lambda: identity(2), swap_pair, cap, cup,
+                                  hadamard_diagram, w_diagram, triangle],
+                         ids=["identity2", "swap", "cap", "cup", "had", "w",
+                              "triangle"])
+def test_splice_wires_sub_diagram_in_directly(make):
+    sub = make()
+    b = Builder()
+    ins = [b.input() for _ in sub.inputs]
+    for ref in splice(b, sub, ins):
+        b.wire(ref, b.output())
+    got = b.build()
+    assert np.abs(eval_diagram(got) - eval_diagram(sub)).max() <= 1e-12
+    # boundaries match one for one, so only a cap's glue box is extra
+    assert len(got.nodes) - len(sub.nodes) == (1 if make is cap else 0)
+    b = Builder()
+    ins = [b.input() for _ in sub.inputs]
+    with pytest.raises(DiagramError):
+        splice(b, sub, ins + [b.input()])
+    if ins:
+        with pytest.raises(DiagramError):
+            splice(b, sub, ins[:-1])

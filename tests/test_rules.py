@@ -86,18 +86,6 @@ def test_fusion_merges_chain_and_tracks_eval():
     assert res.steps
 
 
-def test_fusion_respects_leg_budget():
-    # a chain of 3-leg boxes must stay put when fusing would exceed the cap
-    d = identity(2)
-    for _ in range(6):
-        d = compose_seq(d, zbox_diagram(1.0, 2, 2))
-    res = apply_fusion(d, max_legs=4)
-    widest = max(n.ports for n in res.diagram.nodes.values())
-    assert widest <= 4
-    assert matrices_close(eval_diagram(d),
-                          res.scalar * eval_diagram(res.diagram), 1e-10)
-
-
 def test_simplify_removes_hadamard_pairs():
     d = compose_seq(hadamard_diagram(), hadamard_diagram())
     res = simplify_basic(d)
