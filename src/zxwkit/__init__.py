@@ -12,8 +12,9 @@ from .graph import (Builder, Diagram, DiagramError, PhaseVar, and_box, cap,
                     plug_basis, scalar_box, scalar_of, structural_equal,
                     swap_pair, transpose_diagram, triangle, v_gate, validate,
                     w_diagram, w_spider, wire_permutation, zbox_diagram)
-from .evaluate import (CapExceeded, ScalarEquivalence, equal_up_to_scalar,
-                       eval_diagram, matrices_close)
+from .evaluate import (CapExceeded, ContractionPlan, ScalarEquivalence,
+                       equal_up_to_scalar, eval_diagram, matrices_close,
+                       plan_contraction)
 from .serialize import (diagram_from_dict, diagram_from_json, diagram_to_dict,
                         diagram_to_dot, diagram_to_json, matrix_from_text,
                         matrix_to_text, vector_from_text)
@@ -45,8 +46,8 @@ __all__ = [
     "scalar_of", "structural_equal", "swap_pair", "transpose_diagram",
     "triangle", "v_gate", "validate", "w_diagram", "w_spider",
     "wire_permutation", "zbox_diagram",
-    "CapExceeded", "ScalarEquivalence", "equal_up_to_scalar", "eval_diagram",
-    "matrices_close",
+    "CapExceeded", "ContractionPlan", "ScalarEquivalence", "equal_up_to_scalar",
+    "eval_diagram", "matrices_close", "plan_contraction",
     "diagram_from_dict", "diagram_from_json", "diagram_to_dict",
     "diagram_to_dot", "diagram_to_json", "matrix_from_text", "matrix_to_text",
     "vector_from_text",

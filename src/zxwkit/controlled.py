@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import DEFAULT_CAP, eval_diagram
+from .evaluate import DEFAULT_CAP, plan_contraction
 from .graph import (Builder, Diagram, DiagramError, attach_and, attach_pink,
                     attach_triangle, attach_w_merge, attach_w_spider,
                     compose_par, compose_seq, identity, plug_basis, splice)
@@ -87,11 +87,14 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
 
     Returns {"ok", "err_discharge", "err_idle"}; the idle reference is the
     identity for matrices and |0...0> for states.  ``cap`` bounds the open
-    wires and node legs of each evaluation, as in ``eval_diagram``.
+    wires and node legs of each evaluation, as in ``eval_diagram``.  The two
+    plugs differ in one label, so one contraction plan serves both.
     """
     dim = 2 ** cd.m
-    got_d = eval_diagram(cd.discharge(), t=t, cap=cap)
-    got_i = eval_diagram(cd.idle(), t=t, cap=cap)
+    discharged = cd.discharge()
+    plan = plan_contraction(discharged, cap=cap)
+    got_d = plan.run(discharged, t)
+    got_i = plan.run(cd.idle(), t)
     if cd.kind == "matrix":
         want_d = np.asarray(target, dtype=complex)
         want_i = np.eye(dim, dtype=complex)

@@ -11,23 +11,29 @@ boundary-to-boundary wire, then contracts greedily, always picking the pair
 of tensors whose contraction yields the smallest intermediate, ties broken by
 the smaller (i, j) pair of tensor numbers (tensors are numbered in the order
 they are made).  Every edge index appears on at most two tensors, so pairwise
-``tensordot`` suffices.
+contraction suffices.
 
 The candidate pairs sit in a heap of ``(rank, i, j)`` entries, rank being the
 number of open indices the contraction would leave.  A pair's rank depends
 only on its two tensors, and a contraction retires both of them, so entries
 are never updated: a popped entry naming a retired tensor is skipped (lazy
 invalidation), and each new tensor pushes one entry per neighbour.  This
-picks the same pairs as re-ranking every pair on every step would, so the
-matrices are bit-identical to that schedule, while each step costs a heap
-operation per neighbour instead of a scan over every pair.
+picks the same pairs as re-ranking every pair on every step would, while
+each step costs a heap operation per neighbour instead of a scan over every
+pair.
+
+The schedule depends on the diagram's structure only, never on its labels,
+so it is planned once (``plan_contraction``) and executed per set of labels
+(``ContractionPlan.run``): each step is compiled to the transpose, reshape
+and matrix product ``np.tensordot`` would do, so the matrices are
+bit-identical to contracting pair by pair with ``np.tensordot``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -70,19 +76,12 @@ def node_tensor(node, t: Optional[float] = None) -> np.ndarray:
     raise DiagramError(f"no tensor for node kind {node.kind!r}")
 
 
-def _contract_pair(a: np.ndarray, ids_a: list, b: np.ndarray, ids_b: list):
-    shared = [i for i in ids_a if i in ids_b]
-    ax_a = [ids_a.index(i) for i in shared]
-    ax_b = [ids_b.index(i) for i in shared]
-    out = np.tensordot(a, b, axes=(ax_a, ax_b))
-    ids = [i for i in ids_a if i not in shared] + [i for i in ids_b if i not in shared]
-    return out, ids
-
-
-def _network(d: Diagram, t: Optional[float], cap: int):
-    """The tensors of ``d`` as (array, edge ids) pairs, one per interior node
-    and one 2x2 identity per boundary-to-boundary wire, plus the edge ids of
-    the outputs then the inputs."""
+def _network(d: Diagram, cap: int):
+    """The tensors of ``d`` as (node id, edge ids) pairs, one per interior
+    node and one per boundary-to-boundary wire (node id None, a 2x2
+    identity); the self-loop traces of each node that has any, as
+    {node id: (axis1, axis2) pairs that ``np.trace`` removes, in order};
+    and the edge ids of the outputs then the inputs."""
     if d.n_inputs + d.n_outputs > cap:
         raise CapExceeded(
             f"{d.n_inputs + d.n_outputs} open wires exceed cap {cap}")
@@ -95,6 +94,7 @@ def _network(d: Diagram, t: Optional[float], cap: int):
         next_id += 1
 
     tensors: list = []
+    loops: dict = {}
     boundary_kinds = (IN, OUT)
     for nid in sorted(d.nodes):
         node = d.nodes[nid]
@@ -104,16 +104,13 @@ def _network(d: Diagram, t: Optional[float], cap: int):
             raise CapExceeded(
                 f"node {nid} has {node.ports} legs, cap is {cap}")
         ids = [port_edge[(nid, p)] for p in range(node.ports)]
-        arr = node_tensor(node, t)
-        # trace out self-loops (an edge with both ends on this node)
         while len(ids) != len(set(ids)):
             dup = next(i for i in ids if ids.count(i) > 1)
             ax = [k for k, i in enumerate(ids) if i == dup]
-            arr = np.trace(arr, axis1=ax[0], axis2=ax[1])
+            loops[nid] = loops.get(nid, ()) + ((ax[0], ax[1]),)
             ids = [i for k, i in enumerate(ids) if k not in ax]
-        tensors.append((arr, ids))
+        tensors.append((nid, ids))
 
-    # a wire between two boundary ports becomes an explicit identity tensor
     for e in d.edges:
         (a, pa), (bb, pb) = e
         if d.nodes[a].kind in boundary_kinds and d.nodes[bb].kind in boundary_kinds:
@@ -121,60 +118,186 @@ def _network(d: Diagram, t: Optional[float], cap: int):
             next_id += 2
             port_edge[(a, pa)] = ia
             port_edge[(bb, pb)] = ib
-            tensors.append((np.eye(2, dtype=complex), [ia, ib]))
+            tensors.append((None, [ia, ib]))
 
     external = [port_edge[(nid, 0)] for nid in d.outputs] + \
                [port_edge[(nid, 0)] for nid in d.inputs]
-    return tensors, external
+    return tensors, loops, external
 
 
-def _contract_greedy(tensors: list) -> list:
-    """Contract connected tensors pairwise, smallest (rank, i, j) first;
-    returns one (array, ids) pair per connected component."""
-    live: dict = dict(enumerate(tensors))
+def _tensor(d: Diagram, nid, loops: dict, t: Optional[float]) -> np.ndarray:
+    """Tensor ``nid`` of ``_network`` with ``d``'s labels."""
+    if nid is None:
+        return np.eye(2, dtype=complex)
+    arr = node_tensor(d.nodes[nid], t)
+    for ax1, ax2 in loops.get(nid, ()):
+        arr = np.trace(arr, axis1=ax1, axis2=ax2)
+    return arr
+
+
+class _Schedule:
+    """The compiled steps of a schedule under construction.
+
+    ``ids[k]`` lists the edge ids of tensor k while it is live; a step
+    retires its two tensors (their entries become None) and appends its
+    result.  Equal permutations and shapes are stored once, so a plan of
+    thousands of steps holds one new object per step: each object a plan
+    keeps alive is one more for the cyclic garbage collector to count and
+    scan while the plan runs.
+    """
+
+    def __init__(self, ids: list):
+        self.ids = ids
+        self.steps: list = []
+        self._shared: dict = {}
+
+    def _share(self, value: tuple) -> tuple:
+        return self._shared.setdefault(value, value)
+
+    def contract(self, i: int, j: int) -> int:
+        """Compile contracting tensors ``i`` and ``j`` over their shared
+        edges into one step, as ``np.tensordot`` computes it; returns the
+        number of the result.
+
+        A step is (i, j, perm_a, shape_a, perm_b, shape_b, out_shape): the
+        shared axes move to the end of a and the front of b, each is
+        flattened to a matrix and the product is unflattened.  Every bond
+        has dimension 2, so the shapes follow from the edge ids alone.
+        """
+        ids_a, ids_b = self.ids[i], self.ids[j]
+        ax_a = [k for k, e in enumerate(ids_a) if e in ids_b]
+        ax_b = [ids_b.index(ids_a[k]) for k in ax_a]
+        keep_a = [k for k in range(len(ids_a)) if k not in ax_a]
+        keep_b = [k for k in range(len(ids_b)) if k not in ax_b]
+        out = [ids_a[k] for k in keep_a] + [ids_b[k] for k in keep_b]
+        bond = 2 ** len(ax_a)
+        share = self._share
+        self.steps.append((
+            i, j, share(tuple(keep_a + ax_a)), share((2 ** len(keep_a), bond)),
+            share(tuple(ax_b + keep_b)), share((bond, 2 ** len(keep_b))),
+            share((2,) * len(out))))
+        self.ids[i] = self.ids[j] = None
+        self.ids.append(out)
+        return len(self.ids) - 1
+
+
+def _greedy(sched: _Schedule) -> list:
+    """Add the steps contracting connected tensors pairwise, smallest
+    (rank, i, j) first; returns the tensors left, one per connected
+    component, in increasing order."""
+    ids = sched.ids
     id2pos: dict = {}
-    for pos, (_, ids) in live.items():
-        for i in ids:
-            id2pos.setdefault(i, set()).add(pos)
+    for pos, tids in enumerate(ids):
+        for e in tids:
+            id2pos.setdefault(e, set()).add(pos)
+    edge_sets = [set(tids) for tids in ids]
 
     def candidate(i, j):
-        ids_a, ids_b = live[i][1], live[j][1]
-        shared = len(set(ids_a) & set(ids_b))
-        return (len(ids_a) + len(ids_b) - 2 * shared, i, j)
+        a, b = edge_sets[i], edge_sets[j]
+        return (len(a) + len(b) - 2 * len(a & b), i, j)
 
     heap = [candidate(*sorted(ps)) for ps in id2pos.values() if len(ps) == 2]
     heapq.heapify(heap)
-    fresh = len(tensors)
     while heap:
         _, i, j = heapq.heappop(heap)
-        if i not in live or j not in live:
+        if ids[i] is None or ids[j] is None:
             continue
-        arr, ids = _contract_pair(*live.pop(i), *live.pop(j))
-        live[fresh] = (arr, ids)
+        fresh = sched.contract(i, j)
+        edge_sets[i] = edge_sets[j] = None
+        edge_sets.append(set(ids[fresh]))
         neighbours = set()
-        for idx in ids:
-            ps = id2pos[idx]
+        for e in ids[fresh]:
+            ps = id2pos[e]
             ps -= {i, j}
             neighbours |= ps
             ps.add(fresh)
         for nb in neighbours:
             heapq.heappush(heap, candidate(nb, fresh))
-        fresh += 1
-    return list(live.values())
+    return [k for k, tids in enumerate(ids) if tids is not None]
 
 
-def _to_matrix(pool: list, external: list, d: Diagram) -> np.ndarray:
-    """Multiply out the components in ``pool`` (scalars fold into the
-    tensor) and order the axes as ``d``'s (2^outputs, 2^inputs) matrix."""
-    arr, ids = pool[0]
-    for nxt_arr, nxt_ids in pool[1:]:
-        arr = np.tensordot(arr, nxt_arr, axes=0)
-        ids = ids + nxt_ids
-    if sorted(ids) != sorted(external):
-        raise DiagramError("internal error: contraction left stray indices")
-    perm = [ids.index(i) for i in external]
-    arr = np.transpose(arr, perm) if perm else arr
-    return arr.reshape(2 ** d.n_outputs, 2 ** d.n_inputs)
+@dataclass(frozen=True)
+class ContractionPlan:
+    """A contraction schedule compiled from a diagram's structure alone.
+
+    ``run`` evaluates any diagram with the same structure, whatever its
+    labels: the discharge and the idle of a controlled diagram, or a
+    ``PhaseVar`` diagram at several times.  The structure is the node ids
+    with their kinds and port counts, the edge list (in order: the plan
+    numbers edges by position) and the boundaries.  ``peak_rank`` is the
+    rank of the largest intermediate the steps make (0 without steps),
+    known before anything is allocated.
+    """
+
+    nodes: dict = field(repr=False)    # node id -> (kind, ports)
+    edges: list = field(repr=False)
+    inputs: list
+    outputs: list
+    tensors: list        # node id per tensor, None for a boundary wire
+    loops: dict          # node id -> self-loop traces, for nodes with any
+    steps: list          # (i, j, perm_a, shape_a, perm_b, shape_b, out_shape)
+    perm: list           # axes of the last tensor in (outputs, inputs) order
+    shape: tuple         # (2^outputs, 2^inputs)
+    peak_rank: int
+
+    def _fits(self, d: Diagram) -> bool:
+        nodes = self.nodes
+        return (d.edges == self.edges and d.inputs == self.inputs
+                and d.outputs == self.outputs and len(d.nodes) == len(nodes)
+                and all(nodes.get(nid) == (n.kind, n.ports)
+                        for nid, n in d.nodes.items()))
+
+    def run(self, d: Diagram, t: Optional[float] = None) -> np.ndarray:
+        """Evaluate ``d``, resolving ``PhaseVar`` labels at ``t``."""
+        if not self._fits(d):
+            raise DiagramError(
+                "diagram does not have the structure the plan was made for")
+        arrs = [_tensor(d, nid, self.loops, t) for nid in self.tensors]
+        if not arrs:
+            return np.ones((1, 1), dtype=complex)
+        for i, j, pa, sa, pb, sb, so in self.steps:
+            a, b = arrs[i], arrs[j]
+            arrs[i] = arrs[j] = None
+            arrs.append(np.dot(a.transpose(pa).reshape(sa),
+                               b.transpose(pb).reshape(sb)).reshape(so))
+        arr = arrs[-1]
+        if self.perm:
+            arr = arr.transpose(self.perm)
+        return arr.reshape(self.shape)
+
+
+def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP,
+                     order: str = "greedy") -> ContractionPlan:
+    """Plan the contraction of ``d`` from its structure, ignoring labels.
+
+    ``cap`` bounds the open wires and the legs of any one node.  ``order``
+    picks the schedule: "greedy" (default) or "sequential" (node-id order,
+    each tensor contracted into the running result).  Disconnected
+    components are multiplied out as outer products, left to right.
+    """
+    if order not in ("greedy", "sequential"):
+        raise DiagramError(f"unknown contraction order {order!r}")
+    tensors, loops, external = _network(d, cap)
+    sched = _Schedule([tids for _, tids in tensors])
+    perm: list = []
+    if tensors:
+        if order == "greedy":
+            pool = _greedy(sched)
+        else:
+            pool = list(range(len(tensors)))
+        last = pool[0]
+        for nxt in pool[1:]:
+            last = sched.contract(last, nxt)
+        out = sched.ids[last]
+        if sorted(out) != sorted(external):
+            raise DiagramError("internal error: contraction left stray indices")
+        perm = [out.index(e) for e in external]
+    return ContractionPlan(
+        {nid: (n.kind, n.ports) for nid, n in d.nodes.items()},
+        list(d.edges), list(d.inputs), list(d.outputs),
+        [nid for nid, _ in tensors], loops, sched.steps, perm,
+        (2 ** d.n_outputs, 2 ** d.n_inputs),
+        max((len(so) for *_, so in sched.steps), default=0))
 
 
 def eval_diagram(d: Diagram, t: Optional[float] = None,
@@ -184,22 +307,10 @@ def eval_diagram(d: Diagram, t: Optional[float] = None,
     ``cap`` bounds the open wires and the legs of any one node.  ``order``
     picks the contraction schedule: "greedy" (default) or "sequential"
     (node-id order); both give the same matrix to float round-off, which
-    the tests pin down.
+    the tests pin down.  To evaluate one structure several times, with
+    other labels or at other ``t``, plan it once with ``plan_contraction``.
     """
-    tensors, external = _network(d, t, cap)
-    if not tensors:
-        return np.ones((1, 1), dtype=complex)
-
-    if order == "sequential":
-        arr, ids = tensors[0]
-        for nxt_arr, nxt_ids in tensors[1:]:
-            arr, ids = _contract_pair(arr, ids, nxt_arr, nxt_ids)
-        pool = [(arr, ids)]
-    elif order == "greedy":
-        pool = _contract_greedy(tensors)
-    else:
-        raise DiagramError(f"unknown contraction order {order!r}")
-    return _to_matrix(pool, external, d)
+    return plan_contraction(d, cap, order).run(d, t)
 
 
 @dataclass

@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from zxwkit import (Builder, CapExceeded, DiagramError, compose_par,
-                    compose_seq, controlled_matrix, equal_up_to_scalar,
-                    eval_diagram, hadamard_diagram, identity, matrices_close,
-                    parse_pauli_sum, scalar_of, taylor_diagram,
-                    trotter_diagram, triangle, w_diagram, zbox_diagram)
+from zxwkit import (Builder, CapExceeded, DiagramError, commuting_exponential,
+                    compose_par, compose_seq, controlled_matrix,
+                    equal_up_to_scalar, eval_diagram, hadamard_diagram,
+                    identity, matrices_close, parse_pauli_sum, plan_contraction,
+                    resolve_time, scalar_of, taylor_diagram, trotter_diagram,
+                    triangle, w_diagram, zbox_diagram)
 from zxwkit import evaluate
 
-HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-W = np.array([[1, 0], [0, 1], [0, 1], [0, 0]], dtype=complex)
-TRIANGLE = np.array([[1, 1], [0, 1]], dtype=complex)
+from circuit_strategies import circuits
+
 HAM5 = "1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n-1.0 IIZ"
 
 
@@ -135,10 +134,39 @@ def test_symbolic_requires_time():
     assert abs(got[1, 1] + 1.0) <= 1e-12
 
 
+def _contract_pair(a: np.ndarray, ids_a: list, b: np.ndarray, ids_b: list):
+    shared = [i for i in ids_a if i in ids_b]
+    ax_a = [ids_a.index(i) for i in shared]
+    ax_b = [ids_b.index(i) for i in shared]
+    out = np.tensordot(a, b, axes=(ax_a, ax_b))
+    ids = [i for i in ids_a if i not in shared] + [i for i in ids_b if i not in shared]
+    return out, ids
+
+
+def _reference_network(d):
+    """The (array, edge ids) tensors of ``d`` and its external edge ids."""
+    tensors, loops, external = evaluate._network(d, evaluate.DEFAULT_CAP)
+    return ([(evaluate._tensor(d, nid, loops, None), ids)
+             for nid, ids in tensors], external)
+
+
+def _to_matrix(pool: list, external: list, d) -> np.ndarray:
+    """Multiply out the components in ``pool`` (scalars fold into the
+    tensor) and order the axes as ``d``'s (2^outputs, 2^inputs) matrix."""
+    arr, ids = pool[0]
+    for nxt_arr, nxt_ids in pool[1:]:
+        arr = np.tensordot(arr, nxt_arr, axes=0)
+        ids = ids + nxt_ids
+    assert sorted(ids) == sorted(external)
+    perm = [ids.index(i) for i in external]
+    arr = np.transpose(arr, perm) if perm else arr
+    return arr.reshape(2 ** d.n_outputs, 2 ** d.n_inputs)
+
+
 def _min_scan_eval(d):
     """The greedy schedule written as a full scan: every step re-ranks every
     candidate pair and contracts the smallest (rank, (i, j))."""
-    tensors, external = evaluate._network(d, None, evaluate.DEFAULT_CAP)
+    tensors, external = _reference_network(d)
     live = dict(enumerate(tensors))
     id2pos = {}
     for pos, (_, ids) in live.items():
@@ -156,7 +184,7 @@ def _min_scan_eval(d):
             return len(ids_a) + len(ids_b) - 2 * shared
 
         i, j = min(pairs, key=lambda p: (rank_after(p), p))
-        arr, ids = evaluate._contract_pair(*live[i], *live[j])
+        arr, ids = _contract_pair(*live[i], *live[j])
         for old in (i, j):
             for idx in live[old][1]:
                 id2pos[idx].discard(old)
@@ -165,7 +193,17 @@ def _min_scan_eval(d):
         for idx in ids:
             id2pos.setdefault(idx, set()).add(fresh)
         fresh += 1
-    return evaluate._to_matrix(list(live.values()), external, d)
+    return _to_matrix(list(live.values()), external, d)
+
+
+def _left_to_right_eval(d):
+    """The sequential schedule: each tensor, in node-id order, contracted
+    into the running result with ``np.tensordot``."""
+    tensors, external = _reference_network(d)
+    arr, ids = tensors[0]
+    for nxt_arr, nxt_ids in tensors[1:]:
+        arr, ids = _contract_pair(arr, ids, nxt_arr, nxt_ids)
+    return _to_matrix([(arr, ids)], external, d)
 
 
 def _self_loop_diagram():
@@ -180,15 +218,15 @@ def _self_loop_diagram():
     return b.build()
 
 
-def _controlled_4x4():
+def _controlled(dim=4):
     rng = np.random.default_rng(333)
-    return controlled_matrix(rng.normal(size=(4, 4))
-                             + 1j * rng.normal(size=(4, 4)))
+    return controlled_matrix(rng.normal(size=(dim, dim))
+                             + 1j * rng.normal(size=(dim, dim)))
 
 
 PIN_CASES = {
-    "controlled_discharge": lambda: _controlled_4x4().discharge(),
-    "controlled_idle": lambda: _controlled_4x4().idle(),
+    "controlled_discharge": lambda: _controlled().discharge(),
+    "controlled_idle": lambda: _controlled().idle(),
     "trotter16": lambda: trotter_diagram(parse_pauli_sum(HAM5), 16, 0.7),
     "taylor4": lambda: taylor_diagram(parse_pauli_sum(HAM5), 4, 0.4),
     "components_and_scalar": lambda: compose_par(
@@ -206,66 +244,84 @@ def test_greedy_schedule_is_pinned(name):
     assert np.array_equal(eval_diagram(d, order="greedy"), _min_scan_eval(d))
 
 
+# In node-id order the 4x4 controlled diagrams pass through rank-24
+# intermediates (256 MB each, seconds per run), so 2x2 ones stand in.
+SEQUENTIAL_PIN_CASES = {
+    **{name: make for name, make in PIN_CASES.items()
+       if not name.startswith("controlled")},
+    "controlled2x2_discharge": lambda: _controlled(2).discharge(),
+    "controlled2x2_idle": lambda: _controlled(2).idle(),
+}
+
+
+@pytest.mark.parametrize("name", list(SEQUENTIAL_PIN_CASES))
+def test_sequential_schedule_is_pinned(name):
+    d = SEQUENTIAL_PIN_CASES[name]()
+    assert np.array_equal(eval_diagram(d, order="sequential"),
+                          _left_to_right_eval(d))
+
+
+def test_discharge_plan_runs_the_idle_diagram():
+    cd = _controlled()
+    plan = plan_contraction(cd.discharge())
+    assert np.array_equal(plan.run(cd.idle()), eval_diagram(cd.idle()))
+
+
+def test_plan_records_peak_rank():
+    # three boxes in a ring, one output each: contracting the first two
+    # leaves their two outputs and their two bonds to the third (rank 4),
+    # and the third then closes the ring (rank 3)
+    b = Builder()
+    ring = [b.zbox(a) for a in (0.5, -1.0, 2.0j)]
+    for k in range(3):
+        b.wire(ring[k], ring[(k + 1) % 3])
+    for box in ring:
+        b.wire(box, b.output())
+    d = b.build()
+    for order in ("greedy", "sequential"):
+        plan = plan_contraction(d, order=order)
+        assert [len(step[-1]) for step in plan.steps] == [4, 3]
+        assert plan.peak_rank == 4
+    assert plan_contraction(scalar_of(2.0)).peak_rank == 0
+
+
+def _rewired(d):
+    """``d`` with the far ends of two interior edges swapped: the same
+    nodes and boundaries, other edges."""
+    out = d.copy()
+    inner = [k for k, ((a, _), (b, _)) in enumerate(out.edges)
+             if a not in d.inputs + d.outputs and b not in d.inputs + d.outputs]
+    k, m = inner[0], inner[-1]
+    (a, b), (c, e) = out.edges[k], out.edges[m]
+    out.edges[k], out.edges[m] = (a, e), (c, b)
+    return out
+
+
+@pytest.mark.parametrize("other", [
+    lambda cd: cd.diagram,
+    lambda cd: _rewired(cd.discharge()),
+    lambda cd: controlled_matrix(np.eye(4)).discharge(),
+], ids=["one_more_input", "other_edges", "other_nodes"])
+def test_plan_rejects_another_structure(other):
+    cd = _controlled()
+    plan = plan_contraction(cd.discharge())
+    with pytest.raises(DiagramError):
+        plan.run(other(cd))
+
+
+def test_one_plan_sweeps_time():
+    d = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).diagram
+    assert d.is_symbolic()
+    plan = plan_contraction(d)
+    for t in (-0.7, 0.0, 0.25, 1.9):
+        assert np.array_equal(plan.run(d, t), eval_diagram(resolve_time(d, t)))
+
+
 # --- property test: random generator circuits against kron/matmul ---------
-
-MAX_WIDTH = 3
-LABELS = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
-                            allow_infinity=False)
-FIXED = {"had": (hadamard_diagram, HAD, 1, 1),
-         "w": (w_diagram, W, 1, 2),
-         "triangle": (triangle, TRIANGLE, 1, 1)}
-
-
-def _zbox_matrix(a, n_in, n_out):
-    m = np.zeros((2 ** n_out, 2 ** n_in), dtype=complex)
-    m[0, 0] = 1.0
-    m[-1, -1] += a
-    return m
-
-
-@st.composite
-def _layer(draw, width):
-    """Generators side by side on ``width`` input wires, with their dense
-    kron; a one-legged Z box may open a new wire and a scalar may join."""
-    parts = []
-    left, out = width, 0
-    while left > 0:
-        kind = draw(st.sampled_from(["zbox", *FIXED]))
-        if kind != "zbox":
-            make, mat, n_in, n_out = FIXED[kind]
-            if out + n_out <= MAX_WIDTH:
-                parts.append((make(), mat))
-                left, out = left - n_in, out + n_out
-                continue
-        n_in = draw(st.integers(1, min(2, left)))
-        n_out = draw(st.integers(0, min(2, MAX_WIDTH - out)))
-        a = draw(LABELS)
-        parts.append((zbox_diagram(a, n_in, n_out), _zbox_matrix(a, n_in, n_out)))
-        left, out = left - n_in, out + n_out
-    if out < MAX_WIDTH and draw(st.booleans()):
-        a = draw(LABELS)
-        parts.append((zbox_diagram(a, 0, 1), _zbox_matrix(a, 0, 1)))
-    if draw(st.booleans()):
-        c = draw(LABELS)
-        parts.append((scalar_of(c), np.array([[c]], dtype=complex)))
-    d, m = identity(0), np.ones((1, 1), dtype=complex)
-    for pd, pm in parts:
-        d, m = compose_par(d, pd), np.kron(m, pm)
-    return d, m
-
-
-@st.composite
-def _circuits(draw):
-    width = draw(st.integers(1, MAX_WIDTH))
-    d, m = identity(width), np.eye(2 ** width, dtype=complex)
-    for _ in range(draw(st.integers(1, 4))):
-        ld, lm = draw(_layer(d.n_outputs))
-        d, m = compose_seq(d, ld), lm @ m
-    return d, m
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
-@given(_circuits())
+@given(circuits())
 def test_greedy_matches_sequential_and_dense_oracle(circuit):
     d, want = circuit
     greedy = eval_diagram(d, order="greedy")

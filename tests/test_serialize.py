@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from zxwkit import (DiagramError, and_box, diagram_from_dict,
                     diagram_from_json, diagram_to_dict, diagram_to_dot,
@@ -12,6 +13,8 @@ from zxwkit import (DiagramError, and_box, diagram_from_dict,
                     matrix_from_text, matrix_to_text, pink_spider,
                     structural_equal, triangle, vector_from_text, w_spider,
                     zbox_diagram)
+
+from circuit_strategies import circuits
 
 
 def _random_diagram(rng):
@@ -36,6 +39,15 @@ def test_json_round_trip_random():
         back = diagram_from_json(diagram_to_json(d))
         assert structural_equal(d, back)
         assert matrices_close(eval_diagram(d), eval_diagram(back), 1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(circuits())
+def test_json_round_trip_of_random_circuits(circuit):
+    d, _ = circuit
+    back = diagram_from_json(diagram_to_json(d))
+    assert structural_equal(d, back)
+    assert np.array_equal(eval_diagram(back), eval_diagram(d))
 
 
 def test_dict_schema():
