@@ -129,6 +129,8 @@ def _finite(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_check_rules(args, cfg: Config) -> int:
+    if args.samples < 1:
+        raise _Usage(f"--samples must be at least 1, got {args.samples}")
     names = template_names()
     if args.rule is not None:
         if args.rule not in names:
@@ -256,6 +258,15 @@ def _axz_circuit(h, t: float, cfg: Config) -> Circuit:
     return Circuit(gates, 1)
 
 
+def _oracle_error(u: np.ndarray, h, t: float, cfg: Config) -> float:
+    """Operator-norm distance from ``u`` to the dense exp(-i H t / 2)."""
+    diff = u - dense_expm(-0.5j * t * oracle_matrix(h, cap=cfg.cap))
+    if not np.all(np.isfinite(diff)):
+        raise _Usage(f"no finite comparison with the dense exponential "
+                     f"at t={t!r}")
+    return float(np.linalg.norm(diff, 2))
+
+
 def _cmd_expm(args, cfg: Config) -> int:
     h = parse_pauli_sum(_read(args.file))
     t = args.t
@@ -286,15 +297,13 @@ def _cmd_expm(args, cfg: Config) -> int:
         circuit = _axz_circuit(h, t, cfg)
         print(circuit.to_text())
         printed = True
-        target = dense_expm(-0.5j * t * oracle_matrix(h, cap=cfg.cap))
-        err = float(np.linalg.norm(circuit.to_matrix() - target, 2))
+        err = _oracle_error(circuit.to_matrix(), h, t, cfg)
         if err > cfg.tol:
             print(f"circuit MISMATCH: operator-norm error {err:.3e} "
                   f"(tol {cfg.tol:g})", file=sys.stderr)
             rc = 1
     if args.compare_oracle:
-        target = dense_expm(-0.5j * t * oracle_matrix(h, cap=cfg.cap))
-        err = float(np.linalg.norm(u - target, 2))
+        err = _oracle_error(u, h, t, cfg)
         print(f"operator-norm error: {err:.6e}")
         printed = True
         # approximants report their error; only the exact method must meet tol

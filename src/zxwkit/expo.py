@@ -2,11 +2,12 @@
 
 Four routes, from special to general: phase gadgets multiply out a
 commuting sum exactly; Trotter repetition handles non-commuting sums
-approximately; a truncated power series does too, through controlled
-products; and the power-basis expansion with Putzer coefficients is exact
-at small qubit counts.  Time enters ZBox labels as exp(i * slope * t) and
-is resolved when a concrete t is supplied.  Dropped global phases are
-always recorded next to the diagram, never silently.
+approximately; a truncated power series does too; and the power-basis
+expansion with Putzer coefficients is exact at small qubit counts.  Both
+series are one controlled polynomial in Horner form (``_power_series``).
+Time enters ZBox labels as exp(i * slope * t) and is resolved when a
+concrete t is supplied.  Dropped global phases are always recorded next
+to the diagram, never silently.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import (_gate_arms, controlled_product,
-                         controlled_sum_matrices)
+from .controlled import ControlledDiagram, _gate_arms
 from .evaluate import HAD_MATRIX, eval_diagram
 from .graph import (Builder, Diagram, DiagramError, Node, PhaseVar,
-                    attach_pink, compose_par, compose_seq, identity,
-                    scalar_of)
+                    attach_pink, compose_par, scalar_of, splice)
 from .pauli import (PauliString, PauliSum, _attach_conjugation,
                     _CONJ_FOR_LETTER, build_hamiltonian_diagram,
                     controlled_pauli_string, oracle_matrix, strings_commute)
@@ -120,6 +119,17 @@ def _require_real(terms):
     return coeffs
 
 
+def _chain(m: int, factors) -> Diagram:
+    """m -> m ``factors`` in series, first acts first, in one Builder."""
+    b = Builder()
+    data = [b.input() for _ in range(m)]
+    for f in factors:
+        data = splice(b, f, data)
+    for ref in data:
+        b.wire(ref, b.output())
+    return b.build()
+
+
 def commuting_exponential(h: PauliSum) -> ExponentialDiagram:
     """Exact gadget product for a Hamiltonian of commuting terms.
 
@@ -134,13 +144,9 @@ def commuting_exponential(h: PauliSum) -> ExponentialDiagram:
             if not strings_commute(strings[i], strings[j]):
                 raise DiagramError(
                     f"non-commuting terms {strings[i]} and {strings[j]}")
-    d = identity(h.m)
-    slope = 0.0
-    for alpha, p in zip(coeffs, strings):
-        slope += -alpha / 2.0
-        if p.support():
-            d = compose_seq(d, _gadget_diagram(p, alpha))
-    return ExponentialDiagram(d, slope)
+    gadgets = [_gadget_diagram(p, alpha)
+               for alpha, p in zip(coeffs, strings) if p.support()]
+    return ExponentialDiagram(_chain(h.m, gadgets), -sum(coeffs) / 2.0)
 
 
 def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
@@ -154,31 +160,52 @@ def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
         raise DiagramError("steps must be >= 1")
     coeffs = _require_real(h.terms)
     tau = float(t) / steps
-    rep = identity(h.m)
-    for alpha, p in zip(coeffs, [p for _, p in h.terms]):
-        if p.support():
-            rep = compose_seq(rep, resolve_time(_gadget_diagram(p, alpha), tau))
-    total = identity(h.m)
-    for _ in range(steps):
-        total = compose_seq(total, rep)
+    step = [resolve_time(_gadget_diagram(p, alpha), tau)
+            for alpha, (_, p) in zip(coeffs, h.terms) if p.support()]
     # one box for all dropped gadget phases and all identity terms
     phase = cmath.exp(-0.5j * float(t) * sum(coeffs))
-    return compose_par(total, scalar_of(phase))
+    return compose_par(_chain(h.m, step * steps), scalar_of(phase))
+
+
+def _power_series(h: PauliSum, coeffs) -> Diagram:
+    """Discharged diagram of c0 I + H (c1 I + H (c2 I + ...)): one copy
+    of H per degree.  Level k's control feeds a W fan into an effect
+    labelled c_k and a copy that fires copy k of H and feeds level k + 1,
+    so the branch stopping at level k weighs c_k and fires copies 0..k-1.
+    The deepest copy acts first on the data wires.
+    """
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise DiagramError("power series coefficients are not finite")
+    c_h, _ = build_hamiltonian_diagram(h)
+    b = Builder()
+    ctrl = b.input()
+    data = [b.input() for _ in range(h.m)]
+    h_ctrls = []
+    for c in coeffs[:-1]:
+        fan = b.w(tag="ctrl")
+        b.wire(ctrl, (fan, 0))
+        b.wire((fan, 1), b.zbox(c, tag="weight"))
+        copy = b.zbox(1.0, tag="ctrl")
+        b.wire((fan, 2), copy)
+        h_ctrls.append(b.leg(copy))
+        ctrl = b.leg(copy)
+    b.wire(ctrl, b.zbox(coeffs[-1], tag="weight"))
+    for c in reversed(h_ctrls):
+        data = splice(b, c_h.diagram, [c] + data)
+    for ref in data:
+        b.wire(ref, b.output())
+    return ControlledDiagram(b.build(), "matrix", h.m).discharge()
 
 
 def taylor_diagram(h: PauliSum, order: int, t: float) -> Diagram:
-    """Truncated power series as a controlled sum of controlled products.
-
-    Branch k carries k chained copies of the Hamiltonian diagram with
-    weight (-i t / 2)^k / k!; the result is the discharged sum, an exact
-    diagram of the degree-``order`` polynomial.
-    """
+    """Truncated power series sum_k (-i t H / 2)^k / k!, k <= ``order``,
+    as an exact diagram of the polynomial (see ``_power_series``)."""
     if order < 0:
         raise DiagramError("order must be >= 0")
-    c_h, _ = build_hamiltonian_diagram(h)
-    comps = [controlled_product([c_h] * k, m=h.m) for k in range(order + 1)]
-    weights = [(-0.5j * t) ** k / math.factorial(k) for k in range(order + 1)]
-    return controlled_sum_matrices(comps, weights).discharge()
+    coeffs = [1.0 + 0j]
+    for k in range(1, order + 1):
+        coeffs.append(coeffs[-1] * (-0.5j * t) / k)
+    return _power_series(h, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +311,18 @@ def putzer_coefficients(H: np.ndarray, t_samples) -> CayleyCoeffs:
 
 
 def cayley_hamilton_diagram(h: PauliSum, t: float) -> Diagram:
-    """Exact exponential as a controlled sum over Hamiltonian powers.
+    """Exact exponential as a polynomial of degree 2^m - 1 in H.
 
-    Kept to two qubits: the coefficients come from a dense eigenvalue
-    solve, which scales exponentially in qubit count.
+    The diagram holds 2^m - 1 copies of H (``_power_series``), so it is
+    kept to four qubits: 15 copies, whose contraction reaches rank-19
+    intermediates on a five-term sum.  The eigenvalue solve behind the
+    coefficients is cheap at that size.
     """
-    if h.m > 2:
-        raise DiagramError("power-basis form is limited to 2 qubits")
+    if h.m > 4:
+        raise DiagramError("power-basis form is limited to 4 qubits")
     H = oracle_matrix(h)
     coeffs = putzer_coefficients(H, [t]).table[0]
-    c_h, _ = build_hamiltonian_diagram(h)
-    comps = [controlled_product([c_h] * k, m=h.m) for k in range(len(coeffs))]
-    return controlled_sum_matrices(comps, list(coeffs)).discharge()
+    return _power_series(h, list(coeffs))
 
 
 # ---------------------------------------------------------------------------

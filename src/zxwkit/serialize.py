@@ -44,29 +44,43 @@ def diagram_to_dict(d: Diagram) -> dict:
 
 
 def diagram_from_dict(data: dict) -> Diagram:
+    """Diagram from the JSON schema; a malformed entry is reported with
+    its place (``edge k`` or ``node k``) and what is wrong with it."""
+    where, k = "diagram", None
     try:
         nodes = {}
         port_count: dict = {}
-        for e in data["edges"]:
-            for nid, port in e:
+        edges = []
+        for k, e in enumerate(data["edges"]):
+            where = "edge"
+            (a, pa), (b, pb) = e
+            edges.append(((a, pa), (b, pb)))
+            for nid, port in edges[-1]:
                 port_count[nid] = max(port_count.get(nid, 0), port + 1)
-        for entry in data["nodes"]:
+        where = "diagram"
+        for k, entry in enumerate(data["nodes"]):
+            where = "node"
             nid = entry["id"]
-            kind = _KINDS_BACK[entry["kind"]]
+            kind = _KINDS_BACK.get(entry["kind"])
+            if kind is None:
+                raise ValueError(f"unknown kind {entry['kind']!r}")
             if kind == ZBOX:
                 re, im = entry["a"]
                 label = complex(re, im)
                 if not cmath.isfinite(label):
-                    raise ValueError(f"node {nid} has a non-finite label")
+                    raise ValueError("non-finite label")
                 ports = port_count.get(nid, 0)
             else:
                 label = None
                 ports = {HAD: 2, W: 3, IN: 1, OUT: 1}[kind]
             nodes[nid] = Node(nid, kind, ports, label)
-        edges = [((a, pa), (b, pb)) for (a, pa), (b, pb) in data["edges"]]
+        where = "diagram"
         d = Diagram(nodes, edges, list(data["inputs"]), list(data["outputs"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise DiagramError(f"malformed diagram JSON: {exc}") from exc
+        place = where if where == "diagram" else f"{where} {k}"
+        problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise DiagramError(f"malformed diagram JSON: {place}: {problem}") \
+            from exc
     problems = validate(d)
     if problems:
         raise DiagramError("invalid diagram JSON: " + "; ".join(problems))

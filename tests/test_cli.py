@@ -1,5 +1,7 @@
 """End-to-end runs of the zxw command line."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -347,3 +349,36 @@ def test_verification_failure_exits_one(tmp_path, capsys):
                "--tol", "1e-18"])
     capsys.readouterr()
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-rules", "--samples", "-3"],
+    ["check-rules", "--samples", "0"],
+    ["expm", "FILE", "--method", "taylor", "--t", "1e308", "--order", "3",
+     "--compare-oracle"],
+    ["expm", "FILE", "--method", "trotter", "--t", "1e308", "--steps", "3",
+     "--compare-oracle"],
+], ids=["samples-negative", "samples-zero", "taylor-overflow",
+        "oracle-overflow"])
+def test_out_of_range_input_is_usage_error(argv, ham_file, capsys):
+    assert main([ham_file if a == "FILE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert [ln for ln in lines if "error" in ln] == lines[-1:]
+    assert lines[-1].startswith("zxw: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ham", "build", "--verify", "FILE"],
+    ["extract-demo", "--a", "1.0", "--b", "1.0", "--t", "0.7"],
+], ids=["ham-build", "extract-demo"])
+def test_readme_shows_the_current_node_counts(argv, ham_file, capsys):
+    assert main([ham_file if a == "FILE" else a for a in argv]) == 0
+    counts = [ln for ln in capsys.readouterr().out.splitlines()
+              if "nodes=" in ln]
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    shown = readme.read_text(encoding="utf-8").splitlines()
+    assert counts
+    for line in counts:
+        assert line in shown, line

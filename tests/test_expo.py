@@ -9,9 +9,10 @@ import scipy.linalg
 
 from zxwkit import (Circuit, DiagramError, Gate, PauliString,
                     cayley_hamilton_diagram, check_anticommuting_gadgets,
-                    commuting_exponential, derivative_at_zero, eval_diagram,
-                    extract_axz_circuit, oracle_matrix, parse_pauli_sum,
-                    pauli_gadget, putzer_coefficients, resolve_time,
+                    commuting_exponential, compose_par, compose_seq,
+                    derivative_at_zero, eval_diagram, extract_axz_circuit,
+                    identity, oracle_matrix, parse_pauli_sum, pauli_gadget,
+                    putzer_coefficients, resolve_time, scalar_of,
                     taylor_diagram, trotter_diagram)
 
 
@@ -110,6 +111,26 @@ def test_trotter_error_halves_when_steps_double():
     assert 1.6 <= ratio <= 2.4, ratio
 
 
+def test_trotter_matches_a_compose_seq_fold():
+    # the chain is spliced into one Builder; folding compose_seq over the
+    # same step diagram builds the same tensor network, node for node
+    h = parse_pauli_sum("1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n-1.0 IIZ"
+                        "\n0.25 III")
+    t, steps = 0.5, 12
+    step = identity(h.m)
+    for coeff, p in h.terms:
+        if p.support():
+            gadget = pauli_gadget(p, coeff.real).diagram
+            step = compose_seq(step, resolve_time(gadget, t / steps))
+    fold = identity(h.m)
+    for _ in range(steps):
+        fold = compose_seq(fold, step)
+    phase = np.exp(-0.5j * t * sum(c.real for c, _ in h.terms))
+    want = eval_diagram(compose_par(fold, scalar_of(phase)))
+    got = eval_diagram(trotter_diagram(h, steps, t))
+    assert np.abs(got - want).max() <= 1e-13
+
+
 def test_trotter_needs_positive_steps():
     h = parse_pauli_sum("1.0 Z")
     with pytest.raises(DiagramError):
@@ -130,6 +151,15 @@ def test_taylor_matches_partial_sum():
             want += power / math.factorial(k)
             power = power @ (-0.5j * t * hm)
         assert np.abs(got - want).max() <= 1e-9, order
+
+
+def test_taylor_nodes_grow_by_a_constant_per_order():
+    # Horner form: one more copy of H, and one fan level, per order
+    h = parse_pauli_sum("0.9 ZZ\n0.7 ZX\n-0.3 YI")
+    counts = [len(taylor_diagram(h, order, 0.4).nodes)
+              for order in (2, 4, 6, 8)]
+    steps = {b - a for a, b in zip(counts, counts[1:])}
+    assert len(steps) == 1, counts
 
 
 def test_taylor_order3_error_scales_as_t4():
@@ -201,8 +231,20 @@ def test_cayley_hamilton_diagram_matches():
     assert np.abs(got - want).max() <= 1e-9
 
 
+@pytest.mark.parametrize("text", [
+    "0.7 XZY\n-0.4 ZZI\n0.9 IXX\n0.3 YII",
+    "0.7 XZYI\n-0.4 ZZIX\n0.9 IXXY\n0.3 YIIZ\n-0.6 ZIZI",
+], ids=["3-qubits", "4-qubits"])
+def test_cayley_hamilton_three_and_four_qubits(text):
+    h = parse_pauli_sum(text)
+    t = 0.8
+    got = eval_diagram(cayley_hamilton_diagram(h, t))
+    want = _expm(oracle_matrix(h), t)
+    assert np.abs(got - want).max() <= 1e-9
+
+
 def test_cayley_hamilton_qubit_limit():
-    h = parse_pauli_sum("1.0 ZZZ")
+    h = parse_pauli_sum("1.0 ZZZZZ")
     with pytest.raises(DiagramError):
         cayley_hamilton_diagram(h, 0.5)
 

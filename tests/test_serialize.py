@@ -86,6 +86,23 @@ def test_from_dict_rejects_garbage():
         diagram_from_dict(bad)
 
 
+@pytest.mark.parametrize("mangle, message", [
+    (lambda d: d["nodes"][1].pop("kind"), "node 1: missing field 'kind'"),
+    (lambda d: d["nodes"][0].pop("a"), "node 0: missing field 'a'"),
+    (lambda d: d["nodes"][2].update(kind="purple"),
+     "node 2: unknown kind 'purple'"),
+    (lambda d: d["edges"][1].pop(), "edge 1: not enough values"),
+    (lambda d: d.pop("nodes"), "diagram: missing field 'nodes'"),
+    (lambda d: d.pop("outputs"), "diagram: missing field 'outputs'"),
+], ids=["kind", "label", "unknown-kind", "edge", "nodes", "outputs"])
+def test_malformed_json_names_the_field_and_place(mangle, message):
+    data = diagram_to_dict(zbox_diagram(1.0, 1, 1))
+    mangle(data)
+    with pytest.raises(DiagramError) as err:
+        diagram_from_dict(data)
+    assert str(err.value).startswith(f"malformed diagram JSON: {message}")
+
+
 def test_dot_output_mentions_generators():
     dot = diagram_to_dot(triangle())
     assert dot.startswith("graph zxw {")
