@@ -258,13 +258,18 @@ def _axz_circuit(h, t: float, cfg: Config) -> Circuit:
     return Circuit(gates, 1)
 
 
-def _oracle_error(u: np.ndarray, h, t: float, cfg: Config) -> float:
-    """Operator-norm distance from ``u`` to the dense exp(-i H t / 2)."""
+def _oracle_diff(u: np.ndarray, h, t: float, cfg: Config) -> np.ndarray:
+    """``u`` minus the dense exp(-i H t / 2); a usage error if not finite."""
     diff = u - dense_expm(-0.5j * t * oracle_matrix(h, cap=cfg.cap))
     if not np.all(np.isfinite(diff)):
         raise _Usage(f"no finite comparison with the dense exponential "
                      f"at t={t!r}")
-    return float(np.linalg.norm(diff, 2))
+    return diff
+
+
+def _oracle_error(u: np.ndarray, h, t: float, cfg: Config) -> float:
+    """Operator-norm distance from ``u`` to the dense exp(-i H t / 2)."""
+    return float(np.linalg.norm(_oracle_diff(u, h, t, cfg), 2))
 
 
 def _cmd_expm(args, cfg: Config) -> int:
@@ -291,25 +296,26 @@ def _cmd_expm(args, cfg: Config) -> int:
         d = resolve_time(wrapper.diagram, t)
         u = cmath.exp(1j * wrapper.phase_slope * t) * eval_diagram(
             d, cap=cfg.cap)
-    rc = 0
-    printed = False
+    # compare before printing, so a run that exits 2 leaves stdout empty
+    circuit = circuit_err = oracle_err = None
     if args.emit_circuit:
         circuit = _axz_circuit(h, t, cfg)
+        circuit_err = _oracle_error(circuit.to_matrix(), h, t, cfg)
+    if args.compare_oracle:
+        oracle_err = _oracle_error(u, h, t, cfg)
+    rc = 0
+    if circuit is not None:
         print(circuit.to_text())
-        printed = True
-        err = _oracle_error(circuit.to_matrix(), h, t, cfg)
-        if err > cfg.tol:
-            print(f"circuit MISMATCH: operator-norm error {err:.3e} "
+        if circuit_err > cfg.tol:
+            print(f"circuit MISMATCH: operator-norm error {circuit_err:.3e} "
                   f"(tol {cfg.tol:g})", file=sys.stderr)
             rc = 1
-    if args.compare_oracle:
-        err = _oracle_error(u, h, t, cfg)
-        print(f"operator-norm error: {err:.6e}")
-        printed = True
+    if oracle_err is not None:
+        print(f"operator-norm error: {oracle_err:.6e}")
         # approximants report their error; only the exact method must meet tol
-        if args.method == "exact" and err > cfg.tol:
+        if args.method == "exact" and oracle_err > cfg.tol:
             rc = 1
-    if not printed:
+    if circuit is None and oracle_err is None:
         sys.stdout.write(matrix_to_text(u))
     return rc
 
@@ -337,11 +343,10 @@ def _cmd_extract_demo(args, cfg: Config) -> int:
             raise _Usage("--a and --b cannot both be zero")
     h = parse_pauli_sum(f"{a!r} X\n{b!r} Z")
     d = cayley_hamilton_diagram(h, t)
-    u_diagram = eval_diagram(d, cap=cfg.cap)
-    target = dense_expm(-0.5j * t * oracle_matrix(h, cap=cfg.cap))
     circuit = extract_axz_circuit(a, b, t)
-    err_d = float(np.abs(u_diagram - target).max())
-    err_c = float(np.abs(circuit.to_matrix() - target).max())
+    err_d = float(np.abs(_oracle_diff(eval_diagram(d, cap=cfg.cap), h, t,
+                                      cfg)).max())
+    err_c = float(np.abs(_oracle_diff(circuit.to_matrix(), h, t, cfg)).max())
     print(f"H = {a:g} X + {b:g} Z, t = {t:g}")
     print(f"power-basis diagram: nodes={len(d.nodes)} edges={len(d.edges)}")
     print(f"diagram vs dense exponential: {err_d:.3e}")

@@ -12,11 +12,30 @@ removal, identity-box splicing) preserves the evaluated matrix exactly;
 ``simplify_basic`` adds scalar folding, Hadamard cancellation, the
 double-Hadamard-bridge disconnect, and cancelling shear pairs, returning a
 global scalar so that eval(input) == scalar * eval(output).
+
+The passes never rescan the diagram.  ``_Work`` keeps the edges in an
+insertion-ordered dict keyed by edge id (a new edge gets a larger id, so id
+order is list order) and indexes every port to its edge.  Each pass pops
+candidates from its own min-heap: edge ids for loops, fuse, hh and shear,
+node positions for unit, scalars and hopf.  A popped candidate is checked
+against the current diagram and dropped if it no longer matches, so the
+first match a pass pops is the first one a scan in list order would find,
+as long as every valid candidate is queued.  A rewrite keeps that invariant
+by re-queuing around the nodes it touched: those whose label or port count
+changed and both ends of every edge it added or rewired (fusion rewires
+edges only at the surviving box).  Loops, fuse and hh read an edge and its
+two nodes, unit and scalars read a node and its own edges, so the touched
+nodes and the edges at them are re-queued (radius 0).  Shear reads the
+neighbours of both W nodes, so the W-W edges of every W node next to a
+touched node are re-queued too, and hopf reads the other Hadamards on the
+bridged green boxes, so every Hadamard next to a touched node is
+(radius 1).
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -535,19 +554,61 @@ class SimplifyResult:
     steps: list
 
 
-class _Work:
-    """Mutable scratch copy of a diagram for the rewrite passes."""
+class _Queue:
+    """Min-heap of candidate keys with lazy invalidation: a key is checked
+    when it is popped, and each key is held at most once."""
 
-    def __init__(self, d: Diagram):
+    __slots__ = ("heap", "held")
+
+    def __init__(self):
+        self.heap: list = []
+        self.held: set = set()
+
+    def __bool__(self) -> bool:
+        return bool(self.heap)
+
+    def push(self, key: int) -> None:
+        if key not in self.held:
+            self.held.add(key)
+            heapq.heappush(self.heap, key)
+
+    def pop(self) -> int:
+        key = heapq.heappop(self.heap)
+        self.held.discard(key)
+        return key
+
+
+class _Work:
+    """Mutable scratch copy of a diagram for the rewrite passes.
+
+    ``edges`` maps edge id -> edge in list order (a new edge gets a fresh,
+    larger id), ``ports`` maps every covered (node, port) to its
+    (edge id, end), and ``queues`` holds one candidate queue per pass.
+    """
+
+    def __init__(self, d: Diagram, passes):
         cp = d.copy()
         self.nodes = cp.nodes
-        self.edges = list(cp.edges)
+        self.edges = dict(enumerate(cp.edges))
+        self.next_eid = len(self.edges)
+        self.ports = {}
+        for eid, (a, b) in self.edges.items():
+            self.ports[a] = (eid, 0)
+            self.ports[b] = (eid, 1)
         self.inputs = cp.inputs
         self.outputs = cp.outputs
         self.scalar = 1.0 + 0j
+        self.order = list(self.nodes)
+        self.pos = {nid: i for i, nid in enumerate(self.order)}
+        self.queues = {p: _Queue() for p in passes}
+        for eid in self.edges:
+            _queue_edge(self, eid)
+        for nid in self.order:
+            _queue_node(self, nid)
 
     def to_diagram(self) -> Diagram:
-        d = Diagram(self.nodes, self.edges, self.inputs, self.outputs)
+        d = Diagram(self.nodes, list(self.edges.values()), self.inputs,
+                    self.outputs)
         problems = validate(d)
         if problems:
             raise DiagramError("rewrite produced an invalid diagram: "
@@ -558,37 +619,108 @@ class _Work:
         return (len(self.nodes), len(self.edges))
 
 
+def _ends(w: _Work, nid: int) -> list:
+    """(edge id, end) of every port of ``nid``, in port order."""
+    return [w.ports[(nid, p)] for p in range(w.nodes[nid].ports)]
+
+
+def _neighbours(w: _Work, nid: int) -> set:
+    return {w.edges[eid][1 - end][0] for eid, end in _ends(w, nid)}
+
+
+def _add_edge(w: _Work, a: tuple, b: tuple) -> None:
+    eid = w.next_eid
+    w.next_eid += 1
+    w.edges[eid] = (a, b)
+    w.ports[a] = (eid, 0)
+    w.ports[b] = (eid, 1)
+
+
+def _drop_edge(w: _Work, eid: int) -> None:
+    a, b = w.edges.pop(eid)
+    del w.ports[a]
+    del w.ports[b]
+
+
+def _set_end(w: _Work, eid: int, end: int, ref: tuple) -> None:
+    """Point one end of an edge at ``ref``; the caller unindexed the old end."""
+    e = w.edges[eid]
+    w.edges[eid] = (ref, e[1]) if end == 0 else (e[0], ref)
+    w.ports[ref] = (eid, end)
+
+
+def _queue_edge(w: _Work, eid: int) -> None:
+    (a, _), (b, _) = w.edges[eid]
+    kind = w.nodes[a].kind
+    if a == b:
+        p = _pass_loops if kind == ZBOX else None
+    elif kind == w.nodes[b].kind:
+        p = _EDGE_PASSES.get(kind)
+    else:
+        return
+    q = w.queues.get(p)
+    if q is not None:
+        q.push(eid)
+
+
+def _queue_node(w: _Work, nid: int) -> None:
+    node = w.nodes[nid]
+    if node.kind == HAD:
+        p = _pass_hopf
+    elif node.kind == ZBOX and node.ports in (0, 2):
+        p = _pass_scalars if node.ports == 0 else _pass_unit
+    else:
+        return
+    q = w.queues.get(p)
+    if q is not None:
+        q.push(w.pos[nid])
+
+
+def _touch(w: _Work, nids) -> None:
+    """Re-queue every candidate that reads a node in ``nids``: the node, the
+    edges at it, the Hadamards next to it and the W-W edges of the W nodes
+    next to it."""
+    for nid in nids:
+        if nid not in w.nodes:
+            continue
+        _queue_node(w, nid)
+        for eid, end in _ends(w, nid):
+            _queue_edge(w, eid)
+            peer = w.edges[eid][1 - end][0]
+            kind = w.nodes[peer].kind
+            if kind == HAD:
+                _queue_node(w, peer)
+            elif kind == W:
+                for weid, _ in _ends(w, peer):
+                    _queue_edge(w, weid)
+
+
 def _renumber_zbox(w: _Work, nid: int) -> None:
-    ends = []
-    for i, e in enumerate(w.edges):
-        for j in (0, 1):
-            if e[j][0] == nid:
-                ends.append((e[j][1], i, j))
-    ends.sort()
-    for newp, (_, i, j) in enumerate(ends):
-        e = list(w.edges[i])
-        e[j] = (nid, newp)
-        w.edges[i] = tuple(e)
-    w.nodes[nid].ports = len(ends)
+    node = w.nodes[nid]
+    ends = [w.ports.pop((nid, p)) for p in range(node.ports)
+            if (nid, p) in w.ports]
+    for newp, (eid, end) in enumerate(ends):
+        _set_end(w, eid, end, (nid, newp))
+    node.ports = len(ends)
 
 
 def _pass_loops(w: _Work, steps: list) -> bool:
+    q = w.queues[_pass_loops]
     by_node: dict = {}
-    for i, e in enumerate(w.edges):
-        nid = e[0][0]
-        if nid != e[1][0]:
-            continue
-        node = w.nodes.get(nid)
-        if node is not None and node.kind == ZBOX:
-            by_node.setdefault(nid, []).append(i)
+    while q:
+        eid = q.pop()
+        e = w.edges.get(eid)
+        if e is not None and e[0][0] == e[1][0]:
+            by_node.setdefault(e[0][0], []).append(eid)
     if not by_node:
         return False
-    dead = sorted((i for ix in by_node.values() for i in ix), reverse=True)
-    for i in dead:
-        del w.edges[i]
+    for ix in by_node.values():
+        for eid in ix:
+            _drop_edge(w, eid)
     for nid, ix in by_node.items():
         _renumber_zbox(w, nid)
         steps.append(f"loop: removed {len(ix)} self-loop(s) on zbox {nid}")
+    _touch(w, by_node)
     return True
 
 
@@ -607,29 +739,26 @@ def _combine_labels(x, y):
 
 
 def _pass_fuse(w: _Work, steps: list) -> bool:
-    for e in list(w.edges):
+    q = w.queues[_pass_fuse]
+    while q:
+        e = w.edges.get(q.pop())
+        if e is None:
+            continue
         (a, _), (b, _) = e
-        if a == b or a not in w.nodes or b not in w.nodes:
+        if a == b:
             continue
         na, nb = w.nodes[a], w.nodes[b]
-        if na.kind != ZBOX or nb.kind != ZBOX:
-            continue
         lab = _combine_labels(na.label, nb.label)
         if lab is _NO_FUSE:
             continue
-        for i, ed in enumerate(w.edges):
-            ed = list(ed)
-            touched = False
-            for j in (0, 1):
-                if ed[j][0] == b:
-                    ed[j] = (a, na.ports)
-                    na.ports += 1
-                    touched = True
-            if touched:
-                w.edges[i] = tuple(ed)
+        # b's ends move to fresh ports of a in edge order, as a scan meets them
+        for eid, end in sorted(w.ports.pop((b, p)) for p in range(nb.ports)):
+            _set_end(w, eid, end, (a, na.ports))
+            na.ports += 1
         del w.nodes[b]
         na.label = lab
         steps.append(f"fuse: zbox {b} into zbox {a}")
+        _touch(w, (a,))
         _pass_loops(w, steps)
         return True
     return False
@@ -637,33 +766,35 @@ def _pass_fuse(w: _Work, steps: list) -> bool:
 
 def _pass_unit(w: _Work, steps: list) -> bool:
     """Splice out two-legged label-1 green boxes (plain wires)."""
-    for nid, node in list(w.nodes.items()):
-        if node.kind != ZBOX or node.ports != 2:
+    q = w.queues[_pass_unit]
+    while q:
+        nid = w.order[q.pop()]
+        node = w.nodes.get(nid)
+        if node is None or node.ports != 2:
             continue
         if isinstance(node.label, PhaseVar) or abs(node.label - 1.0) > 1e-14:
             continue
-        inc = [(i, e) for i, e in enumerate(w.edges)
-               if e[0][0] == nid or e[1][0] == nid]
-        if len(inc) != 2:
+        (i1, j1), (i2, j2) = sorted(_ends(w, nid))
+        if i1 == i2:        # a self-loop
             continue
-        (i1, e1), (i2, e2) = inc
-        aref = e1[1] if e1[0][0] == nid else e1[0]
-        bref = e2[1] if e2[0][0] == nid else e2[0]
-        for i in sorted((i1, i2), reverse=True):
-            del w.edges[i]
+        aref, bref = w.edges[i1][1 - j1], w.edges[i2][1 - j2]
+        _drop_edge(w, i1)
+        _drop_edge(w, i2)
         del w.nodes[nid]
-        w.edges.append((aref, bref))
+        _add_edge(w, aref, bref)
         steps.append(f"unit: spliced identity zbox {nid}")
+        _touch(w, (aref[0], bref[0]))
         return True
     return False
 
 
 def _pass_scalars(w: _Work, steps: list) -> bool:
+    q = w.queues[_pass_scalars]
     changed = False
-    for nid, node in list(w.nodes.items()):
-        if node.kind != ZBOX or node.ports != 0:
-            continue
-        if isinstance(node.label, PhaseVar):
+    while q:
+        nid = w.order[q.pop()]
+        node = w.nodes.get(nid)
+        if node is None or node.ports != 0 or isinstance(node.label, PhaseVar):
             continue
         w.scalar *= 1.0 + node.label
         del w.nodes[nid]
@@ -673,113 +804,97 @@ def _pass_scalars(w: _Work, steps: list) -> bool:
 
 
 def _pass_hh(w: _Work, steps: list) -> bool:
-    for i, e in enumerate(w.edges):
-        (a, _), (b, _) = e
-        if a == b or a not in w.nodes or b not in w.nodes:
+    q = w.queues[_pass_hh]
+    while q:
+        eid = q.pop()
+        e = w.edges.get(eid)
+        if e is None:
             continue
-        if w.nodes[a].kind != HAD or w.nodes[b].kind != HAD:
-            continue
-        between = [j for j, ee in enumerate(w.edges)
-                   if {ee[0][0], ee[1][0]} == {a, b}]
-        if len(between) == 2:
-            for j in sorted(between, reverse=True):
-                del w.edges[j]
-            del w.nodes[a]
-            del w.nodes[b]
+        # edges between Hadamards are never rewired, so this is a match
+        (a, pa), (b, pb) = e
+        ja, ea = w.ports[(a, 1 - pa)]
+        jb, eb = w.ports[(b, 1 - pb)]
+        del w.nodes[a]
+        del w.nodes[b]
+        if ja == jb:        # both legs run between the pair
+            _drop_edge(w, eid)
+            _drop_edge(w, ja)
             w.scalar *= 2.0
             steps.append(f"hh: closed Hadamard pair {a},{b} -> scalar 2")
             return True
-        aother = bother = None
-        for j, ee in enumerate(w.edges):
-            if j == i:
-                continue
-            for k in (0, 1):
-                if ee[k][0] == a:
-                    aother = (j, ee[1 - k])
-                if ee[k][0] == b:
-                    bother = (j, ee[1 - k])
-        if aother is None or bother is None or aother[0] == bother[0]:
-            continue
-        (ja, aref), (jb, bref) = aother, bother
-        if aref[0] in (a, b) or bref[0] in (a, b):
-            continue
-        for j in sorted((i, ja, jb), reverse=True):
-            del w.edges[j]
-        del w.nodes[a]
-        del w.nodes[b]
-        w.edges.append((aref, bref))
+        aref, bref = w.edges[ja][1 - ea], w.edges[jb][1 - eb]
+        for j in (eid, ja, jb):
+            _drop_edge(w, j)
+        _add_edge(w, aref, bref)
         steps.append(f"hh: cancelled Hadamard pair {a},{b}")
+        _touch(w, (aref[0], bref[0]))
         return True
     return False
 
 
+def _bridge(w: _Work, h: int):
+    """(u, v) with u < v if Hadamard ``h`` joins two distinct green boxes."""
+    (i0, j0), (i1, j1) = _ends(w, h)
+    if i0 == i1:
+        return None
+    u, v = w.edges[i0][1 - j0][0], w.edges[i1][1 - j1][0]
+    if u == v or w.nodes[u].kind != ZBOX or w.nodes[v].kind != ZBOX:
+        return None
+    return (min(u, v), max(u, v))
+
+
 def _pass_hopf(w: _Work, steps: list) -> bool:
-    bridges: dict = {}
-    for nid, node in w.nodes.items():
-        if node.kind != HAD:
+    q = w.queues[_pass_hopf]
+    while q:
+        h = w.order[q.pop()]
+        if h not in w.nodes:
             continue
-        inc = [e for e in w.edges if e[0][0] == nid or e[1][0] == nid]
-        if len(inc) != 2:
+        key = _bridge(w, h)
+        if key is None:
             continue
-        ends = [e[1] if e[0][0] == nid else e[0] for e in inc]
-        u, v = ends[0][0], ends[1][0]
-        if u == v:
-            continue
-        if w.nodes[u].kind != ZBOX or w.nodes[v].kind != ZBOX:
-            continue
-        bridges.setdefault((min(u, v), max(u, v)), []).append(nid)
-    for (u, v), hs in bridges.items():
+        u, v = key
+        hs = sorted(w.pos[x] for x in _neighbours(w, u)
+                    if w.nodes[x].kind == HAD and _bridge(w, x) == key)
         if len(hs) < 2:
             continue
-        kill = set(hs[:2])
-        w.edges = [e for e in w.edges
-                   if e[0][0] not in kill and e[1][0] not in kill]
-        for h in kill:
-            del w.nodes[h]
+        for x in (w.order[hs[0]], w.order[hs[1]]):
+            for eid, _ in _ends(w, x):
+                _drop_edge(w, eid)
+            del w.nodes[x]
         _renumber_zbox(w, u)
         _renumber_zbox(w, v)
         w.scalar *= 0.5
         steps.append(f"hopf: double bridge {u}~{v} removed -> scalar 1/2")
+        _touch(w, key)
         return True
     return False
 
 
+def _peer(w: _Work, nid: int, port: int):
+    hit = w.ports.get((nid, port))
+    return None if hit is None else w.edges[hit[0]][1 - hit[1]]
+
+
 def _effect_on(w: _Work, nid: int, port: int):
     """(zbox_id, label) if (nid, port) is wired to a 1-leg numeric green box."""
-    for e in w.edges:
-        for k in (0, 1):
-            if e[k] == (nid, port):
-                oid, _ = e[1 - k]
-                if oid == nid:
-                    return None
-                other = w.nodes.get(oid)
-                if (other is not None and other.kind == ZBOX
-                        and other.ports == 1
-                        and not isinstance(other.label, PhaseVar)):
-                    return oid, other.label
-                return None
-    return None
-
-
-def _peer(w: _Work, nid: int, port: int):
-    for e in w.edges:
-        for k in (0, 1):
-            if e[k] == (nid, port):
-                return e[1 - k]
+    ref = _peer(w, nid, port)
+    if ref is None or ref[0] == nid:
+        return None
+    other = w.nodes[ref[0]]
+    if (other.kind == ZBOX and other.ports == 1
+            and not isinstance(other.label, PhaseVar)):
+        return ref[0], other.label
     return None
 
 
 def _pass_shear_pair(w: _Work, steps: list) -> bool:
     """Cancel chained shears whose labels sum to zero (triangle/inverse pairs)."""
-    for e in list(w.edges):
-        for w1ref, w2ref in (e, (e[1], e[0])):
-            w1, p1 = w1ref
-            w2, p2 = w2ref
-            n1, n2 = w.nodes.get(w1), w.nodes.get(w2)
-            if n1 is None or n2 is None or w1 == w2:
-                continue
-            if n1.kind != W or n2.kind != W:
-                continue
+    q = w.queues[_pass_shear_pair]
+    while q:
+        e = w.edges.get(q.pop())
+        if e is None:
+            continue
+        for (w1, p1), (w2, p2) in (e, (e[1], e[0])):
             if p1 not in (1, 2) or p2 != 0:
                 continue
             x = _effect_on(w, w1, 3 - p1)
@@ -795,19 +910,22 @@ def _pass_shear_pair(w: _Work, steps: list) -> bool:
                 continue
             aref = _peer(w, w1, 0)
             bref = _peer(w, w2, free2)
-            if aref is None or bref is None:
-                continue
             involved = {w1, w2, x[0], y[0]}
             if aref[0] in involved or bref[0] in involved:
                 continue
-            w.edges = [ee for ee in w.edges
-                       if ee[0][0] not in involved and ee[1][0] not in involved]
+            dead = {eid for nid in involved for eid, _ in _ends(w, nid)}
+            for eid in dead:
+                _drop_edge(w, eid)
             for nid in involved:
                 del w.nodes[nid]
-            w.edges.append((aref, bref))
+            _add_edge(w, aref, bref)
             steps.append(f"shear: cancelled pair at W {w1}/{w2}")
+            _touch(w, (aref[0], bref[0]))
             return True
     return False
+
+
+_EDGE_PASSES = {ZBOX: _pass_fuse, HAD: _pass_hh, W: _pass_shear_pair}
 
 
 def _run_passes(w: _Work, steps: list, passes) -> None:
@@ -826,14 +944,19 @@ def _run_passes(w: _Work, steps: list, passes) -> None:
     raise DiagramError("rewrite loop exceeded its step bound")
 
 
+_FUSION_PASSES = (_pass_loops, _pass_fuse, _pass_unit)
+_BASIC_PASSES = _FUSION_PASSES + (_pass_scalars, _pass_hh, _pass_hopf,
+                                  _pass_shear_pair)
+
+
 def apply_fusion(d: Diagram) -> SimplifyResult:
     """Fuse connected green boxes, drop self-loops, splice unit boxes.
 
     Evaluation is preserved exactly; the returned scalar is always 1.
     """
-    w = _Work(d)
+    w = _Work(d, _FUSION_PASSES)
     steps: list = []
-    _run_passes(w, steps, (_pass_loops, _pass_fuse, _pass_unit))
+    _run_passes(w, steps, _FUSION_PASSES)
     return SimplifyResult(w.to_diagram(), w.scalar, steps)
 
 
@@ -843,8 +966,7 @@ def simplify_basic(d: Diagram) -> SimplifyResult:
 
     eval(input) == result.scalar * eval(result.diagram).
     """
-    w = _Work(d)
+    w = _Work(d, _BASIC_PASSES)
     steps: list = []
-    _run_passes(w, steps, (_pass_loops, _pass_fuse, _pass_unit, _pass_scalars,
-                           _pass_hh, _pass_hopf, _pass_shear_pair))
+    _run_passes(w, steps, _BASIC_PASSES)
     return SimplifyResult(w.to_diagram(), w.scalar, steps)

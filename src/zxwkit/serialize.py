@@ -43,6 +43,12 @@ def diagram_to_dict(d: Diagram) -> dict:
             "inputs": list(d.inputs), "outputs": list(d.outputs)}
 
 
+def _int(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def diagram_from_dict(data: dict) -> Diagram:
     """Diagram from the JSON schema; a malformed entry is reported with
     its place (``edge k`` or ``node k``) and what is wrong with it."""
@@ -54,13 +60,13 @@ def diagram_from_dict(data: dict) -> Diagram:
         for k, e in enumerate(data["edges"]):
             where = "edge"
             (a, pa), (b, pb) = e
-            edges.append(((a, pa), (b, pb)))
+            edges.append(((_int(a), _int(pa)), (_int(b), _int(pb))))
             for nid, port in edges[-1]:
                 port_count[nid] = max(port_count.get(nid, 0), port + 1)
         where = "diagram"
         for k, entry in enumerate(data["nodes"]):
             where = "node"
-            nid = entry["id"]
+            nid = _int(entry["id"])
             kind = _KINDS_BACK.get(entry["kind"])
             if kind is None:
                 raise ValueError(f"unknown kind {entry['kind']!r}")
@@ -75,7 +81,8 @@ def diagram_from_dict(data: dict) -> Diagram:
                 ports = {HAD: 2, W: 3, IN: 1, OUT: 1}[kind]
             nodes[nid] = Node(nid, kind, ports, label)
         where = "diagram"
-        d = Diagram(nodes, edges, list(data["inputs"]), list(data["outputs"]))
+        d = Diagram(nodes, edges, [_int(i) for i in data["inputs"]],
+                    [_int(o) for o in data["outputs"]])
     except (KeyError, TypeError, ValueError) as exc:
         place = where if where == "diagram" else f"{where} {k}"
         problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc

@@ -1,12 +1,19 @@
 """End-to-end runs of the zxw command line."""
 
+import contextlib
+import io
+import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zxwkit import (diagram_from_json, diagram_to_json, matrix_from_text,
-                    matrix_to_text, structural_equal, triangle)
+from zxwkit import (diagram_from_json, diagram_to_json, hadamard_diagram,
+                    matrix_from_text, matrix_to_text, structural_equal,
+                    triangle, w_diagram, zbox_diagram)
 from zxwkit.cli import CLI_TOL, _build_parser, _config, main
 from zxwkit.evaluate import DEFAULT_CAP
 
@@ -382,3 +389,123 @@ def test_readme_shows_the_current_node_counts(argv, ham_file, capsys):
     assert counts
     for line in counts:
         assert line in shown, line
+
+
+@pytest.mark.parametrize("argv", [
+    ["expm", "FILE", "--method", "trotter", "--steps", "2", "--t", "1e308",
+     "--emit-circuit"],
+    ["extract-demo", "--t", "1e308"],
+], ids=["emit-circuit", "extract-demo"])
+def test_non_finite_comparison_exits_two_with_empty_stdout(argv, tmp_path,
+                                                           capsys):
+    f = tmp_path / "h.txt"
+    f.write_text("0.5 X\n0.3 Z\n")
+    assert main([str(f) if a == "FILE" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith(
+        "zxw: error: no finite comparison with the dense exponential")
+
+
+_REAL = st.sampled_from(["1", "-0.5", "0", "2.5e3", "0.25"])
+_BAD = st.sampled_from(["1e308", "-1e308", "1e-320", "nan", "inf", "j",
+                        "abc", ""])
+
+
+@st.composite
+def _pauli_text(draw):
+    """A Pauli sum on 1-3 qubits, half the time with one token broken."""
+    m = draw(st.integers(1, 3))
+    lines = [[draw(_REAL), draw(st.text("IXYZ", min_size=m, max_size=m))]
+             for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        line = draw(st.sampled_from(lines))
+        k = draw(st.integers(0, 1))
+        line[k] = draw(_BAD if k == 0 else st.text("IXYZQ", max_size=3))
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@st.composite
+def _matrix_text(draw, shapes):
+    """Matrix text of one of ``shapes``, half the time with a bad entry."""
+    rows, cols = draw(st.sampled_from(shapes))
+    cells = [[draw(st.one_of(_REAL, st.just("0.3+1j"))) for _ in range(cols)]
+             for _ in range(rows)]
+    if draw(st.booleans()):
+        draw(st.sampled_from(cells))[draw(st.integers(0, cols - 1))] = draw(_BAD)
+    return "\n".join("\t".join(row) for row in cells)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text("ab", max_size=2)
+    | st.floats(-3, 3, width=16), lambda inner: st.lists(inner, max_size=3),
+    max_leaves=4)
+_DIAGRAMS = [diagram_to_json(d) for d in (
+    triangle(), hadamard_diagram(), w_diagram(), zbox_diagram(0.5, 1, 2))]
+
+
+def _leaves(tree, path=()):
+    """Paths to the scalars and empty containers inside a JSON value."""
+    for k, v in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+        if isinstance(v, (dict, list)) and v:
+            yield from _leaves(v, path + (k,))
+        else:
+            yield path + (k,)
+
+
+@st.composite
+def _diagram_json(draw):
+    """A small diagram's JSON with up to two leaves replaced or deleted,
+    half the time cut short."""
+    data = json.loads(draw(st.sampled_from(_DIAGRAMS)))
+    for _ in range(draw(st.integers(0, 2))):
+        *path, k = draw(st.sampled_from(list(_leaves(data))))
+        parent = data
+        for step in path:
+            parent = parent[step]
+        if draw(st.integers(0, 3)):
+            parent[k] = draw(_JSON_VALUES)
+        else:
+            del parent[k]
+    text = json.dumps(data)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+_TIMES = st.sampled_from(["0.5", "-2", "0", "1.3", "1e308"])
+_COUNTS = st.sampled_from(["-1", "0", "1", "2", "3"])
+_EXPM = st.one_of(
+    st.tuples(_TIMES, _COUNTS).map(
+        lambda a: ["--method", "taylor", "--t", a[0], "--order", a[1]]),
+    st.tuples(_TIMES, _COUNTS).map(
+        lambda a: ["--method", "trotter", "--t", a[0], "--steps", a[1]]),
+    _TIMES.map(lambda t: ["--method", "exact", "--t", t]))
+_RUNS = st.one_of(
+    st.tuples(_pauli_text(), st.just(["ham", "build", "FILE", "--verify"])),
+    st.tuples(_pauli_text(), st.tuples(
+        _EXPM, st.sampled_from([[], ["--emit-circuit"], ["--compare-oracle"]])
+    ).map(lambda a: ["expm", "FILE", *a[0], *a[1]])),
+    st.tuples(_matrix_text([(2, 2), (4, 4), (3, 3), (2, 1)]),
+              st.just(["controlled", "--matrix", "FILE", "--verify"])),
+    st.tuples(_matrix_text([(2, 1), (4, 1), (1, 1), (2, 2)]),
+              st.just(["controlled", "--state", "FILE", "--verify"])),
+    *[st.tuples(_diagram_json(), st.sampled_from([
+        ["eval", "FILE"], ["eval", "FILE", "--t", "0.3"],
+        ["export", "FILE", "--format", "json"],
+        ["export", "FILE", "--format", "dot"]]))] * 2)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_RUNS)
+def test_generated_input_never_raises(run):
+    # an exception escaping main is what a shell user would see as a traceback
+    text, argv = run
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([str(path) if a == "FILE" else a for a in argv])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().splitlines()[-1].startswith("zxw: error: ")

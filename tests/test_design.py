@@ -82,3 +82,58 @@ def test_no_public_builder_takes_fuse():
             if "fuse" in params:
                 flagged.append(name)
     assert not flagged, f"public functions with a fuse flag: {flagged}"
+
+
+_COPIES = ("list", "sorted", "enumerate", "reversed", "tuple", "set")
+
+
+def _whole_work(expr) -> bool:
+    """True if ``expr`` iterates over all of ``w.edges`` or ``w.nodes``."""
+    while isinstance(expr, ast.Call):
+        if (isinstance(expr.func, ast.Name) and expr.func.id in _COPIES
+                and expr.args):
+            expr = expr.args[0]
+        elif (isinstance(expr.func, ast.Attribute)
+              and expr.func.attr in ("items", "values", "keys")):
+            expr = expr.func.value
+        else:
+            return False
+    return (isinstance(expr, ast.Attribute) and expr.attr in ("edges", "nodes")
+            and isinstance(expr.value, ast.Name) and expr.value.id == "w")
+
+
+def _pass_scans(tree) -> list:
+    """Loops over the whole diagram in a ``_pass_*`` function or in a
+    module function that one of them calls, directly or not."""
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    todo = [name for name in funcs if name.startswith("_pass_")]
+    seen, hits = set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in funcs):
+                todo.append(node.func.id)
+            if (isinstance(node, (ast.For, ast.comprehension))
+                    and _whole_work(node.iter)):
+                hits.append(f"{name}:{node.iter.lineno}")
+    return sorted(hits)
+
+
+def test_rewrite_passes_never_scan_the_diagram():
+    tree = ast.parse((PACKAGE / "rules.py").read_text(encoding="utf-8"))
+    offenders = _pass_scans(tree)
+    assert not offenders, f"rewrite pass scans the whole diagram: {offenders}"
+
+
+def test_scan_check_sees_the_scanning_rewriter():
+    reference = Path(__file__).resolve().parent / "scan_rewriter.py"
+    tree = ast.parse(reference.read_text(encoding="utf-8"))
+    scanners = {hit.split(":")[0] for hit in _pass_scans(tree)}
+    assert scanners == {"_pass_loops", "_pass_fuse", "_pass_unit",
+                        "_pass_scalars", "_pass_hh", "_pass_hopf",
+                        "_pass_shear_pair", "_renumber_zbox", "_effect_on",
+                        "_peer"}

@@ -94,7 +94,12 @@ def test_from_dict_rejects_garbage():
     (lambda d: d["edges"][1].pop(), "edge 1: not enough values"),
     (lambda d: d.pop("nodes"), "diagram: missing field 'nodes'"),
     (lambda d: d.pop("outputs"), "diagram: missing field 'outputs'"),
-], ids=["kind", "label", "unknown-kind", "edge", "nodes", "outputs"])
+    (lambda d: d["edges"][1][0].__setitem__(1, 1.5),
+     "edge 1: 1.5 is not an integer"),
+    (lambda d: d["nodes"][2].update(id="2"), "node 2: '2' is not an integer"),
+    (lambda d: d["inputs"].append("x"), "diagram: 'x' is not an integer"),
+], ids=["kind", "label", "unknown-kind", "edge", "nodes", "outputs",
+        "float-port", "string-id", "string-input"])
 def test_malformed_json_names_the_field_and_place(mangle, message):
     data = diagram_to_dict(zbox_diagram(1.0, 1, 1))
     mangle(data)
