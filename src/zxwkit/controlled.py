@@ -11,7 +11,9 @@ contract is the correctness notion everywhere in this module:
 
 Arbitrary square matrices enter through ``decompose_elementary`` (partial
 pivot Gauss-Jordan, with a complete-pivot rank factorization for singular
-input) followed by ``controlled_product``.  Sums of matrices and sums of
+input).  ``controlled_matrix`` then writes every controlled elementary
+factor into one ``Builder``, gated off a copy fan of the control, so it
+builds in time linear in the factors.  Sums of matrices and sums of
 states distribute the control over a W-node fan, which turns the wire sum
 of branches into the matrix sum of the gated arms.
 
@@ -23,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .evaluate import DEFAULT_CAP, plan_contraction
 from .graph import (Builder, Diagram, DiagramError, attach_and, attach_pink,
                     attach_triangle, attach_w_merge, attach_w_spider,
-                    compose_par, compose_seq, identity, plug_basis, splice)
+                    plug_basis, splice)
 
 _CTRL = "ctrl"
 
@@ -86,20 +89,26 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     """Check both plug contracts against a dense target.
 
     Returns {"ok", "err_discharge", "err_idle"}; the idle reference is the
-    identity for matrices and |0...0> for states.  ``cap`` bounds the open
-    wires and node legs of each evaluation, as in ``eval_diagram``.  The two
-    plugs differ in one label, so one contraction plan serves both.
+    identity for matrices and |0...0> for states.  A matrix target must have
+    shape (2^m, 2^m), a state target (2^m,) or (2^m, 1).  ``cap`` bounds the
+    open wires and node legs of each evaluation, as in ``eval_diagram``.  The
+    two plugs differ in one label, so one contraction plan serves both.
     """
     dim = 2 ** cd.m
+    target = np.asarray(target, dtype=complex)
+    shapes = [(dim, dim)] if cd.kind == "matrix" else [(dim,), (dim, 1)]
+    if target.shape not in shapes:
+        raise DiagramError(f"{cd.kind} target needs shape " + " or ".join(
+            map(str, shapes)) + f", got {target.shape}")
     discharged = cd.discharge()
     plan = plan_contraction(discharged, cap=cap)
     got_d = plan.run(discharged, t)
     got_i = plan.run(cd.idle(), t)
     if cd.kind == "matrix":
-        want_d = np.asarray(target, dtype=complex)
+        want_d = target
         want_i = np.eye(dim, dtype=complex)
     else:
-        want_d = np.asarray(target, dtype=complex).reshape(dim, 1)
+        want_d = target.reshape(dim, 1)
         want_i = np.zeros((dim, 1), dtype=complex)
         want_i[0, 0] = 1.0
     err_d = float(np.max(np.abs(got_d - want_d)))
@@ -242,7 +251,9 @@ def decompose_elementary(m: np.ndarray, tol: float = None) -> list:
 
 
 # ---------------------------------------------------------------------------
-# controlled elementary diagrams
+# controlled elementary diagrams: writers that add their nodes to the
+# caller's Builder from its control ref and data refs and return the data
+# refs they leave
 # ---------------------------------------------------------------------------
 
 def _copy_with_probe(b: Builder, data_ref, twist: bool):
@@ -261,23 +272,19 @@ def _copy_with_probe(b: Builder, data_ref, twist: bool):
     return copy, probe
 
 
-def _c_row_mult(m: int, i: int, a: complex) -> Diagram:
+def _c_row_mult(b: Builder, ctrl, data, i: int, a: complex) -> list:
     """Diagonal gadget: amplitude a exactly on basis row i when fired."""
-    b = Builder()
-    ctrl = b.input()
-    data = [b.input() for _ in range(m)]
+    m = len(data)
     and_ins, and_out = attach_and(b, 1 + m, tag=_CTRL)
     b.wire(ctrl, and_ins[0])
-    copies = []
+    outs = []
     for q in range(m):
         copy, probe = _copy_with_probe(b, data[q], _bit(i, q, m) == 0)
         b.wire(probe, and_ins[1 + q])
-        copies.append(copy)
+        outs.append(b.leg(copy))
     weight = b.zbox(complex(a), tag="weight")
     b.wire(and_out, weight)
-    for q in range(m):
-        b.wire(copies[q], b.output())
-    return b.build()
+    return outs
 
 
 def _flip_set(m: int, i: int, j: int) -> tuple:
@@ -292,66 +299,39 @@ def _apply_flips(x: int, m: int, dstar: int, rest) -> int:
     return x
 
 
-def _cnot_layer(m: int, ctrl: int, tgt: int) -> Diagram:
-    b = Builder()
-    ins = [b.input() for _ in range(m)]
-    outs = [None] * m
-    copy = b.zbox(1.0, tag="copy")
-    b.wire(ins[ctrl], copy)
-    probe = b.leg(copy)
-    outs[ctrl] = copy
-    pins, pouts = attach_pink(b, 2, 1, 0.0, tag="xor")
-    b.wire(ins[tgt], pins[0])
-    b.wire(probe, pins[1])
-    outs[tgt] = pouts[0]
-    for q in range(m):
-        if q not in (ctrl, tgt):
-            outs[q] = ins[q]
-    for q in range(m):
-        b.wire(outs[q], b.output())
-    return b.build()
-
-
-def _hadamard_layer(m: int, wire: int) -> Diagram:
-    b = Builder()
-    for q in range(m):
-        ref = b.input()
-        if q == wire:
-            h = b.had()
-            b.wire(ref, (h, 0))
-            ref = (h, 1)
-        b.wire(ref, b.output())
-    return b.build()
-
-
-def _conjugation(m: int, dstar: int, rest) -> Diagram:
-    layer = identity(m)
+def _conjugation(b: Builder, data, dstar: int, rest) -> list:
+    """A CNOT from wire dstar onto each wire of ``rest``, in order."""
+    data = list(data)
     for d in rest:
-        layer = compose_seq(layer, _cnot_layer(m, dstar, d))
-    return layer
+        copy, probe = _copy_with_probe(b, data[dstar], False)
+        pins, pouts = attach_pink(b, 2, 1, 0.0, tag="xor")
+        b.wire(data[d], pins[0])
+        b.wire(probe, pins[1])
+        data[dstar], data[d] = b.leg(copy), pouts[0]
+    return data
 
 
-def _addressed_shear(m: int, dstar: int, address: dict, a: complex,
-                     upper: bool) -> Diagram:
+def _hadamard(b: Builder, data, wire: int) -> list:
+    h = b.had()
+    b.wire(data[wire], (h, 0))
+    return data[:wire] + [(h, 1)] + data[wire + 1:]
+
+
+def _addressed_shear(b: Builder, ctrl, data, dstar: int, address: dict,
+                     a: complex, upper: bool) -> list:
     """Shear on wire dstar, fired when control and every address bit match.
 
     Fired lower shear maps |0> to |0> + a|1>; ``upper`` conjugates the wire
     by X for the transposed action.  Idle is the exact identity.
     """
-    b = Builder()
-    ctrl = b.input()
-    data = [b.input() for _ in range(m)]
+    m = len(data)
     and_ins, and_out = attach_and(b, m, tag=_CTRL)
     b.wire(ctrl, and_ins[0])
-    out_refs: list = [None] * m
-    pos = 1
-    for q in range(m):
-        if q == dstar:
-            continue
+    outs, probe_ins = list(data), iter(and_ins[1:])
+    for q in address:
         copy, probe = _copy_with_probe(b, data[q], address[q] == 0)
-        b.wire(probe, and_ins[pos])
-        pos += 1
-        out_refs[q] = copy
+        b.wire(probe, next(probe_ins))
+        outs[q] = b.leg(copy)
     ti, to = attach_triangle(b, tag="branch")
     b.wire(and_out, ti)
     weight = b.zbox(complex(a), tag="weight")
@@ -369,48 +349,45 @@ def _addressed_shear(m: int, dstar: int, address: dict, a: complex,
         pins, pouts = attach_pink(b, 1, 1, math.pi, tag="conj")
         b.wire(merge_out, pins[0])
         merge_out = pouts[0]
-    out_refs[dstar] = merge_out
-    for q in range(m):
-        b.wire(out_refs[q], b.output())
-    return b.build()
+    outs[dstar] = merge_out
+    return outs
 
 
-def _with_control(layer: Diagram) -> Diagram:
-    return compose_par(identity(1), layer)
-
-
-def _c_row_add(m: int, i: int, j: int, a: complex) -> Diagram:
+def _c_row_add(b: Builder, ctrl, data, i: int, j: int, a: complex) -> list:
+    m = len(data)
     dstar, rest = _flip_set(m, i, j)
     jj = _apply_flips(j, m, dstar, rest)
     ii = _apply_flips(i, m, dstar, rest)
     address = {q: _bit(jj, q, m) for q in range(m) if q != dstar}
     upper = _bit(jj, dstar, m) == 1
     assert all(_bit(ii, q, m) == address[q] for q in address)
-    conj = _conjugation(m, dstar, rest)
-    gadget = _addressed_shear(m, dstar, address, a, upper)
-    return compose_seq(compose_seq(_with_control(conj), gadget), conj)
+    data = _conjugation(b, data, dstar, rest)
+    data = _addressed_shear(b, ctrl, data, dstar, address, a, upper)
+    return _conjugation(b, data, dstar, rest)
 
 
-def _c_row_switch(m: int, i: int, j: int) -> Diagram:
+def _c_row_switch(b: Builder, ctrl, data, i: int, j: int) -> list:
+    m = len(data)
     dstar, rest = _flip_set(m, i, j)
     jj = _apply_flips(j, m, dstar, rest)
     r = jj | (1 << (m - 1 - dstar))
-    conj = _conjugation(m, dstar, rest)
-    had = _hadamard_layer(m, dstar)
-    core = _c_row_mult(m, r, -1.0)
-    pre = compose_seq(_with_control(conj), _with_control(had))
-    return compose_seq(compose_seq(pre, core), compose_seq(had, conj))
+    data = _hadamard(b, _conjugation(b, data, dstar, rest), dstar)
+    data = _c_row_mult(b, ctrl, data, r, -1.0)
+    return _conjugation(b, _hadamard(b, data, dstar), dstar, rest)
+
+
+def _elementary_into(spec: ElementaryMatrixSpec, b: Builder, ctrl, data):
+    """Write the controlled ``spec`` into ``b``; returns its data outputs."""
+    if spec.kind == "row_mult":
+        return _c_row_mult(b, ctrl, data, spec.i, spec.a)
+    if spec.kind == "row_add":
+        return _c_row_add(b, ctrl, data, spec.i, spec.j, spec.a)
+    return _c_row_switch(b, ctrl, data, spec.i, spec.j)
 
 
 def controlled_elementary(spec: ElementaryMatrixSpec) -> ControlledDiagram:
     m = _qubit_count(spec.n, "elementary dimension")
-    if spec.kind == "row_mult":
-        d = _c_row_mult(m, spec.i, spec.a)
-    elif spec.kind == "row_add":
-        d = _c_row_add(m, spec.i, spec.j, spec.a)
-    else:
-        d = _c_row_switch(m, spec.i, spec.j)
-    return ControlledDiagram(d, "matrix", m)
+    return _gated_product([partial(_elementary_into, spec)], m)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +395,10 @@ def controlled_elementary(spec: ElementaryMatrixSpec) -> ControlledDiagram:
 # ---------------------------------------------------------------------------
 
 def _gate_arms(b: Builder, ctrls, arms, data, weights=None) -> list:
-    """Splice the controlled ``arms`` into ``b``, gating arm i off ctrls[i].
+    """Write the controlled ``arms`` into ``b``, gating arm i off ctrls[i].
 
+    An arm is a ``ControlledDiagram``, spliced in, or a writer
+    ``arm(b, ctrl, data)`` that adds its nodes and returns its outputs.
     With ``weights``, arm i's control passes through a ZBox labelled
     weights[i], created just before the arm.  Each arm takes ``data`` on its
     data inputs and hands its outputs on to the next, so matrix arms run in
@@ -432,8 +411,11 @@ def _gate_arms(b: Builder, ctrls, arms, data, weights=None) -> list:
             box = b.zbox(weights[idx], tag="weight")
             b.wire(ctrl, box)
             ctrl = b.leg(box)
-        outs = splice(b, arm.diagram, [ctrl] + data)
-        if arm.kind == "matrix":
+        if isinstance(arm, ControlledDiagram):
+            outs = splice(b, arm.diagram, [ctrl] + data)
+        else:
+            outs = arm(b, ctrl, data)
+        if data:
             data = outs
         arm_outs.append(outs)
     return arm_outs
@@ -449,6 +431,21 @@ def controlled_identity(m: int) -> ControlledDiagram:
     return ControlledDiagram(b.build(), "matrix", m)
 
 
+def _gated_product(arms, m: int) -> ControlledDiagram:
+    """Matrix arms (see ``_gate_arms``) in series, the first acting first,
+    gated off a label-1 ZBox copy fan of one control."""
+    if not arms:
+        return controlled_identity(m)
+    b = Builder()
+    ctrl = b.input()
+    fan = _zcopy_fan(b, ctrl, len(arms), tag=_CTRL)
+    data = [b.input() for _ in range(m)]
+    outs = _gate_arms(b, fan, arms, data)[-1]
+    for q in range(m):
+        b.wire(outs[q], b.output())
+    return ControlledDiagram(b.build(), "matrix", m)
+
+
 def controlled_product(components, m: int = None) -> ControlledDiagram:
     """Gate a product of controlled matrices with one shared control.
 
@@ -461,18 +458,9 @@ def controlled_product(components, m: int = None) -> ControlledDiagram:
         if not components:
             raise DiagramError("empty product needs an explicit qubit count")
         m = components[0].m
-    if not components:
-        return controlled_identity(m)
     if any(c.kind != "matrix" or c.m != m for c in components):
         raise DiagramError("product components must be matrices on one size")
-    b = Builder()
-    ctrl = b.input()
-    fan = _zcopy_fan(b, ctrl, len(components), tag=_CTRL)
-    data = [b.input() for _ in range(m)]
-    outs = _gate_arms(b, fan, components[::-1], data)[-1]
-    for q in range(m):
-        b.wire(outs[q], b.output())
-    return ControlledDiagram(b.build(), "matrix", m)
+    return _gated_product(components[::-1], m)
 
 
 def controlled_matrix(matrix: np.ndarray) -> ControlledDiagram:
@@ -480,8 +468,8 @@ def controlled_matrix(matrix: np.ndarray) -> ControlledDiagram:
     matrix = np.asarray(matrix, dtype=complex)
     specs = decompose_elementary(matrix)
     m = _qubit_count(matrix.shape[0], "matrix dimension")
-    comps = [controlled_elementary(s) for s in specs]
-    return controlled_product(comps, m=m)
+    return _gated_product([partial(_elementary_into, s)
+                           for s in reversed(specs)], m)
 
 
 def _controlled_sum(components, weights, kind: str) -> ControlledDiagram:

@@ -60,9 +60,11 @@ def _layer(draw, width):
 
 
 @st.composite
-def circuits(draw):
-    """A random circuit of generator layers with its dense matrix."""
-    width = draw(st.integers(1, MAX_WIDTH))
+def circuits(draw, width=None):
+    """A random circuit of generator layers with its dense matrix, on
+    ``width`` input wires (drawn from 1 to MAX_WIDTH when None)."""
+    if width is None:
+        width = draw(st.integers(1, MAX_WIDTH))
     d, m = identity(width), np.eye(2 ** width, dtype=complex)
     for _ in range(draw(st.integers(1, 4))):
         ld, lm = draw(_layer(d.n_outputs))

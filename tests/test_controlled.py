@@ -1,5 +1,7 @@
 """Controlled diagrams: elementary factors, products, sums, states."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from zxwkit import (ControlledDiagram, DiagramError, ElementaryMatrixSpec,
                     controlled_matrix, controlled_product,
                     controlled_state_normal_form, controlled_sum_matrices,
                     controlled_sum_states, decompose_elementary,
-                    eval_diagram, state_oracle, sum_normal_forms,
-                    verify_controlled)
+                    eval_diagram, state_oracle, structural_equal,
+                    sum_normal_forms, verify_controlled)
 from zxwkit.controlled import specs_product
+
+from fold_controlled import fold_elementary, fold_matrix
 
 
 def _rand_matrix(rng, dim):
@@ -166,3 +170,66 @@ def test_matrix_dimension_must_be_power_of_two():
         controlled_matrix(np.eye(3))
     with pytest.raises(DiagramError):
         controlled_state_normal_form(np.ones(5))
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("matrix", (2, 2)), ("matrix", (4,)), ("matrix", (4, 1)),
+    ("state", (2, 2)),
+], ids=["matrix-2x2", "matrix-4", "matrix-4x1", "state-2x2"])
+def test_verify_controlled_rejects_a_target_of_the_wrong_shape(kind, shape):
+    if kind == "matrix":
+        cd, want = controlled_matrix(np.eye(4)), "(4, 4)"
+    else:
+        cd, want = controlled_state_normal_form(np.ones(4)), "(4,) or (4, 1)"
+    message = f"{kind} target needs shape {want}, got {shape}"
+    with pytest.raises(DiagramError, match=re.escape(message)):
+        verify_controlled(cd, np.ones(shape))
+
+
+def _dense_requests(seed):
+    """Matrices shaped like the benchmark's controlled_dense requests: a
+    dominant diagonal with the rows in a drawn order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for dim in [2] * 5 + [4] * 8:
+        d = (rng.uniform(-1, 1, (dim, dim))
+             + 1j * rng.uniform(-1, 1, (dim, dim))) / np.sqrt(2.0)
+        out.append((d + 2 * dim * np.eye(dim))[rng.permutation(dim)])
+    return out
+
+
+def _fold_cases():
+    rng = np.random.default_rng(2718)
+    singular = _rand_matrix(rng, 4)
+    singular[3] = singular[0] - 2.0 * singular[1]
+    return {
+        "dense-seed-0": _dense_requests(0),
+        "dense-seed-9137": _dense_requests(9137),
+        "random": [_rand_matrix(rng, dim) for dim in (2, 4, 8)],
+        "singular-4x4": [singular],
+        "identity": [np.eye(4)],
+        "diagonal": [np.diag([2.0, -1.0j, 0.5, 3.0 + 1.0j])],
+        "permutation": [np.eye(8)[[5, 2, 7, 0, 3, 6, 1, 4]]],
+        "scale-1e6": [np.array([[1e6, 1.0], [2.0, 1e6]])],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fold_cases()))
+def test_controlled_matrix_is_the_fold_construction(case):
+    for matrix in _fold_cases()[case]:
+        got, ref = controlled_matrix(matrix), fold_matrix(matrix)
+        assert structural_equal(got.diagram, ref.diagram)
+        for plug in ("discharge", "idle"):
+            assert np.array_equal(eval_diagram(getattr(got, plug)()),
+                                  eval_diagram(getattr(ref, plug)()))
+        assert verify_controlled(got, matrix) == \
+            verify_controlled(ref, matrix)
+        specs = decompose_elementary(matrix)
+        elementaries = [controlled_elementary(s) for s in specs]
+        product = controlled_product(elementaries, m=got.m)
+        assert structural_equal(product.diagram, got.diagram)
+        for spec, cd in zip(specs, elementaries):
+            folded = fold_elementary(spec)
+            for plug in ("discharge", "idle"):
+                assert np.array_equal(eval_diagram(getattr(cd, plug)()),
+                                      eval_diagram(getattr(folded, plug)()))

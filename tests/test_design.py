@@ -4,7 +4,10 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import zxwkit
+from zxwkit import graph
 
 PACKAGE = Path(zxwkit.__file__).resolve().parent
 
@@ -137,3 +140,54 @@ def test_scan_check_sees_the_scanning_rewriter():
                         "_pass_scalars", "_pass_hh", "_pass_hopf",
                         "_pass_shear_pair", "_renumber_zbox", "_effect_on",
                         "_peer"}
+
+
+def test_controlled_matrix_builds_one_diagram(monkeypatch):
+    # one Builder per matrix: no per-layer diagram is built and validated
+    calls = []
+    real = graph.validate
+    monkeypatch.setattr(graph, "validate",
+                        lambda d: calls.append(d) or real(d))
+    rng = np.random.default_rng(4)
+    counts = []
+    for dim in (2, 4, 8):
+        calls.clear()
+        zxwkit.controlled_matrix(rng.normal(size=(dim, dim))
+                                 + 1j * rng.normal(size=(dim, dim)))
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
+
+
+def _compose_seq_refs(tree) -> list:
+    hits = []
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Name) and node.id == "compose_seq")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "compose_seq")):
+            hits.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            hits += [node.lineno for a in node.names
+                     if a.name.split(".")[-1] == "compose_seq"]
+    return hits
+
+
+def test_builders_never_compose_seq():
+    # graph.py defines it, rules.py states rule templates with it and the
+    # package namespace re-exports it; builders write into one Builder
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("graph.py", "rules.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{line}"
+                      for line in _compose_seq_refs(tree)]
+    assert not offenders, f"compose_seq outside graph and rules: {offenders}"
+
+
+def test_compose_seq_check_sees_references():
+    tree = ast.parse("from .graph import compose_seq\n"
+                     "from . import graph\n"
+                     "d = graph.compose_seq(a, b)\n"
+                     "fold = compose_seq\n"
+                     "import zxwkit.graph\n")
+    assert sorted(_compose_seq_refs(tree)) == [1, 3, 4]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zxwkit import (Builder, DiagramError, PhaseVar, and_box, cap,
                     compose_par, compose_seq, cup, green_phase,
@@ -13,6 +15,8 @@ from zxwkit import (Builder, DiagramError, PhaseVar, and_box, cap,
                     w_diagram, w_spider, wire_permutation, zbox_diagram)
 from zxwkit.evaluate import eval_diagram
 from zxwkit.graph import splice
+
+from circuit_strategies import circuits
 
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
@@ -101,6 +105,21 @@ def test_compose_par_is_kron():
     got = eval_diagram(compose_par(f, g))
     want = np.kron(eval_diagram(f), eval_diagram(g))
     assert np.abs(got - want).max() <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_composition_is_a_functor(data):
+    # no builder composes diagrams with compose_seq, so this keeps it covered
+    f, _ = data.draw(circuits())
+    g, _ = data.draw(circuits(width=f.n_outputs))
+    ef, eg = eval_diagram(f), eval_diagram(g)
+    seq = eval_diagram(compose_seq(f, g))
+    assert seq.shape == (eg @ ef).shape
+    assert np.abs(seq - eg @ ef).max() <= 1e-10
+    par = eval_diagram(compose_par(f, g))
+    assert par.shape == np.kron(ef, eg).shape
+    assert np.abs(par - np.kron(ef, eg)).max() <= 1e-10
 
 
 def test_compose_seq_arity_mismatch():
