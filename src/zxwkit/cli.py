@@ -164,7 +164,7 @@ def _cmd_eval(args, cfg: Config) -> int:
 def _cmd_controlled(args, cfg: Config) -> int:
     if bool(args.matrix) == bool(args.state):
         raise _Usage("exactly one of --matrix or --state is required")
-    weights = _parse_weights(args.sum) if args.sum else None
+    weights = _parse_weights(args.sum) if args.sum is not None else None
     if args.matrix:
         mats = [matrix_from_text(_read(f)) for f in args.matrix]
         if weights is not None and len(weights) != len(mats):

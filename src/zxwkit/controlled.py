@@ -92,7 +92,9 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     identity for matrices and |0...0> for states.  A matrix target must have
     shape (2^m, 2^m), a state target (2^m,) or (2^m, 1).  ``cap`` bounds the
     open wires and node legs of each evaluation, as in ``eval_diagram``.  The
-    two plugs differ in one label, so one contraction plan serves both.
+    two plugs differ in one label, so one contraction plan serves both, and
+    one ``run_many`` pass redoes for the idle only the steps that label
+    reaches.
     """
     dim = 2 ** cd.m
     target = np.asarray(target, dtype=complex)
@@ -102,8 +104,7 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
             map(str, shapes)) + f", got {target.shape}")
     discharged = cd.discharge()
     plan = plan_contraction(discharged, cap=cap)
-    got_d = plan.run(discharged, t)
-    got_i = plan.run(cd.idle(), t)
+    got_d, got_i = plan.run_many([discharged, cd.idle()], t)
     if cd.kind == "matrix":
         want_d = target
         want_i = np.eye(dim, dtype=complex)

@@ -11,7 +11,9 @@ boundary-to-boundary wire, then contracts greedily, always picking the pair
 of tensors whose contraction yields the smallest intermediate, ties broken by
 the smaller (i, j) pair of tensor numbers (tensors are numbered in the order
 they are made).  Every edge index appears on at most two tensors, so pairwise
-contraction suffices.
+contraction suffices, and the planner keeps one owner pair per edge: a new
+tensor finds its neighbours, and how many edges it shares with each, in one
+walk over its own edges.
 
 The candidate pairs sit in a heap of ``(rank, i, j)`` entries, rank being the
 number of open indices the contraction would leave.  A pair's rank depends
@@ -27,12 +29,17 @@ so it is planned once (``plan_contraction``) and executed per set of labels
 (``ContractionPlan.run``): each step is compiled to the transpose, reshape
 and matrix product ``np.tensordot`` would do, so the matrices are
 bit-identical to contracting pair by pair with ``np.tensordot``.
+``ContractionPlan.run_many`` executes several sets of labels side by side and
+computes a tensor or a step again only where its inputs differ from the
+previous set's, so the idle of a controlled diagram reuses most of the
+intermediates of its discharge.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -135,85 +142,77 @@ def _tensor(d: Diagram, nid, loops: dict, t: Optional[float]) -> np.ndarray:
     return arr
 
 
-class _Schedule:
-    """The compiled steps of a schedule under construction.
+def _schedule(ids: list, greedy: bool) -> list:
+    """The compiled steps contracting the tensors with edge ids ``ids``
+    into one: greedily or in order, then the tensors left (one per
+    component) left to right.  ``ids`` grows by each step's result and a
+    step's two tensors become None, so its last entry is the tensor left.
 
-    ``ids[k]`` lists the edge ids of tensor k while it is live; a step
-    retires its two tensors (their entries become None) and appends its
-    result.  Equal permutations and shapes are stored once, so a plan of
-    thousands of steps holds one new object per step: each object a plan
-    keeps alive is one more for the cyclic garbage collector to count and
-    scan while the plan runs.
+    A step is (i, j, perm_a, shape_a, perm_b, shape_b, out_shape), what
+    ``np.tensordot`` does: the shared axes move to the end of a and the
+    front of b, each is flattened to a matrix (every bond has dimension 2)
+    and the product is unflattened.  Equal permutations and shapes are
+    stored once: each object a plan keeps alive is one more for the cyclic
+    garbage collector to scan while the plan runs.
     """
+    steps: list = []
+    share = {}.setdefault
 
-    def __init__(self, ids: list):
-        self.ids = ids
-        self.steps: list = []
-        self._shared: dict = {}
-
-    def _share(self, value: tuple) -> tuple:
-        return self._shared.setdefault(value, value)
-
-    def contract(self, i: int, j: int) -> int:
-        """Compile contracting tensors ``i`` and ``j`` over their shared
-        edges into one step, as ``np.tensordot`` computes it; returns the
-        number of the result.
-
-        A step is (i, j, perm_a, shape_a, perm_b, shape_b, out_shape): the
-        shared axes move to the end of a and the front of b, each is
-        flattened to a matrix and the product is unflattened.  Every bond
-        has dimension 2, so the shapes follow from the edge ids alone.
-        """
-        ids_a, ids_b = self.ids[i], self.ids[j]
-        ax_a = [k for k, e in enumerate(ids_a) if e in ids_b]
-        ax_b = [ids_b.index(ids_a[k]) for k in ax_a]
-        keep_a = [k for k in range(len(ids_a)) if k not in ax_a]
-        keep_b = [k for k in range(len(ids_b)) if k not in ax_b]
-        out = [ids_a[k] for k in keep_a] + [ids_b[k] for k in keep_b]
+    def contract(i: int, j: int) -> list:
+        ids_a, ids_b = ids[i], ids[j]
+        keep_a, ax_a, ax_b, keep_b, out = [], [], [], [], []
+        for k, e in enumerate(ids_a):
+            if e in ids_b:
+                ax_a.append(k)
+                ax_b.append(ids_b.index(e))
+            else:
+                keep_a.append(k)
+                out.append(e)
+        for k, e in enumerate(ids_b):
+            if e not in ids_a:
+                keep_b.append(k)
+                out.append(e)
+        pa, pb = tuple(keep_a + ax_a), tuple(ax_b + keep_b)
         bond = 2 ** len(ax_a)
-        share = self._share
-        self.steps.append((
-            i, j, share(tuple(keep_a + ax_a)), share((2 ** len(keep_a), bond)),
-            share(tuple(ax_b + keep_b)), share((bond, 2 ** len(keep_b))),
-            share((2,) * len(out))))
-        self.ids[i] = self.ids[j] = None
-        self.ids.append(out)
-        return len(self.ids) - 1
+        sa, sb = (2 ** len(keep_a), bond), (bond, 2 ** len(keep_b))
+        so = (2,) * len(out)
+        steps.append((i, j, share(pa, pa), share(sa, sa), share(pb, pb),
+                      share(sb, sb), share(so, so)))
+        ids[i] = ids[j] = None
+        ids.append(out)
+        return out
 
-
-def _greedy(sched: _Schedule) -> list:
-    """Add the steps contracting connected tensors pairwise, smallest
-    (rank, i, j) first; returns the tensors left, one per connected
-    component, in increasing order."""
-    ids = sched.ids
-    id2pos: dict = {}
-    for pos, tids in enumerate(ids):
-        for e in tids:
-            id2pos.setdefault(e, set()).add(pos)
-    edge_sets = [set(tids) for tids in ids]
-
-    def candidate(i, j):
-        a, b = edge_sets[i], edge_sets[j]
-        return (len(a) + len(b) - 2 * len(a & b), i, j)
-
-    heap = [candidate(*sorted(ps)) for ps in id2pos.values() if len(ps) == 2]
-    heapq.heapify(heap)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if ids[i] is None or ids[j] is None:
-            continue
-        fresh = sched.contract(i, j)
-        edge_sets[i] = edge_sets[j] = None
-        edge_sets.append(set(ids[fresh]))
-        neighbours = set()
-        for e in ids[fresh]:
-            ps = id2pos[e]
-            ps -= {i, j}
-            neighbours |= ps
-            ps.add(fresh)
-        for nb in neighbours:
-            heapq.heappush(heap, candidate(nb, fresh))
-    return [k for k, tids in enumerate(ids) if tids is not None]
+    if greedy:
+        owners: dict = {}
+        for pos, tids in enumerate(ids):
+            for e in tids:
+                owners.setdefault(e, []).append(pos)
+        bonds = Counter(tuple(own) for own in owners.values()
+                        if len(own) == 2)
+        heap = [(len(ids[i]) + len(ids[j]) - 2 * n, i, j)
+                for (i, j), n in bonds.items()]
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            _, i, j = pop(heap)
+            if ids[i] is None or ids[j] is None:
+                continue
+            out = contract(i, j)
+            fresh = len(ids) - 1
+            bonds = {}
+            for e in out:
+                own = owners[e]
+                if len(own) == 2:
+                    nb = own[1] if own[0] == i or own[0] == j else own[0]
+                    own[0], own[1] = nb, fresh
+                    bonds[nb] = bonds.get(nb, 0) + 1
+            for nb, n in bonds.items():
+                push(heap, (len(ids[nb]) + len(out) - 2 * n, nb, fresh))
+    last, *rest = [k for k, tids in enumerate(ids) if tids is not None]
+    for nxt in rest:
+        contract(last, nxt)
+        last = len(ids) - 1
+    return steps
 
 
 @dataclass(frozen=True)
@@ -222,11 +221,13 @@ class ContractionPlan:
 
     ``run`` evaluates any diagram with the same structure, whatever its
     labels: the discharge and the idle of a controlled diagram, or a
-    ``PhaseVar`` diagram at several times.  The structure is the node ids
-    with their kinds and port counts, the edge list (in order: the plan
-    numbers edges by position) and the boundaries.  ``peak_rank`` is the
-    rank of the largest intermediate the steps make (0 without steps),
-    known before anything is allocated.
+    ``PhaseVar`` diagram at several times; ``run_many`` evaluates several
+    at once and shares the work their labels leave alike.  The structure is
+    the node ids with their kinds and port counts, the edge list (in order:
+    the plan numbers edges by position) and the boundaries.  ``peak_rank``
+    is the rank of the largest intermediate the steps make (0 without
+    steps), ``peak_bytes`` its size and ``flops`` the complex multiply-adds
+    of all steps, all known before anything is allocated.
     """
 
     nodes: dict = field(repr=False)    # node id -> (kind, ports)
@@ -239,6 +240,8 @@ class ContractionPlan:
     perm: list           # axes of the last tensor in (outputs, inputs) order
     shape: tuple         # (2^outputs, 2^inputs)
     peak_rank: int
+    peak_bytes: int      # 16 * 2^peak_rank: one complex128 intermediate
+    flops: int
 
     def _fits(self, d: Diagram) -> bool:
         nodes = self.nodes
@@ -249,21 +252,48 @@ class ContractionPlan:
 
     def run(self, d: Diagram, t: Optional[float] = None) -> np.ndarray:
         """Evaluate ``d``, resolving ``PhaseVar`` labels at ``t``."""
-        if not self._fits(d):
+        return self.run_many([d], t)[0]
+
+    def run_many(self, diagrams: list, t: Optional[float] = None) -> list:
+        """Evaluate each of ``diagrams``, resolving ``PhaseVar`` labels at
+        ``t``, to the same bits ``run`` gives it alone.
+
+        Every structure is checked before any tensor is made.  A node whose
+        label equals the previous diagram's shares its tensor, and a step
+        whose two inputs are the previous diagram's arrays shares its result
+        (the same ``np.dot`` on the same arrays gives the same bits).
+        """
+        if not all(map(self._fits, diagrams)):
             raise DiagramError(
                 "diagram does not have the structure the plan was made for")
-        arrs = [_tensor(d, nid, self.loops, t) for nid in self.tensors]
-        if not arrs:
-            return np.ones((1, 1), dtype=complex)
+        if not self.tensors:
+            return [np.ones((1, 1), dtype=complex) for _ in diagrams]
+        pool = [[_tensor(d, nid, self.loops, t) for nid in self.tensors]
+                for d in diagrams[:1]]
+        for before, d in zip(diagrams, diagrams[1:]):
+            pool.append([a if nid is None
+                         or d.nodes[nid].label == before.nodes[nid].label
+                         else _tensor(d, nid, self.loops, t)
+                         for nid, a in zip(self.tensors, pool[-1])])
         for i, j, pa, sa, pb, sb, so in self.steps:
-            a, b = arrs[i], arrs[j]
-            arrs[i] = arrs[j] = None
-            arrs.append(np.dot(a.transpose(pa).reshape(sa),
-                               b.transpose(pb).reshape(sb)).reshape(so))
-        arr = arrs[-1]
-        if self.perm:
-            arr = arr.transpose(self.perm)
-        return arr.reshape(self.shape)
+            done_a = done_b = None
+            for arrs in pool:
+                a, b = arrs[i], arrs[j]
+                arrs[i] = arrs[j] = None
+                if a is not done_a or b is not done_b:
+                    done_a, done_b = a, b
+                    ab = np.dot(a.transpose(pa).reshape(sa),
+                                b.transpose(pb).reshape(sb)).reshape(so)
+                arrs.append(ab)
+        out: list = []
+        for k, arrs in enumerate(pool):
+            # equal results are copied, so that no two share memory
+            if k and arrs[-1] is pool[k - 1][-1]:
+                out.append(out[-1].copy())
+            else:
+                arr = arrs[-1].transpose(self.perm) if self.perm else arrs[-1]
+                out.append(arr.reshape(self.shape))
+        return out
 
 
 def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP,
@@ -278,26 +308,21 @@ def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP,
     if order not in ("greedy", "sequential"):
         raise DiagramError(f"unknown contraction order {order!r}")
     tensors, loops, external = _network(d, cap)
-    sched = _Schedule([tids for _, tids in tensors])
-    perm: list = []
-    if tensors:
-        if order == "greedy":
-            pool = _greedy(sched)
-        else:
-            pool = list(range(len(tensors)))
-        last = pool[0]
-        for nxt in pool[1:]:
-            last = sched.contract(last, nxt)
-        out = sched.ids[last]
+    ids = [tids for _, tids in tensors]
+    steps, perm = [], []
+    if ids:
+        steps = _schedule(ids, order == "greedy")
+        out = ids[-1]
         if sorted(out) != sorted(external):
             raise DiagramError("internal error: contraction left stray indices")
         perm = [out.index(e) for e in external]
+    peak = max((len(so) for *_, so in steps), default=0)
     return ContractionPlan(
         {nid: (n.kind, n.ports) for nid, n in d.nodes.items()},
         list(d.edges), list(d.inputs), list(d.outputs),
-        [nid for nid, _ in tensors], loops, sched.steps, perm,
-        (2 ** d.n_outputs, 2 ** d.n_inputs),
-        max((len(so) for *_, so in sched.steps), default=0))
+        [nid for nid, _ in tensors], loops, steps, perm,
+        (2 ** d.n_outputs, 2 ** d.n_inputs), peak, 16 * 2 ** peak,
+        sum(sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in steps))
 
 
 def eval_diagram(d: Diagram, t: Optional[float] = None,

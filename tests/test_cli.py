@@ -85,6 +85,19 @@ def test_controlled_sum_weights(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("kind", ["--matrix", "--state"])
+def test_controlled_empty_sum_is_usage_error(kind, tmp_path, capsys):
+    # an empty spec is a bad weight, not a missing --sum
+    f = tmp_path / "input"
+    f.write_text("1\t0\n0\t1\n" if kind == "--matrix" else "1\n0\n")
+    assert main(["controlled", kind, str(f), "--sum", "", "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("zxw: error:")]
+    assert len(errors) == 1 and errors[0].startswith("zxw: error: bad weight ''")
+
+
 def test_controlled_requires_exactly_one_input_kind(tmp_path, capsys):
     f = tmp_path / "m.txt"
     f.write_text(matrix_to_text(np.eye(2)))

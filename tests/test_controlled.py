@@ -11,7 +11,7 @@ from zxwkit import (ControlledDiagram, DiagramError, ElementaryMatrixSpec,
                     controlled_state_normal_form, controlled_sum_matrices,
                     controlled_sum_states, decompose_elementary,
                     eval_diagram, state_oracle, structural_equal,
-                    sum_normal_forms, verify_controlled)
+                    plan_contraction, sum_normal_forms, verify_controlled)
 from zxwkit.controlled import specs_product
 
 from fold_controlled import fold_elementary, fold_matrix
@@ -233,3 +233,22 @@ def test_controlled_matrix_is_the_fold_construction(case):
             for plug in ("discharge", "idle"):
                 assert np.array_equal(eval_diagram(getattr(cd, plug)()),
                                       eval_diagram(getattr(folded, plug)()))
+
+
+def _verify_plug_by_plug(cd, matrix, tol=1e-9):
+    """``verify_controlled`` on a matrix as two separate runs of one plan."""
+    discharged = cd.discharge()
+    plan = plan_contraction(discharged)
+    err_d = float(np.max(np.abs(plan.run(discharged) - matrix)))
+    err_i = float(np.max(np.abs(plan.run(cd.idle())
+                                - np.eye(len(matrix)))))
+    return {"ok": err_d <= tol and err_i <= tol,
+            "err_discharge": err_d, "err_idle": err_i}
+
+
+@pytest.mark.parametrize("case", sorted(_fold_cases()))
+def test_verify_controlled_is_plug_by_plug(case):
+    # one pass over both plugs reports what two separate runs do
+    for matrix in _fold_cases()[case]:
+        cd = controlled_matrix(matrix)
+        assert verify_controlled(cd, matrix) == _verify_plug_by_plug(cd, matrix)

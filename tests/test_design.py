@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -191,3 +192,29 @@ def test_compose_seq_check_sees_references():
                      "fold = compose_seq\n"
                      "import zxwkit.graph\n")
     assert sorted(_compose_seq_refs(tree)) == [1, 3, 4]
+
+
+def _attribute_lines(tree, attr: str) -> list:
+    """Lines that name the attribute ``attr`` of anything."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == attr})
+
+
+def test_one_plan_loop_and_one_execute_loop():
+    # the greedy planner pops its heap in one place, every evaluation runs
+    # through one matrix product, and the replaced planner stays gone
+    tree = ast.parse((PACKAGE / "evaluate.py").read_text(encoding="utf-8"))
+    assert len(_attribute_lines(tree, "dot")) == 1
+    assert len(_attribute_lines(tree, "heappop")) == 1
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_Schedule", "_greedy"}
+    run = ast.parse(textwrap.dedent(
+        inspect.getsource(zxwkit.ContractionPlan.run)))
+    assert _attribute_lines(run, "run_many")
+
+
+def test_attribute_check_sees_references():
+    tree = ast.parse("import numpy as np\nnp.dot(a, b)\nx = np.dot\n"
+                     "np.tensordot(a, b)\ny = a.dot(b)\n")
+    assert _attribute_lines(tree, "dot") == [2, 3, 5]

@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from zxwkit import (Builder, CapExceeded, DiagramError, commuting_exponential,
-                    compose_par, compose_seq, controlled_matrix,
-                    equal_up_to_scalar, eval_diagram, hadamard_diagram,
-                    identity, matrices_close, parse_pauli_sum, plan_contraction,
-                    resolve_time, scalar_of, taylor_diagram, trotter_diagram,
-                    triangle, w_diagram, zbox_diagram)
+from zxwkit import (Builder, CapExceeded, DiagramError, PhaseVar,
+                    build_hamiltonian_diagram, cayley_hamilton_diagram,
+                    commuting_exponential, compose_par, compose_seq,
+                    controlled_matrix, controlled_state_normal_form,
+                    controlled_sum_states, equal_up_to_scalar, eval_diagram,
+                    hadamard_diagram, identity, matrices_close,
+                    parse_pauli_sum, plan_contraction, resolve_time, scalar_of,
+                    simplify_basic, taylor_diagram, trotter_diagram, triangle,
+                    w_diagram, zbox_diagram)
 from zxwkit import evaluate
 
 from circuit_strategies import circuits
 
 HAM5 = "1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n-1.0 IIZ"
+# the largest of hamiltonian_mix's small requests: 3 qubits, 6 terms
+SMALL_SUM = "0.8 XIZ\n-1.3 YZI\n0.4 IIX\n0.9 ZZY\n-0.2 IXI\n1.1 XYZ"
 
 
 def _random_layer(rng, width):
@@ -227,6 +232,12 @@ def _controlled(dim=4):
 PIN_CASES = {
     "controlled_discharge": lambda: _controlled().discharge(),
     "controlled_idle": lambda: _controlled().idle(),
+    "controlled2x2_discharge": lambda: _controlled(2).discharge(),
+    "controlled8x8_discharge": lambda: _controlled(8).discharge(),
+    "cayley_hamilton": lambda: cayley_hamilton_diagram(
+        parse_pauli_sum("0.7 XY\n-0.4 ZI\n0.25 IX"), 0.6),
+    "hamiltonian_simplified": lambda: simplify_basic(
+        build_hamiltonian_diagram(parse_pauli_sum(SMALL_SUM))[1]).diagram,
     "trotter16": lambda: trotter_diagram(parse_pauli_sum(HAM5), 16, 0.7),
     "taylor4": lambda: taylor_diagram(parse_pauli_sum(HAM5), 4, 0.4),
     "components_and_scalar": lambda: compose_par(
@@ -241,6 +252,13 @@ PIN_CASES = {
 @pytest.mark.parametrize("name", list(PIN_CASES))
 def test_greedy_schedule_is_pinned(name):
     d = PIN_CASES[name]()
+    assert np.array_equal(eval_diagram(d, order="greedy"), _min_scan_eval(d))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(circuits())
+def test_greedy_schedule_is_the_full_scan_on_random_circuits(circuit):
+    d, _ = circuit
     assert np.array_equal(eval_diagram(d, order="greedy"), _min_scan_eval(d))
 
 
@@ -270,7 +288,9 @@ def test_discharge_plan_runs_the_idle_diagram():
 def test_plan_records_peak_rank():
     # three boxes in a ring, one output each: contracting the first two
     # leaves their two outputs and their two bonds to the third (rank 4),
-    # and the third then closes the ring (rank 3)
+    # and the third then closes the ring (rank 3); the steps multiply a 4x2
+    # by a 2x4 matrix, then a 4x4 by a 4x2 one (either way round): 32
+    # complex multiply-adds each
     b = Builder()
     ring = [b.zbox(a) for a in (0.5, -1.0, 2.0j)]
     for k in range(3):
@@ -282,7 +302,10 @@ def test_plan_records_peak_rank():
         plan = plan_contraction(d, order=order)
         assert [len(step[-1]) for step in plan.steps] == [4, 3]
         assert plan.peak_rank == 4
-    assert plan_contraction(scalar_of(2.0)).peak_rank == 0
+        assert plan.peak_bytes == 16 * 2 ** 4
+        assert plan.flops == 32 + 32
+    scalar = plan_contraction(scalar_of(2.0))
+    assert (scalar.peak_rank, scalar.peak_bytes, scalar.flops) == (0, 16, 0)
 
 
 def _rewired(d):
@@ -307,6 +330,71 @@ def test_plan_rejects_another_structure(other):
     plan = plan_contraction(cd.discharge())
     with pytest.raises(DiagramError):
         plan.run(other(cd))
+
+
+def _assert_run_many_is_run(plan, diagrams, t=None):
+    many = plan.run_many(diagrams, t)
+    assert len(many) == len(diagrams)
+    for got, d in zip(many, diagrams):
+        assert np.array_equal(got, plan.run(d, t))
+    for k, got in enumerate(many):
+        assert not any(np.shares_memory(got, other) for other in many[:k])
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_run_many_is_run_on_discharge_and_idle(dim):
+    cd = _controlled(dim)
+    plan = plan_contraction(cd.discharge())
+    _assert_run_many_is_run(plan, [cd.discharge(), cd.idle()])
+    _assert_run_many_is_run(plan, [cd.idle(), cd.discharge(), cd.idle()])
+
+
+def test_run_many_is_run_on_a_sum_of_states():
+    rng = np.random.default_rng(12)
+    cd = controlled_sum_states(
+        [controlled_state_normal_form(rng.normal(size=4)
+                                      + 1j * rng.normal(size=4))
+         for _ in range(3)], weights=[0.5, -1.0j, 2.0])
+    plan = plan_contraction(cd.discharge())
+    _assert_run_many_is_run(plan, [cd.discharge(), cd.idle(), cd.idle()])
+
+
+def test_run_many_is_run_on_a_symbolic_diagram():
+    d = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).diagram
+    other = d.copy()
+    nid = next(n for n, node in other.nodes.items()
+               if isinstance(node.label, PhaseVar))
+    other.nodes[nid].label = PhaseVar(-2.5)
+    _assert_run_many_is_run(plan_contraction(d), [d, other, d], t=0.8)
+
+
+def test_run_many_makes_equal_tensors_once(monkeypatch):
+    # the idle differs from the discharge in one label: the control's state
+    cd = _controlled(2)
+    plan = plan_contraction(cd.discharge())
+    made = []
+    real = evaluate._tensor
+    monkeypatch.setattr(evaluate, "_tensor",
+                        lambda *args: made.append(args[1]) or real(*args))
+    plan.run_many([cd.discharge(), cd.idle()])
+    assert len(made) == len(plan.tensors) + 1
+
+
+@pytest.mark.parametrize("other", [
+    lambda cd: cd.diagram,
+    lambda cd: _rewired(cd.discharge()),
+    lambda cd: controlled_matrix(np.eye(4)).discharge(),
+], ids=["one_more_input", "other_edges", "other_nodes"])
+def test_run_many_checks_every_structure_first(other, monkeypatch):
+    cd = _controlled()
+    plan = plan_contraction(cd.discharge())
+
+    def no_tensor(*args):
+        raise AssertionError("a tensor was made before the check")
+
+    monkeypatch.setattr(evaluate, "_tensor", no_tensor)
+    with pytest.raises(DiagramError):
+        plan.run_many([cd.discharge(), cd.idle(), other(cd)])
 
 
 def test_one_plan_sweeps_time():
