@@ -473,21 +473,25 @@ def controlled_matrix(matrix: np.ndarray) -> ControlledDiagram:
                            for s in reversed(specs)], m)
 
 
-def _controlled_sum(components, weights, kind: str) -> ControlledDiagram:
-    """Weighted sum of controlled matrices or states.
+def _controlled_sum(arms, weights, kind: str,
+                    m: int = None) -> ControlledDiagram:
+    """Weighted sum of controlled matrices or states on m qubits.
 
-    The control feeds a W fan with one weighted arm per component.  Matrix
-    arms run in series on the data wires; state arms merge their outputs
-    qubit by qubit.
+    The control feeds a W fan with one weighted arm (see ``_gate_arms``)
+    per entry of ``arms``.  Matrix arms run in series on the data wires;
+    state arms merge their outputs qubit by qubit.  ``m`` defaults to the
+    first arm's, which is then a ``ControlledDiagram``.
     """
-    components = list(components)
-    if not components:
+    arms = list(arms)
+    if not arms:
         raise DiagramError("empty sum")
-    m = components[0].m
-    if any(c.kind != kind or c.m != m for c in components):
+    if m is None:
+        m = arms[0].m
+    if any(isinstance(c, ControlledDiagram) and (c.kind != kind or c.m != m)
+           for c in arms):
         raise DiagramError(f"sum components must be {kind} diagrams on one "
                            "size")
-    k = len(components)
+    k = len(arms)
     if weights is None:
         weights = [1.0] * k
     weights = [complex(x) for x in weights]
@@ -501,7 +505,7 @@ def _controlled_sum(components, weights, kind: str) -> ControlledDiagram:
         fan_in, fan = attach_w_spider(b, k, assoc="balanced", tag=_CTRL)
         b.wire(ctrl, fan_in)
     data = [b.input() for _ in range(m)] if kind == "matrix" else []
-    arm_outs = _gate_arms(b, fan, components, data, weights)
+    arm_outs = _gate_arms(b, fan, arms, data, weights)
     for q in range(m):
         if kind == "matrix":
             out = arm_outs[-1][q]

@@ -21,9 +21,9 @@ import numpy as np
 from .controlled import ControlledDiagram, _gate_arms
 from .evaluate import HAD_MATRIX, eval_diagram
 from .graph import (Builder, Diagram, DiagramError, Node, PhaseVar,
-                    attach_pink, compose_par, scalar_of, splice)
+                    attach_pink, splice)
 from .pauli import (PauliString, PauliSum, _attach_conjugation,
-                    _CONJ_FOR_LETTER, build_hamiltonian_diagram,
+                    _CONJ_FOR_LETTER, _hamiltonian_sum,
                     controlled_pauli_string, oracle_matrix, strings_commute)
 
 
@@ -119,15 +119,16 @@ def _require_real(terms):
     return coeffs
 
 
-def _chain(m: int, factors) -> Diagram:
-    """m -> m ``factors`` in series, first acts first, in one Builder."""
+def _chain(m: int, factors) -> Builder:
+    """m -> m ``factors`` in series, first acts first, in one Builder,
+    returned unbuilt so the caller can add to it."""
     b = Builder()
     data = [b.input() for _ in range(m)]
     for f in factors:
         data = splice(b, f, data)
     for ref in data:
         b.wire(ref, b.output())
-    return b.build()
+    return b
 
 
 def commuting_exponential(h: PauliSum) -> ExponentialDiagram:
@@ -146,7 +147,8 @@ def commuting_exponential(h: PauliSum) -> ExponentialDiagram:
                     f"non-commuting terms {strings[i]} and {strings[j]}")
     gadgets = [_gadget_diagram(p, alpha)
                for alpha, p in zip(coeffs, strings) if p.support()]
-    return ExponentialDiagram(_chain(h.m, gadgets), -sum(coeffs) / 2.0)
+    return ExponentialDiagram(_chain(h.m, gadgets).build(),
+                              -sum(coeffs) / 2.0)
 
 
 def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
@@ -162,9 +164,10 @@ def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
     tau = float(t) / steps
     step = [resolve_time(_gadget_diagram(p, alpha), tau)
             for alpha, (_, p) in zip(coeffs, h.terms) if p.support()]
-    # one box for all dropped gadget phases and all identity terms
-    phase = cmath.exp(-0.5j * float(t) * sum(coeffs))
-    return compose_par(_chain(h.m, step * steps), scalar_of(phase))
+    b = _chain(h.m, step * steps)
+    # one 0-leg box for all dropped gadget phases and all identity terms
+    b.zbox(cmath.exp(-0.5j * float(t) * sum(coeffs)) - 1)
+    return b.build()
 
 
 def _power_series(h: PauliSum, coeffs) -> Diagram:
@@ -172,11 +175,13 @@ def _power_series(h: PauliSum, coeffs) -> Diagram:
     of H per degree.  Level k's control feeds a W fan into an effect
     labelled c_k and a copy that fires copy k of H and feeds level k + 1,
     so the branch stopping at level k weighs c_k and fires copies 0..k-1.
-    The deepest copy acts first on the data wires.
+    The deepest copy acts first on the data wires.  H's controlled sum
+    (two triangles into one box per Pauli leg) is built once, undischarged,
+    and spliced in per copy.
     """
     if not all(cmath.isfinite(c) for c in coeffs):
         raise DiagramError("power series coefficients are not finite")
-    c_h, _ = build_hamiltonian_diagram(h)
+    c_h = _hamiltonian_sum(h)
     b = Builder()
     ctrl = b.input()
     data = [b.input() for _ in range(h.m)]

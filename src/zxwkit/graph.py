@@ -190,13 +190,12 @@ class Builder:
         self._inputs: list = []
         self._outputs: list = []
         self._next = 0
-        self._used: dict = {}   # node id -> set of wired ports
+        self._used: set = set()   # wired (node id, port) refs
 
     def _new(self, kind: str, ports: int, label=None, tag=None) -> int:
         nid = self._next
         self._next += 1
         self._nodes[nid] = Node(nid, kind, ports, label, tag)
-        self._used[nid] = set()
         return nid
 
     def zbox(self, label: Label, tag: str = None) -> int:
@@ -228,7 +227,8 @@ class Builder:
                 port = node.ports
                 node.ports += 1
             else:
-                free = [p for p in range(node.ports) if p not in self._used[nid]]
+                free = [p for p in range(node.ports)
+                        if (nid, p) not in self._used]
                 if not free:
                     raise DiagramError(f"node {nid} ({node.kind}) has no free port")
                 port = free[0]
@@ -240,12 +240,11 @@ class Builder:
         a = self.leg(a) if isinstance(a, int) else a
         b = self.leg(b) if isinstance(b, int) else b
         for end in (a, b):
-            nid, port = end
-            if port in self._used[nid] and not (a == b):
+            if end in self._used and not (a == b):
                 raise DiagramError(f"port {end!r} wired twice")
         self._edges.append((a, b))
-        self._used[a[0]].add(a[1])
-        self._used[b[0]].add(b[1])
+        self._used.add(a)
+        self._used.add(b)
 
     def build(self) -> Diagram:
         d = Diagram(self._nodes, self._edges, self._inputs, self._outputs)

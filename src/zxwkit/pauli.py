@@ -1,26 +1,27 @@
 """Qubit Hamiltonians given as weighted sums of Pauli strings.
 
-A Hamiltonian sum turns into a controlled diagram: one W-fan branch per
-term, a weight box carrying the coefficient, and on every qubit the term
-acts on a small gadget that applies diag(1, a) in a conjugated basis.
-Pauli letters are the special case a = -1 with the basis change picked per
-letter (none for Z, Hadamard for X, the V pair for Y).  Discharging the
-control evaluates to the dense sum; idling gives the identity.
+A Hamiltonian sum is one controlled diagram in one Builder: a W-fan branch
+per term, a weight box carrying its coefficient, and on every qubit it acts
+on two triangles into a box labelled a - 1, giving diag(1, a) in a
+conjugated basis.  Pauli letters are the case a = -1 with the basis change
+picked per letter (none for Z, Hadamard for X, the V pair for Y).
+Discharging the control gives the dense sum; idling gives the identity.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 
-from .controlled import (ControlledDiagram, _copy_with_probe, _zcopy_fan,
-                         controlled_sum_matrices, sum_normal_forms)
+from .controlled import (ControlledDiagram, _controlled_sum, _copy_with_probe,
+                         _gated_product, _zcopy_fan, sum_normal_forms)
 from .evaluate import (DEFAULT_CAP, HAD_MATRIX, V_MATRIX, CapExceeded,
                        eval_diagram)
-from .graph import Builder, DiagramError, attach_and, attach_v
+from .graph import Builder, DiagramError, attach_triangle, attach_v
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -202,12 +203,50 @@ def _attach_conjugation(b: Builder, name: str, dagger: bool):
     raise DiagramError(f"unknown conjugation {name!r}")
 
 
+def _conjugated(b: Builder, name: str, ref, dagger: bool):
+    """``ref`` through one side of the basis change; "I" adds no node, as
+    its label-1 2-leg box is a plain wire (rule S2)."""
+    if name == "I":
+        return ref
+    ci, co = _attach_conjugation(b, name, dagger)
+    b.wire(ref, ci)
+    return co
+
+
+def _diagonal_factor_into(labels, conj, b: Builder, ctrl, data) -> list:
+    """Write the controlled factor prod_j c_j^dag diag(1, a_j) c_j into
+    ``b`` from its control ref and data refs; returns the data outputs."""
+    legs = [q for q in range(len(data)) if labels[q] != 1]
+    if not legs:
+        b.wire(ctrl, b.zbox(1.0, tag="ctrl-done"))
+        return data
+    fan = iter(_zcopy_fan(b, ctrl, len(legs), tag="ctrl"))
+    data = list(data)
+    for q in legs:
+        ref = _conjugated(b, conj[q], data[q], dagger=False)
+        copy, probe = _copy_with_probe(b, ref, twist=False)
+        data[q] = _conjugated(b, conj[q], b.leg(copy), dagger=True)
+        box = b.zbox(labels[q] - 1, tag=f"leg{q}")
+        for src in (next(fan), probe):
+            ti, to = attach_triangle(b, tag=f"leg{q}")
+            b.wire(src, ti)
+            b.wire(to, box)
+    return data
+
+
+def _letters(p: PauliString):
+    """(labels, conj) of a Pauli string: label -1 in the letter's basis."""
+    return ([-1.0 if c != "I" else 1.0 for c in p.ops],
+            [_CONJ_FOR_LETTER.get(c, "I") for c in p.ops])
+
+
 def controlled_diagonal_factor(labels, conj=None) -> ControlledDiagram:
     """One controlled factor prod_j c_j^dag diag(1, a_j) c_j.
 
-    A qubit gets a gadget leg only when its label is not 1: the wire is
-    copied, the copy and a control leg feed an and-box, and a 1-leg box
-    with label a keeps the amplitude unless both fire.
+    A qubit gets a gadget leg only when its label a is not 1: the wire is
+    copied, and the copy and a control leg each feed a triangle
+    T = [[1, 1], [0, 1]] into one 2-leg box labelled a - 1.  That gives
+    1 + c x (a - 1), so the amplitude is a exactly when both fire.
     """
     labels = [complex(a) for a in labels]
     m = len(labels)
@@ -217,40 +256,13 @@ def controlled_diagonal_factor(labels, conj=None) -> ControlledDiagram:
     for name in conj:
         if name not in _CONJ_NAMES:
             raise DiagramError(f"unknown conjugation {name!r}")
-    legs = [q for q in range(m) if labels[q] != 1]
-    b = Builder()
-    ctrl = b.input()
-    if not legs:
-        done = b.zbox(1.0, tag="ctrl-done")
-        b.wire(ctrl, done)
-        for _ in range(m):
-            b.wire(b.input(), b.output())
-        return ControlledDiagram(b.build(), "matrix", m)
-    ctrl_legs = dict(zip(legs, _zcopy_fan(b, ctrl, len(legs), tag="ctrl")))
-    for q in range(m):
-        ref = b.input()
-        if q in legs:
-            ci, co = _attach_conjugation(b, conj[q], dagger=False)
-            b.wire(ref, ci)
-            copy, probe = _copy_with_probe(b, co, twist=False)
-            di, do = _attach_conjugation(b, conj[q], dagger=True)
-            b.wire(b.leg(copy), di)
-            ref = do
-            and_ins, and_out = attach_and(b, 2)
-            b.wire(ctrl_legs[q], and_ins[0])
-            b.wire(probe, and_ins[1])
-            eff = b.zbox(labels[q], tag=f"leg{q}")
-            b.wire(and_out, eff)
-        b.wire(ref, b.output())
-    return ControlledDiagram(b.build(), "matrix", m)
+    return _gated_product([partial(_diagonal_factor_into, labels, conj)], m)
 
 
 def controlled_pauli_string(p: PauliString) -> ControlledDiagram:
     """Controlled diagram of one Pauli string: discharge applies it,
     idle is the identity."""
-    labels = [-1.0 if c != "I" else 1.0 for c in p.ops]
-    conj = [_CONJ_FOR_LETTER.get(c, "I") for c in p.ops]
-    return controlled_diagonal_factor(labels, conj)
+    return controlled_diagonal_factor(*_letters(p))
 
 
 @dataclass
@@ -298,21 +310,28 @@ class DiagonalFactorSum:
         return out
 
 
-def _controlled_term_sum(components, weights):
-    if len(components) == 1 and weights[0] == 1:
-        return components[0]
-    return controlled_sum_matrices(components, weights)
+def _factor_sum(terms, m: int, cap: int) -> ControlledDiagram:
+    """Controlled sum of (alpha, labels, conj) terms, each one writer in
+    the sum's Builder; a lone weight-1 term is its factor alone."""
+    if m > cap:
+        raise CapExceeded(f"{m} qubits exceed cap {cap}")
+    arms = [partial(_diagonal_factor_into, labels, conj)
+            for _, labels, conj in terms]
+    weights = [alpha for alpha, _, _ in terms]
+    if len(arms) == 1 and weights[0] == 1:
+        return _gated_product(arms, m)
+    return _controlled_sum(arms, weights, "matrix", m)
+
+
+def _hamiltonian_sum(h: PauliSum, cap: int = DEFAULT_CAP) -> ControlledDiagram:
+    """``build_hamiltonian_diagram``'s controlled diagram, undischarged."""
+    return _factor_sum([(a, *_letters(p)) for a, p in h.terms], h.m, cap)
 
 
 def build_diagonal_sum_diagram(d: DiagonalFactorSum,
                                cap: int = DEFAULT_CAP) -> ControlledDiagram:
     """Unfused controlled diagram of a sum of conjugated diagonal factors."""
-    if d.m > cap:
-        raise CapExceeded(f"{d.m} qubits exceed cap {cap}")
-    comps = [controlled_diagonal_factor(labels, conj)
-             for _, labels, conj in d.terms]
-    weights = [alpha for alpha, _, _ in d.terms]
-    return _controlled_term_sum(comps, weights)
+    return _factor_sum(d.terms, d.m, cap)
 
 
 def build_hamiltonian_diagram(h: PauliSum, cap: int = DEFAULT_CAP):
@@ -322,11 +341,7 @@ def build_hamiltonian_diagram(h: PauliSum, cap: int = DEFAULT_CAP):
     Hamiltonian matrix, idling gives the identity.  Duplicate strings stay
     separate branches, and the diagram is left unfused.
     """
-    if h.m > cap:
-        raise CapExceeded(f"{h.m} qubits exceed cap {cap}")
-    comps = [controlled_pauli_string(p) for _, p in h.terms]
-    weights = [alpha for alpha, _ in h.terms]
-    cd = _controlled_term_sum(comps, weights)
+    cd = _hamiltonian_sum(h, cap)
     return cd, cd.discharge()
 
 

@@ -67,6 +67,8 @@ def diagram_from_dict(data: dict) -> Diagram:
         for k, entry in enumerate(data["nodes"]):
             where = "node"
             nid = _int(entry["id"])
+            if nid in nodes:
+                raise ValueError(f"duplicate id {nid}")
             kind = _KINDS_BACK.get(entry["kind"])
             if kind is None:
                 raise ValueError(f"unknown kind {entry['kind']!r}")

@@ -218,3 +218,43 @@ def test_attribute_check_sees_references():
     tree = ast.parse("import numpy as np\nnp.dot(a, b)\nx = np.dot\n"
                      "np.tensordot(a, b)\ny = a.dot(b)\n")
     assert _attribute_lines(tree, "dot") == [2, 3, 5]
+
+
+def test_hamiltonian_sum_builds_one_diagram(monkeypatch):
+    # every Pauli term is written into the sum's Builder: no per-term
+    # diagram is built, validated and spliced
+    calls = []
+    real = graph.validate
+    monkeypatch.setattr(graph, "validate",
+                        lambda d: calls.append(d) or real(d))
+    counts = []
+    for text in ("1.0 X", "0.5 XY\n-1.0 ZZ\n2.0 IY",
+                 "1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n-1.0 IIZ"):
+        calls.clear()
+        zxwkit.build_hamiltonian_diagram(zxwkit.parse_pauli_sum(text))
+        counts.append(len(calls))
+    assert counts == [1, 1, 1]
+
+
+def _names(tree) -> set:
+    """Every name ``tree`` reads, imports or takes as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(a.name.split(".")[-1] for a in node.names)
+    return out
+
+
+def test_pauli_gadgets_neither_splice_nor_and():
+    tree = ast.parse((PACKAGE / "pauli.py").read_text(encoding="utf-8"))
+    assert not _names(tree) & {"splice", "attach_and"}
+
+
+def test_name_check_sees_references():
+    tree = ast.parse("from .graph import splice\nx = graph.attach_and\n"
+                     "y = attach_v\n")
+    assert _names(tree) >= {"splice", "attach_and", "attach_v"}

@@ -1,6 +1,7 @@
 """Diagrammatic exponentials: gadgets, Trotter, Taylor, power basis,
 derivative checks, and circuit extraction."""
 
+import cmath
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from zxwkit import (Circuit, DiagramError, Gate, PauliString,
                     derivative_at_zero, eval_diagram, extract_axz_circuit,
                     identity, oracle_matrix, parse_pauli_sum, pauli_gadget,
                     putzer_coefficients, resolve_time, scalar_of,
-                    taylor_diagram, trotter_diagram)
+                    structural_equal, taylor_diagram, trotter_diagram)
+from zxwkit.expo import _chain
 
 
 def _expm(h_matrix, t):
@@ -129,6 +131,24 @@ def test_trotter_matches_a_compose_seq_fold():
     want = eval_diagram(compose_par(fold, scalar_of(phase)))
     got = eval_diagram(trotter_diagram(h, steps, t))
     assert np.abs(got - want).max() <= 1e-13
+
+
+def test_trotter_phase_box_is_written_into_the_chain():
+    # the phase box goes into the chain's Builder after the outputs: the
+    # same diagram, id for id and edge for edge, as tensoring the built
+    # chain with scalar_of(phase)
+    h = parse_pauli_sum("1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n-1.0 IIZ"
+                        "\n0.25 III")
+    t, steps = 0.5, 16
+    coeffs = [c.real for c, _ in h.terms]
+    step = [resolve_time(pauli_gadget(p, c).diagram, t / steps)
+            for c, (_, p) in zip(coeffs, h.terms) if p.support()]
+    phase = cmath.exp(-0.5j * t * sum(coeffs))
+    want = compose_par(_chain(h.m, step * steps).build(), scalar_of(phase))
+    got = trotter_diagram(h, steps, t)
+    assert structural_equal(got, want)
+    assert got.edges == want.edges
+    assert np.array_equal(eval_diagram(got), eval_diagram(want))
 
 
 def test_trotter_needs_positive_steps():

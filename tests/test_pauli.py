@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zxwkit import (DiagramError, PauliString,
                     build_diagonal_sum_diagram, build_hamiltonian_diagram,
@@ -87,11 +89,15 @@ def test_strings_commute_against_commutator():
 
 
 def test_controlled_pauli_string_contract():
+    # every letter alone and side by side, then random strings
     rng = np.random.default_rng(21)
     letters = "IXYZ"
+    texts = list(letters) + ["XYZI", "IIZ"]
     for _ in range(10):
         m = int(rng.integers(1, 4))
-        p = PauliString.from_text("".join(rng.choice(list(letters), m)))
+        texts.append("".join(rng.choice(list(letters), m)))
+    for text in texts:
+        p = PauliString.from_text(text)
         cd = controlled_pauli_string(p)
         rep = verify_controlled(cd, p.matrix(), tol=1e-9)
         assert rep["ok"], (str(p), rep)
@@ -118,6 +124,33 @@ def test_diagonal_factor_sum_oracle():
     cd = build_diagonal_sum_diagram(d)
     rep = verify_controlled(cd, want, tol=1e-9)
     assert rep["ok"], rep
+
+
+_LABELS = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1 + 1e-9, 1 - 1e-12j, 1 + 2 ** -52]),
+    st.complex_numbers(max_magnitude=2, allow_nan=False,
+                       allow_infinity=False))
+
+
+@st.composite
+def _factor_sums(draw):
+    m = draw(st.integers(1, 3))
+    term = st.tuples(
+        st.complex_numbers(max_magnitude=2, allow_nan=False,
+                           allow_infinity=False),
+        st.lists(_LABELS, min_size=m, max_size=m),
+        st.lists(st.sampled_from(["I", "H", "V"]), min_size=m, max_size=m))
+    return DiagonalFactorSum(draw(st.lists(term, min_size=1, max_size=4)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_factor_sums())
+def test_diagonal_sum_discharges_to_its_oracle(d):
+    # labels 0, 1 and next to 1 give gadget boxes labelled -1, none, ~0
+    cd = build_diagonal_sum_diagram(d)
+    assert np.abs(eval_diagram(cd.discharge()) - d.oracle()).max() <= 1e-12
+    assert np.abs(eval_diagram(cd.idle())
+                  - np.eye(2 ** d.m)).max() <= 1e-12
 
 
 def test_build_hamiltonian_returns_pair():

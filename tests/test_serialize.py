@@ -98,8 +98,10 @@ def test_from_dict_rejects_garbage():
      "edge 1: 1.5 is not an integer"),
     (lambda d: d["nodes"][2].update(id="2"), "node 2: '2' is not an integer"),
     (lambda d: d["inputs"].append("x"), "diagram: 'x' is not an integer"),
+    (lambda d: d["nodes"].append(dict(d["nodes"][0], a=[5.0, 0.0])),
+     "node 3: duplicate id 0"),
 ], ids=["kind", "label", "unknown-kind", "edge", "nodes", "outputs",
-        "float-port", "string-id", "string-input"])
+        "float-port", "string-id", "string-input", "duplicate-id"])
 def test_malformed_json_names_the_field_and_place(mangle, message):
     data = diagram_to_dict(zbox_diagram(1.0, 1, 1))
     mangle(data)
