@@ -28,7 +28,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as dense_expm
 
 from .controlled import (controlled_matrix, controlled_state_normal_form,
                          controlled_sum_matrices, controlled_sum_states,
@@ -260,6 +259,7 @@ def _axz_circuit(h, t: float, cfg: Config) -> Circuit:
 
 def _oracle_diff(u: np.ndarray, h, t: float, cfg: Config) -> np.ndarray:
     """``u`` minus the dense exp(-i H t / 2); a usage error if not finite."""
+    from scipy.linalg import expm as dense_expm   # keeps start-up light
     diff = u - dense_expm(-0.5j * t * oracle_matrix(h, cap=cfg.cap))
     if not np.all(np.isfinite(diff)):
         raise _Usage(f"no finite comparison with the dense exponential "

@@ -9,13 +9,14 @@ contract is the correctness notion everywhere in this module:
 * state kind: 1 input, m outputs.  Plugging |1> gives the target column
   vector; plugging |0> gives |0...0>, the unit of the W-node merge monoid.
 
-Arbitrary square matrices enter through ``decompose_elementary`` (partial
-pivot Gauss-Jordan, with a complete-pivot rank factorization for singular
-input).  ``controlled_matrix`` then writes every controlled elementary
-factor into one ``Builder``, gated off a copy fan of the control, so it
-builds in time linear in the factors.  Sums of matrices and sums of
-states distribute the control over a W-node fan, which turns the wire sum
-of branches into the matrix sum of the gated arms.
+Square matrices enter as Pauli sums: ``controlled_matrix`` writes each
+term c_P P of M into one ``Builder`` with ``_factor_sum``, the Hamiltonian
+writer, so its error grows like ||M|| eps.  Elimination is the elementary
+construction, ``controlled_product`` of the ``controlled_elementary`` of
+each ``decompose_elementary`` spec (partial pivot Gauss-Jordan, with a
+complete-pivot rank factorization for singular input).  Sums distribute
+the control over a W-node fan: the wire sum of branches becomes the
+matrix sum of the gated arms.
 
 Every builder here returns the diagram as built, unfused; spider fusion
 (``rules.apply_fusion``) is a pass the caller runs when it wants one.
@@ -31,8 +32,8 @@ import numpy as np
 
 from .evaluate import DEFAULT_CAP, plan_contraction
 from .graph import (Builder, Diagram, DiagramError, attach_and, attach_pink,
-                    attach_triangle, attach_w_merge, attach_w_spider,
-                    plug_basis, splice)
+                    attach_triangle, attach_v, attach_w_merge,
+                    attach_w_spider, plug_basis, splice)
 
 _CTRL = "ctrl"
 
@@ -464,23 +465,14 @@ def controlled_product(components, m: int = None) -> ControlledDiagram:
     return _gated_product(components[::-1], m)
 
 
-def controlled_matrix(matrix: np.ndarray) -> ControlledDiagram:
-    """Controlled diagram of an arbitrary square matrix (dimension 2^m)."""
-    matrix = np.asarray(matrix, dtype=complex)
-    specs = decompose_elementary(matrix)
-    m = _qubit_count(matrix.shape[0], "matrix dimension")
-    return _gated_product([partial(_elementary_into, s)
-                           for s in reversed(specs)], m)
-
-
-def _controlled_sum(arms, weights, kind: str,
-                    m: int = None) -> ControlledDiagram:
+def _controlled_sum(arms, weights, kind: str, m: int = None,
+                    assoc: str = "balanced") -> ControlledDiagram:
     """Weighted sum of controlled matrices or states on m qubits.
 
-    The control feeds a W fan with one weighted arm (see ``_gate_arms``)
-    per entry of ``arms``.  Matrix arms run in series on the data wires;
-    state arms merge their outputs qubit by qubit.  ``m`` defaults to the
-    first arm's, which is then a ``ControlledDiagram``.
+    The control feeds a W fan of shape ``assoc`` with one weighted arm
+    (see ``_gate_arms``) per entry of ``arms``.  Matrix arms run in series
+    on the data wires; state arms merge their outputs qubit by qubit.
+    ``m`` defaults to the first arm's, which is then a ``ControlledDiagram``.
     """
     arms = list(arms)
     if not arms:
@@ -502,7 +494,7 @@ def _controlled_sum(arms, weights, kind: str,
     if k == 1:
         fan = [ctrl]
     else:
-        fan_in, fan = attach_w_spider(b, k, assoc="balanced", tag=_CTRL)
+        fan_in, fan = attach_w_spider(b, k, assoc=assoc, tag=_CTRL)
         b.wire(ctrl, fan_in)
     data = [b.input() for _ in range(m)] if kind == "matrix" else []
     arm_outs = _gate_arms(b, fan, arms, data, weights)
@@ -525,6 +517,113 @@ def controlled_sum_matrices(components, weights=None) -> ControlledDiagram:
     the discharge evaluates to sum_i weights[i] * M_i.
     """
     return _controlled_sum(components, weights, "matrix")
+
+
+# ---------------------------------------------------------------------------
+# controlled Pauli sums, for Hamiltonians (``pauli``) and matrices alike
+# ---------------------------------------------------------------------------
+
+# basis change c per letter, so the letter equals c^dag diag(1,-1) c
+_CONJ_FOR_LETTER = {"Z": "I", "X": "H", "Y": "V"}
+
+
+def _attach_conjugation(b: Builder, name: str, dagger: bool):
+    """One side of the basis change; returns (in_ref, out_ref)."""
+    if name == "I":
+        box = b.zbox(1.0, tag="conj")
+        return b.leg(box), b.leg(box)
+    if name == "H":
+        h = b.had(tag="conj")
+        return (h, 0), (h, 1)
+    if name == "V":
+        return attach_v(b, dagger=dagger, tag="conj")
+    raise DiagramError(f"unknown conjugation {name!r}")
+
+
+def _conjugated(b: Builder, name: str, ref, dagger: bool):
+    """``ref`` through one side of the basis change; "I" adds no node, as
+    its label-1 2-leg box is a plain wire (rule S2)."""
+    if name == "I":
+        return ref
+    ci, co = _attach_conjugation(b, name, dagger)
+    b.wire(ref, ci)
+    return co
+
+
+def _diagonal_factor_into(labels, conj, b: Builder, ctrl, data) -> list:
+    """Write the controlled factor prod_j c_j^dag diag(1, a_j) c_j into
+    ``b`` from its control ref and data refs; returns the data outputs."""
+    legs = [q for q in range(len(data)) if labels[q] != 1]
+    if not legs:
+        b.wire(ctrl, b.zbox(1.0, tag="ctrl-done"))
+        return data
+    fan = iter(_zcopy_fan(b, ctrl, len(legs), tag="ctrl"))
+    data = list(data)
+    for q in legs:
+        ref = _conjugated(b, conj[q], data[q], dagger=False)
+        copy, probe = _copy_with_probe(b, ref, twist=False)
+        data[q] = _conjugated(b, conj[q], b.leg(copy), dagger=True)
+        box = b.zbox(labels[q] - 1, tag=f"leg{q}")
+        for src in (next(fan), probe):
+            ti, to = attach_triangle(b, tag=f"leg{q}")
+            b.wire(src, ti)
+            b.wire(to, box)
+    return data
+
+
+def _letters(ops):
+    """(labels, conj) of Pauli letters: label -1 in the letter's basis."""
+    return ([-1.0 if c != "I" else 1.0 for c in ops],
+            [_CONJ_FOR_LETTER.get(c, "I") for c in ops])
+
+
+def _factor_sum(terms, m: int, assoc: str = "balanced") -> ControlledDiagram:
+    """Controlled sum of (alpha, labels, conj) terms, each one writer in
+    the sum's Builder, off a W fan shaped by ``assoc``; a lone weight-1
+    term is its factor alone."""
+    arms = [partial(_diagonal_factor_into, labels, conj)
+            for _, labels, conj in terms]
+    weights = [alpha for alpha, _, _ in terms]
+    if len(arms) == 1 and weights[0] == 1:
+        return _gated_product(arms, m)
+    return _controlled_sum(arms, weights, "matrix", m, assoc)
+
+
+# row a maps a qubit's bit pair 2 row + column to letter a: conj(P_a) / 2
+_PAULI_MAP = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0],
+                       [1, 0, 0, -1]]) / 2
+
+
+def _pauli_terms(matrix) -> tuple:
+    """(terms, m): a 2^m x 2^m matrix as ``_factor_sum`` terms, the strings
+    in I < X < Y < Z order with qubit 0 most significant.
+
+    c_P = tr(P^dag M) / 2^m comes from the tensorized transform (Hantzko,
+    Binkowski & Gupta, arXiv:2310.13421): one ``_PAULI_MAP`` per qubit's
+    row and column bit pair, O(4^m m) in all.  Exact zeros are dropped; the
+    zero matrix keeps a weight-0 identity.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DiagramError(f"need a square matrix, got shape {matrix.shape}")
+    m = _qubit_count(matrix.shape[0], "matrix dimension")
+    pairs = [k for q in range(m) for k in (q, m + q)]
+    coeffs = matrix.reshape((2,) * (2 * m)).transpose(pairs).reshape(-1)
+    for _ in range(m):   # each pass maps the leading pair and rotates it last
+        coeffs = (_PAULI_MAP @ coeffs.reshape(4, -1)).T.reshape(-1)
+    keep = np.flatnonzero(coeffs) if coeffs.any() else [0]
+    return [(coeffs[k], *_letters(["IXYZ"[(k >> 2 * (m - 1 - q)) & 3]
+                                   for q in range(m)]))
+            for k in keep], m
+
+
+def controlled_matrix(matrix: np.ndarray) -> ControlledDiagram:
+    """Controlled Pauli sum of a square matrix of dimension 2^m.
+
+    Its W fan is a chain: on random 16x16 matrices the greedy planner
+    reaches rank 18 through it, and rank 22 through a balanced one.
+    """
+    return _factor_sum(*_pauli_terms(matrix), assoc="chain")
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +680,9 @@ def state_oracle(vectors, weights) -> np.ndarray:
 
 
 def check_controlled_matrix(matrix: np.ndarray, tol: float = 1e-9) -> dict:
-    """Build, plug, and compare against the dense input; see verify_controlled."""
-    cd = controlled_matrix(matrix)
-    report = verify_controlled(cd, matrix, tol=tol)
-    report["specs"] = len(decompose_elementary(np.asarray(matrix,
-                                                          dtype=complex)))
-    report["nodes"] = len(cd.diagram.nodes)
-    return report
+    """``verify_controlled`` on ``controlled_matrix``, plus the Pauli
+    ``terms`` written and the diagram's ``nodes``."""
+    terms, m = _pauli_terms(matrix)
+    cd = _factor_sum(terms, m, assoc="chain")
+    return {**verify_controlled(cd, matrix, tol=tol), "terms": len(terms),
+            "nodes": len(cd.diagram.nodes)}

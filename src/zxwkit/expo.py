@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledDiagram, _gate_arms
+from .controlled import (_CONJ_FOR_LETTER, ControlledDiagram,
+                         _attach_conjugation, _gate_arms)
 from .evaluate import HAD_MATRIX, eval_diagram
 from .graph import (Builder, Diagram, DiagramError, Node, PhaseVar,
                     attach_pink, splice)
-from .pauli import (PauliString, PauliSum, _attach_conjugation,
-                    _CONJ_FOR_LETTER, _hamiltonian_sum,
+from .pauli import (PauliString, PauliSum, _hamiltonian_sum,
                     controlled_pauli_string, oracle_matrix, strings_commute)
 
 

@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
-import scipy.linalg
 
-from .controlled import (ControlledDiagram, _controlled_sum, _copy_with_probe,
-                         _gated_product, _zcopy_fan, sum_normal_forms)
+from .controlled import (ControlledDiagram, _factor_sum, _letters,
+                         sum_normal_forms)
 from .evaluate import (DEFAULT_CAP, HAD_MATRIX, V_MATRIX, CapExceeded,
                        eval_diagram)
-from .graph import Builder, DiagramError, attach_triangle, attach_v
+from .graph import DiagramError
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -31,9 +29,6 @@ PAULI_MATRICES = {
 }
 
 _LETTERS = "IXYZ"
-
-# basis change c per letter, so the letter equals c^dag diag(1,-1) c
-_CONJ_FOR_LETTER = {"Z": "I", "X": "H", "Y": "V"}
 
 
 @dataclass(frozen=True)
@@ -190,56 +185,6 @@ def oracle_matrix(h: PauliSum, cap: int = DEFAULT_CAP) -> np.ndarray:
 _CONJ_NAMES = ("I", "H", "V")
 
 
-def _attach_conjugation(b: Builder, name: str, dagger: bool):
-    """One side of the basis change; returns (in_ref, out_ref)."""
-    if name == "I":
-        box = b.zbox(1.0, tag="conj")
-        return b.leg(box), b.leg(box)
-    if name == "H":
-        h = b.had(tag="conj")
-        return (h, 0), (h, 1)
-    if name == "V":
-        return attach_v(b, dagger=dagger, tag="conj")
-    raise DiagramError(f"unknown conjugation {name!r}")
-
-
-def _conjugated(b: Builder, name: str, ref, dagger: bool):
-    """``ref`` through one side of the basis change; "I" adds no node, as
-    its label-1 2-leg box is a plain wire (rule S2)."""
-    if name == "I":
-        return ref
-    ci, co = _attach_conjugation(b, name, dagger)
-    b.wire(ref, ci)
-    return co
-
-
-def _diagonal_factor_into(labels, conj, b: Builder, ctrl, data) -> list:
-    """Write the controlled factor prod_j c_j^dag diag(1, a_j) c_j into
-    ``b`` from its control ref and data refs; returns the data outputs."""
-    legs = [q for q in range(len(data)) if labels[q] != 1]
-    if not legs:
-        b.wire(ctrl, b.zbox(1.0, tag="ctrl-done"))
-        return data
-    fan = iter(_zcopy_fan(b, ctrl, len(legs), tag="ctrl"))
-    data = list(data)
-    for q in legs:
-        ref = _conjugated(b, conj[q], data[q], dagger=False)
-        copy, probe = _copy_with_probe(b, ref, twist=False)
-        data[q] = _conjugated(b, conj[q], b.leg(copy), dagger=True)
-        box = b.zbox(labels[q] - 1, tag=f"leg{q}")
-        for src in (next(fan), probe):
-            ti, to = attach_triangle(b, tag=f"leg{q}")
-            b.wire(src, ti)
-            b.wire(to, box)
-    return data
-
-
-def _letters(p: PauliString):
-    """(labels, conj) of a Pauli string: label -1 in the letter's basis."""
-    return ([-1.0 if c != "I" else 1.0 for c in p.ops],
-            [_CONJ_FOR_LETTER.get(c, "I") for c in p.ops])
-
-
 def controlled_diagonal_factor(labels, conj=None) -> ControlledDiagram:
     """One controlled factor prod_j c_j^dag diag(1, a_j) c_j.
 
@@ -248,21 +193,16 @@ def controlled_diagonal_factor(labels, conj=None) -> ControlledDiagram:
     T = [[1, 1], [0, 1]] into one 2-leg box labelled a - 1.  That gives
     1 + c x (a - 1), so the amplitude is a exactly when both fire.
     """
-    labels = [complex(a) for a in labels]
-    m = len(labels)
-    conj = ["I"] * m if conj is None else list(conj)
-    if len(conj) != m:
-        raise DiagramError("one conjugation per qubit")
-    for name in conj:
-        if name not in _CONJ_NAMES:
-            raise DiagramError(f"unknown conjugation {name!r}")
-    return _gated_product([partial(_diagonal_factor_into, labels, conj)], m)
+    labels = list(labels)
+    conj = ["I"] * len(labels) if conj is None else conj
+    d = DiagonalFactorSum([(1, labels, conj)])
+    return _factor_sum(d.terms, d.m)
 
 
 def controlled_pauli_string(p: PauliString) -> ControlledDiagram:
     """Controlled diagram of one Pauli string: discharge applies it,
     idle is the identity."""
-    return controlled_diagonal_factor(*_letters(p))
+    return controlled_diagonal_factor(*_letters(p.ops))
 
 
 @dataclass
@@ -310,28 +250,19 @@ class DiagonalFactorSum:
         return out
 
 
-def _factor_sum(terms, m: int, cap: int) -> ControlledDiagram:
-    """Controlled sum of (alpha, labels, conj) terms, each one writer in
-    the sum's Builder; a lone weight-1 term is its factor alone."""
-    if m > cap:
-        raise CapExceeded(f"{m} qubits exceed cap {cap}")
-    arms = [partial(_diagonal_factor_into, labels, conj)
-            for _, labels, conj in terms]
-    weights = [alpha for alpha, _, _ in terms]
-    if len(arms) == 1 and weights[0] == 1:
-        return _gated_product(arms, m)
-    return _controlled_sum(arms, weights, "matrix", m)
-
-
 def _hamiltonian_sum(h: PauliSum, cap: int = DEFAULT_CAP) -> ControlledDiagram:
     """``build_hamiltonian_diagram``'s controlled diagram, undischarged."""
-    return _factor_sum([(a, *_letters(p)) for a, p in h.terms], h.m, cap)
+    if h.m > cap:
+        raise CapExceeded(f"{h.m} qubits exceed cap {cap}")
+    return _factor_sum([(a, *_letters(p.ops)) for a, p in h.terms], h.m)
 
 
 def build_diagonal_sum_diagram(d: DiagonalFactorSum,
                                cap: int = DEFAULT_CAP) -> ControlledDiagram:
     """Unfused controlled diagram of a sum of conjugated diagonal factors."""
-    return _factor_sum(d.terms, d.m, cap)
+    if d.m > cap:
+        raise CapExceeded(f"{d.m} qubits exceed cap {cap}")
+    return _factor_sum(d.terms, d.m)
 
 
 def build_hamiltonian_diagram(h: PauliSum, cap: int = DEFAULT_CAP):
@@ -399,6 +330,7 @@ def verify_schrodinger_linearity(h: PauliSum, psi0, phi0, a, b, t_grid,
     floor = 1e-9 * (float(np.linalg.norm(psi0)) + float(np.linalg.norm(phi0))
                     + 1.0)
     tiny = np.finfo(float).tiny
+    import scipy.linalg    # loaded here so that `import zxwkit` stays light
 
     def chi(tau: float) -> np.ndarray:
         u = scipy.linalg.expm(-1j * H * tau)

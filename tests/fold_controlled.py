@@ -3,9 +3,11 @@
 Each controlled elementary is assembled from separately built layer
 diagrams (CNOT and Hadamard layers, the gadget) folded with ``compose_seq``,
 and a matrix splices one folded elementary per spec into one ``Builder``.
-The tests compare ``controlled_matrix`` and ``controlled_elementary``
-against ``fold_matrix`` and ``fold_elementary``: the same diagram and the
-same plugged matrices, bit for bit.
+The tests compare the elementary construction,
+``controlled_product([controlled_elementary(s) for s in
+decompose_elementary(M)])``, and ``controlled_elementary`` against
+``fold_matrix`` and ``fold_elementary``: the same diagram and the same
+plugged matrices, bit for bit.
 """
 
 import math

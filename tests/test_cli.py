@@ -74,6 +74,15 @@ def test_controlled_matrix_verify(tmp_path, capsys):
     assert "discharge residual" in captured.err
 
 
+def test_controlled_matrix_verify_at_large_norm(tmp_path, capsys):
+    # the error is linear in ||M||: 1e6 on the diagonal still verifies at
+    # the CLI tolerance, with a discharge residual of about 5e-10
+    f = tmp_path / "m.txt"
+    f.write_text(matrix_to_text(np.array([[1e6, 1.0], [2.0, 1e6]])))
+    assert main(["controlled", "--matrix", str(f), "--verify"]) == 0
+    assert "discharge residual" in capsys.readouterr().err
+
+
 def test_controlled_sum_weights(tmp_path, capsys):
     f1 = tmp_path / "a.txt"
     f2 = tmp_path / "b.txt"

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from zxwkit import (ControlledDiagram, DiagramError, ElementaryMatrixSpec,
+                    PauliString, check_controlled_matrix,
                     controlled_elementary, controlled_identity,
                     controlled_matrix, controlled_product,
                     controlled_state_normal_form, controlled_sum_matrices,
                     controlled_sum_states, decompose_elementary,
                     eval_diagram, state_oracle, structural_equal,
                     plan_contraction, sum_normal_forms, verify_controlled)
-from zxwkit.controlled import specs_product
+from zxwkit.controlled import _pauli_terms, specs_product
 
 from fold_controlled import fold_elementary, fold_matrix
 
@@ -216,18 +217,19 @@ def _fold_cases():
 
 @pytest.mark.parametrize("case", sorted(_fold_cases()))
 def test_controlled_matrix_is_the_fold_construction(case):
+    # the elementary construction of a matrix is the fold reference,
+    # diagram for diagram and bit for bit
     for matrix in _fold_cases()[case]:
-        got, ref = controlled_matrix(matrix), fold_matrix(matrix)
+        specs = decompose_elementary(matrix)
+        elementaries = [controlled_elementary(s) for s in specs]
+        ref = fold_matrix(matrix)
+        got = controlled_product(elementaries, m=ref.m)
         assert structural_equal(got.diagram, ref.diagram)
         for plug in ("discharge", "idle"):
             assert np.array_equal(eval_diagram(getattr(got, plug)()),
                                   eval_diagram(getattr(ref, plug)()))
         assert verify_controlled(got, matrix) == \
             verify_controlled(ref, matrix)
-        specs = decompose_elementary(matrix)
-        elementaries = [controlled_elementary(s) for s in specs]
-        product = controlled_product(elementaries, m=got.m)
-        assert structural_equal(product.diagram, got.diagram)
         for spec, cd in zip(specs, elementaries):
             folded = fold_elementary(spec)
             for plug in ("discharge", "idle"):
@@ -252,3 +254,108 @@ def test_verify_controlled_is_plug_by_plug(case):
     for matrix in _fold_cases()[case]:
         cd = controlled_matrix(matrix)
         assert verify_controlled(cd, matrix) == _verify_plug_by_plug(cd, matrix)
+
+
+def _elementary_product(matrix):
+    m = len(matrix).bit_length() - 1
+    return controlled_product([controlled_elementary(s)
+                               for s in decompose_elementary(matrix)], m=m)
+
+
+def _accuracy_draws():
+    rng = np.random.default_rng(20231013)
+    for dim in (2, 4, 8):
+        for scale in (1.0, 1e3, 1e6, 1e8):
+            for _ in range(2):
+                yield scale * _rand_matrix(rng, dim)
+
+
+def _within_accuracy_pin(rep, matrix):
+    """Discharge error at most 8 dim^2 ||M||_2 eps, idle error 1e-13."""
+    dim = len(matrix)
+    bound = 8 * dim * dim * np.linalg.norm(matrix, 2) * np.finfo(float).eps
+    return rep["err_discharge"] <= bound and rep["err_idle"] <= 1e-13
+
+
+def test_controlled_matrix_error_is_linear_in_the_norm():
+    for matrix in _accuracy_draws():
+        rep = verify_controlled(controlled_matrix(matrix), matrix, tol=np.inf)
+        assert _within_accuracy_pin(rep, matrix), (matrix.shape, rep)
+
+
+def test_accuracy_pin_rejects_the_elementary_construction():
+    # elimination's error grows like ||M||^2 eps: from scale 1e3 on, every
+    # size breaks the pin
+    for matrix in _accuracy_draws():
+        if np.abs(matrix).max() < 1e2:
+            continue
+        rep = verify_controlled(_elementary_product(matrix), matrix,
+                                tol=np.inf)
+        assert not _within_accuracy_pin(rep, matrix), matrix.shape
+
+
+def test_controlled_matrix_verifies_a_large_diagonal():
+    matrix = np.array([[1e6, 1.0], [2.0, 1e6]])
+    assert verify_controlled(controlled_matrix(matrix), matrix, tol=1e-9)["ok"]
+    assert not verify_controlled(_elementary_product(matrix), matrix,
+                                 tol=1e-9)["ok"]
+
+
+def _strings(matrix):
+    """The Pauli strings controlled_matrix writes for ``matrix``."""
+    terms, _ = _pauli_terms(matrix)
+    return ["".join("I" if a == 1 else {"I": "Z", "H": "X", "V": "Y"}[c]
+                    for a, c in zip(labels, conj))
+            for _, labels, conj in terms]
+
+
+def test_pauli_terms_are_the_traces():
+    # c_P = tr(P^dag M) / 2^m, one term per nonzero coefficient
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    for dim in (2, 4, 8):
+        matrix = _rand_matrix(rng, dim)
+        terms, _ = _pauli_terms(matrix)
+        assert len(terms) == dim * dim
+        for (alpha, _, _), s in zip(terms, _strings(matrix)):
+            p = PauliString.from_text(s).matrix()
+            want = np.trace(p.conj().T @ matrix) / dim
+            assert abs(alpha - want) <= 4 * dim * eps * np.abs(matrix).max()
+
+
+_EDGE_CASES = {
+    "zero": (np.zeros((4, 4)), ["II"]),
+    "identity": (np.eye(4), ["II"]),
+    "diagonal": (np.diag([2.0, -1.0j, 0.5, 3.0 + 1.0j]),
+                 ["II", "IZ", "ZI", "ZZ"]),
+    "diagonal-sparse": (np.diag([3.0, 1.0, 3.0, 1.0]), ["II", "IZ"]),
+    "lone-pauli": (np.kron([[0, -1j], [1j, 0]], [[0, 1], [1, 0]]), ["YX"]),
+    "singular": (np.outer([1.0, 2.0, 0.5j, -1.0], [0.3, -1.0, 2.0, 1.0j]),
+                 None),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_controlled_matrix_edge_cases(case):
+    matrix, strings = _EDGE_CASES[case]
+    rep = verify_controlled(controlled_matrix(matrix), matrix, tol=1e-13)
+    assert rep["ok"], rep
+    if strings is not None:
+        assert _strings(matrix) == strings
+    if case in ("zero", "identity"):
+        assert rep["err_idle"] == 0.0
+
+
+def test_check_controlled_matrix_reports_terms():
+    rng = np.random.default_rng(5)
+    for matrix, terms in ((_rand_matrix(rng, 4), 16),
+                          (np.diag([1.0, 2.0, 3.0, 4.0]), 3),
+                          (np.zeros((2, 2)), 1)):
+        rep = check_controlled_matrix(matrix)
+        assert set(rep) == {"ok", "err_discharge", "err_idle", "terms",
+                            "nodes"}
+        assert rep["ok"] and rep["terms"] == terms
+        cd = controlled_matrix(matrix)
+        assert rep["nodes"] == len(cd.diagram.nodes)
+        assert {k: rep[k] for k in ("ok", "err_discharge", "err_idle")} \
+            == verify_controlled(cd, matrix)

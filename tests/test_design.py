@@ -2,10 +2,14 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import zxwkit
 from zxwkit import graph
@@ -23,6 +27,17 @@ def _environment_reads(tree) -> list:
             hits += [node.lineno for alias in node.names
                      if alias.name in ("environ", "getenv")]
     return hits
+
+
+@pytest.mark.parametrize("module", ["zxwkit", "zxwkit.cli"])
+def test_import_leaves_scipy_linalg_unloaded(module):
+    # scipy.linalg is about half of a cold import; only the Schrodinger
+    # check and the CLI's dense-exponential comparison load it
+    code = f"import sys, {module}; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "False"
 
 
 def test_only_the_cli_reads_the_environment():

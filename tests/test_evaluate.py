@@ -262,8 +262,8 @@ def test_greedy_schedule_is_the_full_scan_on_random_circuits(circuit):
     assert np.array_equal(eval_diagram(d, order="greedy"), _min_scan_eval(d))
 
 
-# In node-id order the 4x4 controlled diagrams pass through rank-24
-# intermediates (256 MB each, seconds per run), so 2x2 ones stand in.
+# In node-id order the 4x4 controlled diagrams pass through rank-21
+# intermediates (32 MB each, 4.5e7 flops per plug), so 2x2 ones stand in.
 SEQUENTIAL_PIN_CASES = {
     **{name: make for name, make in PIN_CASES.items()
        if not name.startswith("controlled")},

@@ -1,5 +1,8 @@
 """Pauli-sum parsing, Hamiltonian encoding, commutativity, linearity."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,11 @@ from hypothesis import strategies as st
 
 from zxwkit import (DiagramError, PauliString,
                     build_diagonal_sum_diagram, build_hamiltonian_diagram,
-                    check_sum_commutativity, controlled_diagonal_factor,
-                    controlled_pauli_string, eval_diagram, oracle_matrix,
-                    parse_pauli_sum, strings_commute, verify_controlled,
+                    cayley_hamilton_diagram, check_sum_commutativity,
+                    controlled_diagonal_factor, controlled_pauli_string,
+                    diagram_from_dict, eval_diagram, oracle_matrix,
+                    parse_pauli_sum, strings_commute, structural_equal,
+                    taylor_diagram, verify_controlled,
                     verify_schrodinger_linearity)
 from zxwkit.pauli import PAULI_MATRICES, DiagonalFactorSum
 
@@ -219,3 +224,23 @@ def test_schrodinger_linearity_dimension_check():
     with pytest.raises(DiagramError):
         verify_schrodinger_linearity(h, np.ones(4), np.ones(4), 1.0, 1.0,
                                      t_grid=[0.0])
+
+
+# Pinned diagrams of one complex-coefficient sum.  The term writer is shared
+# with controlled_matrix, which fans its terms out differently; the
+# Hamiltonian routes keep their diagrams and their matrices bit for bit.
+PINNED_SUM = "0.7 XY\n-0.4 ZI\n(0.25,-0.1) IX\n0.3 YZ"
+PINNED_BUILDS = {
+    "hamiltonian": lambda h: build_hamiltonian_diagram(h)[0].diagram,
+    "taylor": lambda h: taylor_diagram(h, 3, 0.6),
+    "cayley_hamilton": lambda h: cayley_hamilton_diagram(h, 0.6),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_BUILDS))
+def test_pauli_sum_diagrams_are_pinned(name):
+    path = Path(__file__).resolve().parent / "pauli_sum_diagrams.json"
+    pinned = diagram_from_dict(json.loads(path.read_text())[name])
+    got = PINNED_BUILDS[name](parse_pauli_sum(PINNED_SUM))
+    assert structural_equal(got, pinned)
+    assert np.array_equal(eval_diagram(got), eval_diagram(pinned))
