@@ -29,6 +29,10 @@ so it is planned once (``plan_contraction``) and executed per set of labels
 (``ContractionPlan.run``): each step is compiled to the transpose, reshape
 and matrix product ``np.tensordot`` would do, so the matrices are
 bit-identical to contracting pair by pair with ``np.tensordot``.
+``plan_contraction`` keeps the plans of the last few structures it was given
+and hands the same plan out again for any diagram of one of them, whatever
+its labels: a controlled matrix of a given size, say, is planned once, not
+once per matrix.  Plans are shared, so callers treat them as read-only.
 ``ContractionPlan.run_many`` executes several sets of labels side by side and
 computes a tensor or a step again only where its inputs differ from the
 previous set's, so the idle of a controlled diagram reuses most of the
@@ -37,6 +41,7 @@ intermediates of its discharge.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import Counter
@@ -83,34 +88,44 @@ def node_tensor(node, t: Optional[float] = None) -> np.ndarray:
     raise DiagramError(f"no tensor for node kind {node.kind!r}")
 
 
-def _network(d: Diagram, cap: int):
-    """The tensors of ``d`` as (node id, edge ids) pairs, one per interior
-    node and one per boundary-to-boundary wire (node id None, a 2x2
-    identity); the self-loop traces of each node that has any, as
-    {node id: (axis1, axis2) pairs that ``np.trace`` removes, in order};
-    and the edge ids of the outputs then the inputs."""
-    if d.n_inputs + d.n_outputs > cap:
+def _structure(d: Diagram) -> tuple:
+    """What a contraction plan depends on: the edges in order, the inputs,
+    the outputs and (id, kind, ports) of each node, sorted by id."""
+    return (tuple(d.edges), tuple(d.inputs), tuple(d.outputs),
+            tuple((nid, n.kind, n.ports) for nid, n in sorted(d.nodes.items())))
+
+
+def _network(structure: tuple, cap: int):
+    """The tensors of a diagram with ``_structure`` ``structure`` as (node
+    id, edge ids) pairs, one per interior node and one per
+    boundary-to-boundary wire (node id None, a 2x2 identity); the self-loop
+    traces of each node that has any, as {node id: (axis1, axis2) pairs
+    that ``np.trace`` removes, in order}; and the edge ids of the outputs
+    then the inputs."""
+    edges, inputs, outputs, nodes = structure
+    if len(inputs) + len(outputs) > cap:
         raise CapExceeded(
-            f"{d.n_inputs + d.n_outputs} open wires exceed cap {cap}")
+            f"{len(inputs) + len(outputs)} open wires exceed cap {cap}")
 
     port_edge: dict = {}
     next_id = 0
-    for e in d.edges:
+    for e in edges:
         for end in e:
             port_edge[end] = next_id
         next_id += 1
 
     tensors: list = []
     loops: dict = {}
+    boundary: set = set()
     boundary_kinds = (IN, OUT)
-    for nid in sorted(d.nodes):
-        node = d.nodes[nid]
-        if node.kind in boundary_kinds:
+    for nid, kind, ports in nodes:
+        if kind in boundary_kinds:
+            boundary.add(nid)
             continue
-        if node.ports > cap:
+        if ports > cap:
             raise CapExceeded(
-                f"node {nid} has {node.ports} legs, cap is {cap}")
-        ids = [port_edge[(nid, p)] for p in range(node.ports)]
+                f"node {nid} has {ports} legs, cap is {cap}")
+        ids = [port_edge[(nid, p)] for p in range(ports)]
         while len(ids) != len(set(ids)):
             dup = next(i for i in ids if ids.count(i) > 1)
             ax = [k for k, i in enumerate(ids) if i == dup]
@@ -118,17 +133,17 @@ def _network(d: Diagram, cap: int):
             ids = [i for k, i in enumerate(ids) if k not in ax]
         tensors.append((nid, ids))
 
-    for e in d.edges:
+    for e in edges:
         (a, pa), (bb, pb) = e
-        if d.nodes[a].kind in boundary_kinds and d.nodes[bb].kind in boundary_kinds:
+        if a in boundary and bb in boundary:
             ia, ib = next_id, next_id + 1
             next_id += 2
             port_edge[(a, pa)] = ia
             port_edge[(bb, pb)] = ib
             tensors.append((None, [ia, ib]))
 
-    external = [port_edge[(nid, 0)] for nid in d.outputs] + \
-               [port_edge[(nid, 0)] for nid in d.inputs]
+    external = [port_edge[(nid, 0)] for nid in outputs] + \
+               [port_edge[(nid, 0)] for nid in inputs]
     return tensors, loops, external
 
 
@@ -230,10 +245,7 @@ class ContractionPlan:
     of all steps, all known before anything is allocated.
     """
 
-    nodes: dict = field(repr=False)    # node id -> (kind, ports)
-    edges: list = field(repr=False)
-    inputs: list
-    outputs: list
+    structure: tuple = field(repr=False)   # ``_structure`` of the diagram
     tensors: list        # node id per tensor, None for a boundary wire
     loops: dict          # node id -> self-loop traces, for nodes with any
     steps: list          # (i, j, perm_a, shape_a, perm_b, shape_b, out_shape)
@@ -244,11 +256,7 @@ class ContractionPlan:
     flops: int
 
     def _fits(self, d: Diagram) -> bool:
-        nodes = self.nodes
-        return (d.edges == self.edges and d.inputs == self.inputs
-                and d.outputs == self.outputs and len(d.nodes) == len(nodes)
-                and all(nodes.get(nid) == (n.kind, n.ports)
-                        for nid, n in d.nodes.items()))
+        return _structure(d) == self.structure
 
     def run(self, d: Diagram, t: Optional[float] = None) -> np.ndarray:
         """Evaluate ``d``, resolving ``PhaseVar`` labels at ``t``."""
@@ -303,11 +311,24 @@ def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP,
     ``cap`` bounds the open wires and the legs of any one node.  ``order``
     picks the schedule: "greedy" (default) or "sequential" (node-id order,
     each tensor contracted into the running result).  Disconnected
-    components are multiplied out as outer products, left to right.
+    components are multiplied out as outer products, left to right.  A
+    diagram with the structure of one planned recently gets that same plan
+    back, so the plan is shared and must not be changed.
+    """
+    return _plan(_structure(d), cap, order)
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(structure: tuple, cap: int, order: str) -> ContractionPlan:
+    """``plan_contraction`` of a diagram with ``_structure`` ``structure``.
+
+    The plans of the last few structures are kept and handed out again, so
+    each is shared by every caller that plans that structure; errors are
+    raised on every call and never kept.
     """
     if order not in ("greedy", "sequential"):
         raise DiagramError(f"unknown contraction order {order!r}")
-    tensors, loops, external = _network(d, cap)
+    tensors, loops, external = _network(structure, cap)
     ids = [tids for _, tids in tensors]
     steps, perm = [], []
     if ids:
@@ -317,11 +338,10 @@ def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP,
             raise DiagramError("internal error: contraction left stray indices")
         perm = [out.index(e) for e in external]
     peak = max((len(so) for *_, so in steps), default=0)
+    _, inputs, outputs, _ = structure
     return ContractionPlan(
-        {nid: (n.kind, n.ports) for nid, n in d.nodes.items()},
-        list(d.edges), list(d.inputs), list(d.outputs),
-        [nid for nid, _ in tensors], loops, steps, perm,
-        (2 ** d.n_outputs, 2 ** d.n_inputs), peak, 16 * 2 ** peak,
+        structure, [nid for nid, _ in tensors], loops, steps, perm,
+        (2 ** len(outputs), 2 ** len(inputs)), peak, 16 * 2 ** peak,
         sum(sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in steps))
 
 
@@ -332,8 +352,9 @@ def eval_diagram(d: Diagram, t: Optional[float] = None,
     ``cap`` bounds the open wires and the legs of any one node.  ``order``
     picks the contraction schedule: "greedy" (default) or "sequential"
     (node-id order); both give the same matrix to float round-off, which
-    the tests pin down.  To evaluate one structure several times, with
-    other labels or at other ``t``, plan it once with ``plan_contraction``.
+    the tests pin down.  The plan comes from ``plan_contraction``, so
+    evaluating a recently planned structure again, with other labels or at
+    another ``t``, does not plan it again.
     """
     return plan_contraction(d, cap, order).run(d, t)
 

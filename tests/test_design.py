@@ -174,6 +174,24 @@ def test_controlled_matrix_builds_one_diagram(monkeypatch):
     assert counts == [1, 1, 1]
 
 
+def test_one_plan_per_controlled_matrix_size(monkeypatch):
+    # a dense m-qubit matrix writes all 4^m Pauli terms, and the terms'
+    # coefficients are only labels, so a set of 2x2 and 4x4 requests (in
+    # a shuffled order) plans two structures; the cache adds no knob
+    from zxwkit import evaluate
+    calls = []
+    real = evaluate._schedule
+    monkeypatch.setattr(evaluate, "_schedule",
+                        lambda *args: calls.append(1) or real(*args))
+    rng = np.random.default_rng(5)
+    for dim in rng.permutation([2] * 5 + [4] * 8):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert zxwkit.verify_controlled(zxwkit.controlled_matrix(m), m)["ok"]
+    assert len(calls) == 2
+    assert list(inspect.signature(zxwkit.plan_contraction).parameters) == [
+        "d", "cap", "order"]
+
+
 def _compose_seq_refs(tree) -> list:
     hits = []
     for node in ast.walk(tree):

@@ -150,7 +150,8 @@ def _contract_pair(a: np.ndarray, ids_a: list, b: np.ndarray, ids_b: list):
 
 def _reference_network(d):
     """The (array, edge ids) tensors of ``d`` and its external edge ids."""
-    tensors, loops, external = evaluate._network(d, evaluate.DEFAULT_CAP)
+    tensors, loops, external = evaluate._network(evaluate._structure(d),
+                                                 evaluate.DEFAULT_CAP)
     return ([(evaluate._tensor(d, nid, loops, None), ids)
              for nid, ids in tensors], external)
 
@@ -403,6 +404,74 @@ def test_one_plan_sweeps_time():
     plan = plan_contraction(d)
     for t in (-0.7, 0.0, 0.25, 1.9):
         assert np.array_equal(plan.run(d, t), eval_diagram(resolve_time(d, t)))
+
+
+def _fresh_plan(d, cap=evaluate.DEFAULT_CAP, order="greedy"):
+    """``plan_contraction(d, cap, order)`` planned anew, past the cache."""
+    return evaluate._plan.__wrapped__(evaluate._structure(d), cap, order)
+
+
+def test_one_structure_is_planned_once():
+    # two random matrices of one size write the same Pauli terms with
+    # other coefficients: one structure, other labels
+    rng = np.random.default_rng(7)
+    a, b = _controlled().discharge(), controlled_matrix(
+        rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))).discharge()
+    plan = plan_contraction(a)
+    assert plan_contraction(b) is plan
+    fresh = _fresh_plan(b)
+    assert fresh is not plan and fresh.steps == plan.steps
+    assert np.array_equal(eval_diagram(b), fresh.run(b))
+    assert np.array_equal(plan.run(a), _fresh_plan(a).run(a))
+    assert evaluate._plan.cache_info()[:2] == (2, 1)
+
+
+def test_plans_are_kept_per_cap_order_and_structure():
+    d = _controlled(2).discharge()
+    plan = plan_contraction(d)
+    others = [plan_contraction(d, cap=evaluate.DEFAULT_CAP + 1),
+              plan_contraction(d, order="sequential"),
+              plan_contraction(_rewired(d)),
+              plan_contraction(controlled_matrix(np.eye(2)).discharge())]
+    assert plan_contraction(d) is plan
+    assert len({id(p) for p in [plan] + others}) == 5
+    assert evaluate._plan.cache_info().currsize == 5
+
+
+def test_plan_errors_are_never_kept():
+    d = _controlled().discharge()
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            plan_contraction(d, cap=3)
+        with pytest.raises(DiagramError):
+            plan_contraction(d, order="random")
+    assert evaluate._plan.cache_info().currsize == 0
+
+
+def test_a_diagram_changed_after_planning_leaves_its_plan_alone():
+    d = _controlled().discharge()
+    plan = plan_contraction(d)
+    want = plan.run(d)
+    d.edges[:] = _rewired(d).edges
+    other = plan_contraction(d)
+    assert other is not plan
+    assert np.array_equal(other.run(d), _fresh_plan(d).run(d))
+    again = _controlled().discharge()
+    assert plan_contraction(again) is plan
+    assert np.array_equal(plan.run(again), want)
+
+
+def test_the_plan_cache_drops_the_least_recently_used():
+    bound = evaluate._plan.cache_info().maxsize
+    diagrams = [zbox_diagram(0.5, 1, k) for k in range(bound + 1)]
+    plans = [plan_contraction(d) for d in diagrams[:bound]]
+    assert plan_contraction(diagrams[0]) is plans[0]
+    plans.append(plan_contraction(diagrams[bound]))
+    assert evaluate._plan.cache_info().currsize == bound
+    # diagrams[1] was the least recently used: it went, the others stay
+    assert all(plan_contraction(d) is p for d, p in zip(diagrams, plans)
+               if d is not diagrams[1])
+    assert plan_contraction(diagrams[1]) is not plans[1]
 
 
 # --- property test: random generator circuits against kron/matmul ---------
