@@ -695,7 +695,7 @@ def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
     out.inputs.remove(target)
     base = max(out.nodes) + 1 if out.nodes else 0
     # pink state expansion: ZBox(exp(i tau)) - H - wire, plus scalar 1/sqrt(2)
-    centre = Node(base, ZBOX, 1, cmath.exp(1j * math.pi) if bit else 1.0 + 0j,
+    centre = Node(base, ZBOX, 1, -1.0 + 0j if bit else 1.0 + 0j,
                   "basis")
     h = Node(base + 1, HAD, 2, tag="basis")
     scale = Node(base + 2, ZBOX, 0, 2.0 ** -0.5 - 1.0, "basis")

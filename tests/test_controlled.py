@@ -346,6 +346,12 @@ def test_controlled_matrix_edge_cases(case):
         assert rep["err_idle"] == 0.0
 
 
+def test_zero_matrix_discharges_to_exactly_zero():
+    # its one term has weight 0, and the plugged |1> has no |0> part, so
+    # the discharge carries none of the idle
+    assert check_controlled_matrix(np.zeros((4, 4)))["err_discharge"] == 0.0
+
+
 def test_check_controlled_matrix_reports_terms():
     rng = np.random.default_rng(5)
     for matrix, terms in ((_rand_matrix(rng, 4), 16),
