@@ -320,12 +320,8 @@ def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP,
 
 @functools.lru_cache(maxsize=8)
 def _plan(structure: tuple, cap: int, order: str) -> ContractionPlan:
-    """``plan_contraction`` of a diagram with ``_structure`` ``structure``.
-
-    The plans of the last few structures are kept and handed out again, so
-    each is shared by every caller that plans that structure; errors are
-    raised on every call and never kept.
-    """
+    """``plan_contraction`` of a diagram with ``_structure`` ``structure``;
+    an error propagates and is never kept."""
     if order not in ("greedy", "sequential"):
         raise DiagramError(f"unknown contraction order {order!r}")
     tensors, loops, external = _network(structure, cap)
