@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import zxwkit
-from zxwkit import graph
+from zxwkit import evaluate, graph
 
 PACKAGE = Path(zxwkit.__file__).resolve().parent
 
@@ -178,7 +178,6 @@ def test_one_plan_per_controlled_matrix_size(monkeypatch):
     # a dense m-qubit matrix writes all 4^m Pauli terms, and the terms'
     # coefficients are only labels, so a set of 2x2 and 4x4 requests (in
     # a shuffled order) plans two structures; the cache adds no knob
-    from zxwkit import evaluate
     calls = []
     real = evaluate._schedule
     monkeypatch.setattr(evaluate, "_schedule",
