@@ -37,6 +37,15 @@ once per matrix.  Plans are shared, so callers treat them as read-only.
 computes a tensor or a step again only where its inputs differ from the
 previous set's, so the idle of a controlled diagram reuses most of the
 intermediates of its discharge.
+
+The greedy order contracts a diagram's ``regions`` (the sub-diagrams
+``splice`` copied in: a Trotter chain's gadgets, a series' copies of H)
+first, each into one tensor by its template's steps, then runs over the
+region tensors, the other nodes and the boundary wires.  A template (a
+region's layout) is planned once however many regions share it: a 32-step
+Trotter chain plans two small templates and 161 tensors, not 1447.  A
+region whose template and labels equal an earlier region's takes its
+tensor, so a Trotter step's gadgets are computed once per run.
 """
 
 from __future__ import annotations
@@ -90,9 +99,11 @@ def node_tensor(node, t: Optional[float] = None) -> np.ndarray:
 
 def _structure(d: Diagram) -> tuple:
     """What a contraction plan depends on: the edges in order, the inputs,
-    the outputs and (id, kind, ports) of each node, sorted by id."""
+    the outputs, (id, kind, ports) of each node, sorted by id, and the
+    regions."""
     return (tuple(d.edges), tuple(d.inputs), tuple(d.outputs),
-            tuple((nid, n.kind, n.ports) for nid, n in sorted(d.nodes.items())))
+            tuple((nid, n.kind, n.ports) for nid, n in sorted(d.nodes.items())),
+            tuple(map(tuple, d.regions)))
 
 
 def _network(structure: tuple, cap: int):
@@ -102,7 +113,7 @@ def _network(structure: tuple, cap: int):
     traces of each node that has any, as {node id: (axis1, axis2) pairs
     that ``np.trace`` removes, in order}; and the edge ids of the outputs
     then the inputs."""
-    edges, inputs, outputs, nodes = structure
+    edges, inputs, outputs, nodes, _ = structure
     if len(inputs) + len(outputs) > cap:
         raise CapExceeded(
             f"{len(inputs) + len(outputs)} open wires exceed cap {cap}")
@@ -230,6 +241,63 @@ def _schedule(ids: list, greedy: bool) -> list:
     return steps
 
 
+def _fold(structure: tuple, tensors: list, loops: dict):
+    """Fold the tensors of ``_network`` that each region holds into one.
+
+    Returns the tensors in the order of their first node, a region as
+    ((template number, first node id), the edge ids of its open legs in
+    the order its template leaves them), and the templates as (node count,
+    steps).  A template is planned once per layout, which is all its
+    schedule depends on: the edges of each of the region's nodes, numbered
+    by first appearance, and the nodes' self-loops.
+    """
+    top, templates, planned = [], [], {}
+    pos = stop = 0
+    for start, end in sorted(structure[4]):
+        if end <= start or start < stop:
+            raise DiagramError(f"region {(start, end)} is empty or overlaps "
+                               "another")
+        stop = end
+        while (pos < len(tensors) and tensors[pos][0] is not None
+               and tensors[pos][0] < start):
+            top.append(tensors[pos])
+            pos += 1
+        run = tensors[pos:pos + stop - start]
+        if (len(run) < stop - start or run[0][0] != start
+                or run[-1][0] != stop - 1):
+            raise DiagramError(f"region {(start, stop)} names a node that "
+                               "is not an interior node of the diagram")
+        pos += stop - start
+        number: dict = {}
+        local = [[number.setdefault(e, len(number)) for e in ids]
+                 for _, ids in run]
+        key = (tuple(map(tuple, local)),
+               tuple(map(loops.get, range(start, stop))) if loops else ())
+        k = planned.setdefault(key, len(templates))
+        if k == len(templates):
+            templates.append((len(run), _schedule(local, True), local[-1]))
+        edge = list(number)
+        top.append(((k, start), [edge[e] for e in templates[k][2]]))
+    return top + tensors[pos:], [(n, steps) for n, steps, _ in templates]
+
+
+def _execute(steps: list, pool: list) -> None:
+    """Run ``steps`` on every list of arrays in ``pool``, each step
+    appending its result.  A step whose two inputs are the previous list's
+    arrays takes that list's result (the same ``np.dot`` on the same arrays
+    gives the same bits)."""
+    for i, j, pa, sa, pb, sb, so in steps:
+        done_a = done_b = None
+        for arrs in pool:
+            a, b = arrs[i], arrs[j]
+            arrs[i] = arrs[j] = None
+            if a is not done_a or b is not done_b:
+                done_a, done_b = a, b
+                ab = np.dot(a.transpose(pa).reshape(sa),
+                            b.transpose(pb).reshape(sb)).reshape(so)
+            arrs.append(ab)
+
+
 @dataclass(frozen=True)
 class ContractionPlan:
     """A contraction schedule compiled from a diagram's structure alone.
@@ -239,16 +307,20 @@ class ContractionPlan:
     ``PhaseVar`` diagram at several times; ``run_many`` evaluates several
     at once and shares the work their labels leave alike.  The structure is
     the node ids with their kinds and port counts, the edge list (in order:
-    the plan numbers edges by position) and the boundaries.  ``peak_rank``
-    is the rank of the largest intermediate the steps make (0 without
-    steps), ``peak_bytes`` its size and ``flops`` the complex multiply-adds
-    of all steps, all known before anything is allocated.
+    the plan numbers edges by position), the boundaries and the regions.
+    ``peak_rank`` is the rank of the largest intermediate the steps make (0
+    without steps), ``peak_bytes`` its size and ``flops`` the complex
+    multiply-adds of all steps, all known before anything is allocated; the
+    steps are the top-level ones and each region's template steps, counted
+    once per region as if no two regions shared a tensor.
     """
 
     structure: tuple = field(repr=False)   # ``_structure`` of the diagram
-    tensors: list        # node id per tensor, None for a boundary wire
+    tensors: list        # node id per tensor, None for a boundary wire,
+                         # (template number, first node id) for a region
     loops: dict          # node id -> self-loop traces, for nodes with any
     steps: list          # (i, j, perm_a, shape_a, perm_b, shape_b, out_shape)
+    templates: list      # (node count, steps) per region template
     perm: list           # axes of the last tensor in (outputs, inputs) order
     shape: tuple         # (2^outputs, 2^inputs)
     peak_rank: int
@@ -269,30 +341,41 @@ class ContractionPlan:
         Every structure is checked before any tensor is made.  A node whose
         label equals the previous diagram's shares its tensor, and a step
         whose two inputs are the previous diagram's arrays shares its result
-        (the same ``np.dot`` on the same arrays gives the same bits).
+        (the same ``np.dot`` on the same arrays gives the same bits).  A
+        region whose template and labels equal an earlier region's, in this
+        diagram or an earlier one, shares that region's tensor.
         """
         if not all(map(self._fits, diagrams)):
             raise DiagramError(
                 "diagram does not have the structure the plan was made for")
         if not self.tensors:
             return [np.ones((1, 1), dtype=complex) for _ in diagrams]
-        pool = [[_tensor(d, nid, self.loops, t) for nid in self.tensors]
-                for d in diagrams[:1]]
-        for before, d in zip(diagrams, diagrams[1:]):
-            pool.append([a if nid is None
-                         or d.nodes[nid].label == before.nodes[nid].label
-                         else _tensor(d, nid, self.loops, t)
-                         for nid, a in zip(self.tensors, pool[-1])])
-        for i, j, pa, sa, pb, sb, so in self.steps:
-            done_a = done_b = None
-            for arrs in pool:
-                a, b = arrs[i], arrs[j]
-                arrs[i] = arrs[j] = None
-                if a is not done_a or b is not done_b:
-                    done_a, done_b = a, b
-                    ab = np.dot(a.transpose(pa).reshape(sa),
-                                b.transpose(pb).reshape(sb)).reshape(so)
-                arrs.append(ab)
+        made: dict = {}
+
+        def region(d, k, first):
+            n, steps = self.templates[k]
+            nids = range(first, first + n)
+            key = (k, tuple(d.nodes[nid].label for nid in nids))
+            if key not in made:
+                arrs = [_tensor(d, nid, self.loops, t) for nid in nids]
+                _execute(steps, [arrs])
+                made[key] = arrs[-1]
+            return made[key]
+
+        pool: list = []
+        for before, d in zip([None] + diagrams, diagrams):
+            arrs = []
+            for pos, nid in enumerate(self.tensors):
+                if type(nid) is tuple:
+                    arrs.append(region(d, *nid))
+                elif before is not None and (
+                        nid is None
+                        or d.nodes[nid].label == before.nodes[nid].label):
+                    arrs.append(pool[-1][pos])
+                else:
+                    arrs.append(_tensor(d, nid, self.loops, t))
+            pool.append(arrs)
+        _execute(self.steps, pool)
         out: list = []
         for k, arrs in enumerate(pool):
             # equal results are copied, so that no two share memory
@@ -311,9 +394,12 @@ def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP,
     ``cap`` bounds the open wires and the legs of any one node.  ``order``
     picks the schedule: "greedy" (default) or "sequential" (node-id order,
     each tensor contracted into the running result).  Disconnected
-    components are multiplied out as outer products, left to right.  A
-    diagram with the structure of one planned recently gets that same plan
-    back, so the plan is shared and must not be changed.
+    components are multiplied out as outer products, left to right.  The
+    greedy order contracts ``d.regions`` first (see the module docstring);
+    an empty or overlapping region, or one naming a node that is not an
+    interior node of ``d``, raises ``DiagramError``.  A diagram with the
+    structure (regions included) of one planned recently gets that same
+    plan back, so the plan is shared and must not be changed.
     """
     return _plan(_structure(d), cap, order)
 
@@ -325,6 +411,9 @@ def _plan(structure: tuple, cap: int, order: str) -> ContractionPlan:
     if order not in ("greedy", "sequential"):
         raise DiagramError(f"unknown contraction order {order!r}")
     tensors, loops, external = _network(structure, cap)
+    templates: list = []
+    if order == "greedy" and structure[4]:
+        tensors, templates = _fold(structure, tensors, loops)
     ids = [tids for _, tids in tensors]
     steps, perm = [], []
     if ids:
@@ -333,12 +422,15 @@ def _plan(structure: tuple, cap: int, order: str) -> ContractionPlan:
         if sorted(out) != sorted(external):
             raise DiagramError("internal error: contraction left stray indices")
         perm = [out.index(e) for e in external]
-    peak = max((len(so) for *_, so in steps), default=0)
-    _, inputs, outputs, _ = structure
+    # every region runs its template's steps once, unless it shares them
+    done = steps + [step for nid, _ in tensors if type(nid) is tuple
+                    for step in templates[nid[0]][1]]
+    peak = max((len(so) for *_, so in done), default=0)
+    _, inputs, outputs, _, _ = structure
     return ContractionPlan(
-        structure, [nid for nid, _ in tensors], loops, steps, perm,
-        (2 ** len(outputs), 2 ** len(inputs)), peak, 16 * 2 ** peak,
-        sum(sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in steps))
+        structure, [nid for nid, _ in tensors], loops, steps, templates,
+        perm, (2 ** len(outputs), 2 ** len(inputs)), peak, 16 * 2 ** peak,
+        sum(sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in done))
 
 
 def eval_diagram(d: Diagram, t: Optional[float] = None,

@@ -36,7 +36,7 @@ def resolve_time(d: Diagram, t: float) -> Diagram:
             lab = lab.resolve(t)
         nodes[nid] = Node(n.id, n.kind, n.ports, lab, n.tag)
     return Diagram(nodes, [tuple(e) for e in d.edges],
-                   list(d.inputs), list(d.outputs))
+                   list(d.inputs), list(d.outputs), list(d.regions))
 
 
 @dataclass

@@ -68,12 +68,18 @@ class Diagram:
     ``nodes`` maps id -> Node, ``edges`` is a list of port-ref pairs, and
     ``inputs``/``outputs`` list boundary node ids in wire order.  Mutate only
     through the constructors in this module; rewrites copy first.
+
+    ``regions`` lists the (start, stop) node-id range of each sub-diagram
+    ``splice`` copied in, which the contraction planner plans once per
+    layout (see ``evaluate``).  JSON and ``structural_equal`` ignore them,
+    and operations that renumber or rewrite nodes drop them.
     """
 
     nodes: dict = field(default_factory=dict)
     edges: list = field(default_factory=list)
     inputs: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
+    regions: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def n_inputs(self) -> int:
@@ -89,7 +95,8 @@ class Diagram:
             for nid, n in self.nodes.items()
         }
         return Diagram(nodes, [tuple(e) for e in self.edges],
-                       list(self.inputs), list(self.outputs))
+                       list(self.inputs), list(self.outputs),
+                       list(self.regions))
 
     def is_symbolic(self) -> bool:
         """True when any ZBox label still depends on the time parameter."""
@@ -191,6 +198,7 @@ class Builder:
         self._outputs: list = []
         self._next = 0
         self._used: set = set()   # wired (node id, port) refs
+        self._regions: list = []  # node-id ranges ``splice`` wrote
 
     def _new(self, kind: str, ports: int, label=None, tag=None) -> int:
         nid = self._next
@@ -247,7 +255,8 @@ class Builder:
         self._used.add(b)
 
     def build(self) -> Diagram:
-        d = Diagram(self._nodes, self._edges, self._inputs, self._outputs)
+        d = Diagram(self._nodes, self._edges, self._inputs, self._outputs,
+                    self._regions)
         problems = validate(d)
         if problems:
             raise DiagramError("; ".join(problems))
@@ -627,10 +636,13 @@ def splice(b: Builder, sub: Diagram, in_refs) -> list:
     leads to.  A plain wire hands back its input's ref, and a cup joins two
     of the caller's refs.  Only a cap needs a node: a two-legged label-1
     ZBox (an exact plain wire) whose two legs the two outputs hand back.
+    The ids of the nodes written, which are consecutive, are recorded as
+    one of ``b``'s regions; the sub-diagram's own regions are not kept.
     """
     if len(in_refs) != sub.n_inputs:
         raise DiagramError(f"splice needs {sub.n_inputs} input refs, "
                            f"got {len(in_refs)}")
+    first = b._next
     mapping = {}
     for nid, n in sub.nodes.items():
         if n.kind == ZBOX:
@@ -661,6 +673,8 @@ def splice(b: Builder, sub: Diagram, in_refs) -> list:
             out_refs[eb[0]] = ref(ea)
         else:
             b.wire(ref(ea), ref(eb))
+    if b._next > first:
+        b._regions.append((first, b._next))
     return [out_refs[o] for o in sub.outputs]
 
 

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from zxwkit import (ControlledDiagram, DiagramError, ElementaryMatrixSpec,
+from zxwkit import (ControlledDiagram, Diagram, DiagramError,
+                    ElementaryMatrixSpec,
                     PauliString, check_controlled_matrix,
                     controlled_elementary, controlled_identity,
                     controlled_matrix, controlled_product,
@@ -215,21 +216,38 @@ def _fold_cases():
     }
 
 
+def _region_free(cd):
+    d = cd.diagram
+    return ControlledDiagram(Diagram(d.nodes, d.edges, d.inputs, d.outputs),
+                             cd.kind, cd.m)
+
+
 @pytest.mark.parametrize("case", sorted(_fold_cases()))
 def test_controlled_matrix_is_the_fold_construction(case):
     # the elementary construction of a matrix is the fold reference,
-    # diagram for diagram and bit for bit
+    # diagram for diagram; both splice one region per elementary, so the
+    # matrices are equal bit for bit without the regions, and to round-off
+    # when they are planned first
     for matrix in _fold_cases()[case]:
         specs = decompose_elementary(matrix)
         elementaries = [controlled_elementary(s) for s in specs]
         ref = fold_matrix(matrix)
         got = controlled_product(elementaries, m=ref.m)
         assert structural_equal(got.diagram, ref.diagram)
+        assert got.diagram.regions == ref.diagram.regions
+        ref = _region_free(ref)
         for plug in ("discharge", "idle"):
-            assert np.array_equal(eval_diagram(getattr(got, plug)()),
-                                  eval_diagram(getattr(ref, plug)()))
-        assert verify_controlled(got, matrix) == \
-            verify_controlled(ref, matrix)
+            want = eval_diagram(getattr(ref, plug)())
+            assert np.array_equal(
+                eval_diagram(getattr(_region_free(got), plug)()), want)
+            assert np.abs(eval_diagram(getattr(got, plug)())
+                          - want).max() <= 1e-13
+        want = verify_controlled(ref, matrix)
+        assert verify_controlled(_region_free(got), matrix) == want
+        rep = verify_controlled(got, matrix)
+        assert rep["ok"] == want["ok"]
+        for err in ("err_discharge", "err_idle"):
+            assert abs(rep[err] - want[err]) <= 1e-13
         for spec, cd in zip(specs, elementaries):
             folded = fold_elementary(spec)
             for plug in ("discharge", "idle"):
@@ -246,6 +264,12 @@ def _verify_plug_by_plug(cd, matrix, tol=1e-9):
                                 - np.eye(len(matrix)))))
     return {"ok": err_d <= tol and err_i <= tol,
             "err_discharge": err_d, "err_idle": err_i}
+
+
+def _region_free(cd):
+    d = cd.diagram
+    return ControlledDiagram(Diagram(d.nodes, d.edges, d.inputs, d.outputs),
+                             cd.kind, cd.m)
 
 
 @pytest.mark.parametrize("case", sorted(_fold_cases()))

@@ -2,10 +2,12 @@
 
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -290,3 +292,27 @@ def test_name_check_sees_references():
     tree = ast.parse("from .graph import splice\nx = graph.attach_and\n"
                      "y = attach_v\n")
     assert _names(tree) >= {"splice", "attach_and", "attach_v"}
+
+
+def test_a_trotter_chain_plans_and_computes_each_gadget_once(monkeypatch):
+    # a 32-step chain splices five gadgets per step; the two XX gadgets
+    # share a layout and an angle, and so do the three Z gadgets
+    h = zxwkit.parse_pauli_sum("1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n"
+                               "-1.0 IIZ")
+    d = zxwkit.trotter_diagram(h, 32, 0.5)
+    planned, made = [], []
+    schedule, tensor = evaluate._schedule, evaluate._tensor
+    monkeypatch.setattr(evaluate, "_schedule", lambda ids, greedy: (
+        planned.append(len(ids)) or schedule(ids, greedy)))
+    monkeypatch.setattr(evaluate, "_tensor", lambda d, nid, *args: (
+        made.append(nid) or tensor(d, nid, *args)))
+    plan = zxwkit.plan_contraction(d)
+    assert sorted(planned) == [7, 12, 161]
+    plan.run(d)
+    region_of = {nid: r for r in d.regions for nid in range(*r)}
+    per_region = Counter(region_of.get(nid) for nid in made)
+    assert per_region.pop(None) == 1    # the phase box, in no region
+    assert sorted(per_region.values()) == [7, 12]
+    assert list(inspect.signature(zxwkit.plan_contraction).parameters) == [
+        "d", "cap", "order"]
+    assert "regions" not in json.loads(zxwkit.diagram_to_json(d))

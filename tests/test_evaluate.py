@@ -5,19 +5,23 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zxwkit import (Builder, CapExceeded, DiagramError, PhaseVar,
-                    build_hamiltonian_diagram, cayley_hamilton_diagram,
+from zxwkit import (Builder, CapExceeded, Diagram, DiagramError, PhaseVar,
+                    build_hamiltonian_diagram, cap, cayley_hamilton_diagram,
                     commuting_exponential, compose_par, compose_seq,
                     controlled_matrix, controlled_state_normal_form,
-                    controlled_sum_states, equal_up_to_scalar, eval_diagram,
+                    controlled_sum_states, cup, diagram_from_json,
+                    diagram_to_json, equal_up_to_scalar, eval_diagram,
                     hadamard_diagram, identity, matrices_close,
-                    parse_pauli_sum, plan_contraction, resolve_time, scalar_of,
-                    simplify_basic, taylor_diagram, trotter_diagram, triangle,
-                    w_diagram, zbox_diagram)
+                    parse_pauli_sum, plan_contraction, plug_basis,
+                    resolve_time, scalar_of, simplify_basic, taylor_diagram,
+                    transpose_diagram, trotter_diagram, triangle, w_diagram,
+                    zbox_diagram)
 from zxwkit import evaluate
+from zxwkit.graph import splice
 
-from circuit_strategies import circuits
+from circuit_strategies import LABELS, circuits
 
 HAM5 = "1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n-1.0 IIZ"
 # the largest of hamiltonian_mix's small requests: 3 qubits, 6 terms
@@ -250,10 +254,21 @@ PIN_CASES = {
 }
 
 
+def _region_free(d):
+    return Diagram(d.nodes, d.edges, d.inputs, d.outputs)
+
+
 @pytest.mark.parametrize("name", list(PIN_CASES))
 def test_greedy_schedule_is_pinned(name):
+    # the flat greedy bit for bit; the spliced builds (one region per
+    # gadget or copy of H) plan their regions first, equal to round-off
     d = PIN_CASES[name]()
-    assert np.array_equal(eval_diagram(d, order="greedy"), _min_scan_eval(d))
+    want = _min_scan_eval(d)
+    assert bool(d.regions) == (name in ("cayley_hamilton", "trotter16",
+                                        "taylor4"))
+    assert np.array_equal(eval_diagram(_region_free(d), order="greedy"),
+                          want)
+    assert np.abs(eval_diagram(d, order="greedy") - want).max() <= 1e-13
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -484,3 +499,173 @@ def test_greedy_matches_sequential_and_dense_oracle(circuit):
     greedy = eval_diagram(d, order="greedy")
     assert matrices_close(greedy, eval_diagram(d, order="sequential"), 1e-10)
     assert matrices_close(greedy, want, 1e-10)
+
+
+# --- regions: spliced sub-diagrams contracted region first ----------------
+
+T = 0.37   # the time PhaseVar labels resolve at in the region tests
+
+
+def _loop_box(a):
+    """1 -> 1 Z box labelled ``a`` with a self-loop: diag(1, a)."""
+    b = Builder()
+    box = b.zbox(a)
+    b.wire(b.input(), b.leg(box))
+    b.wire(b.leg(box), b.leg(box))
+    b.wire(b.leg(box), b.output())
+    return b.build()
+
+
+@st.composite
+def _piece(draw, width):
+    """A sub-diagram on ``width`` input wires with its dense matrix at T:
+    a random circuit, a cap or a cup on the last wires, a self-loop box or
+    a PhaseVar box on the first, a 0-leg scalar, or plain wires."""
+    kinds = ["circuit", "scalar", "wire"]
+    kinds += ["cap"] if width <= 1 else []
+    kinds += ["cup"] if width >= 2 else []
+    kinds += ["loop", "phase"] if width >= 1 else []
+    kind = draw(st.sampled_from(kinds))
+    eye = np.eye(2 ** width, dtype=complex)
+    if kind == "circuit":
+        return draw(circuits(width))
+    if kind == "scalar":
+        c = draw(LABELS)
+        return compose_par(identity(width), scalar_of(c)), c * eye
+    if kind == "wire":
+        return identity(width), eye
+    if kind == "cap":
+        return (compose_par(identity(width), cap()),
+                np.kron(eye, np.array([[1], [0], [0], [1]])))
+    if kind == "cup":
+        return (compose_par(identity(width - 2), cup()),
+                np.kron(np.eye(2 ** (width - 2)), np.array([[1, 0, 0, 1]])))
+    rest = np.eye(2 ** (width - 1))
+    if kind == "loop":
+        a = draw(LABELS)
+        return (compose_par(_loop_box(a), identity(width - 1)),
+                np.kron(np.diag([1, a]), rest))
+    slope = draw(st.floats(-3.0, 3.0))
+    return (compose_par(zbox_diagram(PhaseVar(slope), 1, 1),
+                        identity(width - 1)),
+            np.kron(np.diag([1, np.exp(1j * slope * T)]), rest))
+
+
+@st.composite
+def _spliced_chains(draw):
+    """Sub-diagrams spliced one after another into one Builder, a piece
+    that keeps its width up to three times in a row, with the chain's
+    dense matrix at T."""
+    width = draw(st.integers(1, 2))
+    b = Builder()
+    data = [b.input() for _ in range(width)]
+    want = np.eye(2 ** width, dtype=complex)
+    for _ in range(draw(st.integers(1, 4))):
+        sub, mat = draw(_piece(len(data)))
+        repeats = 1
+        if sub.n_inputs == sub.n_outputs:
+            repeats = draw(st.integers(1, 3))
+        for _ in range(repeats):
+            data = splice(b, sub, data)
+            want = mat @ want
+    for ref in data:
+        b.wire(ref, b.output())
+    return b.build(), want
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_spliced_chains())
+def test_regions_contract_to_the_flat_matrix_and_the_oracle(chain):
+    d, want = chain
+    plan = plan_contraction(d)
+    got = plan.run(d, T)
+    assert matrices_close(got, eval_diagram(_region_free(d), t=T), 1e-12)
+    assert matrices_close(got, want, 1e-12)
+    assert np.array_equal(plan.run_many([d, d], T)[1], got)
+
+
+def test_a_trotter_step_is_planned_as_its_gadgets():
+    d = trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7)
+    plan = plan_contraction(d)
+    # five gadgets a step, one tensor each, and the phase box
+    assert len(d.regions) == 40 and len(plan.tensors) == 41
+    assert len(plan.steps) == 40
+    # the XX gadgets have one layout and the Z gadgets another
+    assert sorted(n for n, _ in plan.templates) == [7, 12]
+    flat = plan_contraction(_region_free(d))
+    assert plan.peak_rank == flat.peak_rank
+    assert plan.peak_bytes == 16 * 2 ** plan.peak_rank
+    assert plan.flops == sum(
+        sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in plan.steps) + sum(
+        sa[0] * sa[1] * sb[1] for nid in plan.tensors if type(nid) is tuple
+        for _, _, _, sa, _, sb, _ in plan.templates[nid[0]][1])
+    assert plan_contraction(d, order="sequential").templates == []
+
+
+def test_run_many_is_run_on_spliced_diagrams():
+    # other times are other labels on one structure
+    h = parse_pauli_sum(HAM5)
+    a, b = trotter_diagram(h, 8, 0.7), trotter_diagram(h, 8, -0.2)
+    plan = plan_contraction(a)
+    assert plan_contraction(b) is plan
+    _assert_run_many_is_run(plan, [a, b, a])
+    c = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).diagram
+    _assert_run_many_is_run(plan_contraction(c), [c, c.copy()], t=0.8)
+
+
+def test_regions_survive_what_keeps_node_ids():
+    d = taylor_diagram(parse_pauli_sum("0.7 XY\n-0.4 ZI"), 3, 0.4)
+    symbolic = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI"))
+    for e in (d.copy(), plug_basis(d, 0, 0), transpose_diagram(d)):
+        assert e.regions == d.regions
+        assert matrices_close(eval_diagram(e),
+                              eval_diagram(_region_free(e)), 1e-13)
+    kept = resolve_time(symbolic.diagram, 0.6)
+    assert kept.regions == symbolic.diagram.regions != []
+    assert matrices_close(eval_diagram(kept),
+                          eval_diagram(symbolic.diagram, t=0.6), 1e-13)
+
+
+def test_json_rewrites_and_composition_drop_regions():
+    d = taylor_diagram(parse_pauli_sum("0.7 XY\n-0.4 ZI\n0.25 IX"), 3, 0.4)
+    want = eval_diagram(d)
+    res = simplify_basic(d)
+    for e, scalar in ((diagram_from_json(diagram_to_json(d)), 1.0),
+                      (res.diagram, res.scalar),
+                      (compose_seq(d, identity(d.n_outputs)), 1.0)):
+        assert e.regions == []
+        assert matrices_close(scalar * eval_diagram(e), want, 1e-13)
+
+
+@pytest.mark.parametrize("region", [
+    lambda d: (max(d.nodes) + 1, max(d.nodes) + 3),
+    lambda d: (d.inputs[0], d.inputs[0] + 2),
+    lambda d: (d.regions[0][0] + 1, d.regions[0][1] + 1),
+    lambda d: (3, 3),
+], ids=["missing_node", "boundary_node", "overlap", "empty"])
+def test_a_region_must_name_interior_nodes(region):
+    d = trotter_diagram(parse_pauli_sum(HAM5), 2, 0.5)
+    d.regions.append(region(d))
+    with pytest.raises(DiagramError):
+        plan_contraction(d)
+    assert np.array_equal(eval_diagram(d, order="sequential"),
+                          eval_diagram(_region_free(d), order="sequential"))
+
+
+def test_a_region_wider_than_the_cap_still_plans():
+    # six 1 -> 1 boxes in one region have twelve open legs, more than the
+    # cap of 8, which bounds open wires (two) and node legs (seven)
+    row = zbox_diagram(0.5, 1, 1)
+    for a in (-1.0, 2.0j, 0.25, 3.0, -0.5j):
+        row = compose_par(row, zbox_diagram(a, 1, 1))
+    b = Builder()
+    fan, join = b.zbox(1.0), b.zbox(1.0)
+    b.wire(b.input(), fan)
+    for ref in splice(b, row, [b.leg(fan) for _ in range(6)]):
+        b.wire(ref, join)
+    b.wire(join, b.output())
+    d = b.build()
+    plan = plan_contraction(d, cap=8)
+    assert plan.peak_rank == 12
+    assert matrices_close(plan.run(d), eval_diagram(_region_free(d), cap=8),
+                          1e-13)
