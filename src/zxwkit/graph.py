@@ -404,15 +404,16 @@ def attach_pink(b: Builder, n_in: int, n_out: int, tau: float,
     """Integer-rescaled pink spider. Returns (input_refs, output_refs).
 
     Only tau in {0, pi} is a pink spider; anything else is rejected.  The
-    expansion is a green exp(i tau) box with a Hadamard on every leg and the
-    scalar 2^((n+m)/2 - 1) restoring integer entries.
+    expansion is a green exp(i tau) box, labelled exactly 1 or -1, with a
+    Hadamard on every leg and the scalar 2^((n+m)/2 - 1) restoring integer
+    entries.
     """
     if not (abs(tau) <= 1e-12 or abs(tau - math.pi) <= 1e-12):
         raise DiagramError("pink spider phase must be 0 or pi")
     total = n_in + n_out
     if total < 1:
         raise DiagramError("pink spider needs at least one leg")
-    centre = b.zbox(cmath.exp(1j * tau), tag=tag)
+    centre = b.zbox(1.0 if abs(tau) <= 1e-12 else -1.0, tag=tag)
     scale = 2.0 ** (total / 2.0 - 1.0)
     if abs(scale - 1.0) > 1e-15:
         b.zbox(scale - 1.0, tag=tag)

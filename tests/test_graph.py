@@ -152,6 +152,14 @@ def test_pink_spider_special_cases():
     assert np.abs(eval_diagram(pink_spider(2, 1, 0.0)) - xor).max() <= 1e-12
 
 
+def test_pink_not_is_real():
+    # the centre box is labelled exactly -1, not exp(i pi) = -1 + 1.2e-16j;
+    # the diagonal keeps the Hadamards' real round-off
+    got = eval_diagram(pink_spider(1, 1, math.pi))
+    assert np.array_equal(got.imag, np.zeros((2, 2)))
+    assert np.abs(got.real - np.array([[0, 1], [1, 0]])).max() <= 1e-15
+
+
 def test_v_gate_squares_to_x():
     v = eval_diagram(v_gate())
     assert np.abs(v - 0.5 * np.array([[1 + 1j, 1 - 1j],
