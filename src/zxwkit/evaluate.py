@@ -41,7 +41,8 @@ intermediates of its discharge.
 The greedy order contracts a diagram's ``regions`` (the sub-diagrams
 ``splice`` copied in: a Trotter chain's gadgets, a series' copies of H)
 first, each into one tensor by its template's steps, then runs over the
-region tensors, the other nodes and the boundary wires.  A template (a
+other nodes, the boundary wires and the region tensors, numbered in that
+order.  A template (a
 region's layout) is planned once however many regions share it: a 32-step
 Trotter chain plans two small templates and 161 tensors, not 1447.  A
 region whose template and labels equal an earlier region's takes its
@@ -244,14 +245,14 @@ def _schedule(ids: list, greedy: bool) -> list:
 def _fold(structure: tuple, tensors: list, loops: dict):
     """Fold the tensors of ``_network`` that each region holds into one.
 
-    Returns the tensors in the order of their first node, a region as
-    ((template number, first node id), the edge ids of its open legs in
-    the order its template leaves them), and the templates as (node count,
-    steps).  A template is planned once per layout, which is all its
-    schedule depends on: the edges of each of the region's nodes, numbered
-    by first appearance, and the nodes' self-loops.
+    Returns the tensors in no region, in their order; one tensor per
+    region, as ((template number, first node id), the edge ids of its open
+    legs in the order its template leaves them); and the templates as
+    (node count, steps).  A template is planned once per layout, which is
+    all its schedule depends on: the edges of each of the region's nodes,
+    numbered by first appearance, and the nodes' self-loops.
     """
-    top, templates, planned = [], [], {}
+    loose, folded, templates, planned = [], [], [], {}
     pos = stop = 0
     for start, end in sorted(structure[4]):
         if end <= start or start < stop:
@@ -260,7 +261,7 @@ def _fold(structure: tuple, tensors: list, loops: dict):
         stop = end
         while (pos < len(tensors) and tensors[pos][0] is not None
                and tensors[pos][0] < start):
-            top.append(tensors[pos])
+            loose.append(tensors[pos])
             pos += 1
         run = tensors[pos:pos + stop - start]
         if (len(run) < stop - start or run[0][0] != start
@@ -277,8 +278,9 @@ def _fold(structure: tuple, tensors: list, loops: dict):
         if k == len(templates):
             templates.append((len(run), _schedule(local, True), local[-1]))
         edge = list(number)
-        top.append(((k, start), [edge[e] for e in templates[k][2]]))
-    return top + tensors[pos:], [(n, steps) for n, steps, _ in templates]
+        folded.append(((k, start), [edge[e] for e in templates[k][2]]))
+    return (loose + tensors[pos:], folded,
+            [(n, steps) for n, steps, _ in templates])
 
 
 def _execute(steps: list, pool: list) -> None:
@@ -316,10 +318,11 @@ class ContractionPlan:
     """
 
     structure: tuple = field(repr=False)   # ``_structure`` of the diagram
-    tensors: list        # node id per tensor, None for a boundary wire,
-                         # (template number, first node id) for a region
+    tensors: list        # node id per tensor, None for a boundary wire
     loops: dict          # node id -> self-loop traces, for nodes with any
     steps: list          # (i, j, perm_a, shape_a, perm_b, shape_b, out_shape)
+    regions: list        # (template number, first node id) per region
+                         # tensor, numbered after ``tensors``
     templates: list      # (node count, steps) per region template
     perm: list           # axes of the last tensor in (outputs, inputs) order
     shape: tuple         # (2^outputs, 2^inputs)
@@ -348,7 +351,7 @@ class ContractionPlan:
         if not all(map(self._fits, diagrams)):
             raise DiagramError(
                 "diagram does not have the structure the plan was made for")
-        if not self.tensors:
+        if not self.tensors and not self.regions:
             return [np.ones((1, 1), dtype=complex) for _ in diagrams]
         made: dict = {}
 
@@ -362,19 +365,15 @@ class ContractionPlan:
                 made[key] = arrs[-1]
             return made[key]
 
-        pool: list = []
-        for before, d in zip([None] + diagrams, diagrams):
-            arrs = []
-            for pos, nid in enumerate(self.tensors):
-                if type(nid) is tuple:
-                    arrs.append(region(d, *nid))
-                elif before is not None and (
-                        nid is None
-                        or d.nodes[nid].label == before.nodes[nid].label):
-                    arrs.append(pool[-1][pos])
-                else:
-                    arrs.append(_tensor(d, nid, self.loops, t))
-            pool.append(arrs)
+        pool = [[_tensor(d, nid, self.loops, t) for nid in self.tensors]
+                + [region(d, *r) for r in self.regions]
+                for d in diagrams[:1]]
+        for before, d in zip(diagrams, diagrams[1:]):
+            pool.append([a if nid is None
+                         or d.nodes[nid].label == before.nodes[nid].label
+                         else _tensor(d, nid, self.loops, t)
+                         for nid, a in zip(self.tensors, pool[-1])]
+                        + [region(d, *r) for r in self.regions])
         _execute(self.steps, pool)
         out: list = []
         for k, arrs in enumerate(pool):
@@ -411,10 +410,10 @@ def _plan(structure: tuple, cap: int, order: str) -> ContractionPlan:
     if order not in ("greedy", "sequential"):
         raise DiagramError(f"unknown contraction order {order!r}")
     tensors, loops, external = _network(structure, cap)
-    templates: list = []
+    regions, templates = [], []
     if order == "greedy" and structure[4]:
-        tensors, templates = _fold(structure, tensors, loops)
-    ids = [tids for _, tids in tensors]
+        tensors, regions, templates = _fold(structure, tensors, loops)
+    ids = [tids for _, tids in tensors + regions]
     steps, perm = [], []
     if ids:
         steps = _schedule(ids, order == "greedy")
@@ -423,13 +422,13 @@ def _plan(structure: tuple, cap: int, order: str) -> ContractionPlan:
             raise DiagramError("internal error: contraction left stray indices")
         perm = [out.index(e) for e in external]
     # every region runs its template's steps once, unless it shares them
-    done = steps + [step for nid, _ in tensors if type(nid) is tuple
-                    for step in templates[nid[0]][1]]
+    done = steps + [step for (k, _), _ in regions for step in templates[k][1]]
     peak = max((len(so) for *_, so in done), default=0)
     _, inputs, outputs, _, _ = structure
     return ContractionPlan(
-        structure, [nid for nid, _ in tensors], loops, steps, templates,
-        perm, (2 ** len(outputs), 2 ** len(inputs)), peak, 16 * 2 ** peak,
+        structure, [nid for nid, _ in tensors], loops, steps,
+        [r for r, _ in regions], templates, perm,
+        (2 ** len(outputs), 2 ** len(inputs)), peak, 16 * 2 ** peak,
         sum(sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in done))
 
 

@@ -15,9 +15,9 @@ from zxwkit import (Builder, CapExceeded, Diagram, DiagramError, PhaseVar,
                     diagram_to_json, equal_up_to_scalar, eval_diagram,
                     hadamard_diagram, identity, matrices_close,
                     parse_pauli_sum, plan_contraction, plug_basis,
-                    resolve_time, scalar_of, simplify_basic, taylor_diagram,
-                    transpose_diagram, trotter_diagram, triangle, w_diagram,
-                    zbox_diagram)
+                    resolve_time, scalar_of, simplify_basic,
+                    structural_equal, taylor_diagram, transpose_diagram,
+                    trotter_diagram, triangle, w_diagram, zbox_diagram)
 from zxwkit import evaluate
 from zxwkit.graph import splice
 
@@ -588,7 +588,8 @@ def test_a_trotter_step_is_planned_as_its_gadgets():
     d = trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7)
     plan = plan_contraction(d)
     # five gadgets a step, one tensor each, and the phase box
-    assert len(d.regions) == 40 and len(plan.tensors) == 41
+    assert len(d.regions) == len(plan.regions) == 40
+    assert len(plan.tensors) == 1
     assert len(plan.steps) == 40
     # the XX gadgets have one layout and the Z gadgets another
     assert sorted(n for n, _ in plan.templates) == [7, 12]
@@ -597,8 +598,8 @@ def test_a_trotter_step_is_planned_as_its_gadgets():
     assert plan.peak_bytes == 16 * 2 ** plan.peak_rank
     assert plan.flops == sum(
         sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in plan.steps) + sum(
-        sa[0] * sa[1] * sb[1] for nid in plan.tensors if type(nid) is tuple
-        for _, _, _, sa, _, sb, _ in plan.templates[nid[0]][1])
+        sa[0] * sa[1] * sb[1] for k, _ in plan.regions
+        for _, _, _, sa, _, sb, _ in plan.templates[k][1])
     assert plan_contraction(d, order="sequential").templates == []
 
 
@@ -616,6 +617,7 @@ def test_run_many_is_run_on_spliced_diagrams():
 def test_regions_survive_what_keeps_node_ids():
     d = taylor_diagram(parse_pauli_sum("0.7 XY\n-0.4 ZI"), 3, 0.4)
     symbolic = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI"))
+    assert structural_equal(d, _region_free(d))
     for e in (d.copy(), plug_basis(d, 0, 0), transpose_diagram(d)):
         assert e.regions == d.regions
         assert matrices_close(eval_diagram(e),
