@@ -119,12 +119,13 @@ def _network(structure: tuple, cap: int):
         raise CapExceeded(
             f"{len(inputs) + len(outputs)} open wires exceed cap {cap}")
 
-    port_edge: dict = {}
-    next_id = 0
-    for e in edges:
-        for end in e:
-            port_edge[end] = next_id
-        next_id += 1
+    legs = {nid: [None] * ports for nid, _, ports in nodes}  # edge per port
+    looped = set()
+    for k, ((a, pa), (bb, pb)) in enumerate(edges):
+        legs[a][pa] = legs[bb][pb] = k
+        if a == bb:
+            looped.add(a)
+    next_id = len(edges)
 
     tensors: list = []
     loops: dict = {}
@@ -137,8 +138,10 @@ def _network(structure: tuple, cap: int):
         if ports > cap:
             raise CapExceeded(
                 f"node {nid} has {ports} legs, cap is {cap}")
-        ids = [port_edge[(nid, p)] for p in range(ports)]
-        while len(ids) != len(set(ids)):
+        ids = legs[nid]
+        if None in ids:
+            raise DiagramError(f"node {nid} has a port without an edge")
+        while nid in looped and len(ids) != len(set(ids)):
             dup = next(i for i in ids if ids.count(i) > 1)
             ax = [k for k, i in enumerate(ids) if i == dup]
             loops[nid] = loops.get(nid, ()) + ((ax[0], ax[1]),)
@@ -150,12 +153,12 @@ def _network(structure: tuple, cap: int):
         if a in boundary and bb in boundary:
             ia, ib = next_id, next_id + 1
             next_id += 2
-            port_edge[(a, pa)] = ia
-            port_edge[(bb, pb)] = ib
+            legs[a][pa] = ia
+            legs[bb][pb] = ib
             tensors.append((None, [ia, ib]))
 
-    external = [port_edge[(nid, 0)] for nid in outputs] + \
-               [port_edge[(nid, 0)] for nid in inputs]
+    external = [legs[nid][0] for nid in outputs] + \
+               [legs[nid][0] for nid in inputs]
     return tensors, loops, external
 
 

@@ -671,3 +671,11 @@ def test_a_region_wider_than_the_cap_still_plans():
     assert plan.peak_rank == 12
     assert matrices_close(plan.run(d), eval_diagram(_region_free(d), cap=8),
                           1e-13)
+
+
+def test_a_port_without_an_edge_is_an_error():
+    d = zbox_diagram(0.5, 1, 1)
+    box = next(n for n in d.nodes.values() if n.kind == "zbox")
+    box.ports += 1
+    with pytest.raises(DiagramError):
+        plan_contraction(d)
