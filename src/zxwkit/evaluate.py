@@ -40,13 +40,12 @@ intermediates of its discharge.
 
 The greedy order contracts a diagram's ``regions`` (the sub-diagrams
 ``splice`` copied in: a Trotter chain's gadgets, a series' copies of H)
-first, each into one tensor by its template's steps, then runs over the
-other nodes, the boundary wires and the region tensors, numbered in that
-order.  A template (a
-region's layout) is planned once however many regions share it: a 32-step
-Trotter chain plans two small templates and 161 tensors, not 1447.  A
+first, each by its template's steps, then runs over the other nodes, the
+boundary wires and the region tensors, numbered in that order.  A template
+(a region's layout) is planned once however many regions share it, and a
 region whose template and labels equal an earlier region's takes its
-tensor, so a Trotter step's gadgets are computed once per run.
+tensor: a 32-step Trotter chain plans two small templates and 161 tensors,
+not 1447, and computes each distinct gadget once per run.
 """
 
 from __future__ import annotations
@@ -246,15 +245,11 @@ def _schedule(ids: list, greedy: bool) -> list:
 
 
 def _fold(structure: tuple, tensors: list, loops: dict):
-    """Fold the tensors of ``_network`` that each region holds into one.
-
-    Returns the tensors in no region, in their order; one tensor per
-    region, as ((template number, first node id), the edge ids of its open
-    legs in the order its template leaves them); and the templates as
-    (node count, steps).  A template is planned once per layout, which is
-    all its schedule depends on: the edges of each of the region's nodes,
-    numbered by first appearance, and the nodes' self-loops.
-    """
+    """The tensors of ``_network`` in no region; one tensor per region, as
+    ((template number, first node id), its open legs' edge ids in the order
+    the template leaves them); and the templates as (node count, steps),
+    one per layout: the region's nodes' edges, numbered by first
+    appearance, and self-loops, which is all a schedule depends on."""
     loose, folded, templates, planned = [], [], [], {}
     pos = stop = 0
     for start, end in sorted(structure[4]):
@@ -397,9 +392,9 @@ def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP,
     picks the schedule: "greedy" (default) or "sequential" (node-id order,
     each tensor contracted into the running result).  Disconnected
     components are multiplied out as outer products, left to right.  The
-    greedy order contracts ``d.regions`` first (see the module docstring);
-    an empty or overlapping region, or one naming a node that is not an
-    interior node of ``d``, raises ``DiagramError``.  A diagram with the
+    greedy order contracts ``d.regions`` first (see the module docstring)
+    and raises ``DiagramError`` for a region that is empty, overlaps
+    another or names what is not an interior node.  A diagram with the
     structure (regions included) of one planned recently gets that same
     plan back, so the plan is shared and must not be changed.
     """
