@@ -95,7 +95,12 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     open wires and node legs of each evaluation, as in ``eval_diagram``.  The
     two plugs differ in one label, so one contraction plan serves both, and
     one ``run_many`` pass redoes for the idle only the steps that label
-    reaches.
+    reaches.  The plan is shared by every diagram of the structure and,
+    from its second run on, keeps the discharge's arrays (see
+    ``ContractionPlan``): checking another matrix of the same size and
+    pivot order redoes only the steps its new coefficients reach.  The
+    discharge's structure is built once, for the plan lookup, which is
+    also its check.
     """
     dim = 2 ** cd.m
     target = np.asarray(target, dtype=complex)
@@ -104,8 +109,10 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
         raise DiagramError(f"{cd.kind} target needs shape " + " or ".join(
             map(str, shapes)) + f", got {target.shape}")
     discharged = cd.discharge()
+    # the plan was looked up by the discharge's structure, so only the
+    # idle's structure is built again and checked
     plan = plan_contraction(discharged, cap=cap)
-    got_d, got_i = plan.run_many([discharged, cd.idle()], t)
+    got_d, got_i = plan._run_many([discharged, cd.idle()], t, 1)
     if cd.kind == "matrix":
         want_d = target
         want_i = np.eye(dim, dtype=complex)

@@ -38,6 +38,16 @@ computes a tensor or a step again only where its inputs differ from the
 previous set's, so the idle of a controlled diagram reuses most of the
 intermediates of its discharge.
 
+From its second run on, a plan keeps the arrays of its last run (its memo)
+while they total at most 2 MiB: the top-level tensors, with the labels and
+``t`` they came from, and every top-level step result but the last.  The
+next run compares its first set of labels with the memo the same way: a
+4x4 controlled matrix with new coefficients makes its 16 weight tensors and
+redoes the 65 of its 251 steps they reach.  The same ``np.dot`` on the same
+arrays gives the same bits, so every matrix stays bit-identical.  No
+returned matrix shares memory with a memo or with this module's shared
+tensors, which are read-only.
+
 The greedy order contracts a diagram's ``regions`` (the sub-diagrams
 ``splice`` copied in: a Trotter chain's gadgets, a series' copies of H)
 first, each by its template's steps, then runs over the other nodes, the
@@ -71,6 +81,13 @@ _W_TENSOR = np.zeros((2, 2, 2), dtype=complex)
 _W_TENSOR[0, 0, 0] = 1.0   # |0>  ->  |00>
 _W_TENSOR[1, 0, 1] = 1.0   # |1>  ->  |01> + |10>
 _W_TENSOR[1, 1, 0] = 1.0
+for _shared in (HAD_MATRIX, V_MATRIX, _W_TENSOR):
+    _shared.setflags(write=False)   # every Hadamard and W node shares these
+
+# A plan keeps the arrays of its last run, its memo, only while they total
+# at most this many bytes (``ContractionPlan.memo_bytes``): a 4x4 controlled
+# matrix keeps 94 KB, an 8x8 one 1.45 MB, a 16x16 one would keep 84 MB.
+_MEMO_BOUND = 2 * 2 ** 20
 
 
 class CapExceeded(DiagramError):
@@ -281,13 +298,24 @@ def _fold(structure: tuple, tensors: list, loops: dict):
             [(n, steps) for n, steps, _ in templates])
 
 
-def _execute(steps: list, pool: list) -> None:
+def _execute(steps: list, pool: list, kept: Optional[list] = None):
     """Run ``steps`` on every list of arrays in ``pool``, each step
     appending its result.  A step whose two inputs are the previous list's
     arrays takes that list's result (the same ``np.dot`` on the same arrays
-    gives the same bits)."""
-    for i, j, pa, sa, pb, sb, so in steps:
+    gives the same bits).
+
+    Given ``kept``, the arrays an earlier call returned for these steps, a
+    step whose inputs in the first list are kept's takes kept's result too,
+    and the call returns the first list's arrays: its tensors, then its
+    step results but the last (the matrix, which the caller hands out).
+    """
+    n = len(pool[0])
+    mine = None if kept is None else list(pool[0])
+    reuse = len(kept) - n if kept else 0   # the steps kept has results of
+    for k, (i, j, pa, sa, pb, sb, so) in enumerate(steps):
         done_a = done_b = None
+        if k < reuse:
+            done_a, done_b, ab = kept[i], kept[j], kept[n + k]
         for arrs in pool:
             a, b = arrs[i], arrs[j]
             arrs[i] = arrs[j] = None
@@ -296,6 +324,11 @@ def _execute(steps: list, pool: list) -> None:
                 ab = np.dot(a.transpose(pa).reshape(sa),
                             b.transpose(pb).reshape(sb)).reshape(so)
             arrs.append(ab)
+        if mine is not None:
+            mine.append(pool[0][-1])
+    if mine and steps:
+        mine.pop()
+    return mine
 
 
 @dataclass(frozen=True)
@@ -313,6 +346,16 @@ class ContractionPlan:
     multiply-adds of all steps, all known before anything is allocated; the
     steps are the top-level ones and each region's template steps, counted
     once per region as if no two regions shared a tensor.
+
+    From its second run on, a plan whose ``memo_bytes`` are at most a fixed
+    internal bound (2 MiB) keeps the arrays of its last run's first diagram
+    (its memo): the top-level tensors with the labels and ``t`` they came
+    from, and every top-level step result but the last.  The next run
+    takes a kept tensor for a node whose label is the kept one (at the kept
+    ``t``, for a ``PhaseVar``) and a kept result for a step whose inputs are
+    kept arrays, so it computes only the tensors whose labels changed and
+    the steps they reach, to the same bits.  Each run replaces the memo in
+    one assignment, so concurrent runs see one whole memo or another.
     """
 
     structure: tuple = field(repr=False)   # ``_structure`` of the diagram
@@ -327,6 +370,11 @@ class ContractionPlan:
     peak_rank: int
     peak_bytes: int      # 16 * 2^peak_rank: one complex128 intermediate
     flops: int
+    memo_bytes: int      # what a memo holds: ``tensors``, steps but the last
+    # None before the first run, () after it, then (t, the label per
+    # tensor, ``_execute``'s arrays with None for the region tensors)
+    _memo: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def _fits(self, d: Diagram) -> bool:
         return _structure(d) == self.structure
@@ -339,16 +387,27 @@ class ContractionPlan:
         """Evaluate each of ``diagrams``, resolving ``PhaseVar`` labels at
         ``t``, to the same bits ``run`` gives it alone.
 
-        Every structure is checked before any tensor is made.  A node whose
-        label equals the previous diagram's shares its tensor, and a step
-        whose two inputs are the previous diagram's arrays shares its result
-        (the same ``np.dot`` on the same arrays gives the same bits).  A
-        region whose template and labels equal an earlier region's, in this
-        diagram or an earlier one, shares that region's tensor.
+        Every structure is checked before any tensor is made.  The first
+        diagram is compared with the plan's memo (see the class docstring)
+        and each later one with the one before it: a node whose label is
+        the same shares its tensor, and a step whose two inputs are the
+        same arrays shares its result (the same ``np.dot`` on the same
+        arrays gives the same bits).  A region whose template and labels
+        equal an earlier region's, in this diagram or an earlier one,
+        shares that region's tensor.  No returned matrix shares memory
+        with another, with the memo or with a module constant.
         """
-        if not all(map(self._fits, diagrams)):
+        return self._run_many(diagrams, t, 0)
+
+    def _run_many(self, diagrams: list, t: Optional[float],
+                  fitted: int) -> list:
+        """``run_many``, taking the first ``fitted`` diagrams to fit the
+        plan, as the diagram a plan was looked up by does."""
+        if not all(map(self._fits, diagrams[fitted:])):
             raise DiagramError(
                 "diagram does not have the structure the plan was made for")
+        if not diagrams:
+            return []
         if not self.tensors and not self.regions:
             return [np.ones((1, 1), dtype=complex) for _ in diagrams]
         made: dict = {}
@@ -363,16 +422,38 @@ class ContractionPlan:
                 made[key] = arrs[-1]
             return made[key]
 
-        pool = [[_tensor(d, nid, self.loops, t) for nid in self.tensors]
-                + [region(d, *r) for r in self.regions]
-                for d in diagrams[:1]]
+        memo, d = self._memo, diagrams[0]
+        fits = self.memo_bytes <= _MEMO_BOUND
+        keep = fits and memo is not None   # from the plan's second run on
+        kept = labels = None
+        if keep:
+            kept = ()
+            labels = [None if nid is None else d.nodes[nid].label
+                      for nid in self.tensors]
+        if keep and memo:
+            kept_t, kept_labels, kept = memo
+            arrs = [a if label == old and (
+                        t == kept_t or not isinstance(label, PhaseVar))
+                    else _tensor(d, nid, self.loops, t)
+                    for nid, label, old, a in zip(self.tensors, labels,
+                                                  kept_labels, kept)]
+        else:
+            arrs = [_tensor(d, nid, self.loops, t) for nid in self.tensors]
+        pool = [arrs + [region(d, *r) for r in self.regions]]
         for before, d in zip(diagrams, diagrams[1:]):
             pool.append([a if nid is None
                          or d.nodes[nid].label == before.nodes[nid].label
                          else _tensor(d, nid, self.loops, t)
                          for nid, a in zip(self.tensors, pool[-1])]
                         + [region(d, *r) for r in self.regions])
-        _execute(self.steps, pool)
+        arrays = _execute(self.steps, pool, kept)
+        if fits:
+            memo = ()
+            if keep:
+                n = len(self.tensors)   # region tensors stay per call
+                arrays[n:n + len(self.regions)] = [None] * len(self.regions)
+                memo = (t, labels, arrays)
+            object.__setattr__(self, "_memo", memo)
         out: list = []
         for k, arrs in enumerate(pool):
             # equal results are copied, so that no two share memory
@@ -380,7 +461,10 @@ class ContractionPlan:
                 out.append(out[-1].copy())
             else:
                 arr = arrs[-1].transpose(self.perm) if self.perm else arrs[-1]
-                out.append(arr.reshape(self.shape))
+                arr = arr.reshape(self.shape)
+                # without steps the result is a node tensor, which a module
+                # constant or the memo may hold
+                out.append(arr if self.steps else arr.copy())
         return out
 
 
@@ -427,7 +511,9 @@ def _plan(structure: tuple, cap: int, order: str) -> ContractionPlan:
         structure, [nid for nid, _ in tensors], loops, steps,
         [r for r, _ in regions], templates, perm,
         (2 ** len(outputs), 2 ** len(inputs)), peak, 16 * 2 ** peak,
-        sum(sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in done))
+        sum(sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in done),
+        16 * (sum(2 ** len(tids) for _, tids in tensors)
+              + sum(2 ** len(so) for *_, so in steps[:-1])))
 
 
 def eval_diagram(d: Diagram, t: Optional[float] = None,
@@ -441,7 +527,8 @@ def eval_diagram(d: Diagram, t: Optional[float] = None,
     evaluating a recently planned structure again, with other labels or at
     another ``t``, does not plan it again.
     """
-    return plan_contraction(d, cap, order).run(d, t)
+    # the plan was looked up by d's structure, so d fits it
+    return plan_contraction(d, cap, order)._run_many([d], t, 1)[0]
 
 
 @dataclass

@@ -1,6 +1,10 @@
 """Tensor contraction against dense kron/matmul oracles."""
 
+import functools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from zxwkit import (Builder, CapExceeded, Diagram, DiagramError, PhaseVar,
                     trotter_diagram, triangle, w_diagram, zbox_diagram)
 from zxwkit import evaluate
 from zxwkit.graph import splice
+from zxwkit.pauli import DiagonalFactorSum
 
 from circuit_strategies import LABELS, circuits
 
@@ -679,3 +684,194 @@ def test_a_port_without_an_edge_is_an_error():
     box.ports += 1
     with pytest.raises(DiagramError):
         plan_contraction(d)
+
+
+# --- the memo: a kept plan recomputes only what changed labels reach -------
+
+
+def _dominant(dim, seed):
+    """A random matrix with a dominant diagonal: partial pivoting switches
+    no rows, so every such matrix of one size has one structure."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            + 2 * dim * np.eye(dim))
+
+
+def test_writing_into_a_result_changes_no_later_result():
+    had = hadamard_diagram()
+    m = eval_diagram(had)
+    m[0, 0] = 5
+    assert np.array_equal(eval_diagram(had), evaluate.HAD_MATRIX)
+    assert evaluate.HAD_MATRIX[0, 0] == 1 / math.sqrt(2.0)
+    # H diag(1, -1) H is X, whose corner stays 0
+    flip = DiagonalFactorSum([(1.0, [-1.0], ["H"])])
+    assert np.allclose(flip.oracle(), [[0, 1], [1, 0]], atol=1e-15)
+    w = eval_diagram(w_diagram())
+    # the W tensor's axes are (input, output, output)
+    want = evaluate._W_TENSOR.transpose(1, 2, 0).reshape(4, 2)
+    assert np.array_equal(w, want)
+    w[:] = 7
+    assert np.array_equal(eval_diagram(w_diagram()), want)
+    for shared in (evaluate.HAD_MATRIX, evaluate.V_MATRIX,
+                   evaluate._W_TENSOR):
+        assert not shared.flags.writeable
+    # a plan without steps hands out a copy of its lone tensor, kept or not
+    plan = plan_contraction(had)
+    for _ in range(3):
+        got = plan.run(had)
+        assert not np.shares_memory(got, evaluate.HAD_MATRIX)
+        got[:] = 5
+    assert plan._memo and np.array_equal(plan.run(had), evaluate.HAD_MATRIX)
+
+
+def test_no_result_shares_memory_with_the_memo():
+    cd = controlled_matrix(_dominant(4, 1))
+    plan = plan_contraction(cd.discharge())
+    for _ in range(3):
+        got = plan.run_many([cd.discharge(), cd.idle(), cd.discharge()])
+    _, labels, kept = plan._memo
+    assert len(labels) == len(plan.tensors)
+    assert len(kept) == len(plan.tensors) + len(plan.steps) - 1
+    assert not any(np.shares_memory(m, a) for m in got for a in kept)
+
+
+def test_a_kept_plan_redoes_only_what_new_weights_reach(monkeypatch):
+    a, b = (controlled_matrix(_dominant(4, seed)).discharge()
+            for seed in (1, 2))
+    plan = plan_contraction(a)
+    assert plan_contraction(b) is plan
+    plan.run(a)
+    assert plan._memo == ()   # nothing is kept from a plan's first run
+    plan.run(a)
+    n = len(plan.tensors)
+    changed = [k for k, nid in enumerate(plan.tensors) if nid is not None
+               and a.nodes[nid].label != b.nodes[nid].label]
+    assert {b.nodes[plan.tensors[k]].tag for k in changed} == {"weight"}
+    assert len(changed) == 16
+    reached = set(changed)
+    for k, (i, j, *_) in enumerate(plan.steps):
+        if i in reached or j in reached:
+            reached.add(n + k)
+    redo = len(reached) - len(changed)
+    assert (n + len(plan.steps) - 1) in reached   # the matrix
+    assert redo == 65 < len(plan.steps) == 251
+
+    made, dots = [], []
+    real_tensor, real_dot = evaluate._tensor, np.dot
+    monkeypatch.setattr(evaluate, "_tensor",
+                        lambda *args: made.append(args[1]) or real_tensor(*args))
+    monkeypatch.setattr(np, "dot",
+                        lambda *args: dots.append(1) or real_dot(*args))
+    got = plan.run(b)
+    assert sorted(made) == sorted(plan.tensors[k] for k in changed)
+    assert len(dots) == redo
+    # the same labels again: no tensor, and the last step only
+    del made[:], dots[:]
+    again = plan.run(b)
+    assert (made, len(dots)) == ([], 1)
+    monkeypatch.undo()
+    assert np.array_equal(got, _fresh_plan(b).run(b))
+    assert np.array_equal(again, got)
+
+
+def test_a_plan_over_the_memo_bound_keeps_nothing(monkeypatch):
+    made = []
+    real = evaluate._tensor
+    monkeypatch.setattr(evaluate, "_tensor",
+                        lambda *args: made.append(args[1]) or real(*args))
+    # one 18-leg box: a 4 MiB tensor
+    wide = zbox_diagram(0.5, 9, 9)
+    plan = plan_contraction(wide, cap=18)
+    assert plan.memo_bytes == 16 * 2 ** 18 > evaluate._MEMO_BOUND
+    for _ in range(3):
+        del made[:]
+        got = plan.run(wide)
+        assert (got[0, 0], got[-1, -1]) == (1, 0.5)
+        assert len(made) == 1 and plan._memo is None
+    # a 4x4 discharge keeps 94 KB; one byte less of bound, and it keeps none
+    d = controlled_matrix(_dominant(4, 1)).discharge()
+    plan = plan_contraction(d)
+    assert plan.memo_bytes == 93936
+    monkeypatch.setattr(evaluate, "_MEMO_BOUND", plan.memo_bytes - 1)
+    want = _fresh_plan(d).run(d)
+    for _ in range(3):
+        del made[:]
+        assert np.array_equal(plan.run(d), want)
+        assert len(made) == len(plan.tensors) and plan._memo is None
+    monkeypatch.setattr(evaluate, "_MEMO_BOUND", plan.memo_bytes)
+    for _ in range(3):
+        plan.run(d)
+    assert plan._memo
+
+
+@functools.lru_cache(maxsize=None)
+def _label_sets():
+    """The diagrams the memo property test draws from: the discharge and
+    the idle of 2x2 matrices with one structure, and a flat ``PhaseVar``
+    diagram with its box labels scaled."""
+    plugged = [(cd.discharge(), cd.idle()) for cd in
+               (controlled_matrix(_dominant(2, seed)) for seed in range(3))]
+    symbolic = _region_free(commuting_exponential(
+        parse_pauli_sum("0.5 ZZ\n0.3 ZI")).diagram)
+    scaled = []
+    for c in (1.0, -0.5, 2.0j):
+        d = symbolic.copy()
+        for node in d.nodes.values():
+            if node.kind == "zbox" and not isinstance(node.label, PhaseVar):
+                node.label = c * node.label
+        scaled.append(d)
+    return plugged, scaled
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 2),
+                          st.integers(0, 1), st.sampled_from([0.0, 0.4, -1.3]),
+                          st.booleans()),
+                min_size=1, max_size=8))
+def test_a_kept_plan_runs_any_label_sequence_bit_for_bit(runs):
+    # each run: (symbolic?, which weights or scale, which plug, t, as a
+    # pair with the other plug in one run_many?)
+    plugged, scaled = _label_sets()
+    for symbolic, k, plug, t, pair in runs:
+        if symbolic:
+            diagrams = [scaled[k]]
+        else:
+            diagrams, t = [plugged[k][plug]], None
+            if pair:
+                diagrams.append(plugged[k][1 - plug])
+        plan = plan_contraction(diagrams[0])
+        got = plan.run_many(diagrams, t)
+        for m, d in zip(got, diagrams):
+            assert np.array_equal(m, _fresh_plan(d).run(d, t))
+            m[:] = np.nan   # the next run must not see this
+        assert plan.run_many([], t) == []
+
+
+def test_threads_sharing_a_kept_plan_get_their_own_bits():
+    # every run reads one whole memo and replaces it in one assignment, so
+    # a run that interleaves with another still computes from one snapshot
+    plugged, _ = _label_sets()
+    diagrams = [d for pair in plugged for d in pair]
+    want = [_fresh_plan(d).run(d) for d in diagrams]
+    plan = plan_contraction(diagrams[0])
+    wrong = []
+
+    def work(offset):
+        for k in range(offset, offset + 40):
+            got = plan.run(diagrams[k % len(diagrams)])
+            if not np.array_equal(got, want[k % len(diagrams)]):
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(2 * (os.cpu_count() or 2))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == [] and plan._memo
