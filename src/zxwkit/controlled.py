@@ -472,6 +472,16 @@ def controlled_product(components, m: int = None) -> ControlledDiagram:
     return _gated_product(components[::-1], m)
 
 
+def _fan(b: Builder, ctrl, k: int, assoc: str) -> list:
+    """k control refs off ``ctrl``: a W fan of shape ``assoc``, or ``ctrl``
+    itself for one arm."""
+    if k == 1:
+        return [ctrl]
+    fan_in, fan = attach_w_spider(b, k, assoc=assoc, tag=_CTRL)
+    b.wire(ctrl, fan_in)
+    return fan
+
+
 def _controlled_sum(arms, weights, kind: str, m: int = None,
                     assoc: str = "balanced") -> ControlledDiagram:
     """Weighted sum of controlled matrices or states on m qubits.
@@ -497,12 +507,7 @@ def _controlled_sum(arms, weights, kind: str, m: int = None,
     if len(weights) != k:
         raise DiagramError("one weight per component")
     b = Builder()
-    ctrl = b.input()
-    if k == 1:
-        fan = [ctrl]
-    else:
-        fan_in, fan = attach_w_spider(b, k, assoc=assoc, tag=_CTRL)
-        b.wire(ctrl, fan_in)
+    fan = _fan(b, b.input(), k, assoc)
     data = [b.input() for _ in range(m)] if kind == "matrix" else []
     arm_outs = _gate_arms(b, fan, arms, data, weights)
     for q in range(m):
@@ -584,16 +589,31 @@ def _letters(ops):
             [_CONJ_FOR_LETTER.get(c, "I") for c in ops])
 
 
-def _factor_sum(terms, m: int, assoc: str = "balanced") -> ControlledDiagram:
-    """Controlled sum of (alpha, labels, conj) terms, each one writer in
-    the sum's Builder, off a W fan shaped by ``assoc``; a lone weight-1
-    term is its factor alone."""
+def _factor_sum_into(b: Builder, terms, assoc: str, ctrl, data) -> list:
+    """Write the controlled sum of (alpha, labels, conj) terms into ``b``
+    from its control and data refs, each term one writer off a W fan
+    shaped by ``assoc``, and return the data outputs.  A lone weight-1
+    term is its factor alone.  ``data`` is read after the fan is written,
+    so an iterator that makes inputs numbers them after the fan."""
     arms = [partial(_diagonal_factor_into, labels, conj)
             for _, labels, conj in terms]
     weights = [alpha for alpha, _, _ in terms]
     if len(arms) == 1 and weights[0] == 1:
-        return _gated_product(arms, m)
-    return _controlled_sum(arms, weights, "matrix", m, assoc)
+        fan, weights = [ctrl], None
+    else:
+        fan = _fan(b, ctrl, len(arms), assoc)
+    return _gate_arms(b, fan, arms, list(data), weights)[-1]
+
+
+def _factor_sum(terms, m: int, assoc: str = "balanced") -> ControlledDiagram:
+    """``_factor_sum_into`` as a controlled diagram of its own."""
+    b = Builder()
+    ctrl = b.input()
+    outs = _factor_sum_into(b, terms, assoc, ctrl,
+                            (b.input() for _ in range(m)))
+    for ref in outs:
+        b.wire(ref, b.output())
+    return ControlledDiagram(b.build(), "matrix", m)
 
 
 # row a maps a qubit's bit pair 2 row + column to letter a: conj(P_a) / 2

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled import (_CONJ_FOR_LETTER, ControlledDiagram,
-                         _attach_conjugation, _gate_arms)
+                         _attach_conjugation, _factor_sum_into, _gate_arms)
 from .evaluate import HAD_MATRIX, eval_diagram
 from .graph import (Builder, Diagram, DiagramError, Node, PhaseVar,
-                    attach_pink, splice)
-from .pauli import (PauliString, PauliSum, _hamiltonian_sum,
+                    attach_pink)
+from .pauli import (PauliString, PauliSum, _hamiltonian_terms,
                     controlled_pauli_string, oracle_matrix, strings_commute)
 
 
@@ -68,32 +68,29 @@ class Gadget(ExponentialDiagram):
     theta_coeff: float = 0.0
 
 
-def _gadget_diagram(p: PauliString, theta_coeff: float) -> Diagram:
-    """Copy each supported wire, collect the copies' parity, and hang a
-    phase state exp(i * theta) off it."""
-    support = p.support()
-    b = Builder()
+def _gadget_into(b: Builder, p: PauliString, label, data) -> list:
+    """Write the phase gadget of ``p`` into ``b`` on the data refs
+    ``data``: copy each supported wire, collect the copies' parity, and
+    hang a phase state labelled ``label`` (exp(i * theta)) off it.
+    Returns the data outputs."""
+    data = list(data)
     probes = []
-    for q in range(p.m):
-        ref = b.input()
-        if q in support:
-            ci, co = _attach_conjugation(b, _CONJ_FOR_LETTER[p.ops[q]],
-                                         dagger=False)
-            b.wire(ref, ci)
-            copy = b.zbox(1.0, tag="copy")
-            b.wire(co, copy)
-            probes.append(b.leg(copy))
-            di, do = _attach_conjugation(b, _CONJ_FOR_LETTER[p.ops[q]],
-                                         dagger=True)
-            b.wire(b.leg(copy), di)
-            ref = do
-        b.wire(ref, b.output())
+    for q in p.support():
+        ci, co = _attach_conjugation(b, _CONJ_FOR_LETTER[p.ops[q]],
+                                     dagger=False)
+        b.wire(data[q], ci)
+        copy = b.zbox(1.0, tag="copy")
+        b.wire(co, copy)
+        probes.append(b.leg(copy))
+        di, do = _attach_conjugation(b, _CONJ_FOR_LETTER[p.ops[q]],
+                                     dagger=True)
+        b.wire(b.leg(copy), di)
+        data[q] = do
     pins, pouts = attach_pink(b, len(probes), 1, 0.0, tag="body")
     for probe, pin in zip(probes, pins):
         b.wire(probe, pin)
-    hat = b.zbox(PhaseVar(theta_coeff), tag="hat")
-    b.wire(pouts[0], hat)
-    return b.build()
+    b.wire(pouts[0], b.zbox(label, tag="hat"))
+    return data
 
 
 def pauli_gadget(p: PauliString, theta_coeff: float) -> Gadget:
@@ -106,7 +103,7 @@ def pauli_gadget(p: PauliString, theta_coeff: float) -> Gadget:
         raise DiagramError(
             "all-identity string is a global phase, not a gadget")
     theta_coeff = float(theta_coeff)
-    d = _gadget_diagram(p, theta_coeff)
+    d = _chain(p.m, [(p, PhaseVar(theta_coeff))]).build()
     return Gadget(d, -theta_coeff / 2.0, p, theta_coeff)
 
 
@@ -119,13 +116,14 @@ def _require_real(terms):
     return coeffs
 
 
-def _chain(m: int, factors) -> Builder:
-    """m -> m ``factors`` in series, first acts first, in one Builder,
+def _chain(m: int, gadgets) -> Builder:
+    """The phase gadgets of (string, label) pairs in series, the first
+    acting first, each written as one region of one Builder, which is
     returned unbuilt so the caller can add to it."""
     b = Builder()
     data = [b.input() for _ in range(m)]
-    for f in factors:
-        data = splice(b, f, data)
+    for p, label in gadgets:
+        data = b.region(_gadget_into, p, label, data)
     for ref in data:
         b.wire(ref, b.output())
     return b
@@ -145,7 +143,7 @@ def commuting_exponential(h: PauliSum) -> ExponentialDiagram:
             if not strings_commute(strings[i], strings[j]):
                 raise DiagramError(
                     f"non-commuting terms {strings[i]} and {strings[j]}")
-    gadgets = [_gadget_diagram(p, alpha)
+    gadgets = [(p, PhaseVar(alpha))
                for alpha, p in zip(coeffs, strings) if p.support()]
     return ExponentialDiagram(_chain(h.m, gadgets).build(),
                               -sum(coeffs) / 2.0)
@@ -162,7 +160,7 @@ def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
         raise DiagramError("steps must be >= 1")
     coeffs = _require_real(h.terms)
     tau = float(t) / steps
-    step = [resolve_time(_gadget_diagram(p, alpha), tau)
+    step = [(p, PhaseVar(alpha).resolve(tau))
             for alpha, (_, p) in zip(coeffs, h.terms) if p.support()]
     b = _chain(h.m, step * steps)
     # one 0-leg box for all dropped gadget phases and all identity terms
@@ -175,13 +173,13 @@ def _power_series(h: PauliSum, coeffs) -> Diagram:
     of H per degree.  Level k's control feeds a W fan into an effect
     labelled c_k and a copy that fires copy k of H and feeds level k + 1,
     so the branch stopping at level k weighs c_k and fires copies 0..k-1.
-    The deepest copy acts first on the data wires.  H's controlled sum
-    (two triangles into one box per Pauli leg) is built once, undischarged,
-    and spliced in per copy.
+    The deepest copy acts first on the data wires.  Each copy is H's
+    controlled sum (two triangles into one box per Pauli leg), written as
+    one region.
     """
     if not all(cmath.isfinite(c) for c in coeffs):
         raise DiagramError("power series coefficients are not finite")
-    c_h = _hamiltonian_sum(h)
+    terms = _hamiltonian_terms(h)
     b = Builder()
     ctrl = b.input()
     data = [b.input() for _ in range(h.m)]
@@ -196,7 +194,7 @@ def _power_series(h: PauliSum, coeffs) -> Diagram:
         ctrl = b.leg(copy)
     b.wire(ctrl, b.zbox(coeffs[-1], tag="weight"))
     for c in reversed(h_ctrls):
-        data = splice(b, c_h.diagram, [c] + data)
+        data = b.region(_factor_sum_into, terms, "balanced", c, data)
     for ref in data:
         b.wire(ref, b.output())
     return ControlledDiagram(b.build(), "matrix", h.m).discharge()

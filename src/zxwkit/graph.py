@@ -70,8 +70,9 @@ class Diagram:
     through the constructors in this module; rewrites copy first.
 
     ``regions`` lists the (start, stop) node-id range of each sub-diagram
-    ``splice`` copied in, which the contraction planner plans once per
-    layout (see ``evaluate``).  JSON and ``structural_equal`` ignore them,
+    a ``Builder.region`` call wrote (a gadget, a copy of H, a spliced
+    arm), which the contraction planner plans once per layout (see
+    ``evaluate``).  JSON and ``structural_equal`` ignore them,
     and operations that renumber or rewrite nodes drop them.
     """
 
@@ -188,7 +189,8 @@ class Builder:
 
     ZBox nodes grow ports on demand; fixed-arity kinds allocate all ports at
     creation.  ``leg`` hands out the next unwired port of a node, ``wire``
-    connects two port refs, and ``build`` validates the result.
+    connects two port refs, ``region`` records what a writer adds as one
+    region, and ``build`` validates the result.
     """
 
     def __init__(self):
@@ -198,7 +200,7 @@ class Builder:
         self._outputs: list = []
         self._next = 0
         self._used: set = set()   # wired (node id, port) refs
-        self._regions: list = []  # node-id ranges ``splice`` wrote
+        self._regions: list = []  # node-id ranges ``region`` recorded
 
     def _new(self, kind: str, ports: int, label=None, tag=None) -> int:
         nid = self._next
@@ -253,6 +255,16 @@ class Builder:
         self._edges.append((a, b))
         self._used.add(a)
         self._used.add(b)
+
+    def region(self, write, *args):
+        """Call ``write(self, *args)`` and record the ids of the nodes it
+        added, which are consecutive, as one region (see ``Diagram``);
+        returns what ``write`` returns."""
+        first = self._next
+        out = write(self, *args)
+        if self._next > first:
+            self._regions.append((first, self._next))
+        return out
 
     def build(self) -> Diagram:
         d = Diagram(self._nodes, self._edges, self._inputs, self._outputs,
@@ -551,85 +563,8 @@ def attach_w_merge(b: Builder, fan_in: int, tag: str = "wmerge"):
 # composition and graph surgery
 # ---------------------------------------------------------------------------
 
-def _merged(dst_nodes, dst_edges, src: Diagram, offset: int):
-    for nid, n in src.nodes.items():
-        dst_nodes[nid + offset] = Node(nid + offset, n.kind, n.ports, n.label, n.tag)
-    for (a, pa), (bb, pb) in src.edges:
-        dst_edges.append(((a + offset, pa), (bb + offset, pb)))
-
-
-def _eliminate_wire_points(nodes: dict, edges: list, points: set) -> None:
-    """Remove 2-ended pass-through nodes, splicing their edges.
-
-    A wire point whose two edges close on themselves is a circle; circles are
-    replaced by the scalar 2 (a 0-leg label-1 ZBox), since the trace of the
-    identity wire is 2.
-    """
-    def other(edge, nid):
-        (a, pa), (bb, pb) = edge
-        return (bb, pb) if a == nid else (a, pa)
-
-    for point in list(points):
-        incident = [e for e in edges if e[0][0] == point or e[1][0] == point]
-        if not incident:
-            continue
-        if len(incident) == 1:
-            # both ends of one edge on the point: a closed circle
-            edges.remove(incident[0])
-            nid = max(nodes) + 1 if nodes else 0
-            nodes[nid] = Node(nid, ZBOX, 0, 1.0, "circle")
-            del nodes[point]
-            points.discard(point)
-            continue
-        e1, e2 = incident
-        a = other(e1, point)
-        bnd = other(e2, point)
-        edges.remove(e1)
-        edges.remove(e2)
-        edges.append((a, bnd))
-        del nodes[point]
-        points.discard(point)
-
-
-def compose_seq(f: Diagram, g: Diagram) -> Diagram:
-    """Sequential composition: f's outputs glued to g's inputs, g after f.
-
-    eval(compose_seq(f, g)) = eval(g) @ eval(f).
-    """
-    if f.n_outputs != g.n_inputs:
-        raise DiagramError(
-            f"cannot compose: f has {f.n_outputs} outputs, g has {g.n_inputs} inputs")
-    nodes: dict = {}
-    edges: list = []
-    _merged(nodes, edges, f, 0)
-    off = (max(f.nodes) + 1) if f.nodes else 0
-    _merged(nodes, edges, g, off)
-    points = set()
-    for i in range(f.n_outputs):
-        fo = f.outputs[i]
-        gi = g.inputs[i] + off
-        edges.append(((fo, 0), (gi, 0)))
-        points.add(fo)
-        points.add(gi)
-    _eliminate_wire_points(nodes, edges, points)
-    return Diagram(nodes, edges,
-                   list(f.inputs), [o + off for o in g.outputs])
-
-
-def compose_par(f: Diagram, g: Diagram) -> Diagram:
-    """Parallel composition (tensor): eval = kron(eval(f), eval(g))."""
-    nodes: dict = {}
-    edges: list = []
-    _merged(nodes, edges, f, 0)
-    off = (max(f.nodes) + 1) if f.nodes else 0
-    _merged(nodes, edges, g, off)
-    return Diagram(nodes, edges,
-                   list(f.inputs) + [i + off for i in g.inputs],
-                   list(f.outputs) + [o + off for o in g.outputs])
-
-
-def splice(b: Builder, sub: Diagram, in_refs) -> list:
-    """Copy ``sub`` into builder ``b`` with input i wired to in_refs[i].
+def _copy_into(b: Builder, sub: Diagram, in_refs) -> list:
+    """Write a copy of ``sub`` into ``b`` with input i wired to in_refs[i].
 
     Returns one ref per output of ``sub`` for the caller to wire on.
     Interior nodes are cloned and no boundary node is: an edge from input i
@@ -637,13 +572,10 @@ def splice(b: Builder, sub: Diagram, in_refs) -> list:
     leads to.  A plain wire hands back its input's ref, and a cup joins two
     of the caller's refs.  Only a cap needs a node: a two-legged label-1
     ZBox (an exact plain wire) whose two legs the two outputs hand back.
-    The ids of the nodes written, which are consecutive, are recorded as
-    one of ``b``'s regions; the sub-diagram's own regions are not kept.
     """
     if len(in_refs) != sub.n_inputs:
         raise DiagramError(f"splice needs {sub.n_inputs} input refs, "
                            f"got {len(in_refs)}")
-    first = b._next
     mapping = {}
     for nid, n in sub.nodes.items():
         if n.kind == ZBOX:
@@ -674,9 +606,45 @@ def splice(b: Builder, sub: Diagram, in_refs) -> list:
             out_refs[eb[0]] = ref(ea)
         else:
             b.wire(ref(ea), ref(eb))
-    if b._next > first:
-        b._regions.append((first, b._next))
     return [out_refs[o] for o in sub.outputs]
+
+
+def splice(b: Builder, sub: Diagram, in_refs) -> list:
+    """Copy the prebuilt ``sub`` into ``b`` as one region, with input i
+    wired to in_refs[i]; returns one ref per output of ``sub`` (see
+    ``_copy_into``).  The sub-diagram's own regions are not kept."""
+    return b.region(_copy_into, sub, in_refs)
+
+
+def compose_seq(f: Diagram, g: Diagram) -> Diagram:
+    """Sequential composition: f's outputs glued to g's inputs, g after f.
+
+    eval(compose_seq(f, g)) = eval(g) @ eval(f).  Both are copied into one
+    ``Builder`` (see ``_copy_into``), so the glued wires leave no node; a
+    closed circle becomes a self-looped label-1 box, whose trace is 2.  The
+    composite has no regions.
+    """
+    if f.n_outputs != g.n_inputs:
+        raise DiagramError(
+            f"cannot compose: f has {f.n_outputs} outputs, g has {g.n_inputs} inputs")
+    b = Builder()
+    refs = [b.input() for _ in f.inputs]
+    for ref in _copy_into(b, g, _copy_into(b, f, refs)):
+        b.wire(ref, b.output())
+    return b.build()
+
+
+def compose_par(f: Diagram, g: Diagram) -> Diagram:
+    """Parallel composition (tensor): eval = kron(eval(f), eval(g)).
+
+    Like ``compose_seq``, it copies both into one ``Builder`` and keeps no
+    regions."""
+    b = Builder()
+    f_in = [b.input() for _ in f.inputs]
+    g_in = [b.input() for _ in g.inputs]
+    for ref in _copy_into(b, f, f_in) + _copy_into(b, g, g_in):
+        b.wire(ref, b.output())
+    return b.build()
 
 
 def transpose_diagram(d: Diagram) -> Diagram:

@@ -250,11 +250,11 @@ class DiagonalFactorSum:
         return out
 
 
-def _hamiltonian_sum(h: PauliSum, cap: int = DEFAULT_CAP) -> ControlledDiagram:
-    """``build_hamiltonian_diagram``'s controlled diagram, undischarged."""
+def _hamiltonian_terms(h: PauliSum, cap: int = DEFAULT_CAP) -> list:
+    """``h``'s terms as ``_factor_sum`` terms."""
     if h.m > cap:
         raise CapExceeded(f"{h.m} qubits exceed cap {cap}")
-    return _factor_sum([(a, *_letters(p.ops)) for a, p in h.terms], h.m)
+    return [(a, *_letters(p.ops)) for a, p in h.terms]
 
 
 def build_diagonal_sum_diagram(d: DiagonalFactorSum,
@@ -272,7 +272,7 @@ def build_hamiltonian_diagram(h: PauliSum, cap: int = DEFAULT_CAP):
     Hamiltonian matrix, idling gives the identity.  Duplicate strings stay
     separate branches, and the diagram is left unfused.
     """
-    cd = _hamiltonian_sum(h, cap)
+    cd = _factor_sum(_hamiltonian_terms(h, cap), h.m)
     return cd, cd.discharge()
 
 

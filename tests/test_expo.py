@@ -15,7 +15,7 @@ from zxwkit import (Circuit, Diagram, DiagramError, Gate, PauliString,
                     identity, oracle_matrix, parse_pauli_sum, pauli_gadget,
                     putzer_coefficients, resolve_time, scalar_of,
                     structural_equal, taylor_diagram, trotter_diagram)
-from zxwkit.expo import _chain
+from zxwkit.graph import Builder, splice
 
 
 def _expm(h_matrix, t):
@@ -134,26 +134,34 @@ def test_trotter_matches_a_compose_seq_fold():
 
 
 def test_trotter_phase_box_is_written_into_the_chain():
-    # the phase box goes into the chain's Builder after the outputs: the
-    # same diagram, id for id and edge for edge, as tensoring the built
-    # chain with scalar_of(phase); compose_par drops the chain's regions,
-    # so the matrices are equal bit for bit without them and to round-off
-    # when they are planned first
+    # the chain is the resolved pauli_gadget diagrams spliced into one
+    # Builder, one region each, with the phase box written after the
+    # outputs: the same diagram, id for id, edge for edge and region for
+    # region, so the matrices are equal bit for bit with the regions and
+    # without them, and to round-off between the two
     h = parse_pauli_sum("1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n-1.0 IIZ"
                         "\n0.25 III")
     t, steps = 0.5, 16
     coeffs = [c.real for c, _ in h.terms]
     step = [resolve_time(pauli_gadget(p, c).diagram, t / steps)
             for c, (_, p) in zip(coeffs, h.terms) if p.support()]
-    phase = cmath.exp(-0.5j * t * sum(coeffs))
-    want = compose_par(_chain(h.m, step * steps).build(), scalar_of(phase))
+    b = Builder()
+    data = [b.input() for _ in range(h.m)]
+    for gadget in step * steps:
+        data = splice(b, gadget, data)
+    for ref in data:
+        b.wire(ref, b.output())
+    b.zbox(cmath.exp(-0.5j * t * sum(coeffs)) - 1)
+    want = b.build()
     got = trotter_diagram(h, steps, t)
     assert structural_equal(got, want)
     assert got.edges == want.edges
-    assert len(got.regions) == 5 * steps and not want.regions
+    assert got.regions == want.regions and len(got.regions) == 5 * steps
+    assert np.array_equal(eval_diagram(got), eval_diagram(want))
     flat = Diagram(got.nodes, got.edges, got.inputs, got.outputs)
-    assert np.array_equal(eval_diagram(flat), eval_diagram(want))
-    assert np.abs(eval_diagram(got) - eval_diagram(want)).max() <= 1e-13
+    flat_want = Diagram(want.nodes, want.edges, want.inputs, want.outputs)
+    assert np.array_equal(eval_diagram(flat), eval_diagram(flat_want))
+    assert np.abs(eval_diagram(got) - eval_diagram(flat)).max() <= 1e-13
 
 
 def test_trotter_needs_positive_steps():

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from zxwkit import (Diagram, DiagramError, PauliString,
                     build_diagonal_sum_diagram, build_hamiltonian_diagram,
                     cayley_hamilton_diagram, check_sum_commutativity,
-                    controlled_diagonal_factor, controlled_pauli_string,
-                    diagram_from_dict, eval_diagram, oracle_matrix,
-                    parse_pauli_sum, strings_commute, structural_equal,
-                    taylor_diagram, verify_controlled,
-                    verify_schrodinger_linearity)
+                    commuting_exponential, controlled_diagonal_factor,
+                    controlled_pauli_string, diagram_from_dict, eval_diagram,
+                    oracle_matrix, parse_pauli_sum, strings_commute,
+                    structural_equal, taylor_diagram, trotter_diagram,
+                    verify_controlled, verify_schrodinger_linearity)
 from zxwkit.pauli import PAULI_MATRICES, DiagonalFactorSum
 
 EXAMPLE = "1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n-1.0 IIZ"
@@ -226,26 +226,36 @@ def test_schrodinger_linearity_dimension_check():
                                      t_grid=[0.0])
 
 
-# Pinned diagrams of one complex-coefficient sum.  The term writer is shared
-# with controlled_matrix, which fans its terms out differently; the
-# Hamiltonian routes keep their diagrams and their matrices bit for bit.
+# Pinned diagrams of one complex-coefficient sum, with their regions.  The
+# term writer is shared with controlled_matrix, which fans its terms out
+# differently.  Trotter chains need real coefficients, and the commuting
+# exponential commuting terms too.
 PINNED_SUM = "0.7 XY\n-0.4 ZI\n(0.25,-0.1) IX\n0.3 YZ"
+REAL_SUM = "0.7 XY\n-0.4 ZI\n0.25 IX\n0.3 YZ"
+COMMUTING_SUM = "0.7 XX\n-0.4 ZZ\n0.3 YY\n0.2 II"
 PINNED_BUILDS = {
-    "hamiltonian": lambda h: build_hamiltonian_diagram(h)[0].diagram,
-    "taylor": lambda h: taylor_diagram(h, 3, 0.6),
-    "cayley_hamilton": lambda h: cayley_hamilton_diagram(h, 0.6),
+    "hamiltonian": (PINNED_SUM,
+                    lambda h: build_hamiltonian_diagram(h)[0].diagram),
+    "taylor": (PINNED_SUM, lambda h: taylor_diagram(h, 3, 0.6)),
+    "cayley_hamilton": (PINNED_SUM, lambda h: cayley_hamilton_diagram(h, 0.6)),
+    "trotter": (REAL_SUM, lambda h: trotter_diagram(h, 3, 0.6)),
+    "commuting": (COMMUTING_SUM,
+                  lambda h: commuting_exponential(h).resolve(0.6)),
 }
 
 
 @pytest.mark.parametrize("name", list(PINNED_BUILDS))
 def test_pauli_sum_diagrams_are_pinned(name):
     path = Path(__file__).resolve().parent / "pauli_sum_diagrams.json"
-    pinned = diagram_from_dict(json.loads(path.read_text())[name])
-    got = PINNED_BUILDS[name](parse_pauli_sum(PINNED_SUM))
+    entry = json.loads(path.read_text())[name]
+    pinned = diagram_from_dict(entry)
+    text, build = PINNED_BUILDS[name]
+    got = build(parse_pauli_sum(text))
     assert structural_equal(got, pinned)
-    # JSON carries no regions: the series splice one region per copy of H,
-    # bit for bit without them and to round-off when planned first
-    assert bool(got.regions) == (name != "hamiltonian")
+    # JSON carries no diagram's regions, so the file lists them beside it:
+    # one per gadget or copy of H.  The matrices are equal bit for bit
+    # without them and to round-off when they are planned first
+    assert got.regions == [tuple(r) for r in entry["regions"]]
     want = eval_diagram(pinned)
     flat = Diagram(got.nodes, got.edges, got.inputs, got.outputs)
     assert np.array_equal(eval_diagram(flat), want)
