@@ -659,36 +659,29 @@ def transpose_diagram(d: Diagram) -> Diagram:
 
 
 def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
-    """Plug |0> or |1> (a pink-spider state) into input ``wire``."""
+    """Plug |0> or |1> (a pink-spider state) into input ``wire``.
+
+    The result has its own node dict and edge list but shares ``d``'s
+    unchanged ``Node`` objects, which nothing mutates (rewrites copy
+    first)."""
     if not 0 <= wire < d.n_inputs:
         raise DiagramError(f"no input wire {wire}")
     if bit not in (0, 1):
         raise DiagramError("bit must be 0 or 1")
-    out = d.copy()
-    target = out.inputs[wire]
-    hanging = None
-    for idx, e in enumerate(out.edges):
-        if e[0][0] == target or e[1][0] == target:
-            hanging = idx
-            break
-    (a, pa), (bb, pb) = out.edges[hanging]
+    nodes = dict(d.nodes)
+    edges = list(d.edges)
+    target = d.inputs[wire]
+    hanging = next(idx for idx, e in enumerate(edges)
+                   if e[0][0] == target or e[1][0] == target)
+    (a, pa), (bb, pb) = edges.pop(hanging)
     far = (bb, pb) if a == target else (a, pa)
-    del out.edges[hanging]
-    del out.nodes[target]
-    out.inputs.remove(target)
-    base = max(out.nodes) + 1 if out.nodes else 0
+    del nodes[target]
+    base = max(nodes) + 1 if nodes else 0
     # pink state expansion: ZBox(exp(i tau)) - H - wire, plus scalar 1/sqrt(2)
-    centre = Node(base, ZBOX, 1, -1.0 + 0j if bit else 1.0 + 0j,
-                  "basis")
-    h = Node(base + 1, HAD, 2, tag="basis")
-    scale = Node(base + 2, ZBOX, 0, 2.0 ** -0.5 - 1.0, "basis")
-    out.nodes[base] = centre
-    out.nodes[base + 1] = h
-    out.nodes[base + 2] = scale
-    if far == (target, 0):
-        # the input was wired straight to itself through another boundary;
-        # impossible after validation (distinct nodes), kept for safety
-        raise DiagramError("degenerate wire")
-    out.edges.append(((base, 0), (base + 1, 0)))
-    out.edges.append(((base + 1, 1), far))
-    return out
+    nodes[base] = Node(base, ZBOX, 1, -1.0 + 0j if bit else 1.0 + 0j, "basis")
+    nodes[base + 1] = Node(base + 1, HAD, 2, tag="basis")
+    nodes[base + 2] = Node(base + 2, ZBOX, 0, 2.0 ** -0.5 - 1.0, "basis")
+    edges.append(((base, 0), (base + 1, 0)))
+    edges.append(((base + 1, 1), far))
+    return Diagram(nodes, edges, d.inputs[:wire] + d.inputs[wire + 1:],
+                   list(d.outputs), list(d.regions))

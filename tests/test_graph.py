@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zxwkit import (Builder, DiagramError, PhaseVar, and_box, cap,
+from zxwkit import (Builder, Diagram, DiagramError, PhaseVar, and_box, cap,
                     compose_par, compose_seq, cup, green_phase,
                     hadamard_diagram, identity, make_generator, pink_spider,
                     plug_basis, scalar_box, scalar_of, structural_equal,
@@ -127,6 +127,40 @@ def test_compose_seq_arity_mismatch():
         compose_seq(zbox_diagram(1.0, 1, 2), hadamard_diagram())
 
 
+def test_a_closed_circle_evaluates_to_two():
+    # the cap's glue box closes on itself through the cup: a self-looped
+    # label-1 box, whose trace is 2
+    d = compose_seq(cap(), cup())
+    assert (d.n_inputs, d.n_outputs) == (0, 0)
+    assert np.array_equal(eval_diagram(d), [[2]])
+
+
+def test_composites_keep_no_regions():
+    b = Builder()
+    for ref in splice(b, triangle(), [b.input()]):
+        b.wire(ref, b.output())
+    spliced = b.build()
+    assert spliced.regions == [(1, 3)]
+    for d in (compose_seq(spliced, spliced), compose_par(spliced, spliced),
+              compose_seq(identity(1), spliced)):
+        assert d.regions == []
+    tri = eval_diagram(triangle())
+    got = eval_diagram(compose_seq(spliced, spliced))
+    assert np.abs(got - tri @ tri).max() <= 1e-12
+
+
+def test_composition_rejects_a_malformed_operand():
+    # a triangle whose W node lost the edge to its effect: the composite's
+    # Builder.build finds the open port
+    tri = triangle()
+    bad = Diagram(tri.nodes, tri.edges[1:], tri.inputs, tri.outputs)
+    assert validate(bad)
+    with pytest.raises(DiagramError):
+        compose_seq(bad, identity(1))
+    with pytest.raises(DiagramError):
+        compose_par(identity(1), bad)
+
+
 def test_triangle_and_inverse():
     assert np.abs(eval_diagram(triangle())
                   - np.array([[1, 1], [0, 1]])).max() <= 1e-12
@@ -214,6 +248,17 @@ def test_plug_basis():
         assert np.abs(col.reshape(-1) - HAD[:, bit]).max() <= 1e-12
     with pytest.raises(DiagramError):
         plug_basis(d, 3, 0)
+
+
+def test_plug_basis_leaves_its_source_unchanged():
+    d = compose_seq(zbox_diagram(0.5j, 1, 2),
+                    compose_par(hadamard_diagram(), triangle()))
+    before = d.copy()
+    plugged = plug_basis(d, 0, 1)
+    assert structural_equal(d, before)
+    assert d.edges == before.edges and d.inputs == before.inputs
+    assert len(plugged.nodes) == len(d.nodes) + 2
+    assert not plugged.inputs and d.inputs
 
 
 def test_structural_equal_tracks_labels():
