@@ -48,14 +48,15 @@ arrays gives the same bits, so every matrix stays bit-identical.  No
 returned matrix shares memory with a memo or with this module's shared
 tensors, which are read-only.
 
-The greedy order contracts a diagram's ``regions`` (the sub-diagrams
-``splice`` copied in: a Trotter chain's gadgets, a series' copies of H)
-first, each by its template's steps, then runs over the other nodes, the
-boundary wires and the region tensors, numbered in that order.  A template
+The greedy order contracts a diagram's ``regions`` (what each
+``Builder.region`` call wrote: a Trotter chain's gadgets, a series' copies
+of H, a spliced arm) first, each by its template's steps, then runs over
+the other nodes, the boundary wires and the region tensors, numbered in
+that order.  A template
 (a region's layout) is planned once however many regions share it, and a
 region whose template and labels equal an earlier region's takes its
 tensor: a 32-step Trotter chain plans two small templates and 161 tensors,
-not 1447, and computes each distinct gadget once per run.
+not 1255, and computes each distinct gadget once per run.
 """
 
 from __future__ import annotations
