@@ -294,6 +294,71 @@ def test_name_check_sees_references():
     assert _names(tree) >= {"splice", "attach_and", "attach_v"}
 
 
+def test_exponential_routes_build_one_diagram(monkeypatch):
+    # gadgets and copies of H are written into the route's Builder: no
+    # sub-diagram is built, validated and spliced
+    validated, spliced = [], []
+    real_validate, real_splice = graph.validate, graph.splice
+    monkeypatch.setattr(graph, "validate",
+                        lambda d: validated.append(d) or real_validate(d))
+    bindings = [mod for name, mod in sys.modules.items()
+                if name.startswith("zxwkit")
+                and getattr(mod, "splice", None) is real_splice]
+    assert {"zxwkit.graph", "zxwkit.controlled"} <= {
+        mod.__name__ for mod in bindings}
+    for mod in bindings:
+        monkeypatch.setattr(mod, "splice", lambda *args: (
+            spliced.append(args) or real_splice(*args)))
+    h3 = zxwkit.parse_pauli_sum("1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n"
+                                "-1.0 IIZ")
+    h2 = zxwkit.parse_pauli_sum("0.7 XY\n-0.4 ZI\n0.25 IX\n0.3 YZ")
+    hc = zxwkit.parse_pauli_sum("0.7 XX\n-0.4 ZZ\n0.3 YY")
+    builds = [lambda: zxwkit.trotter_diagram(h3, 4, 0.5),
+              lambda: zxwkit.commuting_exponential(hc),
+              lambda: zxwkit.taylor_diagram(h2, 3, 0.4),
+              lambda: zxwkit.cayley_hamilton_diagram(h2, 0.4)]
+    counts = []
+    for build in builds:
+        validated.clear()
+        spliced.clear()
+        build()
+        counts.append((len(validated), len(spliced)))
+    assert counts == [(1, 0)] * 4
+
+
+def _functions_naming(tree, name: str) -> set:
+    """Names of the functions whose bodies read ``name`` as a name or an
+    attribute."""
+    return {fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and name in _names(fn)}
+
+
+def test_one_way_to_glue_wires_and_one_region_writer():
+    # splice copies prebuilt diagrams (ControlledDiagram arms) and is used
+    # nowhere else, compose_seq's wire-point elimination is gone, and only
+    # Builder.region appends to a Builder's regions
+    users, defined, regions = [], set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "splice" in _names(tree):
+            users.append(path.name)
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)}
+        regions |= {(path.name, fn)
+                    for fn in _functions_naming(tree, "_regions")}
+    assert set(users) <= {"controlled.py", "graph.py"}
+    assert not defined & {"_merged", "_eliminate_wire_points",
+                          "_gadget_diagram", "_attach_conjugation"}
+    assert regions == {("graph.py", "__init__"), ("graph.py", "region"),
+                       ("graph.py", "build")}
+
+
+def test_function_check_sees_names():
+    tree = ast.parse("def f(b):\n    b._regions.append(1)\n"
+                     "def g():\n    return _regions\ndef h():\n    pass\n")
+    assert _functions_naming(tree, "_regions") == {"f", "g"}
+
+
 def test_a_trotter_chain_plans_and_computes_each_gadget_once(monkeypatch):
     # a 32-step chain splices five gadgets per step; the two XX gadgets
     # share a layout and an angle, and so do the three Z gadgets
