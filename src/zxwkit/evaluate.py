@@ -52,11 +52,11 @@ The greedy order contracts a diagram's ``regions`` (what each
 ``Builder.region`` call wrote: a Trotter chain's gadgets, a series' copies
 of H, a spliced arm) first, each by its template's steps, then runs over
 the other nodes, the boundary wires and the region tensors, numbered in
-that order.  A template
-(a region's layout) is planned once however many regions share it, and a
-region whose template and labels equal an earlier region's takes its
-tensor: a 32-step Trotter chain plans two small templates and 161 tensors,
-not 1255, and computes each distinct gadget once per run.
+that order.  A template (a region's layout) is planned once however many
+regions share it, and a region whose template and labels equal an earlier
+region's takes its tensor: a 32-step Trotter chain plans two small
+templates and 161 tensors, not 1255, and computes each distinct gadget
+once per run.
 """
 
 from __future__ import annotations

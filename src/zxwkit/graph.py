@@ -572,6 +572,7 @@ def _copy_into(b: Builder, sub: Diagram, in_refs) -> list:
     leads to.  A plain wire hands back its input's ref, and a cup joins two
     of the caller's refs.  Only a cap needs a node: a two-legged label-1
     ZBox (an exact plain wire) whose two legs the two outputs hand back.
+    Other defects of ``sub`` surface when ``b`` is built.
     """
     if len(in_refs) != sub.n_inputs:
         raise DiagramError(f"splice needs {sub.n_inputs} input refs, "
@@ -596,17 +597,21 @@ def _copy_into(b: Builder, sub: Diagram, in_refs) -> list:
             return b.leg(mapping[nid], port)
         return (mapping[nid], port)
 
-    for ea, eb in sub.edges:
-        if ea[0] in outputs and eb[0] in outputs:
-            glue = b.zbox(1.0, tag="glue")
-            out_refs[ea[0]], out_refs[eb[0]] = b.leg(glue), b.leg(glue)
-        elif ea[0] in outputs:
-            out_refs[ea[0]] = ref(eb)
-        elif eb[0] in outputs:
-            out_refs[eb[0]] = ref(ea)
-        else:
-            b.wire(ref(ea), ref(eb))
-    return [out_refs[o] for o in sub.outputs]
+    try:
+        for ea, eb in sub.edges:
+            if ea[0] in outputs and eb[0] in outputs:
+                glue = b.zbox(1.0, tag="glue")
+                out_refs[ea[0]], out_refs[eb[0]] = b.leg(glue), b.leg(glue)
+            elif ea[0] in outputs:
+                out_refs[ea[0]] = ref(eb)
+            elif eb[0] in outputs:
+                out_refs[eb[0]] = ref(ea)
+            else:
+                b.wire(ref(ea), ref(eb))
+        return [out_refs[o] for o in sub.outputs]
+    except KeyError as exc:
+        raise DiagramError(f"malformed diagram: node {exc.args[0]} is "
+                           "missing or unwired") from exc
 
 
 def splice(b: Builder, sub: Diagram, in_refs) -> list:

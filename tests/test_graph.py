@@ -150,15 +150,19 @@ def test_composites_keep_no_regions():
 
 
 def test_composition_rejects_a_malformed_operand():
-    # a triangle whose W node lost the edge to its effect: the composite's
-    # Builder.build finds the open port
-    tri = triangle()
-    bad = Diagram(tri.nodes, tri.edges[1:], tri.inputs, tri.outputs)
-    assert validate(bad)
-    with pytest.raises(DiagramError):
-        compose_seq(bad, identity(1))
-    with pytest.raises(DiagramError):
-        compose_par(identity(1), bad)
+    # a triangle whose W node lost the edge to its effect (the composite's
+    # Builder.build finds the open port), a Hadamard whose output lost its
+    # wire, and one with an edge to a missing node (the copy finds those)
+    tri, had = triangle(), hadamard_diagram()
+    for bad in (Diagram(tri.nodes, tri.edges[1:], tri.inputs, tri.outputs),
+                Diagram(had.nodes, had.edges[:1], had.inputs, had.outputs),
+                Diagram(had.nodes, had.edges + [((9, 0), (9, 1))],
+                        had.inputs, had.outputs)):
+        assert validate(bad)
+        with pytest.raises(DiagramError):
+            compose_seq(bad, identity(1))
+        with pytest.raises(DiagramError):
+            compose_par(identity(1), bad)
 
 
 def test_triangle_and_inverse():
