@@ -680,6 +680,9 @@ def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
                    if e[0][0] == target or e[1][0] == target)
     (a, pa), (bb, pb) = edges.pop(hanging)
     far = (bb, pb) if a == target else (a, pa)
+    if far == (target, 0):
+        # the input wired to itself; impossible after validation
+        raise DiagramError("degenerate wire")
     del nodes[target]
     base = max(nodes) + 1 if nodes else 0
     # pink state expansion: ZBox(exp(i tau)) - H - wire, plus scalar 1/sqrt(2)
