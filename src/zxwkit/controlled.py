@@ -539,18 +539,25 @@ def controlled_sum_matrices(components, weights=None) -> ControlledDiagram:
 _CONJ_FOR_LETTER = {"Z": "I", "X": "H", "Y": "V"}
 
 
-def _conjugated(b: Builder, name: str, ref, dagger: bool):
-    """``ref`` through one side of the basis change; returns the far ref.
-    "I" adds no node, as its label-1 2-leg box is a plain wire (rule S2)."""
+def _attach_conjugation(b: Builder, name: str, dagger: bool):
+    """One side of the basis change; returns (in_ref, out_ref)."""
     if name == "I":
-        return ref
+        box = b.zbox(1.0, tag="conj")
+        return b.leg(box), b.leg(box)
     if name == "H":
         h = b.had(tag="conj")
-        ci, co = (h, 0), (h, 1)
-    elif name == "V":
-        ci, co = attach_v(b, dagger=dagger, tag="conj")
-    else:
-        raise DiagramError(f"unknown conjugation {name!r}")
+        return (h, 0), (h, 1)
+    if name == "V":
+        return attach_v(b, dagger=dagger, tag="conj")
+    raise DiagramError(f"unknown conjugation {name!r}")
+
+
+def _conjugated(b: Builder, name: str, ref, dagger: bool):
+    """``ref`` through one side of the basis change; "I" adds no node, as
+    its label-1 2-leg box is a plain wire (rule S2)."""
+    if name == "I":
+        return ref
+    ci, co = _attach_conjugation(b, name, dagger)
     b.wire(ref, ci)
     return co
 

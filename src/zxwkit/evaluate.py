@@ -55,7 +55,7 @@ the other nodes, the boundary wires and the region tensors, numbered in
 that order.  A template (a region's layout) is planned once however many
 regions share it, and a region whose template and labels equal an earlier
 region's takes its tensor: a 32-step Trotter chain plans two small
-templates and 161 tensors, not 1255, and computes each distinct gadget
+templates and 161 tensors, not 1447, and computes each distinct gadget
 once per run.
 """
 

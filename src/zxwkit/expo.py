@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled import (_CONJ_FOR_LETTER, ControlledDiagram,
-                         _conjugated, _factor_sum_into, _gate_arms)
+                         _attach_conjugation, _factor_sum_into, _gate_arms)
 from .evaluate import HAD_MATRIX, eval_diagram
 from .graph import (Builder, Diagram, DiagramError, Node, PhaseVar,
                     attach_pink)
@@ -76,12 +76,16 @@ def _gadget_into(b: Builder, p: PauliString, label, data) -> list:
     data = list(data)
     probes = []
     for q in p.support():
-        conj = _CONJ_FOR_LETTER[p.ops[q]]
-        ref = _conjugated(b, conj, data[q], dagger=False)
+        ci, co = _attach_conjugation(b, _CONJ_FOR_LETTER[p.ops[q]],
+                                     dagger=False)
+        b.wire(data[q], ci)
         copy = b.zbox(1.0, tag="copy")
-        b.wire(ref, copy)
+        b.wire(co, copy)
         probes.append(b.leg(copy))
-        data[q] = _conjugated(b, conj, b.leg(copy), dagger=True)
+        di, do = _attach_conjugation(b, _CONJ_FOR_LETTER[p.ops[q]],
+                                     dagger=True)
+        b.wire(b.leg(copy), di)
+        data[q] = do
     pins, pouts = attach_pink(b, len(probes), 1, 0.0, tag="body")
     for probe, pin in zip(probes, pins):
         b.wire(probe, pin)

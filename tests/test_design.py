@@ -348,7 +348,7 @@ def test_one_way_to_glue_wires_and_one_region_writer():
                     for fn in _functions_naming(tree, "_regions")}
     assert set(users) <= {"controlled.py", "graph.py"}
     assert not defined & {"_merged", "_eliminate_wire_points",
-                          "_gadget_diagram", "_attach_conjugation"}
+                          "_gadget_diagram"}
     assert regions == {("graph.py", "__init__"), ("graph.py", "region"),
                        ("graph.py", "build")}
 
@@ -372,12 +372,12 @@ def test_a_trotter_chain_plans_and_computes_each_gadget_once(monkeypatch):
     monkeypatch.setattr(evaluate, "_tensor", lambda d, nid, *args: (
         made.append(nid) or tensor(d, nid, *args)))
     plan = zxwkit.plan_contraction(d)
-    assert sorted(planned) == [5, 12, 161]
+    assert sorted(planned) == [7, 12, 161]
     plan.run(d)
     region_of = {nid: r for r in d.regions for nid in range(*r)}
     per_region = Counter(region_of.get(nid) for nid in made)
     assert per_region.pop(None) == 1    # the phase box, in no region
-    assert sorted(per_region.values()) == [5, 12]
+    assert sorted(per_region.values()) == [7, 12]
     assert list(inspect.signature(zxwkit.plan_contraction).parameters) == [
         "d", "cap", "order"]
     assert "regions" not in json.loads(zxwkit.diagram_to_json(d))
