@@ -148,35 +148,48 @@ def structural_equal(a: Diagram, b: Diagram, tol: float = 0.0) -> bool:
 def validate(d: Diagram) -> list:
     """Return a list of defect descriptions; empty means the diagram is legal."""
     problems = []
+    nodes = d.nodes
     seen: dict = {}
+    counted = 0
     for e in d.edges:
         if len(e) != 2:
             problems.append(f"edge {e!r} is not a pair")
             continue
         for end in e:
             nid, port = end
-            if nid not in d.nodes:
+            node = nodes.get(nid)
+            if node is None:
                 problems.append(f"edge endpoint {end!r} references missing node")
                 continue
-            node = d.nodes[nid]
             if not (0 <= port < node.ports):
                 problems.append(f"port {port} out of range on node {nid}")
             seen[end] = seen.get(end, 0) + 1
-    for nid, node in d.nodes.items():
-        want = _FIXED_PORTS.get(node.kind)
-        if node.kind == ZBOX:
+            counted += 1
+    # every counted end is a port in range and no port is counted twice:
+    # then every port is covered exactly once if the counts match
+    covered = (not problems and len(seen) == counted
+               == sum(max(node.ports, 0) for node in nodes.values()))
+    ins, outs = [], []
+    for nid, node in nodes.items():
+        kind = node.kind
+        want = _FIXED_PORTS.get(kind)
+        if kind == ZBOX:
             if node.label is None:
                 problems.append(f"zbox {nid} has no label")
         elif want is None:
-            problems.append(f"node {nid} has unknown kind {node.kind!r}")
+            problems.append(f"node {nid} has unknown kind {kind!r}")
         elif node.ports != want:
-            problems.append(f"{node.kind} node {nid} has {node.ports} ports, needs {want}")
+            problems.append(f"{kind} node {nid} has {node.ports} ports, needs {want}")
+        if kind == IN:
+            ins.append(nid)
+        elif kind == OUT:
+            outs.append(nid)
+        if covered:
+            continue
         for p in range(node.ports):
             cnt = seen.get((nid, p), 0)
             if cnt != 1:
                 problems.append(f"port ({nid},{p}) covered {cnt} times, needs exactly 1")
-    ins = [nid for nid, n in d.nodes.items() if n.kind == IN]
-    outs = [nid for nid, n in d.nodes.items() if n.kind == OUT]
     if sorted(ins) != sorted(d.inputs) or len(set(d.inputs)) != len(d.inputs):
         problems.append("inputs list does not match the set of 'in' nodes")
     if sorted(outs) != sorted(d.outputs) or len(set(d.outputs)) != len(d.outputs):
