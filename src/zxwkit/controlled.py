@@ -589,29 +589,25 @@ def _letters(ops):
             [_CONJ_FOR_LETTER.get(c, "I") for c in ops])
 
 
-def _factor_sum_into(b: Builder, terms, assoc: str, ctrl, data) -> list:
-    """Write the controlled sum of (alpha, labels, conj) terms into ``b``
-    from its control and data refs, each term one writer off a W fan
-    shaped by ``assoc``, and return the data outputs.  A lone weight-1
-    term is its factor alone.  ``data`` is read after the fan is written,
-    so an iterator that makes inputs numbers them after the fan."""
+def _factor_sum_into(b: Builder, terms, fan, data) -> list:
+    """Write the controlled sum of (alpha, labels, conj) terms into ``b``,
+    term i a writer gated off fan[i] (see ``_fan``), and return the data
+    outputs.  A lone weight-1 term is its factor alone."""
     arms = [partial(_diagonal_factor_into, labels, conj)
             for _, labels, conj in terms]
     weights = [alpha for alpha, _, _ in terms]
     if len(arms) == 1 and weights[0] == 1:
-        fan, weights = [ctrl], None
-    else:
-        fan = _fan(b, ctrl, len(arms), assoc)
-    return _gate_arms(b, fan, arms, list(data), weights)[-1]
+        weights = None
+    return _gate_arms(b, fan, arms, data, weights)[-1]
 
 
 def _factor_sum(terms, m: int, assoc: str = "balanced") -> ControlledDiagram:
-    """``_factor_sum_into`` as a controlled diagram of its own."""
+    """``_factor_sum_into`` as a controlled diagram of its own, off a W fan
+    shaped by ``assoc``."""
     b = Builder()
-    ctrl = b.input()
-    outs = _factor_sum_into(b, terms, assoc, ctrl,
-                            (b.input() for _ in range(m)))
-    for ref in outs:
+    fan = _fan(b, b.input(), len(terms), assoc)
+    data = [b.input() for _ in range(m)]
+    for ref in _factor_sum_into(b, terms, fan, data):
         b.wire(ref, b.output())
     return ControlledDiagram(b.build(), "matrix", m)
 

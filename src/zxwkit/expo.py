@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlled import (_CONJ_FOR_LETTER, ControlledDiagram,
-                         _attach_conjugation, _factor_sum_into, _gate_arms)
+                         _attach_conjugation, _factor_sum_into, _fan,
+                         _gate_arms)
 from .evaluate import HAD_MATRIX, eval_diagram
 from .graph import (Builder, Diagram, DiagramError, Node, PhaseVar,
                     attach_pink)
@@ -168,6 +169,13 @@ def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
     return b.build()
 
 
+def _copy_of_h(b: Builder, terms, ctrl, data) -> list:
+    """Write one copy of H's controlled sum off ``ctrl``: its W fan, then
+    its terms; returns the data outputs."""
+    return _factor_sum_into(b, terms, _fan(b, ctrl, len(terms), "balanced"),
+                            data)
+
+
 def _power_series(h: PauliSum, coeffs) -> Diagram:
     """Discharged diagram of c0 I + H (c1 I + H (c2 I + ...)): one copy
     of H per degree.  Level k's control feeds a W fan into an effect
@@ -194,7 +202,7 @@ def _power_series(h: PauliSum, coeffs) -> Diagram:
         ctrl = b.leg(copy)
     b.wire(ctrl, b.zbox(coeffs[-1], tag="weight"))
     for c in reversed(h_ctrls):
-        data = b.region(_factor_sum_into, terms, "balanced", c, data)
+        data = b.region(_copy_of_h, terms, c, data)
     for ref in data:
         b.wire(ref, b.output())
     return ControlledDiagram(b.build(), "matrix", h.m).discharge()
