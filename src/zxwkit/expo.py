@@ -170,8 +170,7 @@ def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
 
 
 def _copy_of_h(b: Builder, terms, ctrl, data) -> list:
-    """Write one copy of H's controlled sum off ``ctrl``: its W fan, then
-    its terms; returns the data outputs."""
+    """Write one copy of H's controlled sum, W fan first, off ``ctrl``."""
     return _factor_sum_into(b, terms, _fan(b, ctrl, len(terms), "balanced"),
                             data)
 

@@ -184,9 +184,7 @@ def validate(d: Diagram) -> list:
             ins.append(nid)
         elif kind == OUT:
             outs.append(nid)
-        if covered:
-            continue
-        for p in range(node.ports):
+        for p in range(0 if covered else node.ports):
             cnt = seen.get((nid, p), 0)
             if cnt != 1:
                 problems.append(f"port ({nid},{p}) covered {cnt} times, needs exactly 1")
@@ -634,35 +632,44 @@ def splice(b: Builder, sub: Diagram, in_refs) -> list:
     return b.region(_copy_into, sub, in_refs)
 
 
+def _seq(*ds: Diagram) -> Diagram:
+    """``ds`` in series, the first acting first, copied into one
+    ``Builder`` (see ``_copy_into``): the glued wires leave no node, a
+    closed circle becomes a self-looped label-1 box, whose trace is 2, and
+    the composite has no regions."""
+    b = Builder()
+    refs = [b.input() for _ in ds[0].inputs]
+    for d in ds:
+        refs = _copy_into(b, d, refs)
+    for ref in refs:
+        b.wire(ref, b.output())
+    return b.build()
+
+
+def _par(*ds: Diagram) -> Diagram:
+    """``ds`` side by side, the first on the first wires, copied into one
+    ``Builder`` like ``_seq``."""
+    b = Builder()
+    ins = [[b.input() for _ in d.inputs] for d in ds]
+    outs = [ref for d, refs in zip(ds, ins) for ref in _copy_into(b, d, refs)]
+    for ref in outs:
+        b.wire(ref, b.output())
+    return b.build()
+
+
 def compose_seq(f: Diagram, g: Diagram) -> Diagram:
     """Sequential composition: f's outputs glued to g's inputs, g after f.
 
-    eval(compose_seq(f, g)) = eval(g) @ eval(f).  Both are copied into one
-    ``Builder`` (see ``_copy_into``), so the glued wires leave no node; a
-    closed circle becomes a self-looped label-1 box, whose trace is 2.  The
-    composite has no regions.
-    """
+    eval(compose_seq(f, g)) = eval(g) @ eval(f).  It is ``_seq(f, g)``."""
     if f.n_outputs != g.n_inputs:
         raise DiagramError(
             f"cannot compose: f has {f.n_outputs} outputs, g has {g.n_inputs} inputs")
-    b = Builder()
-    refs = [b.input() for _ in f.inputs]
-    for ref in _copy_into(b, g, _copy_into(b, f, refs)):
-        b.wire(ref, b.output())
-    return b.build()
+    return _seq(f, g)
 
 
 def compose_par(f: Diagram, g: Diagram) -> Diagram:
-    """Parallel composition (tensor): eval = kron(eval(f), eval(g)).
-
-    Like ``compose_seq``, it copies both into one ``Builder`` and keeps no
-    regions."""
-    b = Builder()
-    f_in = [b.input() for _ in f.inputs]
-    g_in = [b.input() for _ in g.inputs]
-    for ref in _copy_into(b, f, f_in) + _copy_into(b, g, g_in):
-        b.wire(ref, b.output())
-    return b.build()
+    """Parallel composition: eval = kron(eval(f), eval(g)); ``_par(f, g)``."""
+    return _par(f, g)
 
 
 def transpose_diagram(d: Diagram) -> Diagram:

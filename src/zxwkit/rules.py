@@ -43,32 +43,10 @@ import numpy as np
 
 from .evaluate import DEFAULT_TOL, equal_up_to_scalar, eval_diagram
 from .graph import (HAD, W, ZBOX, Builder, Diagram, DiagramError,
-                    PhaseVar, _copy_into, and_box, cap, compose_par,
+                    PhaseVar, _par, _seq, and_box, cap, compose_par,
                     hadamard_diagram, identity, pink_spider, scalar_box,
                     swap_pair, transpose_diagram, triangle, validate,
                     w_diagram, w_spider, wire_permutation, zbox_diagram)
-
-
-def _seq(*ds: Diagram) -> Diagram:
-    """``compose_seq`` folded over ``ds``, written as one composite: each
-    part is copied into one ``Builder``, so only the result is validated."""
-    b = Builder()
-    refs = [b.input() for _ in ds[0].inputs]
-    for d in ds:
-        refs = _copy_into(b, d, refs)
-    for ref in refs:
-        b.wire(ref, b.output())
-    return b.build()
-
-
-def _par(*ds: Diagram) -> Diagram:
-    """``compose_par`` folded over ``ds``, written as one composite."""
-    b = Builder()
-    ins = [[b.input() for _ in d.inputs] for d in ds]
-    outs = [ref for d, refs in zip(ds, ins) for ref in _copy_into(b, d, refs)]
-    for ref in outs:
-        b.wire(ref, b.output())
-    return b.build()
 
 
 def _empty() -> Diagram:

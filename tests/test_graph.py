@@ -13,8 +13,8 @@ from zxwkit import (Builder, Diagram, DiagramError, PhaseVar, and_box, cap,
                     plug_basis, scalar_box, scalar_of, structural_equal,
                     swap_pair, transpose_diagram, triangle, v_gate, validate,
                     w_diagram, w_spider, wire_permutation, zbox_diagram)
-from zxwkit.evaluate import eval_diagram
-from zxwkit.graph import splice
+from zxwkit.evaluate import _structure, eval_diagram
+from zxwkit.graph import _par, _seq, splice
 
 from circuit_strategies import circuits
 
@@ -147,6 +147,23 @@ def test_composites_keep_no_regions():
     tri = eval_diagram(triangle())
     got = eval_diagram(compose_seq(spliced, spliced))
     assert np.abs(got - tri @ tri).max() <= 1e-12
+
+
+def test_seq_and_par_are_their_pairwise_folds():
+    # one Builder for all the parts writes what folding compose_seq or
+    # compose_par over them writes, node for node and label for label
+    parts = [zbox_diagram(0.5j, 1, 2), swap_pair(), cup(), cap(),
+             transpose_diagram(w_diagram()), hadamard_diagram()]
+    par_parts = [triangle(), cap(), zbox_diagram(-1.5, 2, 0), identity(1)]
+    for many, pair, ds in ((_seq, compose_seq, parts),
+                           (_par, compose_par, par_parts)):
+        fold = ds[0]
+        for d in ds[1:]:
+            fold = pair(fold, d)
+        got = many(*ds)
+        assert _structure(got) == _structure(fold)
+        assert ([n.label for _, n in sorted(got.nodes.items())]
+                == [n.label for _, n in sorted(fold.nodes.items())])
 
 
 def test_composition_rejects_a_malformed_operand():
