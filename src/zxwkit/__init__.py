@@ -21,13 +21,11 @@ from .serialize import (diagram_from_dict, diagram_from_json, diagram_to_dict,
 from .rules import (SimplifyResult, SoundnessReport, TemplateReport,
                     apply_fusion, check_soundness, check_template,
                     instantiate, simplify_basic, template_names)
-from .controlled import (ControlledDiagram, ElementaryMatrixSpec,
-                         check_controlled_matrix, controlled_elementary,
+from .controlled import (ControlledDiagram, check_controlled_matrix,
                          controlled_identity, controlled_matrix,
                          controlled_product, controlled_state_normal_form,
                          controlled_sum_matrices, controlled_sum_states,
-                         decompose_elementary, state_oracle, sum_normal_forms,
-                         verify_controlled)
+                         state_oracle, sum_normal_forms, verify_controlled)
 from .pauli import (DiagonalFactorSum, LinearityReport, PauliString, PauliSum,
                     build_diagonal_sum_diagram, build_hamiltonian_diagram,
                     check_sum_commutativity, controlled_diagonal_factor,
@@ -54,12 +52,10 @@ __all__ = [
     "SimplifyResult", "SoundnessReport", "TemplateReport", "apply_fusion",
     "check_soundness", "check_template", "instantiate", "simplify_basic",
     "template_names",
-    "ControlledDiagram", "ElementaryMatrixSpec", "check_controlled_matrix",
-    "controlled_elementary", "controlled_identity", "controlled_matrix",
-    "controlled_product", "controlled_state_normal_form",
-    "controlled_sum_matrices", "controlled_sum_states",
-    "decompose_elementary", "state_oracle", "sum_normal_forms",
-    "verify_controlled",
+    "ControlledDiagram", "check_controlled_matrix", "controlled_identity",
+    "controlled_matrix", "controlled_product", "controlled_state_normal_form",
+    "controlled_sum_matrices", "controlled_sum_states", "state_oracle",
+    "sum_normal_forms", "verify_controlled",
     "DiagonalFactorSum", "LinearityReport", "PauliString", "PauliSum",
     "build_diagonal_sum_diagram", "build_hamiltonian_diagram",
     "check_sum_commutativity", "controlled_diagonal_factor",

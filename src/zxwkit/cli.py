@@ -66,6 +66,8 @@ class Config:
             raise _Usage("cap must be at least 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise _Usage(f"tolerance must be finite and positive, got {self.tol!r}")
+        if self.seed < 0:
+            raise _Usage(f"seed must be non-negative, got {self.seed}")
 
 
 def _setting(flag, name: str, parse, default):

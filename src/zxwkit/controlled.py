@@ -11,12 +11,11 @@ contract is the correctness notion everywhere in this module:
 
 Square matrices enter as Pauli sums: ``controlled_matrix`` writes each
 term c_P P of M into one ``Builder`` with ``_factor_sum``, the Hamiltonian
-writer, so its error grows like ||M|| eps.  Elimination is the elementary
-construction, ``controlled_product`` of the ``controlled_elementary`` of
-each ``decompose_elementary`` spec (partial pivot Gauss-Jordan, with a
-complete-pivot rank factorization for singular input).  Sums distribute
-the control over a W-node fan: the wire sum of branches becomes the
-matrix sum of the gated arms.
+writer, so its error grows like ||M|| eps.  This is the one construction
+of a controlled matrix; ``controlled_product`` gates a product of
+controlled matrices built elsewhere.  Sums distribute the control over a
+W-node fan: the wire sum of branches becomes the matrix sum of the gated
+arms.
 
 Every builder here returns the diagram as built, unfused; spider fusion
 (``rules.apply_fusion``) is a pass the caller runs when it wants one.
@@ -24,16 +23,15 @@ Every builder here returns the diagram as built, unfused; spider fusion
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .evaluate import DEFAULT_CAP, plan_contraction
-from .graph import (Builder, Diagram, DiagramError, attach_and, attach_pink,
-                    attach_triangle, attach_v, attach_w_merge,
-                    attach_w_spider, plug_basis, splice)
+from .graph import (Builder, Diagram, DiagramError, attach_triangle,
+                    attach_v, attach_w_merge, attach_w_spider, plug_basis,
+                    splice)
 
 _CTRL = "ctrl"
 
@@ -97,8 +95,9 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     one ``run_many`` pass redoes for the idle only the steps that label
     reaches.  The plan is shared by every diagram of the structure and,
     from its second run on, keeps the discharge's arrays (see
-    ``ContractionPlan``): checking another matrix of the same size and
-    pivot order redoes only the steps its new coefficients reach.  The
+    ``ContractionPlan``): checking another matrix of the same size and the
+    same nonzero Pauli strings redoes only the steps its new coefficients
+    reach.  The
     discharge's structure is built once, for the plan lookup, which is
     also its check.
     """
@@ -124,279 +123,6 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     err_i = float(np.max(np.abs(got_i - want_i)))
     return {"ok": err_d <= tol and err_i <= tol,
             "err_discharge": err_d, "err_idle": err_i}
-
-
-# ---------------------------------------------------------------------------
-# elementary row operations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ElementaryMatrixSpec:
-    """One elementary row operation on C^n, n a power of two.
-
-    row_mult(i, a):   identity with entry (i, i) replaced by a
-    row_add(i, j, a): identity plus a at entry (i, j), i != j
-    row_switch(i, j): the transposition of basis vectors i and j
-    """
-
-    kind: str
-    n: int
-    i: int
-    j: int = None
-    a: complex = None
-
-    def __post_init__(self):
-        _qubit_count(self.n, "elementary dimension")
-        if not 0 <= self.i < self.n:
-            raise DiagramError(f"row index {self.i} out of range")
-        if self.kind == "row_mult":
-            if self.a is None or self.j is not None:
-                raise DiagramError("row_mult takes (i, a)")
-        elif self.kind in ("row_add", "row_switch"):
-            if self.j is None or not 0 <= self.j < self.n or self.j == self.i:
-                raise DiagramError(f"{self.kind} needs a distinct second row")
-            if (self.a is None) != (self.kind == "row_switch"):
-                raise DiagramError(f"bad parameters for {self.kind}")
-        else:
-            raise DiagramError(f"unknown elementary kind {self.kind!r}")
-
-    def dense(self) -> np.ndarray:
-        out = np.eye(self.n, dtype=complex)
-        if self.kind == "row_mult":
-            out[self.i, self.i] = self.a
-        elif self.kind == "row_add":
-            out[self.i, self.j] = self.a
-        else:
-            out[self.i, self.i] = out[self.j, self.j] = 0.0
-            out[self.i, self.j] = out[self.j, self.i] = 1.0
-        return out
-
-
-def specs_product(specs, n: int) -> np.ndarray:
-    """Dense product of the specs in list order (left factor first)."""
-    out = np.eye(n, dtype=complex)
-    for s in specs:
-        out = out @ s.dense()
-    return out
-
-
-def decompose_elementary(m: np.ndarray, tol: float = None) -> list:
-    """Factor a square matrix into elementary row operations.
-
-    The product of the returned specs in list order equals the input.  The
-    regular path is Gauss-Jordan with partial pivoting (largest magnitude,
-    ties to the lowest row).  Singular input falls back to a complete-pivot
-    rank factorization: column operations are emitted as specs multiplying
-    from the right, and the dropped rank is a trailing run of row_mult(q, 0).
-    """
-    m = np.array(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DiagramError(f"need a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    _qubit_count(n, "matrix dimension")
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(m))))
-
-    def regular(a):
-        specs = []
-        for c in range(n):
-            col = np.abs(a[c:, c])
-            p = c + int(np.argmax(col))
-            if abs(a[p, c]) <= tol:
-                return None
-            if p != c:
-                a[[p, c], :] = a[[c, p], :]
-                specs.append(ElementaryMatrixSpec("row_switch", n, p, c))
-            v = a[c, c]
-            if abs(v - 1.0) > 0.0:
-                a[c, :] /= v
-                specs.append(ElementaryMatrixSpec("row_mult", n, c, a=v))
-            for r in range(n):
-                f = a[r, c]
-                if r == c or f == 0.0:
-                    continue
-                a[r, :] -= f * a[c, :]
-                specs.append(ElementaryMatrixSpec("row_add", n, r, c, f))
-        return specs
-
-    out = regular(m.copy())
-    if out is not None:
-        return out
-
-    # rank factorization with complete pivoting
-    a = m.copy()
-    lefts, rights = [], []
-    rank = n
-    for c in range(n):
-        block = np.abs(a[c:, c:])
-        flat = int(np.argmax(block))
-        p, q = c + flat // (n - c), c + flat % (n - c)
-        if abs(a[p, q]) <= tol:
-            rank = c
-            break
-        if p != c:
-            a[[p, c], :] = a[[c, p], :]
-            lefts.append(ElementaryMatrixSpec("row_switch", n, p, c))
-        if q != c:
-            a[:, [q, c]] = a[:, [c, q]]
-            rights.append(ElementaryMatrixSpec("row_switch", n, q, c))
-        v = a[c, c]
-        if abs(v - 1.0) > 0.0:
-            a[c, :] /= v
-            lefts.append(ElementaryMatrixSpec("row_mult", n, c, a=v))
-        for r in range(n):
-            f = a[r, c]
-            if r != c and f != 0.0:
-                a[r, :] -= f * a[c, :]
-                lefts.append(ElementaryMatrixSpec("row_add", n, r, c, f))
-        for c2 in range(n):
-            f = a[c, c2]
-            if c2 != c and f != 0.0:
-                a[:, c2] -= f * a[:, c]
-                rights.append(ElementaryMatrixSpec("row_add", n, c, c2, f))
-    zeros = [ElementaryMatrixSpec("row_mult", n, q, a=0.0)
-             for q in range(rank, n)]
-    return lefts + zeros + list(reversed(rights))
-
-
-# ---------------------------------------------------------------------------
-# controlled elementary diagrams: writers that add their nodes to the
-# caller's Builder from its control ref and data refs and return the data
-# refs they leave
-# ---------------------------------------------------------------------------
-
-def _copy_with_probe(b: Builder, data_ref, twist: bool):
-    """Z-copy a data wire; returns (copy_node, probe_ref).
-
-    The probe leg carries the wire value, X-flipped when ``twist``, so an
-    and-box can test the wire against either polarity.
-    """
-    copy = b.zbox(1.0, tag="copy")
-    b.wire(data_ref, copy)
-    probe = b.leg(copy)
-    if twist:
-        pins, pouts = attach_pink(b, 1, 1, math.pi, tag="twist")
-        b.wire(probe, pins[0])
-        probe = pouts[0]
-    return copy, probe
-
-
-def _c_row_mult(b: Builder, ctrl, data, i: int, a: complex) -> list:
-    """Diagonal gadget: amplitude a exactly on basis row i when fired."""
-    m = len(data)
-    and_ins, and_out = attach_and(b, 1 + m, tag=_CTRL)
-    b.wire(ctrl, and_ins[0])
-    outs = []
-    for q in range(m):
-        copy, probe = _copy_with_probe(b, data[q], _bit(i, q, m) == 0)
-        b.wire(probe, and_ins[1 + q])
-        outs.append(b.leg(copy))
-    weight = b.zbox(complex(a), tag="weight")
-    b.wire(and_out, weight)
-    return outs
-
-
-def _flip_set(m: int, i: int, j: int) -> tuple:
-    diff = [q for q in range(m) if _bit(i, q, m) != _bit(j, q, m)]
-    return diff[0], diff[1:]
-
-
-def _apply_flips(x: int, m: int, dstar: int, rest) -> int:
-    if _bit(x, dstar, m):
-        for d in rest:
-            x ^= 1 << (m - 1 - d)
-    return x
-
-
-def _conjugation(b: Builder, data, dstar: int, rest) -> list:
-    """A CNOT from wire dstar onto each wire of ``rest``, in order."""
-    data = list(data)
-    for d in rest:
-        copy, probe = _copy_with_probe(b, data[dstar], False)
-        pins, pouts = attach_pink(b, 2, 1, 0.0, tag="xor")
-        b.wire(data[d], pins[0])
-        b.wire(probe, pins[1])
-        data[dstar], data[d] = b.leg(copy), pouts[0]
-    return data
-
-
-def _hadamard(b: Builder, data, wire: int) -> list:
-    h = b.had()
-    b.wire(data[wire], (h, 0))
-    return data[:wire] + [(h, 1)] + data[wire + 1:]
-
-
-def _addressed_shear(b: Builder, ctrl, data, dstar: int, address: dict,
-                     a: complex, upper: bool) -> list:
-    """Shear on wire dstar, fired when control and every address bit match.
-
-    Fired lower shear maps |0> to |0> + a|1>; ``upper`` conjugates the wire
-    by X for the transposed action.  Idle is the exact identity.
-    """
-    m = len(data)
-    and_ins, and_out = attach_and(b, m, tag=_CTRL)
-    b.wire(ctrl, and_ins[0])
-    outs, probe_ins = list(data), iter(and_ins[1:])
-    for q in address:
-        copy, probe = _copy_with_probe(b, data[q], address[q] == 0)
-        b.wire(probe, next(probe_ins))
-        outs[q] = b.leg(copy)
-    ti, to = attach_triangle(b, tag="branch")
-    b.wire(and_out, ti)
-    weight = b.zbox(complex(a), tag="weight")
-    b.wire(to, weight)
-    branch = b.leg(weight)
-    wire_ref = data[dstar]
-    if upper:
-        pins, pouts = attach_pink(b, 1, 1, math.pi, tag="conj")
-        b.wire(wire_ref, pins[0])
-        wire_ref = pouts[0]
-    merge_ins, merge_out = attach_w_merge(b, 2)
-    b.wire(wire_ref, merge_ins[0])
-    b.wire(branch, merge_ins[1])
-    if upper:
-        pins, pouts = attach_pink(b, 1, 1, math.pi, tag="conj")
-        b.wire(merge_out, pins[0])
-        merge_out = pouts[0]
-    outs[dstar] = merge_out
-    return outs
-
-
-def _c_row_add(b: Builder, ctrl, data, i: int, j: int, a: complex) -> list:
-    m = len(data)
-    dstar, rest = _flip_set(m, i, j)
-    jj = _apply_flips(j, m, dstar, rest)
-    ii = _apply_flips(i, m, dstar, rest)
-    address = {q: _bit(jj, q, m) for q in range(m) if q != dstar}
-    upper = _bit(jj, dstar, m) == 1
-    assert all(_bit(ii, q, m) == address[q] for q in address)
-    data = _conjugation(b, data, dstar, rest)
-    data = _addressed_shear(b, ctrl, data, dstar, address, a, upper)
-    return _conjugation(b, data, dstar, rest)
-
-
-def _c_row_switch(b: Builder, ctrl, data, i: int, j: int) -> list:
-    m = len(data)
-    dstar, rest = _flip_set(m, i, j)
-    jj = _apply_flips(j, m, dstar, rest)
-    r = jj | (1 << (m - 1 - dstar))
-    data = _hadamard(b, _conjugation(b, data, dstar, rest), dstar)
-    data = _c_row_mult(b, ctrl, data, r, -1.0)
-    return _conjugation(b, _hadamard(b, data, dstar), dstar, rest)
-
-
-def _elementary_into(spec: ElementaryMatrixSpec, b: Builder, ctrl, data):
-    """Write the controlled ``spec`` into ``b``; returns its data outputs."""
-    if spec.kind == "row_mult":
-        return _c_row_mult(b, ctrl, data, spec.i, spec.a)
-    if spec.kind == "row_add":
-        return _c_row_add(b, ctrl, data, spec.i, spec.j, spec.a)
-    return _c_row_switch(b, ctrl, data, spec.i, spec.j)
-
-
-def controlled_elementary(spec: ElementaryMatrixSpec) -> ControlledDiagram:
-    m = _qubit_count(spec.n, "elementary dimension")
-    return _gated_product([partial(_elementary_into, spec)], m)
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +166,6 @@ def controlled_identity(m: int) -> ControlledDiagram:
     return ControlledDiagram(b.build(), "matrix", m)
 
 
-def _gated_product(arms, m: int) -> ControlledDiagram:
-    """Matrix arms (see ``_gate_arms``) in series, the first acting first,
-    gated off a label-1 ZBox copy fan of one control."""
-    if not arms:
-        return controlled_identity(m)
-    b = Builder()
-    ctrl = b.input()
-    fan = _zcopy_fan(b, ctrl, len(arms), tag=_CTRL)
-    data = [b.input() for _ in range(m)]
-    outs = _gate_arms(b, fan, arms, data)[-1]
-    for q in range(m):
-        b.wire(outs[q], b.output())
-    return ControlledDiagram(b.build(), "matrix", m)
-
-
 def controlled_product(components, m: int = None) -> ControlledDiagram:
     """Gate a product of controlled matrices with one shared control.
 
@@ -469,7 +180,16 @@ def controlled_product(components, m: int = None) -> ControlledDiagram:
         m = components[0].m
     if any(c.kind != "matrix" or c.m != m for c in components):
         raise DiagramError("product components must be matrices on one size")
-    return _gated_product(components[::-1], m)
+    if not components:
+        return controlled_identity(m)
+    b = Builder()
+    ctrl = b.input()
+    fan = _zcopy_fan(b, ctrl, len(components), tag=_CTRL)
+    data = [b.input() for _ in range(m)]
+    outs = _gate_arms(b, fan, components[::-1], data)[-1]
+    for q in range(m):
+        b.wire(outs[q], b.output())
+    return ControlledDiagram(b.build(), "matrix", m)
 
 
 def _fan(b: Builder, ctrl, k: int, assoc: str) -> list:
@@ -482,20 +202,18 @@ def _fan(b: Builder, ctrl, k: int, assoc: str) -> list:
     return fan
 
 
-def _controlled_sum(arms, weights, kind: str, m: int = None,
-                    assoc: str = "balanced") -> ControlledDiagram:
-    """Weighted sum of controlled matrices or states on m qubits.
+def _controlled_sum(arms, weights, kind: str) -> ControlledDiagram:
+    """Weighted sum of controlled matrices or states.
 
-    The control feeds a W fan of shape ``assoc`` with one weighted arm
-    (see ``_gate_arms``) per entry of ``arms``.  Matrix arms run in series
-    on the data wires; state arms merge their outputs qubit by qubit.
-    ``m`` defaults to the first arm's, which is then a ``ControlledDiagram``.
+    The control feeds a balanced W fan with one weighted arm (see
+    ``_gate_arms``) per entry of ``arms``.  Matrix arms run in series on
+    the data wires; state arms merge their outputs qubit by qubit.  The
+    qubit count is the first arm's, which is a ``ControlledDiagram``.
     """
     arms = list(arms)
     if not arms:
         raise DiagramError("empty sum")
-    if m is None:
-        m = arms[0].m
+    m = arms[0].m
     if any(isinstance(c, ControlledDiagram) and (c.kind != kind or c.m != m)
            for c in arms):
         raise DiagramError(f"sum components must be {kind} diagrams on one "
@@ -507,7 +225,7 @@ def _controlled_sum(arms, weights, kind: str, m: int = None,
     if len(weights) != k:
         raise DiagramError("one weight per component")
     b = Builder()
-    fan = _fan(b, b.input(), k, assoc)
+    fan = _fan(b, b.input(), k, "balanced")
     data = [b.input() for _ in range(m)] if kind == "matrix" else []
     arm_outs = _gate_arms(b, fan, arms, data, weights)
     for q in range(m):
@@ -573,7 +291,9 @@ def _diagonal_factor_into(labels, conj, b: Builder, ctrl, data) -> list:
     data = list(data)
     for q in legs:
         ref = _conjugated(b, conj[q], data[q], dagger=False)
-        copy, probe = _copy_with_probe(b, ref, twist=False)
+        copy = b.zbox(1.0, tag="copy")
+        b.wire(ref, copy)
+        probe = b.leg(copy)
         data[q] = _conjugated(b, conj[q], b.leg(copy), dagger=True)
         box = b.zbox(labels[q] - 1, tag=f"leg{q}")
         for src in (next(fan), probe):

@@ -387,8 +387,11 @@ def test_verification_failure_exits_one(tmp_path, capsys):
      "--compare-oracle"],
     ["expm", "FILE", "--method", "trotter", "--t", "1e308", "--steps", "3",
      "--compare-oracle"],
+    ["extract-demo", "--seed", "-1"],
+    ["check-rules", "--seed", "-1", "--samples", "1"],
 ], ids=["samples-negative", "samples-zero", "taylor-overflow",
-        "oracle-overflow"])
+        "oracle-overflow", "extract-demo-seed-negative",
+        "check-rules-seed-negative"])
 def test_out_of_range_input_is_usage_error(argv, ham_file, capsys):
     assert main([ham_file if a == "FILE" else a for a in argv]) == 2
     err = capsys.readouterr().err

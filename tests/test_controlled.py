@@ -1,22 +1,21 @@
-"""Controlled diagrams: elementary factors, products, sums, states."""
+"""Controlled diagrams: matrices, products, sums, states, and the
+elementary construction as the accuracy foil."""
 
 import re
 
 import numpy as np
 import pytest
 
-from zxwkit import (ControlledDiagram, Diagram, DiagramError,
-                    ElementaryMatrixSpec,
-                    PauliString, check_controlled_matrix,
-                    controlled_elementary, controlled_identity,
+from zxwkit import (ControlledDiagram, DiagramError, PauliString,
+                    check_controlled_matrix, controlled_identity,
                     controlled_matrix, controlled_product,
                     controlled_state_normal_form, controlled_sum_matrices,
-                    controlled_sum_states, decompose_elementary,
-                    eval_diagram, state_oracle, structural_equal,
+                    controlled_sum_states, eval_diagram, state_oracle,
                     plan_contraction, sum_normal_forms, verify_controlled)
-from zxwkit.controlled import _pauli_terms, specs_product
+from zxwkit.controlled import _pauli_terms
 
-from fold_controlled import fold_elementary, fold_matrix
+from fold_controlled import (ElementaryMatrixSpec, decompose_elementary,
+                             fold_elementary, fold_matrix, specs_product)
 
 
 def _rand_matrix(rng, dim):
@@ -61,7 +60,7 @@ def test_decompose_rejects_nonsquare():
     ElementaryMatrixSpec("row_switch", 8, i=3, j=5),
 ])
 def test_controlled_elementary_contract(spec):
-    cd = controlled_elementary(spec)
+    cd = fold_elementary(spec)
     rep = verify_controlled(cd, spec.dense(), tol=1e-9)
     assert rep["ok"], rep
 
@@ -200,7 +199,7 @@ def _dense_requests(seed):
     return out
 
 
-def _fold_cases():
+def _matrix_cases():
     rng = np.random.default_rng(2718)
     singular = _rand_matrix(rng, 4)
     singular[3] = singular[0] - 2.0 * singular[1]
@@ -216,45 +215,6 @@ def _fold_cases():
     }
 
 
-def _region_free(cd):
-    d = cd.diagram
-    return ControlledDiagram(Diagram(d.nodes, d.edges, d.inputs, d.outputs),
-                             cd.kind, cd.m)
-
-
-@pytest.mark.parametrize("case", sorted(_fold_cases()))
-def test_controlled_matrix_is_the_fold_construction(case):
-    # the elementary construction of a matrix is the fold reference,
-    # diagram for diagram; both splice one region per elementary, so the
-    # matrices are equal bit for bit without the regions, and to round-off
-    # when they are planned first
-    for matrix in _fold_cases()[case]:
-        specs = decompose_elementary(matrix)
-        elementaries = [controlled_elementary(s) for s in specs]
-        ref = fold_matrix(matrix)
-        got = controlled_product(elementaries, m=ref.m)
-        assert structural_equal(got.diagram, ref.diagram)
-        assert got.diagram.regions == ref.diagram.regions
-        ref = _region_free(ref)
-        for plug in ("discharge", "idle"):
-            want = eval_diagram(getattr(ref, plug)())
-            assert np.array_equal(
-                eval_diagram(getattr(_region_free(got), plug)()), want)
-            assert np.abs(eval_diagram(getattr(got, plug)())
-                          - want).max() <= 1e-13
-        want = verify_controlled(ref, matrix)
-        assert verify_controlled(_region_free(got), matrix) == want
-        rep = verify_controlled(got, matrix)
-        assert rep["ok"] == want["ok"]
-        for err in ("err_discharge", "err_idle"):
-            assert abs(rep[err] - want[err]) <= 1e-13
-        for spec, cd in zip(specs, elementaries):
-            folded = fold_elementary(spec)
-            for plug in ("discharge", "idle"):
-                assert np.array_equal(eval_diagram(getattr(cd, plug)()),
-                                      eval_diagram(getattr(folded, plug)()))
-
-
 def _verify_plug_by_plug(cd, matrix, tol=1e-9):
     """``verify_controlled`` on a matrix as two separate runs of one plan."""
     discharged = cd.discharge()
@@ -266,24 +226,12 @@ def _verify_plug_by_plug(cd, matrix, tol=1e-9):
             "err_discharge": err_d, "err_idle": err_i}
 
 
-def _region_free(cd):
-    d = cd.diagram
-    return ControlledDiagram(Diagram(d.nodes, d.edges, d.inputs, d.outputs),
-                             cd.kind, cd.m)
-
-
-@pytest.mark.parametrize("case", sorted(_fold_cases()))
+@pytest.mark.parametrize("case", sorted(_matrix_cases()))
 def test_verify_controlled_is_plug_by_plug(case):
     # one pass over both plugs reports what two separate runs do
-    for matrix in _fold_cases()[case]:
+    for matrix in _matrix_cases()[case]:
         cd = controlled_matrix(matrix)
         assert verify_controlled(cd, matrix) == _verify_plug_by_plug(cd, matrix)
-
-
-def _elementary_product(matrix):
-    m = len(matrix).bit_length() - 1
-    return controlled_product([controlled_elementary(s)
-                               for s in decompose_elementary(matrix)], m=m)
 
 
 def _accuracy_draws():
@@ -313,16 +261,14 @@ def test_accuracy_pin_rejects_the_elementary_construction():
     for matrix in _accuracy_draws():
         if np.abs(matrix).max() < 1e2:
             continue
-        rep = verify_controlled(_elementary_product(matrix), matrix,
-                                tol=np.inf)
+        rep = verify_controlled(fold_matrix(matrix), matrix, tol=np.inf)
         assert not _within_accuracy_pin(rep, matrix), matrix.shape
 
 
 def test_controlled_matrix_verifies_a_large_diagonal():
     matrix = np.array([[1e6, 1.0], [2.0, 1e6]])
     assert verify_controlled(controlled_matrix(matrix), matrix, tol=1e-9)["ok"]
-    assert not verify_controlled(_elementary_product(matrix), matrix,
-                                 tol=1e-9)["ok"]
+    assert not verify_controlled(fold_matrix(matrix), matrix, tol=1e-9)["ok"]
 
 
 def _strings(matrix):

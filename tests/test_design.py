@@ -288,6 +288,15 @@ def test_pauli_gadgets_neither_splice_nor_and():
     assert not _names(tree) & {"splice", "attach_and"}
 
 
+def test_only_graph_names_attach_and():
+    # and-boxes are graph's (``and_box``, the rule templates); builders
+    # write no and-gated elementary gadgets
+    offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "graph.py" and "attach_and" in _names(
+                     ast.parse(path.read_text(encoding="utf-8")))]
+    assert not offenders, f"attach_and outside graph: {offenders}"
+
+
 def test_name_check_sees_references():
     tree = ast.parse("from .graph import splice\nx = graph.attach_and\n"
                      "y = attach_v\n")
