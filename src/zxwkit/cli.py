@@ -192,10 +192,19 @@ def _cmd_controlled(args, cfg: Config) -> int:
             cd = controlled_sum_states(
                 [controlled_state_normal_form(v) for v in vecs], weights=w)
             target = state_oracle(vecs, w)
-    sys.stdout.write(diagram_to_json(cd.diagram) + "\n")
+    rep = None
     if args.verify:
-        rep = verify_controlled(cd, np.asarray(target, dtype=complex),
-                                tol=cfg.tol, cap=cfg.cap)
+        # compare before printing, so a run that exits 2 leaves stdout
+        # empty; a finite input can still overflow in the contraction
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = verify_controlled(cd, np.asarray(target, dtype=complex),
+                                    tol=cfg.tol, cap=cfg.cap)
+        if not all(map(math.isfinite, (rep["err_discharge"],
+                                       rep["err_idle"]))):
+            raise _Usage("no finite comparison with the target: the "
+                         "diagram's contraction overflows")
+    sys.stdout.write(diagram_to_json(cd.diagram) + "\n")
+    if rep is not None:
         print(f"discharge residual {rep['err_discharge']:.3e}, "
               f"idle residual {rep['err_idle']:.3e} (tol {cfg.tol:g})",
               file=sys.stderr)

@@ -34,19 +34,22 @@ and hands the same plan out again for any diagram of one of them, whatever
 its labels: a controlled matrix of a given size, say, is planned once, not
 once per matrix.  Plans are shared, so callers treat them as read-only.
 ``ContractionPlan.run_many`` executes several sets of labels side by side and
-computes a tensor or a step again only where its inputs differ from the
-previous set's, so the idle of a controlled diagram reuses most of the
-intermediates of its discharge.
+makes a tensor again only where its label differs from the previous set's.
+Every array of a plan is the input of exactly one step, so the steps to run
+again are the changed tensors' paths to the last step, and every other
+result is the previous set's: the idle of a controlled diagram reuses most
+of the intermediates of its discharge.
 
 From its second run on, a plan keeps the arrays of its last run (its memo)
 while they total at most 2 MiB: the top-level tensors, with the labels and
 ``t`` they came from, and every top-level step result but the last.  The
 next run compares its first set of labels with the memo the same way: a
 4x4 controlled matrix with new coefficients makes its 16 weight tensors and
-redoes the 65 of its 251 steps they reach.  The same ``np.dot`` on the same
-arrays gives the same bits, so every matrix stays bit-identical.  No
-returned matrix shares memory with a memo or with this module's shared
-tensors, which are read-only.
+runs the 65 of its 251 steps they reach, and its idle then runs 18, so the
+pair visits 66 steps for its 83 products instead of walking all 251 twice.
+The same ``np.dot`` on the same arrays gives the same bits, so every matrix
+stays bit-identical.  No returned matrix shares memory with a memo or with
+this module's shared tensors, which are read-only.
 
 The greedy order contracts a diagram's ``regions`` (what each
 ``Builder.region`` call wrote: a Trotter chain's gadgets, a series' copies
@@ -299,37 +302,35 @@ def _fold(structure: tuple, tensors: list, loops: dict):
             [(n, steps) for n, steps, _ in templates])
 
 
-def _execute(steps: list, pool: list, kept: Optional[list] = None):
-    """Run ``steps`` on every list of arrays in ``pool``, each step
-    appending its result.  A step whose two inputs are the previous list's
-    arrays takes that list's result (the same ``np.dot`` on the same arrays
-    gives the same bits).
+def _execute(steps: list, pool: list, redo: list, free: bool) -> None:
+    """Run ``steps`` on the lists of arrays in ``pool``, each list holding
+    its tensors and then one slot per step, where the step's result goes.
 
-    Given ``kept``, the arrays an earlier call returned for these steps, a
-    step whose inputs in the first list are kept's takes kept's result too,
-    and the call returns the first list's arrays: its tensors, then its
-    step results but the last (the matrix, which the caller hands out).
+    Step k runs on list p when redo[p] holds it, the same ``np.dot`` on
+    the same arrays giving the same bits; otherwise list p takes list
+    p-1's result, and list 0 keeps what its slot holds.  Steps run in
+    order, and a step that no list runs is not visited.  With ``free``,
+    each step's inputs leave every list once it ran, so that only live
+    arrays stay: every array is the input of one step, and a list takes
+    only results, never inputs.
     """
-    n = len(pool[0])
-    mine = None if kept is None else list(pool[0])
-    reuse = len(kept) - n if kept else 0   # the steps kept has results of
-    for k, (i, j, pa, sa, pb, sb, so) in enumerate(steps):
-        done_a = done_b = None
-        if k < reuse:
-            done_a, done_b, ab = kept[i], kept[j], kept[n + k]
-        for arrs in pool:
-            a, b = arrs[i], arrs[j]
-            arrs[i] = arrs[j] = None
-            if a is not done_a or b is not done_b:
-                done_a, done_b = a, b
-                ab = np.dot(a.transpose(pa).reshape(sa),
-                            b.transpose(pb).reshape(sb)).reshape(so)
-            arrs.append(ab)
-        if mine is not None:
-            mine.append(pool[0][-1])
-    if mine and steps:
-        mine.pop()
-    return mine
+    n = len(pool[0]) - len(steps)
+    lists = list(zip(pool, redo))
+    # only the first list runs every step, as a range
+    for k in (redo[0] if type(redo[0]) is range
+              else sorted(set().union(*redo))):
+        i, j, pa, sa, pb, sb, so = steps[k]
+        out, prev = n + k, None
+        for arrs, mine in lists:
+            if k in mine:
+                arrs[out] = np.dot(arrs[i].transpose(pa).reshape(sa),
+                                   arrs[j].transpose(pb).reshape(sb)
+                                   ).reshape(so)
+            elif prev is not None:
+                arrs[out] = prev[out]
+            if free:
+                arrs[i] = arrs[j] = None
+            prev = arrs
 
 
 @dataclass(frozen=True)
@@ -353,10 +354,13 @@ class ContractionPlan:
     (its memo): the top-level tensors with the labels and ``t`` they came
     from, and every top-level step result but the last.  The next run
     takes a kept tensor for a node whose label is the kept one (at the kept
-    ``t``, for a ``PhaseVar``) and a kept result for a step whose inputs are
-    kept arrays, so it computes only the tensors whose labels changed and
-    the steps they reach, to the same bits.  Each run replaces the memo in
-    one assignment, so concurrent runs see one whole memo or another.
+    ``t``, for a ``PhaseVar``).  Region tensors are not kept, so they count
+    as changed.  The run then follows each changed tensor to the last step
+    through the step that consumes it (a list made on the plan's first run
+    that has something to compare) and runs only the steps on those paths,
+    and the last, to the same bits; every other result is a kept one.  Each
+    run replaces the memo in one assignment, so concurrent runs see one
+    whole memo or another.
     """
 
     structure: tuple = field(repr=False)   # ``_structure`` of the diagram
@@ -391,14 +395,40 @@ class ContractionPlan:
         Every structure is checked before any tensor is made.  The first
         diagram is compared with the plan's memo (see the class docstring)
         and each later one with the one before it: a node whose label is
-        the same shares its tensor, and a step whose two inputs are the
-        same arrays shares its result (the same ``np.dot`` on the same
-        arrays gives the same bits).  A region whose template and labels
+        the same shares its tensor, and a step that no changed tensor
+        reaches shares its result (the same ``np.dot`` on the same arrays
+        gives the same bits); the last step always runs.  A region whose
+        template and labels
         equal an earlier region's, in this diagram or an earlier one,
         shares that region's tensor.  No returned matrix shares memory
         with another, with the memo or with a module constant.
         """
         return self._run_many(diagrams, t, 0)
+
+    @functools.cached_property
+    def _consumer(self) -> list:
+        """The step each array is the input of, by array number (tensors,
+        region tensors, step results); made on the first run that compares
+        a diagram's tensors with earlier ones, so a plan run once on one
+        diagram never makes it."""
+        out = [0] * (len(self.tensors) + len(self.regions) + len(self.steps))
+        for k, (i, j, *_) in enumerate(self.steps):
+            out[i] = out[j] = k
+        return out
+
+    def _reach(self, changed) -> set:
+        """The steps on the path from each array number in ``changed`` to
+        the last step, and the last step."""
+        if not self.steps:
+            return set()
+        n = len(self.tensors) + len(self.regions)
+        consumer, redo = self._consumer, {len(self.steps) - 1}
+        for pos in changed:
+            k = consumer[pos]
+            while k not in redo:
+                redo.add(k)
+                k = consumer[n + k]
+        return redo
 
     def _run_many(self, diagrams: list, t: Optional[float],
                   fitted: int) -> list:
@@ -419,53 +449,65 @@ class ContractionPlan:
             key = (k, tuple(d.nodes[nid].label for nid in nids))
             if key not in made:
                 arrs = [_tensor(d, nid, self.loops, t) for nid in nids]
-                _execute(steps, [arrs])
+                arrs += [None] * len(steps)
+                _execute(steps, [arrs], [range(len(steps))], True)
                 made[key] = arrs[-1]
             return made[key]
 
-        memo, d = self._memo, diagrams[0]
+        n, n_steps = len(self.tensors), len(self.steps)
+        tops = range(n, n + len(self.regions))   # the region tensors
+        memo = self._memo
         fits = self.memo_bytes <= _MEMO_BOUND
         keep = fits and memo is not None   # from the plan's second run on
-        kept = labels = None
-        if keep:
-            kept = ()
-            labels = [None if nid is None else d.nodes[nid].label
-                      for nid in self.tensors]
-        if keep and memo:
-            kept_t, kept_labels, kept = memo
-            arrs = [a if label == old and (
-                        t == kept_t or not isinstance(label, PhaseVar))
-                    else _tensor(d, nid, self.loops, t)
-                    for nid, label, old, a in zip(self.tensors, labels,
-                                                  kept_labels, kept)]
-        else:
-            arrs = [_tensor(d, nid, self.loops, t) for nid in self.tensors]
-        pool = [arrs + [region(d, *r) for r in self.regions]]
-        for before, d in zip(diagrams, diagrams[1:]):
-            pool.append([a if nid is None
-                         or d.nodes[nid].label == before.nodes[nid].label
-                         else _tensor(d, nid, self.loops, t)
-                         for nid, a in zip(self.tensors, pool[-1])]
-                        + [region(d, *r) for r in self.regions])
-        arrays = _execute(self.steps, pool, kept)
+        # the labels and arrays the next diagram is compared with: the
+        # memo's for the first, the one before's for each later one
+        old_t, old, arrs = memo if keep and memo else (t, None, None)
+        if old is not None and n_steps:
+            arrs = arrs + [None]   # the memo keeps all results but the last
+        pool, redo = [], []
+        for d in diagrams:
+            labels = None
+            if keep or len(diagrams) > 1:
+                labels = [None if nid is None else d.nodes[nid].label
+                          for nid in self.tensors]
+            fresh = [region(d, *r) for r in self.regions]
+            if old is None:
+                arrs = [_tensor(d, nid, self.loops, t) for nid in self.tensors]
+                arrs += fresh + [None] * n_steps
+                redo.append(range(n_steps))
+            else:
+                arrs = list(arrs)
+                changed = [pos for pos, (a, b) in enumerate(zip(labels, old))
+                           if a != b or t != old_t
+                           and isinstance(a, PhaseVar)]
+                for pos in changed:
+                    arrs[pos] = _tensor(d, self.tensors[pos], self.loops, t)
+                # region tensors the memo does not keep count as changed
+                changed += [pos for pos, a in zip(tops, fresh)
+                            if a is not arrs[pos]]
+                arrs[n:n + len(tops)] = fresh
+                redo.append(self._reach(changed))
+            if not pool:
+                first = labels
+            pool.append(arrs)
+            old, old_t = labels, t
+        _execute(self.steps, pool, redo, not keep)
         if fits:
             memo = ()
             if keep:
-                n = len(self.tensors)   # region tensors stay per call
-                arrays[n:n + len(self.regions)] = [None] * len(self.regions)
-                memo = (t, labels, arrays)
+                # the matrix is handed out, and region tensors stay per call
+                memo = pool[0][:-1] if n_steps else list(pool[0])
+                memo[n:n + len(tops)] = [None] * len(tops)
+                memo = (t, first, memo)
             object.__setattr__(self, "_memo", memo)
         out: list = []
-        for k, arrs in enumerate(pool):
-            # equal results are copied, so that no two share memory
-            if k and arrs[-1] is pool[k - 1][-1]:
-                out.append(out[-1].copy())
-            else:
-                arr = arrs[-1].transpose(self.perm) if self.perm else arrs[-1]
-                arr = arr.reshape(self.shape)
-                # without steps the result is a node tensor, which a module
-                # constant or the memo may hold
-                out.append(arr if self.steps else arr.copy())
+        for arrs in pool:
+            arr = arrs[-1].transpose(self.perm) if self.perm else arrs[-1]
+            arr = arr.reshape(self.shape)
+            # each list runs its last step, so results share no memory;
+            # without steps the result is a node tensor, which a module
+            # constant or the memo may hold
+            out.append(arr if n_steps else arr.copy())
         return out
 
 

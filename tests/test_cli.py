@@ -83,6 +83,20 @@ def test_controlled_matrix_verify_at_large_norm(tmp_path, capsys):
     assert "discharge residual" in capsys.readouterr().err
 
 
+def test_controlled_verify_that_overflows_exits_two(tmp_path, capfd):
+    # the entries are finite, but the diagram overflows before the matrix
+    # does: a one-line usage error, no numpy warning and an empty stdout
+    f = tmp_path / "big.txt"
+    f.write_text("1e308\t0\n0\t-1e308\n")
+    assert main(["controlled", "--matrix", str(f), "--verify"]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert "Warning" not in err and err.startswith("usage: zxw controlled")
+    assert err.count("zxw: error") == 1 and err.splitlines()[-1] == (
+        "zxw: error: no finite comparison with the target: the diagram's "
+        "contraction overflows")
+
+
 def test_controlled_sum_weights(tmp_path, capsys):
     f1 = tmp_path / "a.txt"
     f2 = tmp_path / "b.txt"

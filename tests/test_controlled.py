@@ -1,18 +1,28 @@
 """Controlled diagrams: matrices, products, sums, states, and the
 elementary construction as the accuracy foil."""
 
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zxwkit import (ControlledDiagram, DiagramError, PauliString,
-                    check_controlled_matrix, controlled_identity,
-                    controlled_matrix, controlled_product,
+from zxwkit import (ControlledDiagram, DiagonalFactorSum, DiagramError,
+                    PauliString, build_diagonal_sum_diagram,
+                    build_hamiltonian_diagram, check_controlled_matrix,
+                    controlled_identity, controlled_matrix,
+                    controlled_pauli_string, controlled_product,
                     controlled_state_normal_form, controlled_sum_matrices,
                     controlled_sum_states, eval_diagram, state_oracle,
-                    plan_contraction, sum_normal_forms, verify_controlled)
-from zxwkit.controlled import _pauli_terms
+                    parse_pauli_sum, plan_contraction, sum_normal_forms,
+                    verify_controlled)
+from zxwkit import controlled, evaluate, graph
+from zxwkit.controlled import _factor_sum_into, _fan, _pauli_terms
+from zxwkit.graph import Builder
 
 from fold_controlled import (ElementaryMatrixSpec, decompose_elementary,
                              fold_elementary, fold_matrix, specs_product)
@@ -335,3 +345,198 @@ def test_check_controlled_matrix_reports_terms():
         assert rep["nodes"] == len(cd.diagram.nodes)
         assert {k: rep[k] for k in ("ok", "err_discharge", "err_idle")} \
             == verify_controlled(cd, matrix)
+
+
+# --- sum templates: a structure is built once, its weights rebound --------
+
+
+def _fresh_sum(terms, m, assoc):
+    """The controlled factor sum of ``terms`` written by one ``Builder``,
+    past the template cache."""
+    b = Builder()
+    fan = _fan(b, b.input(), len(terms), assoc)
+    data = [b.input() for _ in range(m)]
+    for ref in _factor_sum_into(b, terms, fan, data):
+        b.wire(ref, b.output())
+    return b.build()
+
+
+def _bits(label):
+    return np.array([label], dtype=complex).tobytes()
+
+
+def _snapshot(d):
+    """Every field of every node (labels by their bits), the edges in
+    order, the boundaries and the regions."""
+    return ([(n.id, n.kind, n.ports, _bits(n.label) if n.label is not None
+              else None, n.tag) for n in d.nodes.values()],
+            list(d.edges), list(d.inputs), list(d.outputs), list(d.regions))
+
+
+def _matrix_bits(d):
+    plan = evaluate._plan.__wrapped__(evaluate._structure(d),
+                                      evaluate.DEFAULT_CAP, "greedy")
+    with np.errstate(all="ignore"):
+        return plan.run(d).tobytes()
+
+
+def _assert_is_fresh_build(cd, terms, m, assoc):
+    want = _fresh_sum(terms, m, assoc)
+    assert _snapshot(cd.diagram) == _snapshot(want)
+    for got, ref in ((cd.discharge(), graph.plug_basis(want, 0, 1)),
+                     (cd.idle(), graph.plug_basis(want, 0, 0))):
+        assert _matrix_bits(got) == _matrix_bits(ref)
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, complex(0.0, -0.0), 1.0, -2.5, 1j,
+                            0.5 - 3j])
+_LABELS = st.sampled_from([1.0, -1.0, 0.0, -0.0, complex(0.0, -0.0),
+                           complex(1.0, -0.0), float("nan"), 2j])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda m: st.lists(
+    st.lists(_ENTRIES, min_size=4 ** m, max_size=4 ** m),
+    min_size=1, max_size=4)))
+def test_a_rebound_controlled_matrix_is_a_fresh_build(draws):
+    # zero entries drop Pauli strings, so the draws mix cache hits with
+    # structures that must miss
+    handed_out = []
+    for entries in draws:
+        dim = int(np.sqrt(len(entries)))
+        matrix = np.array(entries, dtype=complex).reshape(dim, dim)
+        cd = controlled_matrix(matrix)
+        terms, m = _pauli_terms(matrix)
+        _assert_is_fresh_build(cd, terms, m, "chain")
+        handed_out.append((cd, _snapshot(cd.diagram)))
+    # later calls of the same structure change no diagram handed out
+    for cd, before in handed_out:
+        assert _snapshot(cd.diagram) == before
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda m: st.lists(st.lists(
+    st.tuples(st.sampled_from([1.0, -0.0, 0.5j, float("nan")]),
+              st.lists(_LABELS, min_size=m, max_size=m),
+              st.lists(st.sampled_from("IHV"), min_size=m, max_size=m)),
+    min_size=1, max_size=3), min_size=1, max_size=3)))
+def test_a_rebound_diagonal_factor_sum_is_a_fresh_build(sums):
+    # signed zeros and NaN labels key the template by their bits
+    handed_out = []
+    for terms in sums:
+        d = DiagonalFactorSum(terms)
+        cd = build_diagonal_sum_diagram(d)
+        _assert_is_fresh_build(cd, d.terms, d.m, "balanced")
+        handed_out.append((cd, _snapshot(cd.diagram)))
+    for cd, before in handed_out:
+        assert _snapshot(cd.diagram) == before
+
+
+def test_a_signed_zero_label_is_its_own_template():
+    # -0j == 0j, yet the leg box label a - 1 keeps the sign of a's zero
+    plus, minus = (build_diagonal_sum_diagram(DiagonalFactorSum(
+        [(2.0, [complex(0.0, z)], ["I"])])) for z in (0.0, -0.0))
+    assert controlled._sum_template.cache_info()[:2] == (0, 2)
+    assert _snapshot(plus.diagram) != _snapshot(minus.diagram)
+
+
+def test_one_template_per_sum_structure(monkeypatch):
+    # the same strings with new coefficients: one build, one validate
+    calls = []
+    real = graph.validate
+    monkeypatch.setattr(graph, "validate",
+                        lambda d: calls.append(d) or real(d))
+    first, second = (build_hamiltonian_diagram(parse_pauli_sum(text))[0]
+                     for text in ("0.5 XY\n-1.0 ZZ\n2.0 IY",
+                                  "-3.0 XY\n0.25 ZZ\n1j IY"))
+    assert len(calls) == 1
+    assert controlled._sum_template.cache_info()[:2] == (1, 1)
+    labels = [[n.label for n in cd.diagram.nodes.values() if n.tag == "weight"]
+              for cd in (first, second)]
+    assert labels == [[0.5, -1.0, 2.0], [-3.0, 0.25, 1j]]
+    assert first.diagram.edges == second.diagram.edges
+    assert first.diagram.edges is not second.diagram.edges
+
+
+def test_the_template_cache_keeps_eight_structures():
+    assert controlled._sum_template.cache_info().maxsize == 8
+    for k in range(1, 10):
+        controlled_pauli_string(PauliString("X" * k))
+    assert controlled._sum_template.cache_info().currsize == 8
+
+
+def test_threads_building_sums_get_fresh_builds():
+    # ten structures through an eight-entry cache: threads rebind, build and
+    # evict templates while others read them, and every diagram handed out
+    # is still what a fresh build writes
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
+              np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+    cases = []
+    for support in range(1, 11):   # ten sets of Pauli strings
+        matrix = sum((0.5 + k) * paulis[k] for k in range(4)
+                     if support >> k & 1)
+        terms, m = _pauli_terms(matrix)
+        assert len(terms) == bin(support).count("1")
+        cases.append((matrix, _snapshot(_fresh_sum(terms, m, "chain"))))
+    wrong = []
+
+    def work(offset):
+        for k in range(offset, offset + 60):
+            matrix, want = cases[k % len(cases)]
+            if _snapshot(controlled_matrix(matrix).diagram) != want:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(2 * (os.cpu_count() or 2))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+
+
+def _reached(plan, changed):
+    """Array numbers ``changed`` and every step result they reach, found
+    by walking the steps forward."""
+    n = len(plan.tensors) + len(plan.regions)
+    reached = set(changed)
+    for k, (i, j, *_) in enumerate(plan.steps):
+        if i in reached or j in reached:
+            reached.add(n + k)
+    return {pos - n for pos in reached if pos >= n}
+
+
+def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
+    rng = np.random.default_rng(11)
+    a, b = (_rand_matrix(rng, 4) for _ in range(2))
+    verify_controlled(controlled_matrix(a), a)
+    verify_controlled(controlled_matrix(a), a)   # the plan keeps a's arrays
+    cd = controlled_matrix(b)
+    plan = plan_contraction(cd.discharge())
+    old, d, i = (controlled_matrix(a).discharge(), cd.discharge(), cd.idle())
+    last = len(plan.steps) - 1
+    redo_d = _reached(plan, [k for k, nid in enumerate(plan.tensors)
+                             if nid is not None and d.nodes[nid].label
+                             != old.nodes[nid].label]) | {last}
+    redo_i = _reached(plan, [k for k, nid in enumerate(plan.tensors)
+                             if nid is not None and i.nodes[nid].label
+                             != d.nodes[nid].label]) | {last}
+    assert (len(redo_d), len(redo_i), len(plan.steps)) == (65, 18, 251)
+    dots, visited = [], []
+    real_dot, real_execute = np.dot, evaluate._execute
+    monkeypatch.setattr(np, "dot",
+                        lambda *args: dots.append(1) or real_dot(*args))
+    monkeypatch.setattr(evaluate, "_execute", lambda steps, pool, redo, free:
+                        visited.append(set().union(*redo))
+                        or real_execute(steps, pool, redo, free))
+    rep = verify_controlled(cd, b)
+    monkeypatch.undo()
+    assert len(dots) == len(redo_d) + len(redo_i) == 83
+    assert visited == [redo_d | redo_i]
+    assert rep == _verify_plug_by_plug(controlled_matrix(b), b)

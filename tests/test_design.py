@@ -161,19 +161,47 @@ def test_scan_check_sees_the_scanning_rewriter():
 
 
 def test_controlled_matrix_builds_one_diagram(monkeypatch):
-    # one Builder per matrix: no per-layer diagram is built and validated
+    # one Builder per structure: no per-layer diagram is built and
+    # validated, and another dense matrix of a size rebinds the weights of
+    # the first one's diagram without building or validating
     calls = []
     real = graph.validate
     monkeypatch.setattr(graph, "validate",
                         lambda d: calls.append(d) or real(d))
     rng = np.random.default_rng(4)
     counts = []
-    for dim in (2, 4, 8):
+    for dim in (2, 4, 8, 2, 4, 8):
         calls.clear()
         zxwkit.controlled_matrix(rng.normal(size=(dim, dim))
                                  + 1j * rng.normal(size=(dim, dim)))
         counts.append(len(calls))
-    assert counts == [1, 1, 1]
+    assert counts == [1, 1, 1, 0, 0, 0]
+
+
+def test_every_factor_sum_builder_takes_the_template_path(monkeypatch):
+    # controlled matrices, Hamiltonians, diagonal factor sums and Pauli
+    # strings all rebind a cached template, and only the template writes
+    from zxwkit import controlled
+    calls = []
+    real = controlled._sum_template
+    monkeypatch.setattr(controlled, "_sum_template",
+                        lambda *key: calls.append(key) or real(*key))
+    builders = [
+        lambda: zxwkit.controlled_matrix(np.diag([1.0, 2.0])),
+        lambda: zxwkit.build_hamiltonian_diagram(
+            zxwkit.parse_pauli_sum("0.5 XY\n-1.0 ZZ")),
+        lambda: zxwkit.build_diagonal_sum_diagram(
+            zxwkit.DiagonalFactorSum([(2.0, [0.5j], ["H"])])),
+        lambda: zxwkit.controlled_pauli_string(zxwkit.PauliString("XYZ")),
+        lambda: zxwkit.check_controlled_matrix(np.eye(4)),
+    ]
+    for build in builders:
+        calls.clear()
+        build()
+        assert len(calls) == 1
+    tree = ast.parse(textwrap.dedent(inspect.getsource(
+        controlled._factor_sum)))
+    assert "Builder" not in _names(tree)
 
 
 def test_one_plan_per_controlled_matrix_size(monkeypatch):
