@@ -99,14 +99,14 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     identity for matrices and |0...0> for states.  A matrix target must have
     shape (2^m, 2^m), a state target (2^m,) or (2^m, 1).  ``cap`` bounds the
     open wires and node legs of each evaluation, as in ``eval_diagram``.  The
-    two plugs differ in one label, so one contraction plan serves both, and
-    one ``run_many`` pass redoes for the idle only the steps that label
-    reaches.  The plan is shared by every diagram of the structure and,
-    from its second run on, keeps the discharge's arrays (see
-    ``ContractionPlan``): checking another matrix of the same size and the
-    same nonzero Pauli strings redoes only the steps its new coefficients
-    reach.  The discharge's structure is computed once: the plan lookup by
-    it is also the discharge's check.
+    two plugs differ in one label, so one contraction plan serves both: it
+    runs the discharge and then the idle, and each run redoes only the
+    steps that its changed labels reach from the plan's last run (see
+    ``ContractionPlan``).  The plan is shared by every diagram of the
+    structure, so checking another matrix of the same size and the same
+    nonzero Pauli strings redoes for the discharge only the steps its new
+    coefficients and the control reach.  The discharge's structure is
+    computed once: the plan lookup by it is also the discharge's check.
     """
     dim = 2 ** cd.m
     target = np.asarray(target, dtype=complex)
@@ -118,7 +118,8 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     # the plan was looked up by the discharge's structure, so only the
     # idle's structure is built again and checked
     plan = plan_contraction(discharged, cap=cap)
-    got_d, got_i = plan._run_many([discharged, cd.idle()], t, 1)
+    got_d = plan._run(discharged, t)
+    got_i = plan.run(cd.idle(), t)
     if cd.kind == "matrix":
         want_d = target
         want_i = np.eye(dim, dtype=complex)

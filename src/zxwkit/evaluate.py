@@ -33,23 +33,23 @@ bit-identical to contracting pair by pair with ``np.tensordot``.
 and hands the same plan out again for any diagram of one of them, whatever
 its labels: a controlled matrix of a given size, say, is planned once, not
 once per matrix.  Plans are shared, so callers treat them as read-only.
-``ContractionPlan.run_many`` executes several sets of labels side by side and
-makes a tensor again only where its label differs from the previous set's.
-Every array of a plan is the input of exactly one step, so the steps to run
-again are the changed tensors' paths to the last step, and every other
-result is the previous set's: the idle of a controlled diagram reuses most
-of the intermediates of its discharge.
 
-From its second run on, a plan keeps the arrays of its last run (its memo)
-while they total at most 2 MiB: the top-level tensors, with the labels and
-``t`` they came from, and every top-level step result but the last.  The
-next run compares its first set of labels with the memo the same way: a
-4x4 controlled matrix with new coefficients makes its 16 weight tensors and
-runs the 65 of its 251 steps they reach, and its idle then runs 18, so the
-pair visits 66 steps for its 83 products instead of walking all 251 twice.
-The same ``np.dot`` on the same arrays gives the same bits, so every matrix
-stays bit-identical.  No returned matrix shares memory with a memo or with
-this module's shared tensors, which are read-only.
+A plan compares every run with its last one.  While they total at most
+2 MiB, it keeps the arrays of its last run (its memo): the top-level
+tensors, with the labels and ``t`` they came from, the region tensors, and
+every top-level step result but the last.  The next run makes a tensor
+again only where its label differs from the kept one's (or, for a
+``PhaseVar``, where ``t`` does), and a region tensor only where its
+template and labels match no kept region's at the same ``t``.  Every array
+of a plan is the input of exactly one step, so the steps to run again are
+the changed tensors' paths to the last step, and every other result is the
+kept one: the idle of a controlled diagram, run after its discharge, runs
+the 18 of a 4x4's 251 steps that the control's label reaches, and a
+discharge with new coefficients, run after another matrix's idle, runs the
+66 that its 16 weights and the control reach.  The same ``np.dot`` on the
+same arrays gives the same bits, so every matrix stays bit-identical.  No
+returned matrix shares memory with a memo or with this module's shared
+tensors, which are read-only.
 
 The greedy order contracts a diagram's ``regions`` (what each
 ``Builder.region`` call wrote: a Trotter chain's gadgets, a series' copies
@@ -59,7 +59,7 @@ that order.  A template (a region's layout) is planned once however many
 regions share it, and a region whose template and labels equal an earlier
 region's takes its tensor: a 32-step Trotter chain plans two small
 templates and 161 tensors, not 1447, and computes each distinct gadget
-once per run.
+once per run, and at the same ``t`` not again in the plan's next run.
 """
 
 from __future__ import annotations
@@ -302,35 +302,19 @@ def _fold(structure: tuple, tensors: list, loops: dict):
             [(n, steps) for n, steps, _ in templates])
 
 
-def _execute(steps: list, pool: list, redo: list, free: bool) -> None:
-    """Run ``steps`` on the lists of arrays in ``pool``, each list holding
-    its tensors and then one slot per step, where the step's result goes.
-
-    Step k runs on list p when redo[p] holds it, the same ``np.dot`` on
-    the same arrays giving the same bits; otherwise list p takes list
-    p-1's result, and list 0 keeps what its slot holds.  Steps run in
-    order, and a step that no list runs is not visited.  With ``free``,
-    each step's inputs leave every list once it ran, so that only live
-    arrays stay: every array is the input of one step, and a list takes
-    only results, never inputs.
-    """
-    n = len(pool[0]) - len(steps)
-    lists = list(zip(pool, redo))
-    # only the first list runs every step, as a range
-    for k in (redo[0] if type(redo[0]) is range
-              else sorted(set().union(*redo))):
+def _execute(steps: list, arrs: list, redo, free: bool) -> None:
+    """Run the steps numbered in ``redo``, in ascending order, on ``arrs``:
+    the tensors, then one slot per step, where the step's result goes.  A
+    slot whose step is not in ``redo`` keeps what it holds.  With ``free``,
+    each step's inputs leave ``arrs`` once it ran, so that only live arrays
+    stay: every array is the input of one step."""
+    n = len(arrs) - len(steps)
+    for k in redo:
         i, j, pa, sa, pb, sb, so = steps[k]
-        out, prev = n + k, None
-        for arrs, mine in lists:
-            if k in mine:
-                arrs[out] = np.dot(arrs[i].transpose(pa).reshape(sa),
-                                   arrs[j].transpose(pb).reshape(sb)
-                                   ).reshape(so)
-            elif prev is not None:
-                arrs[out] = prev[out]
-            if free:
-                arrs[i] = arrs[j] = None
-            prev = arrs
+        arrs[n + k] = np.dot(arrs[i].transpose(pa).reshape(sa),
+                             arrs[j].transpose(pb).reshape(sb)).reshape(so)
+        if free:
+            arrs[i] = arrs[j] = None
 
 
 @dataclass(frozen=True)
@@ -339,28 +323,28 @@ class ContractionPlan:
 
     ``run`` evaluates any diagram with the same structure, whatever its
     labels: the discharge and the idle of a controlled diagram, or a
-    ``PhaseVar`` diagram at several times; ``run_many`` evaluates several
-    at once and shares the work their labels leave alike.  The structure is
-    the node ids with their kinds and port counts, the edge list (in order:
-    the plan numbers edges by position), the boundaries and the regions.
+    ``PhaseVar`` diagram at several times.  The structure is the node ids
+    with their kinds and port counts, the edge list (in order: the plan
+    numbers edges by position), the boundaries and the regions.
     ``peak_rank`` is the rank of the largest intermediate the steps make (0
     without steps), ``peak_bytes`` its size and ``flops`` the complex
     multiply-adds of all steps, all known before anything is allocated; the
     steps are the top-level ones and each region's template steps, counted
     once per region as if no two regions shared a tensor.
 
-    From its second run on, a plan whose ``memo_bytes`` are at most a fixed
-    internal bound (2 MiB) keeps the arrays of its last run's first diagram
-    (its memo): the top-level tensors with the labels and ``t`` they came
-    from, and every top-level step result but the last.  The next run
-    takes a kept tensor for a node whose label is the kept one (at the kept
-    ``t``, for a ``PhaseVar``).  Region tensors are not kept, so they count
-    as changed.  The run then follows each changed tensor to the last step
-    through the step that consumes it (a list made on the plan's first run
-    that has something to compare) and runs only the steps on those paths,
-    and the last, to the same bits; every other result is a kept one.  Each
-    run replaces the memo in one assignment, so concurrent runs see one
-    whole memo or another.
+    A plan whose ``memo_bytes`` are at most a fixed internal bound (2 MiB)
+    keeps the arrays of its last run (its memo): the top-level tensors with
+    the labels and ``t`` they came from, the region tensors by template and
+    labels, and every top-level step result but the last.  Each run is
+    compared with the memo: it takes a kept tensor for a node whose label
+    is the kept one (at the kept ``t``, for a ``PhaseVar``) and a kept
+    region tensor for a region whose template and labels are a kept one's,
+    at the kept ``t`` only.  The run then follows each changed tensor to
+    the last step through the step that consumes it (a list made on the
+    plan's second run) and runs only the steps on those paths, and the
+    last, to the same bits; every other result is a kept one.  Each run
+    builds a new memo and replaces the old in one assignment, never
+    changing it, so concurrent runs see one whole memo or another.
     """
 
     structure: tuple = field(repr=False)   # ``_structure`` of the diagram
@@ -375,42 +359,29 @@ class ContractionPlan:
     peak_rank: int
     peak_bytes: int      # 16 * 2^peak_rank: one complex128 intermediate
     flops: int
-    memo_bytes: int      # what a memo holds: ``tensors``, steps but the last
-    # None before the first run, () after it, then (t, the label per
-    # tensor, ``_execute``'s arrays with None for the region tensors)
+    memo_bytes: int      # what a memo holds: ``tensors``, region tensors,
+                         # steps but the last
+    # None before the first run, then (t, the label per tensor,
+    # ``_execute``'s arrays but the last, the region tensors by
+    # (template number, labels))
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
 
-    def _fits(self, d: Diagram) -> bool:
-        return _structure(d) == self.structure
-
     def run(self, d: Diagram, t: Optional[float] = None) -> np.ndarray:
-        """Evaluate ``d``, resolving ``PhaseVar`` labels at ``t``."""
-        return self.run_many([d], t)[0]
-
-    def run_many(self, diagrams: list, t: Optional[float] = None) -> list:
-        """Evaluate each of ``diagrams``, resolving ``PhaseVar`` labels at
-        ``t``, to the same bits ``run`` gives it alone.
-
-        Every structure is checked before any tensor is made.  The first
-        diagram is compared with the plan's memo (see the class docstring)
-        and each later one with the one before it: a node whose label is
-        the same shares its tensor, and a step that no changed tensor
-        reaches shares its result (the same ``np.dot`` on the same arrays
-        gives the same bits); the last step always runs.  A region whose
-        template and labels
-        equal an earlier region's, in this diagram or an earlier one,
-        shares that region's tensor.  No returned matrix shares memory
-        with another, with the memo or with a module constant.
-        """
-        return self._run_many(diagrams, t, 0)
+        """Evaluate ``d``, resolving ``PhaseVar`` labels at ``t``.  ``d``'s
+        structure is checked before any tensor is made.  No returned matrix
+        shares memory with another, with the memo or with a module
+        constant."""
+        if _structure(d) != self.structure:
+            raise DiagramError(
+                "diagram does not have the structure the plan was made for")
+        return self._run(d, t)
 
     @functools.cached_property
     def _consumer(self) -> list:
         """The step each array is the input of, by array number (tensors,
-        region tensors, step results); made on the first run that compares
-        a diagram's tensors with earlier ones, so a plan run once on one
-        diagram never makes it."""
+        region tensors, step results); made on the plan's second run, so a
+        plan run once never makes it."""
         out = [0] * (len(self.tensors) + len(self.regions) + len(self.steps))
         for k, (i, j, *_) in enumerate(self.steps):
             out[i] = out[j] = k
@@ -430,85 +401,61 @@ class ContractionPlan:
                 k = consumer[n + k]
         return redo
 
-    def _run_many(self, diagrams: list, t: Optional[float],
-                  fitted: int) -> list:
-        """``run_many``, taking the first ``fitted`` diagrams to fit the
-        plan, as the diagram a plan was looked up by does."""
-        if not all(map(self._fits, diagrams[fitted:])):
-            raise DiagramError(
-                "diagram does not have the structure the plan was made for")
-        if not diagrams:
-            return []
+    def _run(self, d: Diagram, t: Optional[float]) -> np.ndarray:
+        """``run`` on a diagram known to have the plan's structure, as the
+        diagram a plan was looked up by does."""
         if not self.tensors and not self.regions:
-            return [np.ones((1, 1), dtype=complex) for _ in diagrams]
+            return np.ones((1, 1), dtype=complex)
+        n, n_steps = len(self.tensors), len(self.steps)
+        labels = [None if nid is None else d.nodes[nid].label
+                  for nid in self.tensors]
+        # read the memo once: another thread may replace it
+        old_t, old, arrs, kept = self._memo or (t, None, None, {})
+        if t != old_t:
+            kept = {}   # region tensors are kept for one t
         made: dict = {}
 
-        def region(d, k, first):
-            n, steps = self.templates[k]
-            nids = range(first, first + n)
+        def region(k, first):
+            size, steps = self.templates[k]
+            nids = range(first, first + size)
             key = (k, tuple(d.nodes[nid].label for nid in nids))
             if key not in made:
-                arrs = [_tensor(d, nid, self.loops, t) for nid in nids]
-                arrs += [None] * len(steps)
-                _execute(steps, [arrs], [range(len(steps))], True)
-                made[key] = arrs[-1]
+                arr = kept.get(key)
+                if arr is None:
+                    arrs = [_tensor(d, nid, self.loops, t) for nid in nids]
+                    arrs += [None] * len(steps)
+                    _execute(steps, arrs, range(len(steps)), True)
+                    arr = arrs[-1]
+                made[key] = arr
             return made[key]
 
-        n, n_steps = len(self.tensors), len(self.steps)
-        tops = range(n, n + len(self.regions))   # the region tensors
-        memo = self._memo
-        fits = self.memo_bytes <= _MEMO_BOUND
-        keep = fits and memo is not None   # from the plan's second run on
-        # the labels and arrays the next diagram is compared with: the
-        # memo's for the first, the one before's for each later one
-        old_t, old, arrs = memo if keep and memo else (t, None, None)
-        if old is not None and n_steps:
-            arrs = arrs + [None]   # the memo keeps all results but the last
-        pool, redo = [], []
-        for d in diagrams:
-            labels = None
-            if keep or len(diagrams) > 1:
-                labels = [None if nid is None else d.nodes[nid].label
-                          for nid in self.tensors]
-            fresh = [region(d, *r) for r in self.regions]
-            if old is None:
-                arrs = [_tensor(d, nid, self.loops, t) for nid in self.tensors]
-                arrs += fresh + [None] * n_steps
-                redo.append(range(n_steps))
-            else:
-                arrs = list(arrs)
-                changed = [pos for pos, (a, b) in enumerate(zip(labels, old))
-                           if a != b or t != old_t
-                           and isinstance(a, PhaseVar)]
-                for pos in changed:
-                    arrs[pos] = _tensor(d, self.tensors[pos], self.loops, t)
-                # region tensors the memo does not keep count as changed
-                changed += [pos for pos, a in zip(tops, fresh)
-                            if a is not arrs[pos]]
-                arrs[n:n + len(tops)] = fresh
-                redo.append(self._reach(changed))
-            if not pool:
-                first = labels
-            pool.append(arrs)
-            old, old_t = labels, t
-        _execute(self.steps, pool, redo, not keep)
-        if fits:
-            memo = ()
-            if keep:
-                # the matrix is handed out, and region tensors stay per call
-                memo = pool[0][:-1] if n_steps else list(pool[0])
-                memo[n:n + len(tops)] = [None] * len(tops)
-                memo = (t, first, memo)
-            object.__setattr__(self, "_memo", memo)
-        out: list = []
-        for arrs in pool:
-            arr = arrs[-1].transpose(self.perm) if self.perm else arrs[-1]
-            arr = arr.reshape(self.shape)
-            # each list runs its last step, so results share no memory;
-            # without steps the result is a node tensor, which a module
-            # constant or the memo may hold
-            out.append(arr if n_steps else arr.copy())
-        return out
+        fresh = [region(*r) for r in self.regions]
+        if old is None:
+            arrs = [_tensor(d, nid, self.loops, t) for nid in self.tensors]
+            arrs += fresh + [None] * n_steps
+            redo = range(n_steps)
+        else:
+            # the memo keeps all results but the last
+            arrs = arrs + [None] if n_steps else list(arrs)
+            changed = [pos for pos, (a, b) in enumerate(zip(labels, old))
+                       if a != b or t != old_t and isinstance(a, PhaseVar)]
+            for pos in changed:
+                arrs[pos] = _tensor(d, self.tensors[pos], self.loops, t)
+            changed += [pos for pos, a in enumerate(fresh, n)
+                        if a is not arrs[pos]]
+            arrs[n:n + len(fresh)] = fresh
+            redo = sorted(self._reach(changed))
+        free = self.memo_bytes > _MEMO_BOUND
+        _execute(self.steps, arrs, redo, free)
+        if not free:
+            # the matrix is handed out
+            object.__setattr__(self, "_memo", (
+                t, labels, arrs[:-1] if n_steps else arrs, made))
+        arr = arrs[-1].transpose(self.perm) if self.perm else arrs[-1]
+        arr = arr.reshape(self.shape)
+        # the last step always runs, so the result is new; without steps it
+        # is a node tensor, which a module constant or the memo may hold
+        return arr if n_steps else arr.copy()
 
 
 def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP,
@@ -555,7 +502,7 @@ def _plan(structure: tuple, cap: int, order: str) -> ContractionPlan:
         [r for r, _ in regions], templates, perm,
         (2 ** len(outputs), 2 ** len(inputs)), peak, 16 * 2 ** peak,
         sum(sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in done),
-        16 * (sum(2 ** len(tids) for _, tids in tensors)
+        16 * (sum(2 ** len(tids) for _, tids in tensors + regions)
               + sum(2 ** len(so) for *_, so in steps[:-1])))
 
 
@@ -571,7 +518,7 @@ def eval_diagram(d: Diagram, t: Optional[float] = None,
     another ``t``, does not plan it again.
     """
     # the plan was looked up by d's structure, so d fits it
-    return plan_contraction(d, cap, order)._run_many([d], t, 1)[0]
+    return plan_contraction(d, cap, order)._run(d, t)
 
 
 @dataclass

@@ -515,28 +515,57 @@ def _reached(plan, changed):
 def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
     rng = np.random.default_rng(11)
     a, b = (_rand_matrix(rng, 4) for _ in range(2))
-    verify_controlled(controlled_matrix(a), a)
-    verify_controlled(controlled_matrix(a), a)   # the plan keeps a's arrays
+    verify_controlled(controlled_matrix(a), a)   # the plan keeps a's idle
     cd = controlled_matrix(b)
     plan = plan_contraction(cd.discharge())
-    old, d, i = (controlled_matrix(a).discharge(), cd.discharge(), cd.idle())
+    old, d, i = (controlled_matrix(a).idle(), cd.discharge(), cd.idle())
     last = len(plan.steps) - 1
+    # the discharge runs what b's weights and the control reach from a's
+    # idle, and the idle what the control reaches from the discharge
     redo_d = _reached(plan, [k for k, nid in enumerate(plan.tensors)
                              if nid is not None and d.nodes[nid].label
                              != old.nodes[nid].label]) | {last}
     redo_i = _reached(plan, [k for k, nid in enumerate(plan.tensors)
                              if nid is not None and i.nodes[nid].label
                              != d.nodes[nid].label]) | {last}
-    assert (len(redo_d), len(redo_i), len(plan.steps)) == (65, 18, 251)
+    assert (len(redo_d), len(redo_i), len(plan.steps)) == (66, 18, 251)
     dots, visited = [], []
     real_dot, real_execute = np.dot, evaluate._execute
     monkeypatch.setattr(np, "dot",
                         lambda *args: dots.append(1) or real_dot(*args))
-    monkeypatch.setattr(evaluate, "_execute", lambda steps, pool, redo, free:
-                        visited.append(set().union(*redo))
-                        or real_execute(steps, pool, redo, free))
+    monkeypatch.setattr(evaluate, "_execute", lambda steps, arrs, redo, free:
+                        visited.append(set(redo))
+                        or real_execute(steps, arrs, redo, free))
     rep = verify_controlled(cd, b)
     monkeypatch.undo()
-    assert len(dots) == len(redo_d) + len(redo_i) == 83
-    assert visited == [redo_d | redo_i]
+    assert len(dots) == len(redo_d) + len(redo_i) == 84
+    assert visited == [redo_d, redo_i]
     assert rep == _verify_plug_by_plug(controlled_matrix(b), b)
+
+
+def test_a_second_verify_of_a_spliced_sum_makes_no_region_tensor(
+        monkeypatch):
+    # each arm is a spliced region; the plan keeps the region tensors of
+    # its last run, so only the plugged control's tensor is made again
+    rng = np.random.default_rng(13)
+    mats = [_rand_matrix(rng, 4) for _ in range(3)]
+    weights = [0.5, -1.0j, 2.0]
+    cd = controlled_sum_matrices([controlled_matrix(m) for m in mats],
+                                 weights=weights)
+    target = sum(w * m for w, m in zip(weights, mats))
+    plan = plan_contraction(cd.discharge())
+    assert len(plan.regions) == 3
+    in_regions = {nid for k, first in plan.regions
+                  for nid in range(first, first + plan.templates[k][0])}
+    made = []
+    real = evaluate._tensor
+    monkeypatch.setattr(evaluate, "_tensor",
+                        lambda *args: made.append(args[1]) or real(*args))
+    first = verify_controlled(cd, target)
+    assert first["ok"] and in_regions <= set(made)
+    d, i = cd.discharge(), cd.idle()
+    plug = [nid for nid, node in d.nodes.items()
+            if node.label != i.nodes[nid].label]
+    del made[:]
+    assert verify_controlled(cd, target) == first
+    assert made == plug * 2 and not in_regions & set(plug)

@@ -264,16 +264,17 @@ def _attribute_lines(tree, attr: str) -> list:
 
 def test_one_plan_loop_and_one_execute_loop():
     # the greedy planner pops its heap in one place, every evaluation runs
-    # through one matrix product, and the replaced planner stays gone
+    # through one matrix product, the replaced planner stays gone, and a
+    # plan reuses work one way: each run against its last one
     tree = ast.parse((PACKAGE / "evaluate.py").read_text(encoding="utf-8"))
     assert len(_attribute_lines(tree, "dot")) == 1
     assert len(_attribute_lines(tree, "heappop")) == 1
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert not defined & {"_Schedule", "_greedy"}
-    run = ast.parse(textwrap.dedent(
-        inspect.getsource(zxwkit.ContractionPlan.run)))
-    assert _attribute_lines(run, "run_many")
+    assert not defined & {"_Schedule", "_greedy", "run_many", "_run_many"}
+    assert not hasattr(zxwkit.ContractionPlan, "run_many")
+    assert list(inspect.signature(evaluate._execute).parameters) == [
+        "steps", "arrs", "redo", "free"]
 
 
 def test_attribute_check_sees_references():

@@ -353,43 +353,71 @@ def test_plan_rejects_another_structure(other):
         plan.run(other(cd))
 
 
-def _assert_run_many_is_run(plan, diagrams, t=None):
-    many = plan.run_many(diagrams, t)
-    assert len(many) == len(diagrams)
-    for got, d in zip(many, diagrams):
-        assert np.array_equal(got, plan.run(d, t))
-    for k, got in enumerate(many):
-        assert not any(np.shares_memory(got, other) for other in many[:k])
+@pytest.mark.parametrize("other", [
+    lambda cd: cd.diagram,
+    lambda cd: _rewired(cd.discharge()),
+    lambda cd: controlled_matrix(np.eye(4)).discharge(),
+], ids=["one_more_input", "other_edges", "other_nodes"])
+def test_run_checks_the_structure_first_after_a_memo(other, monkeypatch):
+    # after runs that left a memo, the check still comes before any tensor
+    cd = _controlled()
+    plan = plan_contraction(cd.discharge())
+    plan.run(cd.discharge())
+    plan.run(cd.idle())
+
+    def no_tensor(*args):
+        raise AssertionError("a tensor was made before the check")
+
+    monkeypatch.setattr(evaluate, "_tensor", no_tensor)
+    with pytest.raises(DiagramError):
+        plan.run(other(cd))
+
+
+def _assert_runs_in_a_row_are_fresh(plan, diagrams, t=None):
+    """Run ``plan`` on ``diagrams`` one after another: each result is a
+    fresh plan's, bit for bit, and shares memory with no other result and
+    with no array of the memo."""
+    got = [plan.run(d, t) for d in diagrams]
+    for m, d in zip(got, diagrams):
+        assert np.array_equal(m, _fresh_plan(d).run(d, t))
+    for k, m in enumerate(got):
+        assert not any(np.shares_memory(m, other) for other in got[:k])
+    _, _, kept, regions = plan._memo
+    assert not any(np.shares_memory(m, a) for m in got
+                   for a in kept + list(regions.values()))
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
-def test_run_many_is_run_on_discharge_and_idle(dim):
+def test_runs_in_a_row_are_fresh_runs_on_discharge_and_idle(dim):
     cd = _controlled(dim)
     plan = plan_contraction(cd.discharge())
-    _assert_run_many_is_run(plan, [cd.discharge(), cd.idle()])
-    _assert_run_many_is_run(plan, [cd.idle(), cd.discharge(), cd.idle()])
+    _assert_runs_in_a_row_are_fresh(plan, [cd.discharge(), cd.idle()])
+    _assert_runs_in_a_row_are_fresh(plan, [cd.idle(), cd.discharge(),
+                                           cd.idle()])
 
 
-def test_run_many_is_run_on_a_sum_of_states():
+def test_runs_in_a_row_are_fresh_runs_on_a_sum_of_states():
     rng = np.random.default_rng(12)
     cd = controlled_sum_states(
         [controlled_state_normal_form(rng.normal(size=4)
                                       + 1j * rng.normal(size=4))
          for _ in range(3)], weights=[0.5, -1.0j, 2.0])
     plan = plan_contraction(cd.discharge())
-    _assert_run_many_is_run(plan, [cd.discharge(), cd.idle(), cd.idle()])
+    _assert_runs_in_a_row_are_fresh(plan, [cd.discharge(), cd.idle(),
+                                           cd.idle()])
 
 
-def test_run_many_is_run_on_a_symbolic_diagram():
+def test_runs_in_a_row_are_fresh_runs_on_a_symbolic_diagram():
     d = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).diagram
     other = d.copy()
     nid = next(n for n, node in other.nodes.items()
                if isinstance(node.label, PhaseVar))
     other.nodes[nid].label = PhaseVar(-2.5)
-    _assert_run_many_is_run(plan_contraction(d), [d, other, d], t=0.8)
+    _assert_runs_in_a_row_are_fresh(plan_contraction(d), [d, other, d],
+                                    t=0.8)
 
 
-def test_run_many_makes_equal_tensors_once(monkeypatch):
+def test_a_discharge_then_idle_makes_equal_tensors_once(monkeypatch):
     # the idle differs from the discharge in one label: the control's state
     cd = _controlled(2)
     plan = plan_contraction(cd.discharge())
@@ -397,25 +425,9 @@ def test_run_many_makes_equal_tensors_once(monkeypatch):
     real = evaluate._tensor
     monkeypatch.setattr(evaluate, "_tensor",
                         lambda *args: made.append(args[1]) or real(*args))
-    plan.run_many([cd.discharge(), cd.idle()])
+    plan.run(cd.discharge())
+    plan.run(cd.idle())
     assert len(made) == len(plan.tensors) + 1
-
-
-@pytest.mark.parametrize("other", [
-    lambda cd: cd.diagram,
-    lambda cd: _rewired(cd.discharge()),
-    lambda cd: controlled_matrix(np.eye(4)).discharge(),
-], ids=["one_more_input", "other_edges", "other_nodes"])
-def test_run_many_checks_every_structure_first(other, monkeypatch):
-    cd = _controlled()
-    plan = plan_contraction(cd.discharge())
-
-    def no_tensor(*args):
-        raise AssertionError("a tensor was made before the check")
-
-    monkeypatch.setattr(evaluate, "_tensor", no_tensor)
-    with pytest.raises(DiagramError):
-        plan.run_many([cd.discharge(), cd.idle(), other(cd)])
 
 
 def test_one_plan_sweeps_time():
@@ -586,7 +598,7 @@ def test_regions_contract_to_the_flat_matrix_and_the_oracle(chain):
     got = plan.run(d, T)
     assert matrices_close(got, eval_diagram(_region_free(d), t=T), 1e-12)
     assert matrices_close(got, want, 1e-12)
-    assert np.array_equal(plan.run_many([d, d], T)[1], got)
+    assert np.array_equal(plan.run(d, T), got)   # from the memo
 
 
 def test_a_trotter_step_is_planned_as_its_gadgets():
@@ -608,15 +620,16 @@ def test_a_trotter_step_is_planned_as_its_gadgets():
     assert plan_contraction(d, order="sequential").templates == []
 
 
-def test_run_many_is_run_on_spliced_diagrams():
+def test_runs_in_a_row_are_fresh_runs_on_spliced_diagrams():
     # other times are other labels on one structure
     h = parse_pauli_sum(HAM5)
     a, b = trotter_diagram(h, 8, 0.7), trotter_diagram(h, 8, -0.2)
     plan = plan_contraction(a)
     assert plan_contraction(b) is plan
-    _assert_run_many_is_run(plan, [a, b, a])
+    _assert_runs_in_a_row_are_fresh(plan, [a, b, a])
     c = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).diagram
-    _assert_run_many_is_run(plan_contraction(c), [c, c.copy()], t=0.8)
+    _assert_runs_in_a_row_are_fresh(plan_contraction(c), [c, c.copy()],
+                                    t=0.8)
 
 
 def test_regions_survive_what_keeps_node_ids():
@@ -728,9 +741,10 @@ def test_no_result_shares_memory_with_the_memo():
     cd = controlled_matrix(_dominant(4, 1))
     plan = plan_contraction(cd.discharge())
     for _ in range(3):
-        got = plan.run_many([cd.discharge(), cd.idle(), cd.discharge()])
-    _, labels, kept = plan._memo
-    assert len(labels) == len(plan.tensors)
+        got = [plan.run(d) for d in (cd.discharge(), cd.idle(),
+                                     cd.discharge())]
+    _, labels, kept, regions = plan._memo
+    assert len(labels) == len(plan.tensors) and regions == {}
     assert len(kept) == len(plan.tensors) + len(plan.steps) - 1
     assert not any(np.shares_memory(m, a) for m in got for a in kept)
 
@@ -741,7 +755,6 @@ def test_a_kept_plan_redoes_only_what_new_weights_reach(monkeypatch):
     plan = plan_contraction(a)
     assert plan_contraction(b) is plan
     plan.run(a)
-    assert plan._memo == ()   # nothing is kept from a plan's first run
     plan.run(a)
     n = len(plan.tensors)
     changed = [k for k, nid in enumerate(plan.tensors) if nid is not None
@@ -804,6 +817,61 @@ def test_a_plan_over_the_memo_bound_keeps_nothing(monkeypatch):
     assert plan._memo
 
 
+def _kept_bytes(plan):
+    """The bytes of the distinct arrays in ``plan``'s memo."""
+    _, _, kept, regions = plan._memo
+    arrays = {id(a): a for a in kept + list(regions.values())}
+    return sum(a.nbytes for a in arrays.values())
+
+
+def test_memo_bytes_count_region_tensors(monkeypatch):
+    # a 8-step Trotter chain: one phase box and 40 gadget tensors, of two
+    # distinct values, so what it keeps is below what ``memo_bytes`` counts
+    d = trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7)
+    plan = plan_contraction(d)
+    assert plan.memo_bytes == 27152
+    plan.run(d)
+    # one count per array slot: the tensor, the 40 region tensors and
+    # every step result but the last
+    _, _, kept, _ = plan._memo
+    assert len(kept) == 1 + 40 + len(plan.steps) - 1
+    assert sum(a.nbytes for a in kept) == plan.memo_bytes
+    assert _kept_bytes(plan) == 21840
+    # over the bound, every run makes the phase box and each distinct
+    # gadget (an XX one of 12 nodes and a Z one of 7) again
+    want = plan.run(d)
+    monkeypatch.setattr(evaluate, "_MEMO_BOUND", plan.memo_bytes - 1)
+    plan = _fresh_plan(d)
+    made = []
+    real = evaluate._tensor
+    monkeypatch.setattr(evaluate, "_tensor",
+                        lambda *args: made.append(args[1]) or real(*args))
+    for _ in range(3):
+        del made[:]
+        assert np.array_equal(plan.run(d), want)
+        assert len(made) == 1 + 12 + 7 and plan._memo is None
+
+
+def test_a_symbolic_chain_keeps_its_gadgets_at_one_time(monkeypatch):
+    # kept region tensors serve a run at the kept t only
+    d = commuting_exponential(
+        parse_pauli_sum("0.5 ZZ\n0.3 ZI\n-0.4 IZ")).diagram
+    plan = plan_contraction(d)
+    assert len(plan.regions) == 3
+    times = (0.3, -1.1, -1.1, 0.3)
+    want = [_fresh_plan(d).run(d, t) for t in times]
+    made = []
+    real = evaluate._tensor
+    monkeypatch.setattr(evaluate, "_tensor",
+                        lambda *args: made.append(args[1]) or real(*args))
+    counts = []
+    for t, m in zip(times, want):
+        del made[:]
+        assert np.array_equal(plan.run(d, t), m)
+        counts.append(len(made))
+    assert counts[0] == counts[1] == counts[3] > 0 == counts[2]
+
+
 @functools.lru_cache(maxsize=None)
 def _label_sets():
     """The diagrams the memo property test draws from: the discharge and
@@ -829,8 +897,8 @@ def _label_sets():
                           st.booleans()),
                 min_size=1, max_size=8))
 def test_a_kept_plan_runs_any_label_sequence_bit_for_bit(runs):
-    # each run: (symbolic?, which weights or scale, which plug, t, as a
-    # pair with the other plug in one run_many?)
+    # each run: (symbolic?, which weights or scale, which plug, t, followed
+    # by the other plug?)
     plugged, scaled = _label_sets()
     for symbolic, k, plug, t, pair in runs:
         if symbolic:
@@ -840,26 +908,30 @@ def test_a_kept_plan_runs_any_label_sequence_bit_for_bit(runs):
             if pair:
                 diagrams.append(plugged[k][1 - plug])
         plan = plan_contraction(diagrams[0])
-        got = plan.run_many(diagrams, t)
-        for m, d in zip(got, diagrams):
-            assert np.array_equal(m, _fresh_plan(d).run(d, t))
-            m[:] = np.nan   # the next run must not see this
-        assert plan.run_many([], t) == []
+        for d in diagrams:
+            got = plan.run(d, t)
+            assert np.array_equal(got, _fresh_plan(d).run(d, t))
+            got[:] = np.nan   # the next run must not see this
 
 
 def test_threads_sharing_a_kept_plan_get_their_own_bits():
     # every run reads one whole memo and replaces it in one assignment, so
-    # a run that interleaves with another still computes from one snapshot
+    # a run that interleaves with another still computes from one snapshot;
+    # the symbolic chain's runs also share kept region tensors
     plugged, _ = _label_sets()
-    diagrams = [d for pair in plugged for d in pair]
-    want = [_fresh_plan(d).run(d) for d in diagrams]
-    plan = plan_contraction(diagrams[0])
+    chain = commuting_exponential(
+        parse_pauli_sum("0.5 ZZ\n0.3 ZI\n-0.4 IZ")).diagram
+    cases = [(d, None) for pair in plugged for d in pair]
+    cases += [(chain, t) for t in (0.3, 0.3, -1.1)]
+    want = [_fresh_plan(d).run(d, t) for d, t in cases]
+    plan = plan_contraction(cases[0][0])
     wrong = []
 
     def work(offset):
         for k in range(offset, offset + 40):
-            got = plan.run(diagrams[k % len(diagrams)])
-            if not np.array_equal(got, want[k % len(diagrams)]):
+            d, t = cases[k % len(cases)]
+            got = plan_contraction(d).run(d, t)
+            if not np.array_equal(got, want[k % len(cases)]):
                 wrong.append(k)
 
     interval = sys.getswitchinterval()
