@@ -11,6 +11,7 @@ One binary, subcommand style:
     zxw export FILE --format json|dot
     zxw extract-demo [--a VAL --b VAL --t VAL | --seed S]
 
+``check-rules`` prints the rows of ``rules.check_soundness``'s report.
 Exit status: 0 on success, 1 on a verification failure, 2 on a usage error.
 Every subcommand takes --cap and --tol; the environment variables ZXW_CAP
 and ZXW_TOL supply the defaults (12 and 1e-9).  Only the command line reads
@@ -38,7 +39,7 @@ from .expo import (Circuit, Gate, cayley_hamilton_diagram,
                    taylor_diagram, trotter_diagram)
 from .graph import DiagramError
 from .pauli import build_hamiltonian_diagram, oracle_matrix, parse_pauli_sum
-from .rules import check_template, template_names
+from .rules import check_soundness, template_names
 from .serialize import (diagram_from_json, diagram_to_dot, diagram_to_json,
                         matrix_from_text, matrix_to_text, vector_from_text)
 
@@ -59,7 +60,6 @@ class Config:
     cap: int
     tol: float
     seed: int = 0
-    fmt: str = "text"
 
     def __post_init__(self):
         if self.cap < 1:
@@ -87,9 +87,7 @@ def _config(args) -> Config:
     cap = _setting(args.cap, "ZXW_CAP", int, DEFAULT_CAP)
     tol = _setting(args.tol, "ZXW_TOL", float, CLI_TOL)
     seed = getattr(args, "seed", None)
-    fmt = getattr(args, "export", None) or getattr(args, "format", None)
-    return Config(cap=cap, tol=tol, seed=0 if seed is None else seed,
-                  fmt=fmt or "text")
+    return Config(cap=cap, tol=tol, seed=0 if seed is None else seed)
 
 
 def _read(path: str) -> str:
@@ -138,21 +136,14 @@ def _cmd_check_rules(args, cfg: Config) -> int:
             raise _Usage(f"unknown rule {args.rule!r}; known rules: "
                          + ", ".join(names))
         names = [args.rule]
+    rep = check_soundness(names, draws=args.samples, seed=cfg.seed,
+                          tol=cfg.tol)
     print(f"{'rule':<20} {'samples':>7} {'exact%':>7} {'scalar%':>8} "
           f"{'max-resid':>10}  status")
-    failing = 0
-    for i, name in enumerate(names):
-        rep = check_template(name, draws=args.samples, seed=cfg.seed + i,
-                             tol=cfg.tol)
-        total = len(rep.results)
-        exact = 100.0 * sum(r.verdict == "exact" for r in rep.results) / total
-        scalar = 100.0 * sum(r.verdict == "scalar" for r in rep.results) / total
-        status = "ok" if rep.ok else f"FAIL({rep.failures})"
-        failing += rep.failures
-        print(f"{name:<20} {rep.draws:>7} {exact:>7.1f} {scalar:>8.1f} "
-              f"{rep.worst_residual:>10.2e}  {status}")
-    print(f"total: {len(names)} rules, {failing} failing draws")
-    return 0 if failing == 0 else 1
+    for line in rep.lines():
+        print(line)
+    print(f"total: {len(names)} rules, {rep.total_failures} failing draws")
+    return 0 if rep.ok else 1
 
 
 def _cmd_eval(args, cfg: Config) -> int:

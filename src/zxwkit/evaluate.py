@@ -51,15 +51,16 @@ same arrays gives the same bits, so every matrix stays bit-identical.  No
 returned matrix shares memory with a memo or with this module's shared
 tensors, which are read-only.
 
-The greedy order contracts a diagram's ``regions`` (what each
-``Builder.region`` call wrote: a Trotter chain's gadgets, a series' copies
-of H, a spliced arm) first, each by its template's steps, then runs over
-the other nodes, the boundary wires and the region tensors, numbered in
-that order.  A template (a region's layout) is planned once however many
-regions share it, and a region whose template and labels equal an earlier
-region's takes its tensor: a 32-step Trotter chain plans two small
-templates and 161 tensors, not 1447, and computes each distinct gadget
-once per run, and at the same ``t`` not again in the plan's next run.
+This greedy schedule is the only one.  It contracts a diagram's
+``regions`` (what each ``Builder.region`` call wrote: a Trotter chain's
+gadgets, a series' copies of H, a spliced arm) first, each by its
+template's steps, then runs over the other nodes, the boundary wires and
+the region tensors, numbered in that order.  A template (a region's
+layout) is planned once however many regions share it, and a region whose
+template and labels equal an earlier region's takes its tensor: a 32-step
+Trotter chain plans two small templates and 161 tensors, not 1447, and
+computes each distinct gadget once per run, and at the same ``t`` not
+again in the plan's next run.
 """
 
 from __future__ import annotations
@@ -192,11 +193,11 @@ def _tensor(d: Diagram, nid, loops: dict, t: Optional[float]) -> np.ndarray:
     return arr
 
 
-def _schedule(ids: list, greedy: bool) -> list:
+def _schedule(ids: list) -> list:
     """The compiled steps contracting the tensors with edge ids ``ids``
-    into one: greedily or in order, then the tensors left (one per
-    component) left to right.  ``ids`` grows by each step's result and a
-    step's two tensors become None, so its last entry is the tensor left.
+    into one: greedily, then the tensors left (one per component) left to
+    right.  ``ids`` grows by each step's result and a step's two tensors
+    become None, so its last entry is the tensor left.
 
     A step is (i, j, perm_a, shape_a, perm_b, shape_b, out_shape), what
     ``np.tensordot`` does: the shared axes move to the end of a and the
@@ -232,32 +233,30 @@ def _schedule(ids: list, greedy: bool) -> list:
         ids.append(out)
         return out
 
-    if greedy:
-        owners: dict = {}
-        for pos, tids in enumerate(ids):
-            for e in tids:
-                owners.setdefault(e, []).append(pos)
-        bonds = Counter(tuple(own) for own in owners.values()
-                        if len(own) == 2)
-        heap = [(len(ids[i]) + len(ids[j]) - 2 * n, i, j)
-                for (i, j), n in bonds.items()]
-        heapq.heapify(heap)
-        pop, push = heapq.heappop, heapq.heappush
-        while heap:
-            _, i, j = pop(heap)
-            if ids[i] is None or ids[j] is None:
-                continue
-            out = contract(i, j)
-            fresh = len(ids) - 1
-            bonds = {}
-            for e in out:
-                own = owners[e]
-                if len(own) == 2:
-                    nb = own[1] if own[0] == i or own[0] == j else own[0]
-                    own[0], own[1] = nb, fresh
-                    bonds[nb] = bonds.get(nb, 0) + 1
-            for nb, n in bonds.items():
-                push(heap, (len(ids[nb]) + len(out) - 2 * n, nb, fresh))
+    owners: dict = {}
+    for pos, tids in enumerate(ids):
+        for e in tids:
+            owners.setdefault(e, []).append(pos)
+    bonds = Counter(tuple(own) for own in owners.values() if len(own) == 2)
+    heap = [(len(ids[i]) + len(ids[j]) - 2 * n, i, j)
+            for (i, j), n in bonds.items()]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        _, i, j = pop(heap)
+        if ids[i] is None or ids[j] is None:
+            continue
+        out = contract(i, j)
+        fresh = len(ids) - 1
+        bonds = {}
+        for e in out:
+            own = owners[e]
+            if len(own) == 2:
+                nb = own[1] if own[0] == i or own[0] == j else own[0]
+                own[0], own[1] = nb, fresh
+                bonds[nb] = bonds.get(nb, 0) + 1
+        for nb, n in bonds.items():
+            push(heap, (len(ids[nb]) + len(out) - 2 * n, nb, fresh))
     last, *rest = [k for k, tids in enumerate(ids) if tids is not None]
     for nxt in rest:
         contract(last, nxt)
@@ -295,7 +294,7 @@ def _fold(structure: tuple, tensors: list, loops: dict):
                tuple(map(loops.get, range(start, stop))) if loops else ())
         k = planned.setdefault(key, len(templates))
         if k == len(templates):
-            templates.append((len(run), _schedule(local, True), local[-1]))
+            templates.append((len(run), _schedule(local), local[-1]))
         edge = list(number)
         folded.append(((k, start), [edge[e] for e in templates[k][2]]))
     return (loose + tensors[pos:], folded,
@@ -458,37 +457,32 @@ class ContractionPlan:
         return arr if n_steps else arr.copy()
 
 
-def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP,
-                     order: str = "greedy") -> ContractionPlan:
+def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP) -> ContractionPlan:
     """Plan the contraction of ``d`` from its structure, ignoring labels.
 
-    ``cap`` bounds the open wires and the legs of any one node.  ``order``
-    picks the schedule: "greedy" (default) or "sequential" (node-id order,
-    each tensor contracted into the running result).  Disconnected
-    components are multiplied out as outer products, left to right.  The
-    greedy order contracts ``d.regions`` first (see the module docstring)
-    and raises ``DiagramError`` for a region that is empty, overlaps
-    another or names what is not an interior node.  A diagram with the
-    structure (regions included) of one planned recently gets that same
-    plan back, so the plan is shared and must not be changed.
+    ``cap`` bounds the open wires and the legs of any one node.
+    Disconnected components are multiplied out as outer products, left to
+    right.  ``d.regions`` are contracted first (see the module docstring);
+    a region that is empty, overlaps another or names what is not an
+    interior node raises ``DiagramError``.  A diagram with the structure
+    (regions included) of one planned recently gets that same plan back,
+    so the plan is shared and must not be changed.
     """
-    return _plan(_structure(d), cap, order)
+    return _plan(_structure(d), cap)
 
 
 @functools.lru_cache(maxsize=8)
-def _plan(structure: tuple, cap: int, order: str) -> ContractionPlan:
+def _plan(structure: tuple, cap: int) -> ContractionPlan:
     """``plan_contraction`` of a diagram with ``_structure`` ``structure``;
     an error propagates and is never kept."""
-    if order not in ("greedy", "sequential"):
-        raise DiagramError(f"unknown contraction order {order!r}")
     tensors, loops, external = _network(structure, cap)
     regions, templates = [], []
-    if order == "greedy" and structure[4]:
+    if structure[4]:
         tensors, regions, templates = _fold(structure, tensors, loops)
     ids = [tids for _, tids in tensors + regions]
     steps, perm = [], []
     if ids:
-        steps = _schedule(ids, order == "greedy")
+        steps = _schedule(ids)
         out = ids[-1]
         if sorted(out) != sorted(external):
             raise DiagramError("internal error: contraction left stray indices")
@@ -507,18 +501,16 @@ def _plan(structure: tuple, cap: int, order: str) -> ContractionPlan:
 
 
 def eval_diagram(d: Diagram, t: Optional[float] = None,
-                 cap: int = DEFAULT_CAP, order: str = "greedy") -> np.ndarray:
+                 cap: int = DEFAULT_CAP) -> np.ndarray:
     """Evaluate ``d`` to its (2^outputs, 2^inputs) matrix.
 
-    ``cap`` bounds the open wires and the legs of any one node.  ``order``
-    picks the contraction schedule: "greedy" (default) or "sequential"
-    (node-id order); both give the same matrix to float round-off, which
-    the tests pin down.  The plan comes from ``plan_contraction``, so
-    evaluating a recently planned structure again, with other labels or at
-    another ``t``, does not plan it again.
+    ``cap`` bounds the open wires and the legs of any one node.  The plan
+    comes from ``plan_contraction``, so evaluating a recently planned
+    structure again, with other labels or at another ``t``, does not plan
+    it again.
     """
     # the plan was looked up by d's structure, so d fits it
-    return plan_contraction(d, cap, order)._run(d, t)
+    return plan_contraction(d, cap)._run(d, t)
 
 
 @dataclass

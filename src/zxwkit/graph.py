@@ -10,6 +10,9 @@ numbers carry no meaning beyond bookkeeping.
 Caps, cups, swaps and plain wires are pure wiring: edges between boundary
 nodes, with no interior node at all.
 
+``compose_seq``, ``compose_par`` (of any number of diagrams) and ``splice``
+all copy through one writer, ``_copy_into``.
+
 Derived generators (triangles, pink spiders, V gates, And boxes, phase
 spiders, n-ary W spiders) expand into the four primitive node kinds at
 construction time.  They leave a ``tag`` on their nodes so printers can name
@@ -632,11 +635,20 @@ def splice(b: Builder, sub: Diagram, in_refs) -> list:
     return b.region(_copy_into, sub, in_refs)
 
 
-def _seq(*ds: Diagram) -> Diagram:
-    """``ds`` in series, the first acting first, copied into one
-    ``Builder`` (see ``_copy_into``): the glued wires leave no node, a
-    closed circle becomes a self-looped label-1 box, whose trace is 2, and
-    the composite has no regions."""
+def compose_seq(*ds: Diagram) -> Diagram:
+    """Sequential composition: each part's outputs glued to the next
+    part's inputs, the first part acting first.
+
+    eval(compose_seq(f, g, h)) = eval(h) @ eval(g) @ eval(f).  The parts
+    are copied into one ``Builder`` (see ``_copy_into``): the glued wires
+    leave no node, a closed circle becomes a self-looped label-1 box, whose
+    trace is 2, and the composite has no regions."""
+    if not ds:
+        raise DiagramError("cannot compose: no diagrams")
+    for f, g in zip(ds, ds[1:]):
+        if f.n_outputs != g.n_inputs:
+            raise DiagramError(f"cannot compose: f has {f.n_outputs} "
+                               f"outputs, g has {g.n_inputs} inputs")
     b = Builder()
     refs = [b.input() for _ in ds[0].inputs]
     for d in ds:
@@ -646,30 +658,16 @@ def _seq(*ds: Diagram) -> Diagram:
     return b.build()
 
 
-def _par(*ds: Diagram) -> Diagram:
-    """``ds`` side by side, the first on the first wires, copied into one
-    ``Builder`` like ``_seq``."""
+def compose_par(*ds: Diagram) -> Diagram:
+    """Parallel composition: the parts side by side, the first on the
+    first wires, copied into one ``Builder`` like ``compose_seq``;
+    eval(compose_par(f, g, h)) = kron(eval(f), eval(g), eval(h))."""
     b = Builder()
     ins = [[b.input() for _ in d.inputs] for d in ds]
     outs = [ref for d, refs in zip(ds, ins) for ref in _copy_into(b, d, refs)]
     for ref in outs:
         b.wire(ref, b.output())
     return b.build()
-
-
-def compose_seq(f: Diagram, g: Diagram) -> Diagram:
-    """Sequential composition: f's outputs glued to g's inputs, g after f.
-
-    eval(compose_seq(f, g)) = eval(g) @ eval(f).  It is ``_seq(f, g)``."""
-    if f.n_outputs != g.n_inputs:
-        raise DiagramError(
-            f"cannot compose: f has {f.n_outputs} outputs, g has {g.n_inputs} inputs")
-    return _seq(f, g)
-
-
-def compose_par(f: Diagram, g: Diagram) -> Diagram:
-    """Parallel composition: eval = kron(eval(f), eval(g)); ``_par(f, g)``."""
-    return _par(f, g)
 
 
 def transpose_diagram(d: Diagram) -> Diagram:

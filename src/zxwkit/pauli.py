@@ -250,10 +250,8 @@ class DiagonalFactorSum:
         return out
 
 
-def _hamiltonian_terms(h: PauliSum, cap: int = DEFAULT_CAP) -> list:
+def _hamiltonian_terms(h: PauliSum) -> list:
     """``h``'s terms as ``_factor_sum`` terms."""
-    if h.m > cap:
-        raise CapExceeded(f"{h.m} qubits exceed cap {cap}")
     return [(a, *_letters(p.ops)) for a, p in h.terms]
 
 
@@ -270,9 +268,12 @@ def build_hamiltonian_diagram(h: PauliSum, cap: int = DEFAULT_CAP):
 
     Returns (controlled, discharged): discharging the control gives the
     Hamiltonian matrix, idling gives the identity.  Duplicate strings stay
-    separate branches, and the diagram is left unfused.
+    separate branches, and the diagram is left unfused.  More than ``cap``
+    qubits raise ``CapExceeded``.
     """
-    cd = _factor_sum(_hamiltonian_terms(h, cap), h.m)
+    if h.m > cap:
+        raise CapExceeded(f"{h.m} qubits exceed cap {cap}")
+    cd = _factor_sum(_hamiltonian_terms(h), h.m)
     return cd, cd.discharge()
 
 

@@ -2,7 +2,8 @@
 
 Each template names a diagram equation.  ``instantiate`` builds both sides
 for concrete parameters, ``check_soundness`` draws random parameters and
-classifies every draw as exact, equal up to a global scalar, or failing.
+classifies every draw as exact, equal up to a global scalar, or failing;
+its report's ``lines()`` are the rows ``zxw check-rules`` prints.
 The expected classification per template is frozen in EXACT_TEMPLATES and
 SCALAR_TEMPLATES; the test suite asserts the split never drifts.
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .evaluate import DEFAULT_TOL, equal_up_to_scalar, eval_diagram
 from .graph import (HAD, W, ZBOX, Builder, Diagram, DiagramError,
-                    PhaseVar, _par, _seq, and_box, cap, compose_par,
+                    PhaseVar, and_box, cap, compose_par, compose_seq,
                     hadamard_diagram, identity, pink_spider, scalar_box,
                     swap_pair, transpose_diagram, triangle, validate,
                     w_diagram, w_spider, wire_permutation, zbox_diagram)
@@ -95,54 +96,56 @@ def _b_s3():
 
 
 def _b_ept(a):
-    lhs = _seq(pink_spider(0, 1, 0.0), zbox_diagram(a, 1, 0))
+    lhs = compose_seq(pink_spider(0, 1, 0.0), zbox_diagram(a, 1, 0))
     return lhs, _empty()
 
 
 def _b_b1():
-    lhs = _seq(_wmerge2(), _zcopy())
-    rhs = _seq(_par(_zcopy(), _zcopy()),
-               wire_permutation([0, 2, 1, 3]),
-               _par(_wmerge2(), _wmerge2()))
+    lhs = compose_seq(_wmerge2(), _zcopy())
+    rhs = compose_seq(compose_par(_zcopy(), _zcopy()),
+                      wire_permutation([0, 2, 1, 3]),
+                      compose_par(_wmerge2(), _wmerge2()))
     return lhs, rhs
 
 
 def _b_b2():
-    lhs = _seq(pink_spider(2, 1, 0.0), _zcopy())
-    rhs = _seq(_par(_zcopy(), _zcopy()),
-               wire_permutation([0, 2, 1, 3]),
-               _par(pink_spider(2, 1, 0.0), pink_spider(2, 1, 0.0)))
+    lhs = compose_seq(pink_spider(2, 1, 0.0), _zcopy())
+    rhs = compose_seq(compose_par(_zcopy(), _zcopy()),
+                      wire_permutation([0, 2, 1, 3]),
+                      compose_par(pink_spider(2, 1, 0.0),
+                                  pink_spider(2, 1, 0.0)))
     return lhs, rhs
 
 
 def _b_b3(m):
-    lhs = _seq(pink_spider(0, 1, math.pi), zbox_diagram(1.0, 1, m))
-    rhs = _par(*[pink_spider(0, 1, math.pi) for _ in range(m)])
-    return lhs, rhs
+    return _b_pic(1.0, m)
 
 
 def _b_brk(k):
-    lhs = _seq(pink_spider(0, 1, math.pi), transpose_diagram(and_box(k)))
-    rhs = _par(*[pink_spider(0, 1, math.pi) for _ in range(k)])
+    lhs = compose_seq(pink_spider(0, 1, math.pi),
+                      transpose_diagram(and_box(k)))
+    rhs = compose_par(*[pink_spider(0, 1, math.pi) for _ in range(k)])
     return lhs, rhs
 
 
 def _b_bas0():
-    return _seq(pink_spider(0, 1, 0.0), triangle()), pink_spider(0, 1, 0.0)
+    lhs = compose_seq(pink_spider(0, 1, 0.0), triangle())
+    return lhs, pink_spider(0, 1, 0.0)
 
 
 def _b_bas1():
-    return _seq(pink_spider(0, 1, math.pi), triangle()), zbox_diagram(1.0, 0, 1)
+    lhs = compose_seq(pink_spider(0, 1, math.pi), triangle())
+    return lhs, zbox_diagram(1.0, 0, 1)
 
 
 def _b_suc(a):
-    lhs = _seq(zbox_diagram(a, 0, 1), triangle(transpose=True))
+    lhs = compose_seq(zbox_diagram(a, 0, 1), triangle(transpose=True))
     return lhs, zbox_diagram(a + 1.0, 0, 1)
 
 
 def _b_inv(order):
     first, second = (False, True) if order else (True, False)
-    lhs = _seq(triangle(inverse=first), triangle(inverse=second))
+    lhs = compose_seq(triangle(inverse=first), triangle(inverse=second))
     return lhs, identity(1)
 
 
@@ -150,7 +153,7 @@ def _b_zero(n, m):
     lhs = zbox_diagram(0.0, n, m)
     parts = [pink_spider(1, 0, 0.0) for _ in range(n)]
     parts += [pink_spider(0, 1, 0.0) for _ in range(m)]
-    return lhs, _par(*parts)
+    return lhs, compose_par(*parts)
 
 
 def _b_eu():
@@ -170,51 +173,53 @@ def _b_eu():
 
 
 def _b_sym():
-    return w_diagram(), _seq(w_diagram(), swap_pair())
+    return w_diagram(), compose_seq(w_diagram(), swap_pair())
 
 
 def _b_aso():
-    lhs = _seq(w_diagram(), _par(w_diagram(), identity(1)))
-    rhs = _seq(w_diagram(), _par(identity(1), w_diagram()))
+    lhs = compose_seq(w_diagram(), compose_par(w_diagram(), identity(1)))
+    rhs = compose_seq(w_diagram(), compose_par(identity(1), w_diagram()))
     return lhs, rhs
 
 
 def _b_pcy(a):
-    lhs = _seq(zbox_diagram(a, 1, 1), w_diagram())
-    rhs = _seq(w_diagram(), _par(zbox_diagram(a, 1, 1), zbox_diagram(a, 1, 1)))
+    lhs = compose_seq(zbox_diagram(a, 1, 1), w_diagram())
+    rhs = compose_seq(w_diagram(), compose_par(zbox_diagram(a, 1, 1),
+                                               zbox_diagram(a, 1, 1)))
     return lhs, rhs
 
 
 def _b_wdc():
-    cnot = _seq(_par(_zcopy(), identity(1)),
-                _par(identity(1), pink_spider(2, 1, 0.0)))
-    rhs = _seq(_zcopy(), _par(triangle(), identity(1)), cnot)
+    cnot = compose_seq(compose_par(_zcopy(), identity(1)),
+                       compose_par(identity(1), pink_spider(2, 1, 0.0)))
+    rhs = compose_seq(_zcopy(), compose_par(triangle(), identity(1)), cnot)
     return w_diagram(), rhs
 
 
 def _b_s1r(tau, sigma, n, m):
-    lhs = _seq(pink_spider(n, 1, tau), pink_spider(1, m, sigma))
+    lhs = compose_seq(pink_spider(n, 1, tau), pink_spider(1, m, sigma))
     total = math.pi if round((tau + sigma) / math.pi) % 2 else 0.0
     return lhs, pink_spider(n, m, total)
 
 
 def _b_h2():
-    return _seq(hadamard_diagram(), hadamard_diagram()), identity(1)
+    return compose_seq(hadamard_diagram(), hadamard_diagram()), identity(1)
 
 
 def _b_tri_transpose():
     x = pink_spider(1, 1, math.pi)
-    lhs = _seq(x, triangle(), pink_spider(1, 1, math.pi))
+    lhs = compose_seq(x, triangle(), pink_spider(1, 1, math.pi))
     return lhs, triangle(transpose=True)
 
 
 def _b_tri_inv_by_pi():
-    lhs = _seq(zbox_diagram(-1.0, 1, 1), triangle(), zbox_diagram(-1.0, 1, 1))
+    lhs = compose_seq(zbox_diagram(-1.0, 1, 1), triangle(),
+                      zbox_diagram(-1.0, 1, 1))
     return lhs, triangle(inverse=True)
 
 
 def _b_tri_t_stab1():
-    lhs = _seq(pink_spider(0, 1, math.pi), triangle(transpose=True))
+    lhs = compose_seq(pink_spider(0, 1, math.pi), triangle(transpose=True))
     return lhs, pink_spider(0, 1, math.pi)
 
 
@@ -236,31 +241,33 @@ def _b_hopf(a, b, free_a, free_b):
 
 
 def _b_pic(a, m):
-    lhs = _seq(pink_spider(0, 1, math.pi), zbox_diagram(a, 1, m))
-    rhs = _par(*[pink_spider(0, 1, math.pi) for _ in range(m)])
+    lhs = compose_seq(pink_spider(0, 1, math.pi), zbox_diagram(a, 1, m))
+    rhs = compose_par(*[pink_spider(0, 1, math.pi) for _ in range(m)])
     return lhs, rhs
 
 
 def _b_pi_commute(a):
-    lhs = _seq(pink_spider(1, 1, math.pi), zbox_diagram(a, 1, 1))
-    rhs = _seq(zbox_diagram(1.0 / a, 1, 1), pink_spider(1, 1, math.pi))
+    lhs = compose_seq(pink_spider(1, 1, math.pi), zbox_diagram(a, 1, 1))
+    rhs = compose_seq(zbox_diagram(1.0 / a, 1, 1), pink_spider(1, 1, math.pi))
     return lhs, rhs
 
 
 def _b_wfuse1(labels):
-    states = _par(*[zbox_diagram(x, 0, 1) for x in labels])
-    lhs = _seq(states, transpose_diagram(w_spider(len(labels))))
+    states = compose_par(*[zbox_diagram(x, 0, 1) for x in labels])
+    lhs = compose_seq(states, transpose_diagram(w_spider(len(labels))))
     return lhs, zbox_diagram(sum(labels), 0, 1)
 
 
 def _b_w_green_cup():
-    lhs = _seq(zbox_diagram(1.0, 0, 2), _par(identity(1), w_diagram()))
-    rhs = _seq(cap(), _par(identity(1), w_diagram()))
+    lhs = compose_seq(zbox_diagram(1.0, 0, 2),
+                      compose_par(identity(1), w_diagram()))
+    rhs = compose_seq(cap(), compose_par(identity(1), w_diagram()))
     return lhs, rhs
 
 
 def _b_tri_green_had():
-    lhs = _seq(triangle(), zbox_diagram(-2.0, 1, 1), triangle(transpose=True))
+    lhs = compose_seq(triangle(), zbox_diagram(-2.0, 1, 1),
+                      triangle(transpose=True))
     return lhs, hadamard_diagram()
 
 
@@ -469,11 +476,14 @@ class SoundnessReport:
         return sum(r.failures for r in self.reports.values())
 
     def lines(self) -> list:
+        """The rows of ``zxw check-rules``, one per template."""
         out = []
         for name, r in self.reports.items():
+            exact, scalar = (100.0 * sum(x.verdict == v for x in r.results)
+                             / len(r.results) for v in ("exact", "scalar"))
             status = "ok" if r.ok else f"FAIL({r.failures})"
-            out.append(f"{name:<20} {r.group:<6} expect={r.expect:<6} "
-                       f"draws={r.draws:<3} worst={r.worst_residual:.2e} {status}")
+            out.append(f"{name:<20} {r.draws:>7} {exact:>7.1f} "
+                       f"{scalar:>8.1f} {r.worst_residual:>10.2e}  {status}")
         return out
 
 
@@ -515,6 +525,8 @@ def check_template(name: str, draws: int = 50, seed: int = 7,
 
 def check_soundness(names=None, draws: int = 50, seed: int = 7,
                     tol: float = DEFAULT_TOL) -> SoundnessReport:
+    """``check_template`` of each of ``names`` (default: every template),
+    the i-th drawn from ``seed + i``."""
     if names is None:
         names = list(TEMPLATES)
     reports = {}

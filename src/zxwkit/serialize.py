@@ -20,8 +20,8 @@ import json
 
 import numpy as np
 
-from .graph import (HAD, IN, OUT, W, ZBOX, Diagram, DiagramError, Node,
-                    PhaseVar, validate)
+from .graph import (_FIXED_PORTS, HAD, IN, OUT, W, ZBOX, Diagram,
+                    DiagramError, Node, PhaseVar, validate)
 
 _KINDS = {ZBOX: "zbox", HAD: "had", W: "w", IN: "in", OUT: "out"}
 _KINDS_BACK = {v: k for k, v in _KINDS.items()}
@@ -80,7 +80,7 @@ def diagram_from_dict(data: dict) -> Diagram:
                 ports = port_count.get(nid, 0)
             else:
                 label = None
-                ports = {HAD: 2, W: 3, IN: 1, OUT: 1}[kind]
+                ports = _FIXED_PORTS[kind]
             nodes[nid] = Node(nid, kind, ports, label)
         where = "diagram"
         d = Diagram(nodes, edges, [_int(i) for i in data["inputs"]],
@@ -96,8 +96,8 @@ def diagram_from_dict(data: dict) -> Diagram:
     return d
 
 
-def diagram_to_json(d: Diagram, indent: int = None) -> str:
-    return json.dumps(diagram_to_dict(d), indent=indent)
+def diagram_to_json(d: Diagram) -> str:
+    return json.dumps(diagram_to_dict(d))
 
 
 def diagram_from_json(text: str) -> Diagram:

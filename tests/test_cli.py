@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zxwkit import (diagram_from_json, diagram_to_json, hadamard_diagram,
-                    matrix_from_text, matrix_to_text, structural_equal,
-                    triangle, w_diagram, zbox_diagram)
+from zxwkit import (check_soundness, diagram_from_json, diagram_to_json,
+                    hadamard_diagram, matrix_from_text, matrix_to_text,
+                    structural_equal, template_names, triangle, w_diagram,
+                    zbox_diagram)
 from zxwkit.cli import CLI_TOL, _build_parser, _config, main
 from zxwkit.evaluate import DEFAULT_CAP
 
@@ -40,6 +41,15 @@ def test_check_rules_single(capsys):
     header = out.splitlines()[0]
     for col in ("rule", "samples", "exact%", "scalar%", "max-resid"):
         assert col in header
+
+
+def test_check_rules_rows_are_the_soundness_report(capsys):
+    assert main(["check-rules", "--samples", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = check_soundness(template_names(), draws=5, seed=7,
+                           tol=CLI_TOL).lines()
+    assert lines[1:-1] == want
+    assert lines[-1] == f"total: {len(want)} rules, 0 failing draws"
 
 
 def test_check_rules_unknown_rule(capsys):
@@ -301,6 +311,20 @@ def test_ham_build_verify_honours_cap(tmp_path, capsys):
     assert "14 open wires exceed cap 12" in capsys.readouterr().err
     assert main(["ham", "build", str(f), "--verify", "--cap", "20"]) == 0
     assert "oracle match: 128x128" in capsys.readouterr().out
+
+
+def test_expm_taylor_of_a_wide_sum_exits_two_at_evaluation(tmp_path,
+                                                           capsys):
+    # 13 qubits: the build takes no cap, the evaluation does (never raise
+    # the cap here: the contraction would allocate gigabytes)
+    f = tmp_path / "h.txt"
+    f.write_text("0.5 XIIIIIIIIIIIZ\n-0.25 IIIIIIYIIIIII\n")
+    assert main(["expm", str(f), "--method", "taylor", "--order", "1",
+                 "--t", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "26 open wires exceed cap 12" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_controlled_verify_honours_cap(tmp_path, capsys):

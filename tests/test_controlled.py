@@ -375,7 +375,7 @@ def _snapshot(d):
 
 def _matrix_bits(d):
     plan = evaluate._plan.__wrapped__(evaluate._structure(d),
-                                      evaluate.DEFAULT_CAP, "greedy")
+                                      evaluate.DEFAULT_CAP)
     with np.errstate(all="ignore"):
         return plan.run(d).tobytes()
 

@@ -218,7 +218,7 @@ def test_one_plan_per_controlled_matrix_size(monkeypatch):
         assert zxwkit.verify_controlled(zxwkit.controlled_matrix(m), m)["ok"]
     assert len(calls) == 2
     assert list(inspect.signature(zxwkit.plan_contraction).parameters) == [
-        "d", "cap", "order"]
+        "d", "cap"]
 
 
 def _compose_seq_refs(tree) -> list:
@@ -391,6 +391,25 @@ def test_one_way_to_glue_wires_and_one_region_writer():
                        ("graph.py", "build")}
 
 
+def test_one_schedule_one_composition_and_one_soundness_run():
+    # the greedy plan is the only schedule, compose_seq/compose_par are
+    # the only composition writers, and the CLI prints check_soundness's
+    # report
+    assert list(inspect.signature(zxwkit.eval_diagram).parameters) == [
+        "d", "t", "cap"]
+    assert list(inspect.signature(evaluate._schedule).parameters) == ["ids"]
+    tree = ast.parse((PACKAGE / "evaluate.py").read_text(encoding="utf-8"))
+    params = {a.arg for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) for a in fn.args.args}
+    assert not params & {"order", "greedy"}
+    tree = ast.parse((PACKAGE / "graph.py").read_text(encoding="utf-8"))
+    assert not {node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)} & {"_seq", "_par"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert "check_template" not in _names(tree)
+    assert _functions_naming(tree, "check_soundness") == {"_cmd_check_rules"}
+
+
 def test_function_check_sees_names():
     tree = ast.parse("def f(b):\n    b._regions.append(1)\n"
                      "def g():\n    return _regions\ndef h():\n    pass\n")
@@ -405,8 +424,8 @@ def test_a_trotter_chain_plans_and_computes_each_gadget_once(monkeypatch):
     d = zxwkit.trotter_diagram(h, 32, 0.5)
     planned, made = [], []
     schedule, tensor = evaluate._schedule, evaluate._tensor
-    monkeypatch.setattr(evaluate, "_schedule", lambda ids, greedy: (
-        planned.append(len(ids)) or schedule(ids, greedy)))
+    monkeypatch.setattr(evaluate, "_schedule", lambda ids: (
+        planned.append(len(ids)) or schedule(ids)))
     monkeypatch.setattr(evaluate, "_tensor", lambda d, nid, *args: (
         made.append(nid) or tensor(d, nid, *args)))
     plan = zxwkit.plan_contraction(d)
@@ -417,5 +436,5 @@ def test_a_trotter_chain_plans_and_computes_each_gadget_once(monkeypatch):
     assert per_region.pop(None) == 1    # the phase box, in no region
     assert sorted(per_region.values()) == [7, 12]
     assert list(inspect.signature(zxwkit.plan_contraction).parameters) == [
-        "d", "cap", "order"]
+        "d", "cap"]
     assert "regions" not in json.loads(zxwkit.diagram_to_json(d))

@@ -75,9 +75,7 @@ def test_random_circuits_match_matmul_oracle():
 def test_contraction_orders_agree():
     rng = np.random.default_rng(9)
     d = compose_seq(_random_layer(rng, 3), _random_layer(rng, 3))
-    greedy = eval_diagram(d, order="greedy")
-    seq = eval_diagram(d, order="sequential")
-    assert matrices_close(greedy, seq, 1e-10)
+    assert matrices_close(eval_diagram(d), _left_to_right_eval(d), 1e-10)
 
 
 def test_w_contraction():
@@ -212,8 +210,10 @@ def _min_scan_eval(d):
 
 
 def _left_to_right_eval(d):
-    """The sequential schedule: each tensor, in node-id order, contracted
-    into the running result with ``np.tensordot``."""
+    """The reference schedule: each tensor, in node-id order, contracted
+    into the running result with ``np.tensordot``.  It keeps no regions and
+    passes through far larger intermediates than the greedy plan (rank 24
+    on a 4x4 controlled discharge), so it checks small diagrams only."""
     tensors, external = _reference_network(d)
     arr, ids = tensors[0]
     for nxt_arr, nxt_ids in tensors[1:]:
@@ -271,33 +271,15 @@ def test_greedy_schedule_is_pinned(name):
     want = _min_scan_eval(d)
     assert bool(d.regions) == (name in ("cayley_hamilton", "trotter16",
                                         "taylor4"))
-    assert np.array_equal(eval_diagram(_region_free(d), order="greedy"),
-                          want)
-    assert np.abs(eval_diagram(d, order="greedy") - want).max() <= 1e-13
+    assert np.array_equal(eval_diagram(_region_free(d)), want)
+    assert np.abs(eval_diagram(d) - want).max() <= 1e-13
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(circuits())
 def test_greedy_schedule_is_the_full_scan_on_random_circuits(circuit):
     d, _ = circuit
-    assert np.array_equal(eval_diagram(d, order="greedy"), _min_scan_eval(d))
-
-
-# In node-id order the 4x4 controlled diagrams pass through rank-21
-# intermediates (32 MB each, 4.5e7 flops per plug), so 2x2 ones stand in.
-SEQUENTIAL_PIN_CASES = {
-    **{name: make for name, make in PIN_CASES.items()
-       if not name.startswith("controlled")},
-    "controlled2x2_discharge": lambda: _controlled(2).discharge(),
-    "controlled2x2_idle": lambda: _controlled(2).idle(),
-}
-
-
-@pytest.mark.parametrize("name", list(SEQUENTIAL_PIN_CASES))
-def test_sequential_schedule_is_pinned(name):
-    d = SEQUENTIAL_PIN_CASES[name]()
-    assert np.array_equal(eval_diagram(d, order="sequential"),
-                          _left_to_right_eval(d))
+    assert np.array_equal(eval_diagram(d), _min_scan_eval(d))
 
 
 def test_discharge_plan_runs_the_idle_diagram():
@@ -318,13 +300,11 @@ def test_plan_records_peak_rank():
         b.wire(ring[k], ring[(k + 1) % 3])
     for box in ring:
         b.wire(box, b.output())
-    d = b.build()
-    for order in ("greedy", "sequential"):
-        plan = plan_contraction(d, order=order)
-        assert [len(step[-1]) for step in plan.steps] == [4, 3]
-        assert plan.peak_rank == 4
-        assert plan.peak_bytes == 16 * 2 ** 4
-        assert plan.flops == 32 + 32
+    plan = plan_contraction(b.build())
+    assert [len(step[-1]) for step in plan.steps] == [4, 3]
+    assert plan.peak_rank == 4
+    assert plan.peak_bytes == 16 * 2 ** 4
+    assert plan.flops == 32 + 32
     scalar = plan_contraction(scalar_of(2.0))
     assert (scalar.peak_rank, scalar.peak_bytes, scalar.flops) == (0, 16, 0)
 
@@ -438,9 +418,9 @@ def test_one_plan_sweeps_time():
         assert np.array_equal(plan.run(d, t), eval_diagram(resolve_time(d, t)))
 
 
-def _fresh_plan(d, cap=evaluate.DEFAULT_CAP, order="greedy"):
-    """``plan_contraction(d, cap, order)`` planned anew, past the cache."""
-    return evaluate._plan.__wrapped__(evaluate._structure(d), cap, order)
+def _fresh_plan(d, cap=evaluate.DEFAULT_CAP):
+    """``plan_contraction(d, cap)`` planned anew, past the cache."""
+    return evaluate._plan.__wrapped__(evaluate._structure(d), cap)
 
 
 def test_one_structure_is_planned_once():
@@ -462,21 +442,22 @@ def test_plans_are_kept_per_cap_order_and_structure():
     d = _controlled(2).discharge()
     plan = plan_contraction(d)
     others = [plan_contraction(d, cap=evaluate.DEFAULT_CAP + 1),
-              plan_contraction(d, order="sequential"),
               plan_contraction(_rewired(d)),
               plan_contraction(controlled_matrix(np.eye(2)).discharge())]
     assert plan_contraction(d) is plan
-    assert len({id(p) for p in [plan] + others}) == 5
-    assert evaluate._plan.cache_info().currsize == 5
+    assert len({id(p) for p in [plan] + others}) == 4
+    assert evaluate._plan.cache_info().currsize == 4
 
 
 def test_plan_errors_are_never_kept():
     d = _controlled().discharge()
+    overlapping = trotter_diagram(parse_pauli_sum(HAM5), 2, 0.5)
+    overlapping.regions.append(overlapping.regions[0])
     for _ in range(2):
         with pytest.raises(CapExceeded):
             plan_contraction(d, cap=3)
         with pytest.raises(DiagramError):
-            plan_contraction(d, order="random")
+            plan_contraction(overlapping)
     assert evaluate._plan.cache_info().currsize == 0
 
 
@@ -513,8 +494,8 @@ def test_the_plan_cache_drops_the_least_recently_used():
 @given(circuits())
 def test_greedy_matches_sequential_and_dense_oracle(circuit):
     d, want = circuit
-    greedy = eval_diagram(d, order="greedy")
-    assert matrices_close(greedy, eval_diagram(d, order="sequential"), 1e-10)
+    greedy = eval_diagram(d)
+    assert matrices_close(greedy, _left_to_right_eval(d), 1e-10)
     assert matrices_close(greedy, want, 1e-10)
 
 
@@ -617,7 +598,6 @@ def test_a_trotter_step_is_planned_as_its_gadgets():
         sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in plan.steps) + sum(
         sa[0] * sa[1] * sb[1] for k, _ in plan.regions
         for _, _, _, sa, _, sb, _ in plan.templates[k][1])
-    assert plan_contraction(d, order="sequential").templates == []
 
 
 def test_runs_in_a_row_are_fresh_runs_on_spliced_diagrams():
@@ -668,8 +648,6 @@ def test_a_region_must_name_interior_nodes(region):
     d.regions.append(region(d))
     with pytest.raises(DiagramError):
         plan_contraction(d)
-    assert np.array_equal(eval_diagram(d, order="sequential"),
-                          eval_diagram(_region_free(d), order="sequential"))
 
 
 def test_a_region_wider_than_the_cap_still_plans():

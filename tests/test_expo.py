@@ -195,6 +195,21 @@ def test_taylor_nodes_grow_by_a_constant_per_order():
     assert len(steps) == 1, counts
 
 
+# 13 qubits: one more than the default cap; never evaluated here, since a
+# raised cap would let the contraction allocate gigabytes
+WIDE_SUM = "0.5 XIIIIIIIIIIIZ\n-0.25 IIIIIIYIIIIII"
+
+
+def test_series_builds_take_no_cap():
+    # the qubit cap bounds evaluation, which each caller sets; a build
+    # takes any width
+    h = parse_pauli_sum(WIDE_SUM)
+    d = taylor_diagram(h, 1, 0.1)
+    assert (d.n_inputs, d.n_outputs) == (13, 13)
+    for e in (trotter_diagram(h, 1, 0.1), commuting_exponential(h).diagram):
+        assert (e.n_inputs, e.n_outputs) == (13, 13)
+
+
 def test_taylor_order3_error_scales_as_t4():
     h = parse_pauli_sum("0.9 ZZ\n0.7 ZX")
     hm = oracle_matrix(h)

@@ -14,7 +14,7 @@ from zxwkit import (Builder, Diagram, DiagramError, PhaseVar, and_box, cap,
                     swap_pair, transpose_diagram, triangle, v_gate, validate,
                     w_diagram, w_spider, wire_permutation, zbox_diagram)
 from zxwkit.evaluate import _structure, eval_diagram
-from zxwkit.graph import _par, _seq, splice
+from zxwkit.graph import splice
 
 from circuit_strategies import circuits
 
@@ -125,6 +125,18 @@ def test_composition_is_a_functor(data):
 def test_compose_seq_arity_mismatch():
     with pytest.raises(DiagramError):
         compose_seq(zbox_diagram(1.0, 1, 2), hadamard_diagram())
+    with pytest.raises(DiagramError):
+        compose_seq()
+
+
+def test_a_mismatch_at_the_third_part_is_the_pairwise_one():
+    first, second, third = (hadamard_diagram(), zbox_diagram(1.0, 1, 2),
+                            triangle())
+    with pytest.raises(DiagramError, match="cannot compose") as pair:
+        compose_seq(second, third)
+    with pytest.raises(DiagramError) as chain:
+        compose_seq(first, second, third)
+    assert str(chain.value) == str(pair.value)
 
 
 def test_a_closed_circle_evaluates_to_two():
@@ -155,12 +167,11 @@ def test_seq_and_par_are_their_pairwise_folds():
     parts = [zbox_diagram(0.5j, 1, 2), swap_pair(), cup(), cap(),
              transpose_diagram(w_diagram()), hadamard_diagram()]
     par_parts = [triangle(), cap(), zbox_diagram(-1.5, 2, 0), identity(1)]
-    for many, pair, ds in ((_seq, compose_seq, parts),
-                           (_par, compose_par, par_parts)):
+    for compose, ds in ((compose_seq, parts), (compose_par, par_parts)):
         fold = ds[0]
         for d in ds[1:]:
-            fold = pair(fold, d)
-        got = many(*ds)
+            fold = compose(fold, d)
+        got = compose(*ds)
         assert _structure(got) == _structure(fold)
         assert ([n.label for _, n in sorted(got.nodes.items())]
                 == [n.label for _, n in sorted(fold.nodes.items())])
