@@ -6,12 +6,12 @@ and exponentiate them diagrammatically (Taylor, Trotter, Cayley-Hamilton),
 with dense-matrix oracles backing every construction at desk scale.
 """
 
-from .graph import (Builder, Diagram, DiagramError, PhaseVar, and_box, cap,
-                    compose_par, compose_seq, cup, green_phase,
-                    hadamard_diagram, identity, make_generator, pink_spider,
-                    plug_basis, scalar_box, scalar_of, structural_equal,
-                    swap_pair, transpose_diagram, triangle, v_gate, validate,
-                    w_diagram, w_spider, wire_permutation, zbox_diagram)
+from .graph import (Builder, Diagram, DiagramError, and_box, cap, compose_par,
+                    compose_seq, cup, green_phase, hadamard_diagram,
+                    identity, make_generator, pink_spider, plug_basis,
+                    scalar_box, scalar_of, structural_equal, swap_pair,
+                    transpose_diagram, triangle, v_gate, validate, w_diagram,
+                    w_spider, wire_permutation, zbox_diagram)
 from .evaluate import (CapExceeded, ContractionPlan, ScalarEquivalence,
                        equal_up_to_scalar, eval_diagram, matrices_close,
                        plan_contraction)
@@ -35,10 +35,10 @@ from .expo import (CayleyCoeffs, Circuit, ExponentialDiagram, Gadget, Gate,
                    cayley_hamilton_diagram, check_anticommuting_gadgets,
                    commuting_exponential, derivative_at_zero,
                    extract_axz_circuit, pauli_gadget, putzer_coefficients,
-                   resolve_time, taylor_diagram, trotter_diagram)
+                   taylor_diagram, trotter_diagram)
 
 __all__ = [
-    "Builder", "Diagram", "DiagramError", "PhaseVar", "and_box", "cap",
+    "Builder", "Diagram", "DiagramError", "and_box", "cap",
     "compose_par", "compose_seq", "cup", "green_phase", "hadamard_diagram",
     "identity", "make_generator", "pink_spider", "plug_basis", "scalar_box",
     "scalar_of", "structural_equal", "swap_pair", "transpose_diagram",
@@ -64,8 +64,7 @@ __all__ = [
     "CayleyCoeffs", "Circuit", "ExponentialDiagram", "Gadget", "Gate",
     "cayley_hamilton_diagram", "check_anticommuting_gadgets",
     "commuting_exponential", "derivative_at_zero", "extract_axz_circuit",
-    "pauli_gadget", "putzer_coefficients", "resolve_time", "taylor_diagram",
-    "trotter_diagram",
+    "pauli_gadget", "putzer_coefficients", "taylor_diagram", "trotter_diagram",
 ]
 
 __version__ = "0.1.0"

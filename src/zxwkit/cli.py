@@ -3,7 +3,7 @@
 One binary, subcommand style:
 
     zxw check-rules [--rule NAME] [--samples N] [--seed S]
-    zxw eval FILE [--t VAL]
+    zxw eval FILE
     zxw controlled (--matrix FILE... | --state FILE...) [--sum W,W,...] [--verify]
     zxw ham build FILE [--export dot|json] [--verify]
     zxw expm FILE --method taylor|trotter|exact --t VAL
@@ -35,8 +35,8 @@ from .controlled import (controlled_matrix, controlled_state_normal_form,
                          state_oracle, verify_controlled)
 from .evaluate import DEFAULT_CAP, eval_diagram
 from .expo import (Circuit, Gate, cayley_hamilton_diagram,
-                   commuting_exponential, extract_axz_circuit, resolve_time,
-                   taylor_diagram, trotter_diagram)
+                   commuting_exponential, extract_axz_circuit, taylor_diagram,
+                   trotter_diagram)
 from .graph import DiagramError
 from .pauli import build_hamiltonian_diagram, oracle_matrix, parse_pauli_sum
 from .rules import check_soundness, template_names
@@ -148,7 +148,7 @@ def _cmd_check_rules(args, cfg: Config) -> int:
 
 def _cmd_eval(args, cfg: Config) -> int:
     d = diagram_from_json(_read(args.file))
-    mat = eval_diagram(d, t=args.t, cap=cfg.cap)
+    mat = eval_diagram(d, cap=cfg.cap)
     sys.stdout.write(matrix_to_text(mat))
     return 0
 
@@ -295,9 +295,8 @@ def _cmd_expm(args, cfg: Config) -> int:
         if args.order is not None or args.steps is not None:
             raise _Usage("--method exact takes neither --order nor --steps")
         wrapper = commuting_exponential(h)
-        d = resolve_time(wrapper.diagram, t)
         u = cmath.exp(1j * wrapper.phase_slope * t) * eval_diagram(
-            d, cap=cfg.cap)
+            wrapper.at(t), cap=cfg.cap)
     # compare before printing, so a run that exits 2 leaves stdout empty
     circuit = circuit_err = oracle_err = None
     if args.emit_circuit:
@@ -384,11 +383,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7, metavar="S")
     p.set_defaults(func=_cmd_check_rules, _parser=p)
 
-    p = sub.add_parser("eval", parents=[common],
+    # no abbreviations: eval takes no time, and ``--t`` would otherwise be
+    # read as ``--tol``
+    p = sub.add_parser("eval", parents=[common], allow_abbrev=False,
                        help="evaluate a diagram JSON file to a dense matrix")
     p.add_argument("file")
-    p.add_argument("--t", type=_finite, default=None, metavar="VAL",
-                   help="value for the time parameter, if the diagram has one")
     p.set_defaults(func=_cmd_eval, _parser=p)
 
     p = sub.add_parser("controlled", parents=[common],

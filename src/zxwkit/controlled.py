@@ -91,8 +91,7 @@ class ControlledDiagram:
 
 
 def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
-                      tol: float = 1e-9, t: float = None,
-                      cap: int = DEFAULT_CAP) -> dict:
+                      tol: float = 1e-9, cap: int = DEFAULT_CAP) -> dict:
     """Check both plug contracts against a dense target.
 
     Returns {"ok", "err_discharge", "err_idle"}; the idle reference is the
@@ -118,8 +117,8 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     # the plan was looked up by the discharge's structure, so only the
     # idle's structure is built again and checked
     plan = plan_contraction(discharged, cap=cap)
-    got_d = plan._run(discharged, t)
-    got_i = plan.run(cd.idle(), t)
+    got_d = plan._run(discharged)
+    got_i = plan.run(cd.idle())
     if cd.kind == "matrix":
         want_d = target
         want_i = np.eye(dim, dtype=complex)

@@ -36,11 +36,10 @@ once per matrix.  Plans are shared, so callers treat them as read-only.
 
 A plan compares every run with its last one.  While they total at most
 2 MiB, it keeps the arrays of its last run (its memo): the top-level
-tensors, with the labels and ``t`` they came from, the region tensors, and
-every top-level step result but the last.  The next run makes a tensor
-again only where its label differs from the kept one's (or, for a
-``PhaseVar``, where ``t`` does), and a region tensor only where its
-template and labels match no kept region's at the same ``t``.  Every array
+tensors, with the labels they came from, the region tensors, and every
+top-level step result but the last.  The next run makes a tensor again
+only where its label differs from the kept one's, and a region tensor only
+where its template and labels match no kept region's.  Every array
 of a plan is the input of exactly one step, so the steps to run again are
 the changed tensors' paths to the last step, and every other result is the
 kept one: the idle of a controlled diagram, run after its discharge, runs
@@ -59,8 +58,8 @@ the region tensors, numbered in that order.  A template (a region's
 layout) is planned once however many regions share it, and a region whose
 template and labels equal an earlier region's takes its tensor: a 32-step
 Trotter chain plans two small templates and 161 tensors, not 1447, and
-computes each distinct gadget once per run, and at the same ``t`` not
-again in the plan's next run.
+computes each distinct gadget once per run, and not again in the plan's
+next run while its labels stay the same.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (HAD, IN, OUT, W, ZBOX, Diagram, DiagramError, PhaseVar)
+from .graph import HAD, IN, OUT, W, ZBOX, Diagram, DiagramError
 
 DEFAULT_CAP = 12
 DEFAULT_TOL = 1e-10
@@ -99,18 +98,12 @@ class CapExceeded(DiagramError):
     """Diagram has more open wires than the configured qubit cap."""
 
 
-def node_tensor(node, t: Optional[float] = None) -> np.ndarray:
+def node_tensor(node) -> np.ndarray:
     """Dense tensor of one interior node, one axis of dimension 2 per port."""
     if node.kind == ZBOX:
-        label = node.label
-        if isinstance(label, PhaseVar):
-            if t is None:
-                raise DiagramError(
-                    "diagram has symbolic time labels; pass t to evaluate")
-            label = label.resolve(t)
         arr = np.zeros((2,) * node.ports, dtype=complex)
         arr[(0,) * node.ports] = 1.0
-        arr[(1,) * node.ports] += label
+        arr[(1,) * node.ports] += node.label
         return arr
     if node.kind == HAD:
         return HAD_MATRIX
@@ -183,11 +176,11 @@ def _network(structure: tuple, cap: int):
     return tensors, loops, external
 
 
-def _tensor(d: Diagram, nid, loops: dict, t: Optional[float]) -> np.ndarray:
+def _tensor(d: Diagram, nid, loops: dict) -> np.ndarray:
     """Tensor ``nid`` of ``_network`` with ``d``'s labels."""
     if nid is None:
         return np.eye(2, dtype=complex)
-    arr = node_tensor(d.nodes[nid], t)
+    arr = node_tensor(d.nodes[nid])
     for ax1, ax2 in loops.get(nid, ()):
         arr = np.trace(arr, axis1=ax1, axis2=ax2)
     return arr
@@ -321,8 +314,8 @@ class ContractionPlan:
     """A contraction schedule compiled from a diagram's structure alone.
 
     ``run`` evaluates any diagram with the same structure, whatever its
-    labels: the discharge and the idle of a controlled diagram, or a
-    ``PhaseVar`` diagram at several times.  The structure is the node ids
+    labels: the discharge and the idle of a controlled diagram, or one
+    exponential route at several times.  The structure is the node ids
     with their kinds and port counts, the edge list (in order: the plan
     numbers edges by position), the boundaries and the regions.
     ``peak_rank`` is the rank of the largest intermediate the steps make (0
@@ -333,12 +326,11 @@ class ContractionPlan:
 
     A plan whose ``memo_bytes`` are at most a fixed internal bound (2 MiB)
     keeps the arrays of its last run (its memo): the top-level tensors with
-    the labels and ``t`` they came from, the region tensors by template and
-    labels, and every top-level step result but the last.  Each run is
-    compared with the memo: it takes a kept tensor for a node whose label
-    is the kept one (at the kept ``t``, for a ``PhaseVar``) and a kept
-    region tensor for a region whose template and labels are a kept one's,
-    at the kept ``t`` only.  The run then follows each changed tensor to
+    the labels they came from, the region tensors by template and labels,
+    and every top-level step result but the last.  Each run is compared
+    with the memo: it takes a kept tensor for a node whose label is the
+    kept one and a kept region tensor for a region whose template and
+    labels are a kept one's.  The run then follows each changed tensor to
     the last step through the step that consumes it (a list made on the
     plan's second run) and runs only the steps on those paths, and the
     last, to the same bits; every other result is a kept one.  Each run
@@ -360,21 +352,19 @@ class ContractionPlan:
     flops: int
     memo_bytes: int      # what a memo holds: ``tensors``, region tensors,
                          # steps but the last
-    # None before the first run, then (t, the label per tensor,
-    # ``_execute``'s arrays but the last, the region tensors by
-    # (template number, labels))
+    # None before the first run, then (the label per tensor, ``_execute``'s
+    # arrays but the last, the region tensors by (template number, labels))
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
 
-    def run(self, d: Diagram, t: Optional[float] = None) -> np.ndarray:
-        """Evaluate ``d``, resolving ``PhaseVar`` labels at ``t``.  ``d``'s
-        structure is checked before any tensor is made.  No returned matrix
-        shares memory with another, with the memo or with a module
-        constant."""
+    def run(self, d: Diagram) -> np.ndarray:
+        """Evaluate ``d``.  ``d``'s structure is checked before any tensor
+        is made.  No returned matrix shares memory with another, with the
+        memo or with a module constant."""
         if _structure(d) != self.structure:
             raise DiagramError(
                 "diagram does not have the structure the plan was made for")
-        return self._run(d, t)
+        return self._run(d)
 
     @functools.cached_property
     def _consumer(self) -> list:
@@ -400,7 +390,7 @@ class ContractionPlan:
                 k = consumer[n + k]
         return redo
 
-    def _run(self, d: Diagram, t: Optional[float]) -> np.ndarray:
+    def _run(self, d: Diagram) -> np.ndarray:
         """``run`` on a diagram known to have the plan's structure, as the
         diagram a plan was looked up by does."""
         if not self.tensors and not self.regions:
@@ -409,9 +399,7 @@ class ContractionPlan:
         labels = [None if nid is None else d.nodes[nid].label
                   for nid in self.tensors]
         # read the memo once: another thread may replace it
-        old_t, old, arrs, kept = self._memo or (t, None, None, {})
-        if t != old_t:
-            kept = {}   # region tensors are kept for one t
+        old, arrs, kept = self._memo or (None, None, {})
         made: dict = {}
 
         def region(k, first):
@@ -421,7 +409,7 @@ class ContractionPlan:
             if key not in made:
                 arr = kept.get(key)
                 if arr is None:
-                    arrs = [_tensor(d, nid, self.loops, t) for nid in nids]
+                    arrs = [_tensor(d, nid, self.loops) for nid in nids]
                     arrs += [None] * len(steps)
                     _execute(steps, arrs, range(len(steps)), True)
                     arr = arrs[-1]
@@ -430,16 +418,16 @@ class ContractionPlan:
 
         fresh = [region(*r) for r in self.regions]
         if old is None:
-            arrs = [_tensor(d, nid, self.loops, t) for nid in self.tensors]
+            arrs = [_tensor(d, nid, self.loops) for nid in self.tensors]
             arrs += fresh + [None] * n_steps
             redo = range(n_steps)
         else:
             # the memo keeps all results but the last
             arrs = arrs + [None] if n_steps else list(arrs)
             changed = [pos for pos, (a, b) in enumerate(zip(labels, old))
-                       if a != b or t != old_t and isinstance(a, PhaseVar)]
+                       if a != b]
             for pos in changed:
-                arrs[pos] = _tensor(d, self.tensors[pos], self.loops, t)
+                arrs[pos] = _tensor(d, self.tensors[pos], self.loops)
             changed += [pos for pos, a in enumerate(fresh, n)
                         if a is not arrs[pos]]
             arrs[n:n + len(fresh)] = fresh
@@ -449,7 +437,7 @@ class ContractionPlan:
         if not free:
             # the matrix is handed out
             object.__setattr__(self, "_memo", (
-                t, labels, arrs[:-1] if n_steps else arrs, made))
+                labels, arrs[:-1] if n_steps else arrs, made))
         arr = arrs[-1].transpose(self.perm) if self.perm else arrs[-1]
         arr = arr.reshape(self.shape)
         # the last step always runs, so the result is new; without steps it
@@ -500,17 +488,15 @@ def _plan(structure: tuple, cap: int) -> ContractionPlan:
               + sum(2 ** len(so) for *_, so in steps[:-1])))
 
 
-def eval_diagram(d: Diagram, t: Optional[float] = None,
-                 cap: int = DEFAULT_CAP) -> np.ndarray:
+def eval_diagram(d: Diagram, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Evaluate ``d`` to its (2^outputs, 2^inputs) matrix.
 
     ``cap`` bounds the open wires and the legs of any one node.  The plan
     comes from ``plan_contraction``, so evaluating a recently planned
-    structure again, with other labels or at another ``t``, does not plan
-    it again.
+    structure again, with other labels, does not plan it again.
     """
     # the plan was looked up by d's structure, so d fits it
-    return plan_contraction(d, cap)._run(d, t)
+    return plan_contraction(d, cap)._run(d)
 
 
 @dataclass

@@ -5,9 +5,11 @@ commuting sum exactly; Trotter repetition handles non-commuting sums
 approximately; a truncated power series does too; and the power-basis
 expansion with Putzer coefficients is exact at small qubit counts.  Both
 series are one controlled polynomial in Horner form (``_power_series``).
-Time enters ZBox labels as exp(i * slope * t) and is resolved when a
-concrete t is supplied.  Dropped global phases are always recorded next
-to the diagram, never silently.
+Every route takes t as a number and writes it into ZBox labels; a
+commuting exponential keeps its gadgets' slopes and writes the labels
+exp(i * slope * t) at each t it is asked for (``ExponentialDiagram.at``).
+Dropped global phases are always recorded next to the diagram, never
+silently.
 """
 
 from __future__ import annotations
@@ -22,40 +24,31 @@ from .controlled import (_CONJ_FOR_LETTER, ControlledDiagram,
                          _attach_conjugation, _factor_sum_into, _fan,
                          _gate_arms)
 from .evaluate import HAD_MATRIX, eval_diagram
-from .graph import (Builder, Diagram, DiagramError, Node, PhaseVar,
-                    attach_pink)
+from .graph import Builder, Diagram, DiagramError, attach_pink
 from .pauli import (PauliString, PauliSum, _hamiltonian_terms,
                     controlled_pauli_string, oracle_matrix, strings_commute)
 
 
-def resolve_time(d: Diagram, t: float) -> Diagram:
-    """Copy of ``d`` with every time-dependent label made concrete."""
-    nodes = {}
-    for nid, n in d.nodes.items():
-        lab = n.label
-        if isinstance(lab, PhaseVar):
-            lab = lab.resolve(t)
-        nodes[nid] = Node(n.id, n.kind, n.ports, lab, n.tag)
-    return Diagram(nodes, [tuple(e) for e in d.edges],
-                   list(d.inputs), list(d.outputs), list(d.regions))
-
-
 @dataclass
 class ExponentialDiagram:
-    """Time-parametrized diagram plus its recorded dropped global phase.
+    """Phase gadgets on ``m`` wires plus their recorded dropped global phase.
 
-    ``eval(t)`` is the raw diagram matrix; ``unitary(t)`` multiplies the
-    phase exp(i * phase_slope * t) back in.
+    ``gadgets`` are (string, slope) pairs, the first acting first.
+    ``at(t)`` writes them in series with hat labels exp(i * slope * t);
+    ``eval(t)`` is its matrix and ``unitary(t)`` multiplies the phase
+    exp(i * phase_slope * t) back in.
     """
 
-    diagram: Diagram
+    m: int
+    gadgets: list
     phase_slope: float
 
-    def resolve(self, t: float) -> Diagram:
-        return resolve_time(self.diagram, t)
+    def at(self, t: float) -> Diagram:
+        return _chain(self.m, [(p, cmath.exp(1j * slope * t))
+                               for p, slope in self.gadgets]).build()
 
     def eval(self, t: float) -> np.ndarray:
-        return eval_diagram(self.diagram, t=t)
+        return eval_diagram(self.at(t))
 
     def unitary(self, t: float) -> np.ndarray:
         return cmath.exp(1j * self.phase_slope * t) * self.eval(t)
@@ -104,8 +97,8 @@ def pauli_gadget(p: PauliString, theta_coeff: float) -> Gadget:
         raise DiagramError(
             "all-identity string is a global phase, not a gadget")
     theta_coeff = float(theta_coeff)
-    d = _chain(p.m, [(p, PhaseVar(theta_coeff))]).build()
-    return Gadget(d, -theta_coeff / 2.0, p, theta_coeff)
+    return Gadget(p.m, [(p, theta_coeff)], -theta_coeff / 2.0, p,
+                  theta_coeff)
 
 
 def _require_real(terms):
@@ -144,10 +137,8 @@ def commuting_exponential(h: PauliSum) -> ExponentialDiagram:
             if not strings_commute(strings[i], strings[j]):
                 raise DiagramError(
                     f"non-commuting terms {strings[i]} and {strings[j]}")
-    gadgets = [(p, PhaseVar(alpha))
-               for alpha, p in zip(coeffs, strings) if p.support()]
-    return ExponentialDiagram(_chain(h.m, gadgets).build(),
-                              -sum(coeffs) / 2.0)
+    gadgets = [(p, alpha) for alpha, p in zip(coeffs, strings) if p.support()]
+    return ExponentialDiagram(h.m, gadgets, -sum(coeffs) / 2.0)
 
 
 def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
@@ -161,7 +152,7 @@ def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
         raise DiagramError("steps must be >= 1")
     coeffs = _require_real(h.terms)
     tau = float(t) / steps
-    step = [(p, PhaseVar(alpha).resolve(tau))
+    step = [(p, cmath.exp(1j * alpha * tau))
             for alpha, (_, p) in zip(coeffs, h.terms) if p.support()]
     b = _chain(h.m, step * steps)
     # one 0-leg box for all dropped gadget phases and all identity terms
@@ -351,8 +342,9 @@ def derivative_at_zero(d, h_ref: np.ndarray, steps=(1e-3, 5e-4),
                        tol: float = 1e-6) -> DerivativeVerdict:
     """Check d/dt of the diagram at t = 0 against -i/2 times ``h_ref``.
 
-    Accepts a bare Diagram or anything with a ``unitary`` method; the
-    recorded global phase is factored in by using the latter.  Central
+    Accepts a bare Diagram, which holds no time and so is constant in t,
+    or anything with a ``unitary`` method; the recorded global phase is
+    factored in by using the latter.  Central
     differences at the two step sizes give residuals that should shrink
     quadratically; the Richardson combination must hit the target.
     """
@@ -360,7 +352,7 @@ def derivative_at_zero(d, h_ref: np.ndarray, steps=(1e-3, 5e-4),
         unit = d.unitary
     else:
         def unit(t):
-            return eval_diagram(d, t=t)
+            return eval_diagram(d)
     target = -0.5j * np.asarray(h_ref, dtype=complex)
     fds = {}
     residuals = {}

@@ -5,7 +5,8 @@ numbered ports, every port is covered by exactly one edge, and ordered
 ``in``/``out`` boundary nodes mark the open wires.  Orientation is node-local:
 the W node's port 0 is its single-leg side, ports 1 and 2 are the pair side.
 ZBox and Hadamard tensors are symmetric in their legs, so for them port
-numbers carry no meaning beyond bookkeeping.
+numbers carry no meaning beyond bookkeeping.  A ZBox label is a complex
+number; a route that depends on time writes its labels at a given t.
 
 Caps, cups, swaps and plain wires are pure wiring: edges between boundary
 nodes, with no interior node at all.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 ZBOX = "zbox"
 HAD = "had"
@@ -35,25 +36,12 @@ OUT = "out"
 _FIXED_PORTS = {HAD: 2, W: 3, IN: 1, OUT: 1}
 
 
-@dataclass(frozen=True)
-class PhaseVar:
-    """Symbolic ZBox label exp(i * slope * t); resolved when t is supplied."""
-
-    slope: float
-
-    def resolve(self, t: float) -> complex:
-        return cmath.exp(1j * self.slope * t)
-
-
-Label = Union[complex, PhaseVar]
-
-
 @dataclass
 class Node:
     id: int
     kind: str
     ports: int
-    label: Optional[Label] = None
+    label: Optional[complex] = None
     tag: Optional[str] = None
 
 
@@ -102,10 +90,6 @@ class Diagram:
                        list(self.inputs), list(self.outputs),
                        list(self.regions))
 
-    def is_symbolic(self) -> bool:
-        """True when any ZBox label still depends on the time parameter."""
-        return any(isinstance(n.label, PhaseVar) for n in self.nodes.values())
-
     def interior_nodes(self) -> list:
         return [n for n in self.nodes.values() if n.kind not in (IN, OUT)]
 
@@ -118,10 +102,7 @@ class Diagram:
         }
 
 
-def _label_eq(a: Optional[Label], b: Optional[Label], tol: float) -> bool:
-    if isinstance(a, PhaseVar) or isinstance(b, PhaseVar):
-        return isinstance(a, PhaseVar) and isinstance(b, PhaseVar) \
-            and abs(a.slope - b.slope) <= tol
+def _label_eq(a: Optional[complex], b: Optional[complex], tol: float) -> bool:
     if a is None or b is None:
         return a is None and b is None
     return abs(complex(a) - complex(b)) <= tol
@@ -222,10 +203,8 @@ class Builder:
         self._nodes[nid] = Node(nid, kind, ports, label, tag)
         return nid
 
-    def zbox(self, label: Label, tag: str = None) -> int:
-        if not isinstance(label, PhaseVar):
-            label = complex(label)
-        return self._new(ZBOX, 0, label, tag)
+    def zbox(self, label: complex, tag: str = None) -> int:
+        return self._new(ZBOX, 0, complex(label), tag)
 
     def had(self, tag: str = None) -> int:
         return self._new(HAD, 2, tag=tag)
@@ -293,7 +272,18 @@ class Builder:
 # primitive generators and wiring-only diagrams
 # ---------------------------------------------------------------------------
 
-def make_generator(kind: str, n_in: int, n_out: int, label: Label = None) -> Diagram:
+def _close(b: Builder, ins, outs) -> Diagram:
+    """Wire a new input to each ref of ``ins``, then each ref of ``outs``
+    to a new output, in order, and build ``b``."""
+    for ref in ins:
+        b.wire(b.input(), ref)
+    for ref in outs:
+        b.wire(ref, b.output())
+    return b.build()
+
+
+def make_generator(kind: str, n_in: int, n_out: int,
+                   label: complex = None) -> Diagram:
     """One free generator with ``n_in`` inputs and ``n_out`` outputs.
 
     kind: "zbox" (any arity with n_in + n_out >= 1, requires label),
@@ -307,29 +297,22 @@ def make_generator(kind: str, n_in: int, n_out: int, label: Label = None) -> Dia
             raise DiagramError("zbox generator needs n_in + n_out >= 1; "
                                "use scalar_box for 0-leg scalars")
         nid = b.zbox(label)
-        for _ in range(n_in):
-            b.wire(b.input(), nid)
-        for _ in range(n_out):
-            b.wire(nid, b.output())
-    elif kind == HAD:
+        return _close(b, [b.leg(nid) for _ in range(n_in)],
+                      [b.leg(nid) for _ in range(n_out)])
+    if kind == HAD:
         if (n_in, n_out) != (1, 1):
             raise DiagramError("hadamard is 1 -> 1")
         nid = b.had()
-        b.wire(b.input(), (nid, 0))
-        b.wire((nid, 1), b.output())
-    elif kind == W:
+        return _close(b, [(nid, 0)], [(nid, 1)])
+    if kind == W:
         if (n_in, n_out) != (1, 2):
             raise DiagramError("w generator is 1 -> 2")
         nid = b.w()
-        b.wire(b.input(), (nid, 0))
-        b.wire((nid, 1), b.output())
-        b.wire((nid, 2), b.output())
-    else:
-        raise DiagramError(f"unknown generator kind {kind!r}")
-    return b.build()
+        return _close(b, [(nid, 0)], [(nid, 1), (nid, 2)])
+    raise DiagramError(f"unknown generator kind {kind!r}")
 
 
-def zbox_diagram(label: Label, n_in: int, n_out: int) -> Diagram:
+def zbox_diagram(label: complex, n_in: int, n_out: int) -> Diagram:
     return make_generator(ZBOX, n_in, n_out, label)
 
 
@@ -341,7 +324,7 @@ def w_diagram() -> Diagram:
     return make_generator(W, 1, 2)
 
 
-def scalar_box(label: Label) -> Diagram:
+def scalar_box(label: complex) -> Diagram:
     """Zero-legged ZBox; evaluates to the 1x1 matrix [[1 + label]]."""
     b = Builder()
     b.zbox(label)
@@ -415,9 +398,7 @@ def attach_triangle(b: Builder, transpose: bool = False, inverse: bool = False,
 def triangle(transpose: bool = False, inverse: bool = False) -> Diagram:
     b = Builder()
     i, o = attach_triangle(b, transpose, inverse)
-    b.wire(b.input(), i)
-    b.wire(o, b.output())
-    return b.build()
+    return _close(b, [i], [o])
 
 
 def green_phase(alpha: float, n_in: int = 1, n_out: int = 1) -> Diagram:
@@ -457,12 +438,7 @@ def attach_pink(b: Builder, n_in: int, n_out: int, tau: float,
 
 def pink_spider(n_in: int, n_out: int, tau: float) -> Diagram:
     b = Builder()
-    ins, outs = attach_pink(b, n_in, n_out, tau)
-    for ref in ins:
-        b.wire(b.input(), ref)
-    for ref in outs:
-        b.wire(ref, b.output())
-    return b.build()
+    return _close(b, *attach_pink(b, n_in, n_out, tau))
 
 
 def attach_v(b: Builder, dagger: bool = False, tag: str = "v"):
@@ -478,9 +454,7 @@ def attach_v(b: Builder, dagger: bool = False, tag: str = "v"):
 def v_gate(dagger: bool = False) -> Diagram:
     b = Builder()
     i, o = attach_v(b, dagger)
-    b.wire(b.input(), i)
-    b.wire(o, b.output())
-    return b.build()
+    return _close(b, [i], [o])
 
 
 def attach_and(b: Builder, fan_in: int = 2, tag: str = "and"):
@@ -507,10 +481,7 @@ def attach_and(b: Builder, fan_in: int = 2, tag: str = "and"):
 def and_box(fan_in: int = 2) -> Diagram:
     b = Builder()
     ins, out = attach_and(b, fan_in)
-    for ref in ins:
-        b.wire(b.input(), ref)
-    b.wire(out, b.output())
-    return b.build()
+    return _close(b, ins, [out])
 
 
 def attach_w_spider(b: Builder, fan_out: int, assoc: str = "chain",
@@ -518,8 +489,9 @@ def attach_w_spider(b: Builder, fan_out: int, assoc: str = "chain",
     """n-ary W spider (1 -> fan_out) from W nodes; returns (in_ref, out_refs).
 
     |0> goes to |0...0>, |1> to the sum of one-hot strings.  fan_out = 1 is a
-    plain wire (the builder returns the same ref twice), fan_out = 0 needs a
-    separate effect and is rejected here.
+    plain wire, written as a two-legged label-1 box whose legs are the input
+    and the one output; fan_out = 0 needs a separate effect and is rejected
+    here.
     """
     if fan_out < 1:
         raise DiagramError("w spider fan-out must be >= 1")
@@ -540,9 +512,7 @@ def attach_w_spider(b: Builder, fan_out: int, assoc: str = "chain",
         outs.append(tail)
         return b.leg(first, 0), outs
     if assoc == "balanced":
-        def build(k):
-            if k == 1:
-                raise AssertionError
+        def build(k):   # k >= 2
             node = b.w(tag=tag)
             left, right = k // 2, k - k // 2
             outs = []
@@ -561,10 +531,7 @@ def attach_w_spider(b: Builder, fan_out: int, assoc: str = "chain",
 def w_spider(fan_out: int, assoc: str = "chain") -> Diagram:
     b = Builder()
     i, outs = attach_w_spider(b, fan_out, assoc)
-    b.wire(b.input(), i)
-    for ref in outs:
-        b.wire(ref, b.output())
-    return b.build()
+    return _close(b, [i], outs)
 
 
 def attach_w_merge(b: Builder, fan_in: int, tag: str = "wmerge"):

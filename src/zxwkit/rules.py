@@ -43,11 +43,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import DEFAULT_TOL, equal_up_to_scalar, eval_diagram
-from .graph import (HAD, W, ZBOX, Builder, Diagram, DiagramError,
-                    PhaseVar, and_box, cap, compose_par, compose_seq,
-                    hadamard_diagram, identity, pink_spider, scalar_box,
-                    swap_pair, transpose_diagram, triangle, validate,
-                    w_diagram, w_spider, wire_permutation, zbox_diagram)
+from .graph import (HAD, W, ZBOX, Builder, Diagram, DiagramError, and_box,
+                    cap, compose_par, compose_seq, hadamard_diagram,
+                    identity, pink_spider, scalar_box, swap_pair,
+                    transpose_diagram, triangle, validate, w_diagram,
+                    w_spider, wire_permutation, zbox_diagram)
 
 
 def _empty() -> Diagram:
@@ -722,20 +722,6 @@ def _pass_loops(w: _Work, steps: list) -> bool:
     return True
 
 
-_NO_FUSE = object()
-
-
-def _combine_labels(x, y):
-    xs, ys = isinstance(x, PhaseVar), isinstance(y, PhaseVar)
-    if xs and ys:
-        return PhaseVar(x.slope + y.slope)
-    if xs:
-        return x if y == 1 else _NO_FUSE
-    if ys:
-        return y if x == 1 else _NO_FUSE
-    return x * y
-
-
 def _pass_fuse(w: _Work, steps: list) -> bool:
     q = w.queues[_pass_fuse]
     while q:
@@ -746,15 +732,12 @@ def _pass_fuse(w: _Work, steps: list) -> bool:
         if a == b:
             continue
         na, nb = w.nodes[a], w.nodes[b]
-        lab = _combine_labels(na.label, nb.label)
-        if lab is _NO_FUSE:
-            continue
         # b's ends move to fresh ports of a in edge order, as a scan meets them
         for eid, end in sorted(w.ports.pop((b, p)) for p in range(nb.ports)):
             _set_end(w, eid, end, (a, na.ports))
             na.ports += 1
         del w.nodes[b]
-        na.label = lab
+        na.label = na.label * nb.label
         steps.append(f"fuse: zbox {b} into zbox {a}")
         _touch(w, (a,))
         _pass_loops(w, steps)
@@ -770,7 +753,7 @@ def _pass_unit(w: _Work, steps: list) -> bool:
         node = w.nodes.get(nid)
         if node is None or node.ports != 2:
             continue
-        if isinstance(node.label, PhaseVar) or abs(node.label - 1.0) > 1e-14:
+        if abs(node.label - 1.0) > 1e-14:
             continue
         (i1, j1), (i2, j2) = sorted(_ends(w, nid))
         if i1 == i2:        # a self-loop
@@ -792,7 +775,7 @@ def _pass_scalars(w: _Work, steps: list) -> bool:
     while q:
         nid = w.order[q.pop()]
         node = w.nodes.get(nid)
-        if node is None or node.ports != 0 or isinstance(node.label, PhaseVar):
+        if node is None or node.ports != 0:
             continue
         w.scalar *= 1.0 + node.label
         del w.nodes[nid]
@@ -874,13 +857,12 @@ def _peer(w: _Work, nid: int, port: int):
 
 
 def _effect_on(w: _Work, nid: int, port: int):
-    """(zbox_id, label) if (nid, port) is wired to a 1-leg numeric green box."""
+    """(zbox_id, label) if (nid, port) is wired to a 1-leg green box."""
     ref = _peer(w, nid, port)
     if ref is None or ref[0] == nid:
         return None
     other = w.nodes[ref[0]]
-    if (other.kind == ZBOX and other.ports == 1
-            and not isinstance(other.label, PhaseVar)):
+    if other.kind == ZBOX and other.ports == 1:
         return ref[0], other.label
     return None
 

@@ -6,8 +6,7 @@ JSON schema (round-trip safe, structure preserving):
      "edges": [[[id, port], [id, port]], ...],
      "inputs": [ids], "outputs": [ids]}
 
-"a" is present only on zbox nodes.  Symbolic time labels are not part of the
-schema; resolve t before exporting.
+"a" is present only on zbox nodes.
 
 The matrix text format is one row per line, entries like ``1.5+0.25j``
 separated by tabs.  There is deliberately no binary writer.
@@ -21,7 +20,7 @@ import json
 import numpy as np
 
 from .graph import (_FIXED_PORTS, HAD, IN, OUT, W, ZBOX, Diagram,
-                    DiagramError, Node, PhaseVar, validate)
+                    DiagramError, Node, validate)
 
 _KINDS = {ZBOX: "zbox", HAD: "had", W: "w", IN: "in", OUT: "out"}
 _KINDS_BACK = {v: k for k, v in _KINDS.items()}
@@ -33,9 +32,6 @@ def diagram_to_dict(d: Diagram) -> dict:
         n = d.nodes[nid]
         entry = {"id": nid, "kind": _KINDS[n.kind]}
         if n.kind == ZBOX:
-            if isinstance(n.label, PhaseVar):
-                raise DiagramError(
-                    "diagram has symbolic time labels; resolve t before export")
             entry["a"] = [n.label.real, n.label.imag]
         nodes.append(entry)
     edges = [[[a, pa], [b, pb]] for (a, pa), (b, pb) in d.edges]
@@ -109,8 +105,6 @@ def diagram_from_json(text: str) -> Diagram:
 
 
 def _fmt_label(label) -> str:
-    if isinstance(label, PhaseVar):
-        return f"e^(i*{label.slope:g}*t)"
     if abs(label.imag) < 1e-12:
         return f"{label.real:g}"
     return f"{label.real:g}{label.imag:+g}j"

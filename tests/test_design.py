@@ -352,7 +352,7 @@ def test_exponential_routes_build_one_diagram(monkeypatch):
     h2 = zxwkit.parse_pauli_sum("0.7 XY\n-0.4 ZI\n0.25 IX\n0.3 YZ")
     hc = zxwkit.parse_pauli_sum("0.7 XX\n-0.4 ZZ\n0.3 YY")
     builds = [lambda: zxwkit.trotter_diagram(h3, 4, 0.5),
-              lambda: zxwkit.commuting_exponential(hc),
+              lambda: zxwkit.commuting_exponential(hc).at(0.4),
               lambda: zxwkit.taylor_diagram(h2, 3, 0.4),
               lambda: zxwkit.cayley_hamilton_diagram(h2, 0.4)]
     counts = []
@@ -396,7 +396,7 @@ def test_one_schedule_one_composition_and_one_soundness_run():
     # the only composition writers, and the CLI prints check_soundness's
     # report
     assert list(inspect.signature(zxwkit.eval_diagram).parameters) == [
-        "d", "t", "cap"]
+        "d", "cap"]
     assert list(inspect.signature(evaluate._schedule).parameters) == ["ids"]
     tree = ast.parse((PACKAGE / "evaluate.py").read_text(encoding="utf-8"))
     params = {a.arg for fn in ast.walk(tree)
@@ -438,3 +438,16 @@ def test_a_trotter_chain_plans_and_computes_each_gadget_once(monkeypatch):
     assert list(inspect.signature(zxwkit.plan_contraction).parameters) == [
         "d", "cap"]
     assert "regions" not in json.loads(zxwkit.diagram_to_json(d))
+
+
+def test_time_is_a_number():
+    # every exponential route writes t into its labels as a number: no
+    # symbolic label type, no evaluation parameter for time, no resolver
+    offenders = [path.name for path in sorted(PACKAGE.parent.rglob("*.py"))
+                 if "PhaseVar" in path.read_text(encoding="utf-8")]
+    assert not offenders, f"PhaseVar named in: {offenders}"
+    for fn in (zxwkit.eval_diagram, zxwkit.ContractionPlan.run,
+               evaluate.node_tensor, zxwkit.verify_controlled):
+        assert "t" not in inspect.signature(fn).parameters, fn.__name__
+    assert not hasattr(zxwkit, "resolve_time")
+    assert "resolve_time" not in zxwkit.__all__

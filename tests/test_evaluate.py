@@ -1,5 +1,6 @@
 """Tensor contraction against dense kron/matmul oracles."""
 
+import cmath
 import functools
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zxwkit import (Builder, CapExceeded, Diagram, DiagramError, PhaseVar,
+from zxwkit import (Builder, CapExceeded, Diagram, DiagramError,
                     build_hamiltonian_diagram, cap, cayley_hamilton_diagram,
                     commuting_exponential, compose_par, compose_seq,
                     controlled_matrix, controlled_state_normal_form,
@@ -19,7 +20,7 @@ from zxwkit import (Builder, CapExceeded, Diagram, DiagramError, PhaseVar,
                     diagram_to_json, equal_up_to_scalar, eval_diagram,
                     hadamard_diagram, identity, matrices_close,
                     parse_pauli_sum, plan_contraction, plug_basis,
-                    resolve_time, scalar_of, simplify_basic,
+                    scalar_of, simplify_basic,
                     structural_equal, taylor_diagram, transpose_diagram,
                     trotter_diagram, triangle, w_diagram, zbox_diagram)
 from zxwkit import evaluate
@@ -137,15 +138,6 @@ def test_matrices_close_shape_mismatch():
     assert not matrices_close(np.eye(2), np.eye(4), 1e-9)
 
 
-def test_symbolic_requires_time():
-    from zxwkit import PhaseVar
-    d = zbox_diagram(PhaseVar(1.0), 1, 1)
-    with pytest.raises(DiagramError):
-        eval_diagram(d)
-    got = eval_diagram(d, t=math.pi)
-    assert abs(got[1, 1] + 1.0) <= 1e-12
-
-
 def _contract_pair(a: np.ndarray, ids_a: list, b: np.ndarray, ids_b: list):
     shared = [i for i in ids_a if i in ids_b]
     ax_a = [ids_a.index(i) for i in shared]
@@ -159,7 +151,7 @@ def _reference_network(d):
     """The (array, edge ids) tensors of ``d`` and its external edge ids."""
     tensors, loops, external = evaluate._network(evaluate._structure(d),
                                                  evaluate.DEFAULT_CAP)
-    return ([(evaluate._tensor(d, nid, loops, None), ids)
+    return ([(evaluate._tensor(d, nid, loops), ids)
              for nid, ids in tensors], external)
 
 
@@ -353,16 +345,16 @@ def test_run_checks_the_structure_first_after_a_memo(other, monkeypatch):
         plan.run(other(cd))
 
 
-def _assert_runs_in_a_row_are_fresh(plan, diagrams, t=None):
+def _assert_runs_in_a_row_are_fresh(plan, diagrams):
     """Run ``plan`` on ``diagrams`` one after another: each result is a
     fresh plan's, bit for bit, and shares memory with no other result and
     with no array of the memo."""
-    got = [plan.run(d, t) for d in diagrams]
+    got = [plan.run(d) for d in diagrams]
     for m, d in zip(got, diagrams):
-        assert np.array_equal(m, _fresh_plan(d).run(d, t))
+        assert np.array_equal(m, _fresh_plan(d).run(d))
     for k, m in enumerate(got):
         assert not any(np.shares_memory(m, other) for other in got[:k])
-    _, _, kept, regions = plan._memo
+    _, kept, regions = plan._memo
     assert not any(np.shares_memory(m, a) for m in got
                    for a in kept + list(regions.values()))
 
@@ -388,13 +380,13 @@ def test_runs_in_a_row_are_fresh_runs_on_a_sum_of_states():
 
 
 def test_runs_in_a_row_are_fresh_runs_on_a_symbolic_diagram():
-    d = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).diagram
+    # a gadget chain at one time, and the same with one gadget's angle
+    # taken at another slope
+    d = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).at(0.8)
     other = d.copy()
-    nid = next(n for n, node in other.nodes.items()
-               if isinstance(node.label, PhaseVar))
-    other.nodes[nid].label = PhaseVar(-2.5)
-    _assert_runs_in_a_row_are_fresh(plan_contraction(d), [d, other, d],
-                                    t=0.8)
+    nid = next(n for n, node in other.nodes.items() if node.tag == "hat")
+    other.nodes[nid].label = cmath.exp(1j * -2.5 * 0.8)
+    _assert_runs_in_a_row_are_fresh(plan_contraction(d), [d, other, d])
 
 
 def test_a_discharge_then_idle_makes_equal_tensors_once(monkeypatch):
@@ -411,11 +403,13 @@ def test_a_discharge_then_idle_makes_equal_tensors_once(monkeypatch):
 
 
 def test_one_plan_sweeps_time():
-    d = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).diagram
-    assert d.is_symbolic()
-    plan = plan_contraction(d)
+    # each time writes other labels on one structure: one plan serves all
+    w = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI"))
+    plan = plan_contraction(w.at(0.0))
     for t in (-0.7, 0.0, 0.25, 1.9):
-        assert np.array_equal(plan.run(d, t), eval_diagram(resolve_time(d, t)))
+        d = w.at(t)
+        assert plan_contraction(d) is plan
+        assert np.array_equal(plan.run(d), _fresh_plan(d).run(d))
 
 
 def _fresh_plan(d, cap=evaluate.DEFAULT_CAP):
@@ -501,7 +495,7 @@ def test_greedy_matches_sequential_and_dense_oracle(circuit):
 
 # --- regions: spliced sub-diagrams contracted region first ----------------
 
-T = 0.37   # the time PhaseVar labels resolve at in the region tests
+T = 0.37   # the time the phase boxes of the region tests are written at
 
 
 def _loop_box(a):
@@ -518,7 +512,8 @@ def _loop_box(a):
 def _piece(draw, width):
     """A sub-diagram on ``width`` input wires with its dense matrix at T:
     a random circuit, a cap or a cup on the last wires, a self-loop box or
-    a PhaseVar box on the first, a 0-leg scalar, or plain wires."""
+    a phase box exp(i * slope * T) on the first, a 0-leg scalar, or plain
+    wires."""
     kinds = ["circuit", "scalar", "wire"]
     kinds += ["cap"] if width <= 1 else []
     kinds += ["cup"] if width >= 2 else []
@@ -544,7 +539,7 @@ def _piece(draw, width):
         return (compose_par(_loop_box(a), identity(width - 1)),
                 np.kron(np.diag([1, a]), rest))
     slope = draw(st.floats(-3.0, 3.0))
-    return (compose_par(zbox_diagram(PhaseVar(slope), 1, 1),
+    return (compose_par(zbox_diagram(cmath.exp(1j * slope * T), 1, 1),
                         identity(width - 1)),
             np.kron(np.diag([1, np.exp(1j * slope * T)]), rest))
 
@@ -576,10 +571,10 @@ def _spliced_chains(draw):
 def test_regions_contract_to_the_flat_matrix_and_the_oracle(chain):
     d, want = chain
     plan = plan_contraction(d)
-    got = plan.run(d, T)
-    assert matrices_close(got, eval_diagram(_region_free(d), t=T), 1e-12)
+    got = plan.run(d)
+    assert matrices_close(got, eval_diagram(_region_free(d)), 1e-12)
     assert matrices_close(got, want, 1e-12)
-    assert np.array_equal(plan.run(d, T), got)   # from the memo
+    assert np.array_equal(plan.run(d), got)   # from the memo
 
 
 def test_a_trotter_step_is_planned_as_its_gadgets():
@@ -607,23 +602,22 @@ def test_runs_in_a_row_are_fresh_runs_on_spliced_diagrams():
     plan = plan_contraction(a)
     assert plan_contraction(b) is plan
     _assert_runs_in_a_row_are_fresh(plan, [a, b, a])
-    c = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).diagram
-    _assert_runs_in_a_row_are_fresh(plan_contraction(c), [c, c.copy()],
-                                    t=0.8)
+    c = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).at(0.8)
+    _assert_runs_in_a_row_are_fresh(plan_contraction(c), [c, c.copy()])
 
 
 def test_regions_survive_what_keeps_node_ids():
     d = taylor_diagram(parse_pauli_sum("0.7 XY\n-0.4 ZI"), 3, 0.4)
-    symbolic = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI"))
+    gadgets = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI")).at(0.6)
     assert structural_equal(d, _region_free(d))
     for e in (d.copy(), plug_basis(d, 0, 0), transpose_diagram(d)):
         assert e.regions == d.regions
         assert matrices_close(eval_diagram(e),
                               eval_diagram(_region_free(e)), 1e-13)
-    kept = resolve_time(symbolic.diagram, 0.6)
-    assert kept.regions == symbolic.diagram.regions != []
+    kept = gadgets.copy()
+    assert kept.regions == gadgets.regions != []
     assert matrices_close(eval_diagram(kept),
-                          eval_diagram(symbolic.diagram, t=0.6), 1e-13)
+                          eval_diagram(_region_free(gadgets)), 1e-13)
 
 
 def test_json_rewrites_and_composition_drop_regions():
@@ -721,7 +715,7 @@ def test_no_result_shares_memory_with_the_memo():
     for _ in range(3):
         got = [plan.run(d) for d in (cd.discharge(), cd.idle(),
                                      cd.discharge())]
-    _, labels, kept, regions = plan._memo
+    labels, kept, regions = plan._memo
     assert len(labels) == len(plan.tensors) and regions == {}
     assert len(kept) == len(plan.tensors) + len(plan.steps) - 1
     assert not any(np.shares_memory(m, a) for m in got for a in kept)
@@ -797,7 +791,7 @@ def test_a_plan_over_the_memo_bound_keeps_nothing(monkeypatch):
 
 def _kept_bytes(plan):
     """The bytes of the distinct arrays in ``plan``'s memo."""
-    _, _, kept, regions = plan._memo
+    _, kept, regions = plan._memo
     arrays = {id(a): a for a in kept + list(regions.values())}
     return sum(a.nbytes for a in arrays.values())
 
@@ -811,7 +805,7 @@ def test_memo_bytes_count_region_tensors(monkeypatch):
     plan.run(d)
     # one count per array slot: the tensor, the 40 region tensors and
     # every step result but the last
-    _, _, kept, _ = plan._memo
+    _, kept, _ = plan._memo
     assert len(kept) == 1 + 40 + len(plan.steps) - 1
     assert sum(a.nbytes for a in kept) == plan.memo_bytes
     assert _kept_bytes(plan) == 21840
@@ -831,84 +825,87 @@ def test_memo_bytes_count_region_tensors(monkeypatch):
 
 
 def test_a_symbolic_chain_keeps_its_gadgets_at_one_time(monkeypatch):
-    # kept region tensors serve a run at the kept t only
-    d = commuting_exponential(
-        parse_pauli_sum("0.5 ZZ\n0.3 ZI\n-0.4 IZ")).diagram
-    plan = plan_contraction(d)
+    # a gadget's hat label holds the time, so kept region tensors serve a
+    # run at the last run's time only
+    w = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI\n-0.4 IZ"))
+    diagrams = [w.at(t) for t in (0.3, -1.1, -1.1, 0.3)]
+    plan = plan_contraction(diagrams[0])
     assert len(plan.regions) == 3
-    times = (0.3, -1.1, -1.1, 0.3)
-    want = [_fresh_plan(d).run(d, t) for t in times]
+    want = [_fresh_plan(d).run(d) for d in diagrams]
     made = []
     real = evaluate._tensor
     monkeypatch.setattr(evaluate, "_tensor",
                         lambda *args: made.append(args[1]) or real(*args))
     counts = []
-    for t, m in zip(times, want):
+    for d, m in zip(diagrams, want):
         del made[:]
-        assert np.array_equal(plan.run(d, t), m)
+        assert np.array_equal(plan.run(d), m)
         counts.append(len(made))
     assert counts[0] == counts[1] == counts[3] > 0 == counts[2]
+
+
+_TIMES = (0.0, 0.4, -1.3)
 
 
 @functools.lru_cache(maxsize=None)
 def _label_sets():
     """The diagrams the memo property test draws from: the discharge and
-    the idle of 2x2 matrices with one structure, and a flat ``PhaseVar``
-    diagram with its box labels scaled."""
+    the idle of 2x2 matrices with one structure, and a flat gadget chain
+    at three times with its other box labels scaled, by (scale, time)."""
     plugged = [(cd.discharge(), cd.idle()) for cd in
                (controlled_matrix(_dominant(2, seed)) for seed in range(3))]
-    symbolic = _region_free(commuting_exponential(
-        parse_pauli_sum("0.5 ZZ\n0.3 ZI")).diagram)
-    scaled = []
-    for c in (1.0, -0.5, 2.0j):
-        d = symbolic.copy()
-        for node in d.nodes.values():
-            if node.kind == "zbox" and not isinstance(node.label, PhaseVar):
-                node.label = c * node.label
-        scaled.append(d)
+    chain = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI"))
+    scaled = {}
+    for k, c in enumerate((1.0, -0.5, 2.0j)):
+        for t in _TIMES:
+            d = _region_free(chain.at(t))
+            for node in d.nodes.values():
+                if node.kind == "zbox" and node.tag != "hat":
+                    node.label = c * node.label
+            scaled[k, t] = d
     return plugged, scaled
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 2),
-                          st.integers(0, 1), st.sampled_from([0.0, 0.4, -1.3]),
+                          st.integers(0, 1), st.sampled_from(_TIMES),
                           st.booleans()),
                 min_size=1, max_size=8))
 def test_a_kept_plan_runs_any_label_sequence_bit_for_bit(runs):
-    # each run: (symbolic?, which weights or scale, which plug, t, followed
-    # by the other plug?)
+    # each run: (gadget chain?, which weights or scale, which plug, time,
+    # followed by the other plug?)
     plugged, scaled = _label_sets()
-    for symbolic, k, plug, t, pair in runs:
-        if symbolic:
-            diagrams = [scaled[k]]
+    for chain, k, plug, t, pair in runs:
+        if chain:
+            diagrams = [scaled[k, t]]
         else:
-            diagrams, t = [plugged[k][plug]], None
+            diagrams = [plugged[k][plug]]
             if pair:
                 diagrams.append(plugged[k][1 - plug])
         plan = plan_contraction(diagrams[0])
         for d in diagrams:
-            got = plan.run(d, t)
-            assert np.array_equal(got, _fresh_plan(d).run(d, t))
+            got = plan.run(d)
+            assert np.array_equal(got, _fresh_plan(d).run(d))
             got[:] = np.nan   # the next run must not see this
 
 
 def test_threads_sharing_a_kept_plan_get_their_own_bits():
     # every run reads one whole memo and replaces it in one assignment, so
     # a run that interleaves with another still computes from one snapshot;
-    # the symbolic chain's runs also share kept region tensors
+    # the gadget chain's runs also share kept region tensors
     plugged, _ = _label_sets()
     chain = commuting_exponential(
-        parse_pauli_sum("0.5 ZZ\n0.3 ZI\n-0.4 IZ")).diagram
-    cases = [(d, None) for pair in plugged for d in pair]
-    cases += [(chain, t) for t in (0.3, 0.3, -1.1)]
-    want = [_fresh_plan(d).run(d, t) for d, t in cases]
-    plan = plan_contraction(cases[0][0])
+        parse_pauli_sum("0.5 ZZ\n0.3 ZI\n-0.4 IZ"))
+    cases = [d for pair in plugged for d in pair]
+    cases += [chain.at(t) for t in (0.3, 0.3, -1.1)]
+    want = [_fresh_plan(d).run(d) for d in cases]
+    plan = plan_contraction(cases[0])
     wrong = []
 
     def work(offset):
         for k in range(offset, offset + 40):
-            d, t = cases[k % len(cases)]
-            got = plan_contraction(d).run(d, t)
+            d = cases[k % len(cases)]
+            got = plan_contraction(d).run(d)
             if not np.array_equal(got, want[k % len(cases)]):
                 wrong.append(k)
 

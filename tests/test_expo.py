@@ -13,7 +13,7 @@ from zxwkit import (Circuit, Diagram, DiagramError, Gate, PauliString,
                     commuting_exponential, compose_par, compose_seq,
                     derivative_at_zero, eval_diagram, extract_axz_circuit,
                     identity, oracle_matrix, parse_pauli_sum, pauli_gadget,
-                    putzer_coefficients, resolve_time, scalar_of,
+                    putzer_coefficients, scalar_of,
                     structural_equal, taylor_diagram, trotter_diagram)
 from zxwkit.graph import Builder, splice
 
@@ -122,8 +122,7 @@ def test_trotter_matches_a_compose_seq_fold():
     step = identity(h.m)
     for coeff, p in h.terms:
         if p.support():
-            gadget = pauli_gadget(p, coeff.real).diagram
-            step = compose_seq(step, resolve_time(gadget, t / steps))
+            step = compose_seq(step, pauli_gadget(p, coeff.real).at(t / steps))
     fold = identity(h.m)
     for _ in range(steps):
         fold = compose_seq(fold, step)
@@ -134,7 +133,7 @@ def test_trotter_matches_a_compose_seq_fold():
 
 
 def test_trotter_phase_box_is_written_into_the_chain():
-    # the chain is the resolved pauli_gadget diagrams spliced into one
+    # the chain is the pauli_gadget diagrams at t / steps spliced into one
     # Builder, one region each, with the phase box written after the
     # outputs: the same diagram, id for id, edge for edge and region for
     # region, so the matrices are equal bit for bit with the regions and
@@ -143,7 +142,7 @@ def test_trotter_phase_box_is_written_into_the_chain():
                         "\n0.25 III")
     t, steps = 0.5, 16
     coeffs = [c.real for c, _ in h.terms]
-    step = [resolve_time(pauli_gadget(p, c).diagram, t / steps)
+    step = [pauli_gadget(p, c).at(t / steps)
             for c, (_, p) in zip(coeffs, h.terms) if p.support()]
     b = Builder()
     data = [b.input() for _ in range(h.m)]
@@ -206,7 +205,7 @@ def test_series_builds_take_no_cap():
     h = parse_pauli_sum(WIDE_SUM)
     d = taylor_diagram(h, 1, 0.1)
     assert (d.n_inputs, d.n_outputs) == (13, 13)
-    for e in (trotter_diagram(h, 1, 0.1), commuting_exponential(h).diagram):
+    for e in (trotter_diagram(h, 1, 0.1), commuting_exponential(h).at(0.1)):
         assert (e.n_inputs, e.n_outputs) == (13, 13)
 
 
@@ -390,8 +389,12 @@ def test_commuting_pair_rejected_by_exchange_check():
 
 
 def test_resolve_time_freezes_labels():
+    # a gadget at a time is a diagram of numbers: its hat box is labelled
+    # exp(i * slope * t), and its eval is that diagram's matrix
     g = pauli_gadget(PauliString.from_text("Z"), 1.0)
-    frozen = resolve_time(g.diagram, 0.6)
-    assert not frozen.is_symbolic()
-    assert np.abs(eval_diagram(frozen)
-                  - eval_diagram(g.diagram, t=0.6)).max() <= 1e-12
+    frozen = g.at(0.6)
+    assert [n.label for n in frozen.nodes.values() if n.tag == "hat"] == [
+        cmath.exp(1j * 1.0 * 0.6)]
+    assert np.array_equal(eval_diagram(frozen), g.eval(0.6))
+    assert np.abs(g.eval(0.6) - np.diag([1.0, cmath.exp(0.6j)])).max() \
+        <= 1e-12

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zxwkit import (Builder, Diagram, DiagramError, PhaseVar, and_box, cap,
-                    compose_par, compose_seq, cup, green_phase,
-                    hadamard_diagram, identity, make_generator, pink_spider,
-                    plug_basis, scalar_box, scalar_of, structural_equal,
-                    swap_pair, transpose_diagram, triangle, v_gate, validate,
-                    w_diagram, w_spider, wire_permutation, zbox_diagram)
+from zxwkit import (Builder, Diagram, DiagramError, and_box, cap, compose_par,
+                    compose_seq, cup, green_phase, hadamard_diagram,
+                    identity, make_generator, pink_spider, plug_basis,
+                    scalar_box, scalar_of, structural_equal, swap_pair,
+                    transpose_diagram, triangle, v_gate, validate, w_diagram,
+                    w_spider, wire_permutation, zbox_diagram)
 from zxwkit.evaluate import _structure, eval_diagram
 from zxwkit.graph import splice
 
@@ -300,17 +300,6 @@ def test_structural_equal_tracks_labels():
     assert structural_equal(a, b)
     assert not structural_equal(a, c)
     assert structural_equal(a, c, tol=1e-2)
-
-
-def test_phasevar_labels():
-    p = PhaseVar(-0.5)
-    assert abs(p.resolve(2.0) - np.exp(-1j)) <= 1e-12
-    d = zbox_diagram(p, 1, 1)
-    assert d.is_symbolic()
-    got = eval_diagram(d, t=3.0)
-    assert abs(got[1, 1] - np.exp(-1.5j)) <= 1e-12
-    with pytest.raises(DiagramError):
-        eval_diagram(d)          # symbolic label needs a time value
 
 
 def test_make_generator_rejects_bad_kinds():

@@ -240,7 +240,7 @@ PINNED_BUILDS = {
     "cayley_hamilton": (PINNED_SUM, lambda h: cayley_hamilton_diagram(h, 0.6)),
     "trotter": (REAL_SUM, lambda h: trotter_diagram(h, 3, 0.6)),
     "commuting": (COMMUTING_SUM,
-                  lambda h: commuting_exponential(h).resolve(0.6)),
+                  lambda h: commuting_exponential(h).at(0.6)),
 }
 
 

@@ -65,15 +65,6 @@ def test_dict_schema():
     assert structural_equal(d, again)
 
 
-def test_symbolic_labels_must_be_resolved_first():
-    from zxwkit import PhaseVar, resolve_time
-    d = zbox_diagram(PhaseVar(-0.25), 1, 1)
-    with pytest.raises(DiagramError):
-        diagram_to_json(d)       # schema holds concrete labels only
-    back = diagram_from_json(diagram_to_json(resolve_time(d, 2.0)))
-    assert matrices_close(eval_diagram(d, t=2.0), eval_diagram(back), 1e-12)
-
-
 def test_from_dict_rejects_garbage():
     with pytest.raises(DiagramError):
         diagram_from_dict({"nodes": [], "edges": []})
