@@ -31,7 +31,7 @@ from .pauli import (DiagonalFactorSum, LinearityReport, PauliString, PauliSum,
                     check_sum_commutativity, controlled_diagonal_factor,
                     controlled_pauli_string, oracle_matrix, parse_pauli_sum,
                     strings_commute, verify_schrodinger_linearity)
-from .expo import (CayleyCoeffs, Circuit, ExponentialDiagram, Gadget, Gate,
+from .expo import (CayleyCoeffs, Circuit, ExponentialDiagram, Gate,
                    cayley_hamilton_diagram, check_anticommuting_gadgets,
                    commuting_exponential, derivative_at_zero,
                    extract_axz_circuit, pauli_gadget, putzer_coefficients,
@@ -61,7 +61,7 @@ __all__ = [
     "check_sum_commutativity", "controlled_diagonal_factor",
     "controlled_pauli_string", "oracle_matrix", "parse_pauli_sum",
     "strings_commute", "verify_schrodinger_linearity",
-    "CayleyCoeffs", "Circuit", "ExponentialDiagram", "Gadget", "Gate",
+    "CayleyCoeffs", "Circuit", "ExponentialDiagram", "Gate",
     "cayley_hamilton_diagram", "check_anticommuting_gadgets",
     "commuting_exponential", "derivative_at_zero", "extract_axz_circuit",
     "pauli_gadget", "putzer_coefficients", "taylor_diagram", "trotter_diagram",

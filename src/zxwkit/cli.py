@@ -369,13 +369,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None, metavar="X",
                         help="tolerance (default: ZXW_TOL or 1e-9)")
 
+    # no parser takes an abbreviation: ``--t`` would otherwise be read as
+    # ``--tol`` wherever no ``--t`` is defined, and loosen a check
     parser = argparse.ArgumentParser(
-        prog="zxw",
+        prog="zxw", allow_abbrev=False,
         description="Build, evaluate, verify and exponentiate ZXW diagrams.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
 
-    p = sub.add_parser("check-rules", parents=[common],
+    p = sub.add_parser("check-rules", allow_abbrev=False, parents=[common],
                        help="random soundness audit of the rewrite rules")
     p.add_argument("--rule", metavar="NAME", help="check a single rule")
     p.add_argument("--samples", type=int, default=50, metavar="N",
@@ -383,14 +385,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7, metavar="S")
     p.set_defaults(func=_cmd_check_rules, _parser=p)
 
-    # no abbreviations: eval takes no time, and ``--t`` would otherwise be
-    # read as ``--tol``
-    p = sub.add_parser("eval", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("eval", allow_abbrev=False, parents=[common],
                        help="evaluate a diagram JSON file to a dense matrix")
     p.add_argument("file")
     p.set_defaults(func=_cmd_eval, _parser=p)
 
-    p = sub.add_parser("controlled", parents=[common],
+    p = sub.add_parser("controlled", allow_abbrev=False, parents=[common],
                        help="build a controlled diagram from matrices "
                             "or state vectors")
     p.add_argument("--matrix", metavar="FILE", action="append",
@@ -403,10 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check the discharge and idle contracts")
     p.set_defaults(func=_cmd_controlled, _parser=p)
 
-    p = sub.add_parser("ham", help="Hamiltonian commands")
+    p = sub.add_parser("ham", allow_abbrev=False, help="Hamiltonian commands")
     ham_sub = p.add_subparsers(dest="ham_command", required=True,
                                metavar="SUBCOMMAND")
-    pb = ham_sub.add_parser("build", parents=[common],
+    pb = ham_sub.add_parser("build", allow_abbrev=False, parents=[common],
                             help="encode a Pauli-sum file as a diagram")
     pb.add_argument("file")
     pb.add_argument("--export", choices=("dot", "json"),
@@ -415,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="compare the diagram against the dense matrix")
     pb.set_defaults(func=_cmd_ham_build, _parser=pb)
 
-    p = sub.add_parser("expm", parents=[common],
+    p = sub.add_parser("expm", allow_abbrev=False, parents=[common],
                        help="diagrammatic exponential of a Pauli-sum file")
     p.add_argument("file")
     p.add_argument("--method", required=True,
@@ -432,13 +432,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         "exponential")
     p.set_defaults(func=_cmd_expm, _parser=p)
 
-    p = sub.add_parser("export", parents=[common],
+    p = sub.add_parser("export", allow_abbrev=False, parents=[common],
                        help="re-emit a diagram JSON file as json or dot")
     p.add_argument("file")
     p.add_argument("--format", required=True, choices=("json", "dot"))
     p.set_defaults(func=_cmd_export, _parser=p)
 
-    p = sub.add_parser("extract-demo", parents=[common],
+    p = sub.add_parser("extract-demo", allow_abbrev=False, parents=[common],
                        help="exponentiate a X + b Z diagrammatically and "
                             "extract the rotation circuit")
     p.add_argument("--a", type=_finite, default=1.0, metavar="VAL")

@@ -21,9 +21,13 @@ A sum's coefficients are labels: term i's coefficient is the one weight
 box on arm i of the fan, and the rest of the diagram depends only on which
 terms appear.  So ``_factor_sum`` builds and validates each structure once,
 as a template kept in a small cache, and every call rebinds the template's
-weight boxes to its own coefficients: the 13 random 2x2 and 4x4 matrices of
-a benchmark pass build two diagrams, and a rebound 4x4 takes about 20 us
-against about 1 ms for a build.
+weight boxes to its own coefficients (``graph.rebind``): the 13 random 2x2
+and 4x4 matrices of a benchmark pass build two diagrams, and a rebound 4x4
+takes about 20 us against about 1 ms for a build.  A rebound diagram, and
+each plug of it, records its template and the weight boxes (and basis
+states) it set, so it shares the template's structure key and a plan run
+after another rebind of the same template compares only those labels (see
+``evaluate.ContractionPlan``).
 
 Every builder here returns the diagram as built, unfused; spider fusion
 (``rules.apply_fusion``) is a pass the caller runs when it wants one.
@@ -37,9 +41,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .evaluate import DEFAULT_CAP, plan_contraction
-from .graph import (ZBOX, Builder, Diagram, DiagramError, Node,
-                    attach_triangle, attach_v, attach_w_merge,
-                    attach_w_spider, plug_basis, splice)
+from .graph import (Builder, Diagram, DiagramError, attach_triangle,
+                    attach_v, attach_w_merge, attach_w_spider, plug_basis,
+                    rebind, splice)
 
 _CTRL = "ctrl"
 
@@ -104,8 +108,10 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     ``ContractionPlan``).  The plan is shared by every diagram of the
     structure, so checking another matrix of the same size and the same
     nonzero Pauli strings redoes for the discharge only the steps its new
-    coefficients and the control reach.  The discharge's structure is
-    computed once: the plan lookup by it is also the discharge's check.
+    coefficients and the control reach.  The plugs of a rebound diagram
+    share one structure key with every other plug of its template's
+    rebinds, so neither the plan lookup nor the idle's check walks the
+    diagram.
     """
     dim = 2 ** cd.m
     target = np.asarray(target, dtype=complex)
@@ -114,10 +120,8 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
         raise DiagramError(f"{cd.kind} target needs shape " + " or ".join(
             map(str, shapes)) + f", got {target.shape}")
     discharged = cd.discharge()
-    # the plan was looked up by the discharge's structure, so only the
-    # idle's structure is built again and checked
     plan = plan_contraction(discharged, cap=cap)
-    got_d = plan._run(discharged)
+    got_d = plan.run(discharged)
     got_i = plan.run(cd.idle())
     if cd.kind == "matrix":
         want_d = target
@@ -335,25 +339,19 @@ def _factor_sum_into(b: Builder, terms, fan, data) -> list:
 def _factor_sum(terms, m: int, assoc: str = "balanced") -> ControlledDiagram:
     """``_factor_sum_into`` as a controlled diagram of its own, off a W fan
     shaped by ``assoc``: ``_sum_template``'s diagram with its weight boxes
-    rebound to the terms' coefficients.
+    rebound to the terms' coefficients (``graph.rebind``).
 
     The diagram gets its own node dict, lists and weight ``Node``s and
     shares every other ``Node`` with the template, which nothing mutates
-    (rewrites copy first), so no diagram handed out changes.  It is not
-    validated again: validity depends on labels only through "a ZBox label
-    is not None", and every port and edge is the validated template's.
+    (rewrites copy first), so no diagram handed out changes.
     """
     labels = tuple(tuple(labels) for _, labels, _ in terms)
     tpl, weight_ids = _sum_template(
         m, assoc, _weighted(terms), labels, repr(labels),
         tuple(tuple(conj) for _, _, conj in terms))
-    nodes = dict(tpl.nodes)
-    for nid, (alpha, _, _) in zip(weight_ids, terms):
-        nodes[nid] = Node(nid, ZBOX, tpl.nodes[nid].ports, complex(alpha),
-                          "weight")
     return ControlledDiagram(
-        Diagram(nodes, list(tpl.edges), list(tpl.inputs), list(tpl.outputs),
-                list(tpl.regions)), "matrix", m)
+        rebind(tpl, weight_ids, [alpha for alpha, _, _ in terms]), "matrix",
+        m)
 
 
 @lru_cache(maxsize=8)
@@ -377,7 +375,7 @@ def _sum_template(m: int, assoc: str, weighted: bool, labels: tuple,
     for ref in _factor_sum_into(b, terms, fan, data):
         b.wire(ref, b.output())
     d = b.build()
-    return d, [n.id for n in d.nodes.values() if n.tag == "weight"]
+    return d, tuple(n.id for n in d.nodes.values() if n.tag == "weight")
 
 
 # row a maps a qubit's bit pair 2 row + column to letter a: conj(P_a) / 2
@@ -402,10 +400,18 @@ def _pauli_terms(matrix) -> tuple:
     coeffs = matrix.reshape((2,) * (2 * m)).transpose(pairs).reshape(-1)
     for _ in range(m):   # each pass maps the leading pair and rotates it last
         coeffs = (_PAULI_MAP @ coeffs.reshape(4, -1)).T.reshape(-1)
-    keep = np.flatnonzero(coeffs) if coeffs.any() else [0]
-    return [(coeffs[k], *_letters(["IXYZ"[(k >> 2 * (m - 1 - q)) & 3]
-                                   for q in range(m)]))
-            for k in keep], m
+    keep = np.flatnonzero(coeffs).tolist() if coeffs.any() else [0]
+    letters = _string_letters(m)
+    return [(coeffs[k], *letters[k]) for k in keep], m
+
+
+@lru_cache(maxsize=4)
+def _string_letters(m: int) -> list:
+    """``_letters`` of each Pauli string on m qubits, as tuples, by the
+    string's index in ``_pauli_terms``' order."""
+    return [tuple(map(tuple, _letters(["IXYZ"[(k >> 2 * (m - 1 - q)) & 3]
+                                       for q in range(m)])))
+            for k in range(4 ** m)]
 
 
 def _chain_sum(matrix) -> tuple:

@@ -33,6 +33,11 @@ bit-identical to contracting pair by pair with ``np.tensordot``.
 and hands the same plan out again for any diagram of one of them, whatever
 its labels: a controlled matrix of a given size, say, is planned once, not
 once per matrix.  Plans are shared, so callers treat them as read-only.
+The lookup goes by the diagram's structure key (``graph.structure_key``),
+which is computed once per diagram, hashed once, and shared by a rebound
+diagram with its template and by the plugs of a template's rebinds at the
+same wires: such a diagram is looked up and checked by identity, walking
+nothing.
 
 A plan compares every run with its last one.  While they total at most
 2 MiB, it keeps the arrays of its last run (its memo): the top-level
@@ -45,8 +50,12 @@ the changed tensors' paths to the last step, and every other result is the
 kept one: the idle of a controlled diagram, run after its discharge, runs
 the 18 of a 4x4's 251 steps that the control's label reaches, and a
 discharge with new coefficients, run after another matrix's idle, runs the
-66 that its 16 weights and the control reach.  The same ``np.dot`` on the
-same arrays gives the same bits, so every matrix stays bit-identical.  No
+66 that its 16 weights and the control reach.  When the two runs are
+rebinds of one template (``graph.rebind``, carried on by ``plug_basis``),
+every label outside the slots they set is the template's, so the run
+compares only the union of both runs' slots: 17 of a 4x4 discharge's 252
+labels.  The same ``np.dot`` on the same arrays gives the same bits, so
+every matrix stays bit-identical.  No
 returned matrix shares memory with a memo or with this module's shared
 tensors, which are read-only.
 
@@ -73,7 +82,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import HAD, IN, OUT, W, ZBOX, Diagram, DiagramError
+from .graph import HAD, IN, OUT, W, ZBOX, Diagram, DiagramError, structure_key
 
 DEFAULT_CAP = 12
 DEFAULT_TOL = 1e-10
@@ -112,17 +121,8 @@ def node_tensor(node) -> np.ndarray:
     raise DiagramError(f"no tensor for node kind {node.kind!r}")
 
 
-def _structure(d: Diagram) -> tuple:
-    """What a contraction plan depends on: the edges in order, the inputs,
-    the outputs, (id, kind, ports) of each node, sorted by id, and the
-    regions."""
-    return (tuple(d.edges), tuple(d.inputs), tuple(d.outputs),
-            tuple((nid, n.kind, n.ports) for nid, n in sorted(d.nodes.items())),
-            tuple(map(tuple, d.regions)))
-
-
 def _network(structure: tuple, cap: int):
-    """The tensors of a diagram with ``_structure`` ``structure`` as (node
+    """The tensors of a diagram with ``structure_key`` ``structure`` as (node
     id, edge ids) pairs, one per interior node and one per
     boundary-to-boundary wire (node id None, a 2x2 identity); the self-loop
     traces of each node that has any, as {node id: (axis1, axis2) pairs
@@ -294,6 +294,20 @@ def _fold(structure: tuple, tensors: list, loops: dict):
             [(n, steps) for n, steps, _ in templates])
 
 
+class _Labels(list):
+    """The label per tensor of a run, with the template its diagram was
+    rebound from (None if it was not) and the tensor numbers of its slots
+    (see ``graph.Diagram``)."""
+
+    __slots__ = ("template", "slots")
+
+
+def _changed(labels: list, old: list, positions) -> list:
+    """The tensor numbers among ``positions`` whose label in ``labels``
+    is not the one in ``old``."""
+    return [pos for pos in positions if labels[pos] != old[pos]]
+
+
 def _execute(steps: list, arrs: list, redo, free: bool) -> None:
     """Run the steps numbered in ``redo``, in ascending order, on ``arrs``:
     the tensors, then one slot per step, where the step's result goes.  A
@@ -330,7 +344,9 @@ class ContractionPlan:
     and every top-level step result but the last.  Each run is compared
     with the memo: it takes a kept tensor for a node whose label is the
     kept one and a kept region tensor for a region whose template and
-    labels are a kept one's.  The run then follows each changed tensor to
+    labels are a kept one's.  If the run and the memo's run are rebinds of
+    one template, only the labels of the slots either set are compared;
+    otherwise every label is.  The run then follows each changed tensor to
     the last step through the step that consumes it (a list made on the
     plan's second run) and runs only the steps on those paths, and the
     last, to the same bits; every other result is a kept one.  Each run
@@ -338,7 +354,7 @@ class ContractionPlan:
     changing it, so concurrent runs see one whole memo or another.
     """
 
-    structure: tuple = field(repr=False)   # ``_structure`` of the diagram
+    structure: tuple = field(repr=False)   # ``structure_key`` of the diagram
     tensors: list        # node id per tensor, None for a boundary wire
     loops: dict          # node id -> self-loop traces, for nodes with any
     steps: list          # (i, j, perm_a, shape_a, perm_b, shape_b, out_shape)
@@ -352,19 +368,29 @@ class ContractionPlan:
     flops: int
     memo_bytes: int      # what a memo holds: ``tensors``, region tensors,
                          # steps but the last
-    # None before the first run, then (the label per tensor, ``_execute``'s
-    # arrays but the last, the region tensors by (template number, labels))
+    # None before the first run, then (the ``_Labels`` of the run,
+    # ``_execute``'s arrays but the last, the region tensors by (template
+    # number, labels))
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
 
     def run(self, d: Diagram) -> np.ndarray:
         """Evaluate ``d``.  ``d``'s structure is checked before any tensor
-        is made.  No returned matrix shares memory with another, with the
+        is made: by identity with the plan's key, and by value when that
+        fails.  No returned matrix shares memory with another, with the
         memo or with a module constant."""
-        if _structure(d) != self.structure:
+        key = structure_key(d)
+        if key is not self.structure and key != self.structure:
             raise DiagramError(
                 "diagram does not have the structure the plan was made for")
         return self._run(d)
+
+    @functools.cached_property
+    def _position(self) -> dict:
+        """The tensor number of each node with a top-level tensor; made on
+        the first run of a rebound diagram."""
+        return {nid: pos for pos, nid in enumerate(self.tensors)
+                if nid is not None}
 
     @functools.cached_property
     def _consumer(self) -> list:
@@ -396,16 +422,34 @@ class ContractionPlan:
         if not self.tensors and not self.regions:
             return np.ones((1, 1), dtype=complex)
         n, n_steps = len(self.tensors), len(self.steps)
-        labels = [None if nid is None else d.nodes[nid].label
-                  for nid in self.tensors]
+        nodes, tensors = d.nodes, self.tensors
         # read the memo once: another thread may replace it
         old, arrs, kept = self._memo or (None, None, {})
+        origin, slots = d._origin, ()
+        if origin is not None:
+            position = self._position
+            slots = tuple(position[nid] for nid in origin[2]
+                          if nid in position)
+        if old is not None and origin is not None \
+                and origin[0] is old.template:
+            # both runs share every label outside their slots with the
+            # template, and the plan's structure with each other
+            compare = set(slots).union(old.slots)
+            labels = _Labels(old)
+            for pos in compare:
+                labels[pos] = nodes[tensors[pos]].label
+        else:
+            labels = _Labels(None if nid is None else nodes[nid].label
+                             for nid in tensors)
+            compare = range(n)
+        labels.template = origin and origin[0]
+        labels.slots = slots
         made: dict = {}
 
         def region(k, first):
             size, steps = self.templates[k]
             nids = range(first, first + size)
-            key = (k, tuple(d.nodes[nid].label for nid in nids))
+            key = (k, tuple(nodes[nid].label for nid in nids))
             if key not in made:
                 arr = kept.get(key)
                 if arr is None:
@@ -418,16 +462,15 @@ class ContractionPlan:
 
         fresh = [region(*r) for r in self.regions]
         if old is None:
-            arrs = [_tensor(d, nid, self.loops) for nid in self.tensors]
+            arrs = [_tensor(d, nid, self.loops) for nid in tensors]
             arrs += fresh + [None] * n_steps
             redo = range(n_steps)
         else:
             # the memo keeps all results but the last
             arrs = arrs + [None] if n_steps else list(arrs)
-            changed = [pos for pos, (a, b) in enumerate(zip(labels, old))
-                       if a != b]
+            changed = _changed(labels, old, compare)
             for pos in changed:
-                arrs[pos] = _tensor(d, self.tensors[pos], self.loops)
+                arrs[pos] = _tensor(d, tensors[pos], self.loops)
             changed += [pos for pos, a in enumerate(fresh, n)
                         if a is not arrs[pos]]
             arrs[n:n + len(fresh)] = fresh
@@ -456,13 +499,13 @@ def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP) -> ContractionPlan:
     (regions included) of one planned recently gets that same plan back,
     so the plan is shared and must not be changed.
     """
-    return _plan(_structure(d), cap)
+    return _plan(structure_key(d), cap)
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(structure: tuple, cap: int) -> ContractionPlan:
-    """``plan_contraction`` of a diagram with ``_structure`` ``structure``;
-    an error propagates and is never kept."""
+    """``plan_contraction`` of a diagram with ``structure_key``
+    ``structure``; an error propagates and is never kept."""
     tensors, loops, external = _network(structure, cap)
     regions, templates = [], []
     if structure[4]:

@@ -6,8 +6,9 @@ approximately; a truncated power series does too; and the power-basis
 expansion with Putzer coefficients is exact at small qubit counts.  Both
 series are one controlled polynomial in Horner form (``_power_series``).
 Every route takes t as a number and writes it into ZBox labels; a
-commuting exponential keeps its gadgets' slopes and writes the labels
-exp(i * slope * t) at each t it is asked for (``ExponentialDiagram.at``).
+commuting exponential keeps its gadgets' slopes, builds their chain once
+and rebinds its labels exp(i * slope * t) at each t it is asked for
+(``ExponentialDiagram.at``).
 Dropped global phases are always recorded next to the diagram, never
 silently.
 """
@@ -15,6 +16,7 @@ silently.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +26,7 @@ from .controlled import (_CONJ_FOR_LETTER, ControlledDiagram,
                          _attach_conjugation, _factor_sum_into, _fan,
                          _gate_arms)
 from .evaluate import HAD_MATRIX, eval_diagram
-from .graph import Builder, Diagram, DiagramError, attach_pink
+from .graph import Builder, Diagram, DiagramError, attach_pink, rebind
 from .pauli import (PauliString, PauliSum, _hamiltonian_terms,
                     controlled_pauli_string, oracle_matrix, strings_commute)
 
@@ -34,7 +36,7 @@ class ExponentialDiagram:
     """Phase gadgets on ``m`` wires plus their recorded dropped global phase.
 
     ``gadgets`` are (string, slope) pairs, the first acting first.
-    ``at(t)`` writes them in series with hat labels exp(i * slope * t);
+    ``at(t)`` is their chain in series with hat labels exp(i * slope * t);
     ``eval(t)`` is its matrix and ``unitary(t)`` multiplies the phase
     exp(i * phase_slope * t) back in.
     """
@@ -43,23 +45,31 @@ class ExponentialDiagram:
     gadgets: list
     phase_slope: float
 
+    @functools.cached_property
+    def _template(self) -> tuple:
+        """The gadget chain, built and validated on the first ``at``, and
+        its hat boxes' ids in gadget order."""
+        d = _chain(self.m, [(p, 1.0) for p, _ in self.gadgets]).build()
+        return d, tuple(n.id for n in d.nodes.values() if n.tag == "hat")
+
     def at(self, t: float) -> Diagram:
-        return _chain(self.m, [(p, cmath.exp(1j * slope * t))
-                               for p, slope in self.gadgets]).build()
+        """The chain with its hats rebound to time t, every ``Node`` of it
+        new (see ``graph.rebind``)."""
+        return self._rebound(t, share=False)
+
+    def _rebound(self, t: float, share: bool) -> Diagram:
+        template, hats = self._template
+        return rebind(template, hats, [cmath.exp(1j * slope * t)
+                                       for _, slope in self.gadgets],
+                      share=share)
 
     def eval(self, t: float) -> np.ndarray:
-        return eval_diagram(self.at(t))
+        # the diagram is not handed out, so it may share the template's
+        # nodes
+        return eval_diagram(self._rebound(t, share=True))
 
     def unitary(self, t: float) -> np.ndarray:
         return cmath.exp(1j * self.phase_slope * t) * self.eval(t)
-
-
-@dataclass
-class Gadget(ExponentialDiagram):
-    """Phase gadget of one Pauli string; angle theta_coeff * t."""
-
-    string: PauliString = None
-    theta_coeff: float = 0.0
 
 
 def _gadget_into(b: Builder, p: PauliString, label, data) -> list:
@@ -87,7 +97,7 @@ def _gadget_into(b: Builder, p: PauliString, label, data) -> list:
     return data
 
 
-def pauli_gadget(p: PauliString, theta_coeff: float) -> Gadget:
+def pauli_gadget(p: PauliString, theta_coeff: float) -> ExponentialDiagram:
     """Gadget whose unitary at time t is exp(-i * theta_coeff * t / 2 * P).
 
     The raw eval carries an extra exp(i * theta / 2); the returned record
@@ -97,8 +107,7 @@ def pauli_gadget(p: PauliString, theta_coeff: float) -> Gadget:
         raise DiagramError(
             "all-identity string is a global phase, not a gadget")
     theta_coeff = float(theta_coeff)
-    return Gadget(p.m, [(p, theta_coeff)], -theta_coeff / 2.0, p,
-                  theta_coeff)
+    return ExponentialDiagram(p.m, [(p, theta_coeff)], -theta_coeff / 2.0)
 
 
 def _require_real(terms):

@@ -12,7 +12,9 @@ Caps, cups, swaps and plain wires are pure wiring: edges between boundary
 nodes, with no interior node at all.
 
 ``compose_seq``, ``compose_par`` (of any number of diagrams) and ``splice``
-all copy through one writer, ``_copy_into``.
+all copy through one writer, ``_copy_into``.  ``rebind`` gives a built
+diagram new labels in some slots without building it again; the result
+and its plugs share the template's structure key (``structure_key``).
 
 Derived generators (triangles, pink spiders, V gates, And boxes, phase
 spiders, n-ary W spiders) expand into the four primitive node kinds at
@@ -54,17 +56,29 @@ class DiagramError(ValueError):
 
 @dataclass
 class Diagram:
-    """Immutable-by-convention ZXW diagram.
+    """Immutable ZXW diagram.
 
     ``nodes`` maps id -> Node, ``edges`` is a list of port-ref pairs, and
-    ``inputs``/``outputs`` list boundary node ids in wire order.  Mutate only
-    through the constructors in this module; rewrites copy first.
+    ``inputs``/``outputs`` list boundary node ids in wire order.  Only the
+    constructors in this module write a diagram or its nodes, and rewrites
+    copy first: code relies on it, since a diagram caches its structure key
+    (``structure_key``) the first time a plan looks it up, and a rebound
+    diagram shares ``Node`` objects with its template.  To change a
+    diagram, change a ``copy()``, which has no key yet.
 
     ``regions`` lists the (start, stop) node-id range of each sub-diagram
     a ``Builder.region`` call wrote (a gadget, a copy of H, a spliced
     arm), which the contraction planner plans once per layout (see
     ``evaluate``).  JSON and ``structural_equal`` ignore them,
     and operations that renumber or rewrite nodes drop them.
+
+    A diagram from ``rebind``, or a ``plug_basis`` of one, records its
+    origin: the template it came from, the input wires plugged since, in
+    order, and its slots, the ids of the nodes whose labels it set (the
+    rebound ones and each plug's basis state).  Every other label is the
+    template's or a plug's constant.  Neither the key nor the origin is
+    compared, printed or serialized, and ``copy()``, rewrites and JSON hand
+    out diagrams without them.
     """
 
     nodes: dict = field(default_factory=dict)
@@ -72,6 +86,12 @@ class Diagram:
     inputs: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     regions: list = field(default_factory=list, repr=False, compare=False)
+    # (template Diagram, plugged wires, slot ids), set by ``rebind`` and
+    # carried on by ``plug_basis``
+    _origin: Optional[tuple] = field(default=None, init=False, repr=False,
+                                     compare=False)
+    _key: Optional[StructureKey] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @property
     def n_inputs(self) -> int:
@@ -89,9 +109,6 @@ class Diagram:
         return Diagram(nodes, [tuple(e) for e in self.edges],
                        list(self.inputs), list(self.outputs),
                        list(self.regions))
-
-    def interior_nodes(self) -> list:
-        return [n for n in self.nodes.values() if n.kind not in (IN, OUT)]
 
     def stats(self) -> dict:
         return {
@@ -177,6 +194,80 @@ def validate(d: Diagram) -> list:
     if sorted(outs) != sorted(d.outputs) or len(set(d.outputs)) != len(d.outputs):
         problems.append("outputs list does not match the set of 'out' nodes")
     return problems
+
+
+class StructureKey(tuple):
+    """A diagram's structure as ``structure_key`` gives it, with its hash
+    computed once, since a plan cache hashes it on every lookup.
+    ``plugged`` maps the input wires plugged into a diagram of this
+    structure, in order, to the plugged diagram's key."""
+
+    def __new__(cls, parts):
+        key = super().__new__(cls, parts)
+        key._hash = tuple.__hash__(key)
+        key.plugged = {}
+        return key
+
+    def __hash__(self):
+        return self._hash
+
+
+def _walk(d: Diagram) -> StructureKey:
+    return StructureKey((
+        tuple(d.edges), tuple(d.inputs), tuple(d.outputs),
+        tuple((nid, n.kind, n.ports) for nid, n in sorted(d.nodes.items())),
+        tuple(map(tuple, d.regions))))
+
+
+def structure_key(d: Diagram) -> StructureKey:
+    """What a contraction plan depends on: the edges in order, the inputs,
+    the outputs, (id, kind, ports) of each node, sorted by id, and the
+    regions.
+
+    It is computed the first time it is asked for and kept on ``d``.  A
+    rebound diagram takes its template's key, walking nothing after the
+    template's first walk.  A plugged one takes the key kept on its
+    template's for the wires plugged: the plugged structure depends on
+    the template's structure and those wires alone, not on the bits, so
+    it is walked once per template and wires."""
+    key = d._key
+    if key is None:
+        if d._origin is None:
+            key = _walk(d)
+        else:
+            template, plugs, _ = d._origin
+            key = structure_key(template)
+            if plugs:
+                known = key.plugged
+                key = known.get(plugs) or known.setdefault(plugs, _walk(d))
+        d._key = key
+    return key
+
+
+def rebind(template: Diagram, slots, labels, share: bool = True) -> Diagram:
+    """``template`` with the ZBox of id slots[i] labelled
+    ``complex(labels[i])``, as ``Builder.zbox`` writes a label: the same
+    node ids, kinds, ports, tags, edges, boundaries and regions.
+
+    The slots get new ``Node``s.  With ``share`` every other ``Node`` is
+    the template's; without it every ``Node`` is new, so that nothing else
+    holds one.  The result records its origin (see ``Diagram``), so it
+    shares the template's structure key.  It is not validated again:
+    validity sees a label only as "a ZBox label is not None", and every
+    port and edge is the template's."""
+    old = template.nodes
+    if share:
+        nodes = dict(old)
+    else:
+        nodes = {nid: Node(nid, n.kind, n.ports, n.label, n.tag)
+                 for nid, n in old.items()}
+    for nid, label in zip(slots, labels):
+        n = old[nid]
+        nodes[nid] = Node(nid, ZBOX, n.ports, complex(label), n.tag)
+    d = Diagram(nodes, list(template.edges), list(template.inputs),
+                list(template.outputs), list(template.regions))
+    d._origin = (template, (), tuple(slots))
+    return d
 
 
 class Builder:
@@ -653,7 +744,10 @@ def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
 
     The result has its own node dict and edge list but shares ``d``'s
     unchanged ``Node`` objects, which nothing mutates (rewrites copy
-    first)."""
+    first).  A plug of a rebound diagram carries its origin on, with the
+    wire and the new basis state's node as one more slot, so every plug
+    of a template's rebinds at the same wires shares one structure key
+    (see ``structure_key``)."""
     if not 0 <= wire < d.n_inputs:
         raise DiagramError(f"no input wire {wire}")
     if bit not in (0, 1):
@@ -676,5 +770,9 @@ def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
     nodes[base + 2] = Node(base + 2, ZBOX, 0, 2.0 ** -0.5 - 1.0, "basis")
     edges.append(((base, 0), (base + 1, 0)))
     edges.append(((base + 1, 1), far))
-    return Diagram(nodes, edges, d.inputs[:wire] + d.inputs[wire + 1:],
-                   list(d.outputs), list(d.regions))
+    out = Diagram(nodes, edges, d.inputs[:wire] + d.inputs[wire + 1:],
+                  list(d.outputs), list(d.regions))
+    if d._origin is not None:
+        template, plugs, slots = d._origin
+        out._origin = (template, plugs + (wire,), slots + (base,))
+    return out

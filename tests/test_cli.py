@@ -1,5 +1,6 @@
 """End-to-end runs of the zxw command line."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -581,3 +582,57 @@ def test_generated_input_never_raises(run):
     assert "Traceback" not in err.getvalue()
     if rc == 2:
         assert err.getvalue().splitlines()[-1].startswith("zxw: error: ")
+
+
+def _leaf_parsers(parser, words=()):
+    """(command words, parser) of every subcommand that runs something."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield list(words), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, words + (name,))
+
+
+def test_no_option_takes_an_abbreviation(ham_file, tmp_path, capsys):
+    # argparse would read ``--t 0.5`` as ``--tol 0.5`` wherever no ``--t``
+    # is defined, and so loosen a verification; every proper prefix of a
+    # long option is refused as an unknown argument instead
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(matrix_to_text(np.eye(2)))
+    diagram = tmp_path / "d.json"
+    diagram.write_text(diagram_to_json(triangle()))
+    base = {
+        ("check-rules",): ["--rule", "S1", "--samples", "1"],
+        ("eval",): [str(diagram)],
+        ("controlled",): ["--matrix", str(matrix)],
+        ("ham", "build"): [ham_file, "--verify"],
+        ("expm",): [ham_file, "--method", "trotter", "--steps", "1",
+                    "--t", "0.5"],
+        ("export",): [str(diagram), "--format", "json"],
+        ("extract-demo",): [],
+    }
+    value = {"--cap": "12", "--tol": "0.5", "--rule": "S1", "--samples": "1",
+             "--seed": "3", "--matrix": str(matrix), "--state": str(matrix),
+             "--sum": "1", "--export": "json", "--method": "trotter",
+             "--t": "0.5", "--order": "2", "--steps": "1", "--format": "json",
+             "--a": "1", "--b": "1"}
+    cases = 0
+    for words, parser in _leaf_parsers(_build_parser()):
+        actions = {s: a for a in parser._actions for s in a.option_strings}
+        for option, action in actions.items():
+            for cut in range(3, len(option)):
+                prefix = option[:cut]
+                if prefix in actions:
+                    continue
+                extra = [prefix] + ([] if action.nargs == 0
+                                    else [value[option]])
+                assert main(words + base[tuple(words)] + extra) == 2, extra
+                out, err = capsys.readouterr()
+                errors = [ln for ln in err.splitlines() if "error:" in ln]
+                assert out == "" and errors == [
+                    "zxw: error: unrecognized arguments: "
+                    + " ".join(extra)], (words, extra)
+                cases += 1
+    assert cases > 40

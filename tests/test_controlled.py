@@ -374,7 +374,7 @@ def _snapshot(d):
 
 
 def _matrix_bits(d):
-    plan = evaluate._plan.__wrapped__(evaluate._structure(d),
+    plan = evaluate._plan.__wrapped__(graph.structure_key(d),
                                       evaluate.DEFAULT_CAP)
     with np.errstate(all="ignore"):
         return plan.run(d).tobytes()
@@ -430,6 +430,28 @@ def test_a_rebound_diagonal_factor_sum_is_a_fresh_build(sums):
         handed_out.append((cd, _snapshot(cd.diagram)))
     for cd, before in handed_out:
         assert _snapshot(cd.diagram) == before
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda m: st.lists(
+    st.lists(_ENTRIES, min_size=4 ** m, max_size=4 ** m),
+    min_size=2, max_size=5)))
+def test_rebound_plugs_run_on_the_shared_plan_as_fresh_builds(draws):
+    # each plug runs on the cached plan, whose memo compares only the
+    # slots when its last run was a rebind of the same template; every
+    # field and every bit of the matrix is a fresh build's on a fresh plan
+    for entries in draws:
+        dim = int(np.sqrt(len(entries)))
+        matrix = np.array(entries, dtype=complex).reshape(dim, dim)
+        cd = controlled_matrix(matrix)
+        want = _fresh_sum(*_pauli_terms(matrix), "chain")
+        for bit in (1, 0, 1):
+            got, ref = (graph.plug_basis(d, 0, bit)
+                        for d in (cd.diagram, want))
+            assert _snapshot(got) == _snapshot(ref)
+            with np.errstate(all="ignore"):
+                bits = plan_contraction(got).run(got).tobytes()
+            assert bits == _matrix_bits(ref)
 
 
 def test_a_signed_zero_label_is_its_own_template():
@@ -541,6 +563,29 @@ def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
     assert len(dots) == len(redo_d) + len(redo_i) == 84
     assert visited == [redo_d, redo_i]
     assert rep == _verify_plug_by_plug(controlled_matrix(b), b)
+
+
+def test_a_warm_verify_walks_no_structure_and_compares_only_slots(
+        monkeypatch):
+    # the plugs of a rebound diagram take the key kept on the template's,
+    # and a run after another rebind of the template compares only the
+    # labels the two set: 16 weights and the basis state
+    rng = np.random.default_rng(12)
+    mats = [_rand_matrix(rng, 4) for _ in range(3)]
+    verify_controlled(controlled_matrix(mats[0]), mats[0])
+    walks, compared, dots = [], [], []
+    real_walk, real_changed, real_dot = graph._walk, evaluate._changed, np.dot
+    monkeypatch.setattr(graph, "_walk",
+                        lambda d: walks.append(d) or real_walk(d))
+    monkeypatch.setattr(evaluate, "_changed", lambda labels, old, positions: (
+        compared.append(len(positions)) or real_changed(labels, old,
+                                                        positions)))
+    monkeypatch.setattr(np, "dot",
+                        lambda *args: dots.append(1) or real_dot(*args))
+    for m in mats[1:]:
+        del compared[:], dots[:]
+        assert verify_controlled(controlled_matrix(m), m)["ok"]
+        assert (walks, compared, len(dots)) == ([], [17, 17], 66 + 18)
 
 
 def test_a_second_verify_of_a_spliced_sum_makes_no_region_tensor(

@@ -1,6 +1,7 @@
 """Design rules of the package, checked on its source and public API."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -451,3 +452,86 @@ def test_time_is_a_number():
         assert "t" not in inspect.signature(fn).parameters, fn.__name__
     assert not hasattr(zxwkit, "resolve_time")
     assert "resolve_time" not in zxwkit.__all__
+
+
+_FIELDS = {"nodes", "edges", "inputs", "outputs"} | {
+    f.name for f in dataclasses.fields(graph.Node)}
+_MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove",
+             "clear", "update", "setdefault", "sort", "reverse"}
+
+
+def _bases(target):
+    """The objects a store to ``target`` changes: a subscript changes its
+    container, a tuple each element."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _bases(elt)
+        return
+    while isinstance(target, (ast.Subscript, ast.Starred)):
+        target = target.value
+    yield target
+
+
+def _field_writes(tree) -> list:
+    """(top-level statement, line) of every assignment, augmented
+    assignment or ``del`` of an attribute named like a field of ``Diagram``
+    or ``Node``, or of an item of one, and of every mutating method call on
+    one."""
+    hits = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                targets = [node.func.value]
+            else:
+                continue
+            hits += [(top, node.lineno) for t in targets
+                     for base in _bases(t)
+                     if isinstance(base, ast.Attribute)
+                     and base.attr in _FIELDS]
+    return hits
+
+
+def _works_on_a_copy(top) -> bool:
+    """Whether ``top`` is ``rules._Work``, which copies the diagram it is
+    given, or a function of one (a parameter annotated ``_Work``)."""
+    if isinstance(top, ast.ClassDef):
+        return top.name == "_Work"
+    return isinstance(top, ast.FunctionDef) and any(
+        isinstance(a.annotation, ast.Name) and a.annotation.id == "_Work"
+        for a in top.args.args)
+
+
+def test_only_constructors_and_the_rewriter_write_a_diagram():
+    # a diagram keeps its structure key and shares nodes with its rebinds,
+    # so outside graph's constructors only the rewriter's scratch copy
+    # assigns to a diagram's nodes, edges or boundaries or a Node's fields
+    writers, offenders = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top, line in _field_writes(tree):
+            if path.name == "graph.py":
+                writers.add(top.name)
+            elif not (path.name == "rules.py" and _works_on_a_copy(top)):
+                offenders.append(f"{path.name}:{line}")
+    assert not offenders, f"diagram written outside graph: {offenders}"
+    assert writers == {"Builder", "transpose_diagram"}
+
+
+def test_field_write_check_sees_writes():
+    tree = ast.parse("def f(d):\n    d.edges[0] = e\n"
+                     "def g(d):\n    d.inputs, x = [], 1\n"
+                     "def h(n):\n    n.label += 1\n"
+                     "def k(d):\n    d.nodes.pop(3)\n"
+                     "def m(d):\n    del d.outputs[0]\n"
+                     "def r(d):\n    arr[d.ports] = 1\n    x = d.nodes\n")
+    assert [line for _, line in _field_writes(tree)] == [2, 4, 6, 8, 10]
+    work = ast.parse("class _Work:\n    pass\n"
+                     "def f(w: _Work):\n    pass\ndef g(w):\n    pass\n")
+    assert [_works_on_a_copy(top) for top in work.body] == [True, True,
+                                                            False]

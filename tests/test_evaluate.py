@@ -24,7 +24,7 @@ from zxwkit import (Builder, CapExceeded, Diagram, DiagramError,
                     structural_equal, taylor_diagram, transpose_diagram,
                     trotter_diagram, triangle, w_diagram, zbox_diagram)
 from zxwkit import evaluate
-from zxwkit.graph import splice
+from zxwkit.graph import splice, structure_key
 from zxwkit.pauli import DiagonalFactorSum
 
 from circuit_strategies import LABELS, circuits
@@ -149,7 +149,7 @@ def _contract_pair(a: np.ndarray, ids_a: list, b: np.ndarray, ids_b: list):
 
 def _reference_network(d):
     """The (array, edge ids) tensors of ``d`` and its external edge ids."""
-    tensors, loops, external = evaluate._network(evaluate._structure(d),
+    tensors, loops, external = evaluate._network(structure_key(d),
                                                  evaluate.DEFAULT_CAP)
     return ([(evaluate._tensor(d, nid, loops), ids)
              for nid, ids in tensors], external)
@@ -414,7 +414,7 @@ def test_one_plan_sweeps_time():
 
 def _fresh_plan(d, cap=evaluate.DEFAULT_CAP):
     """``plan_contraction(d, cap)`` planned anew, past the cache."""
-    return evaluate._plan.__wrapped__(evaluate._structure(d), cap)
+    return evaluate._plan.__wrapped__(structure_key(d), cap)
 
 
 def test_one_structure_is_planned_once():
@@ -456,13 +456,22 @@ def test_plan_errors_are_never_kept():
 
 
 def test_a_diagram_changed_after_planning_leaves_its_plan_alone():
+    # a diagram keeps its structure key once planned, so a change goes
+    # through a copy, which has none: it gets a plan of its own, and the
+    # first plan and its results stay what they were
     d = _controlled().discharge()
     plan = plan_contraction(d)
     want = plan.run(d)
-    d.edges[:] = _rewired(d).edges
-    other = plan_contraction(d)
+    changed = d.copy()
+    changed.edges[:] = _rewired(d).edges
+    other = plan_contraction(changed)
     assert other is not plan
-    assert np.array_equal(other.run(d), _fresh_plan(d).run(d))
+    assert np.array_equal(other.run(changed),
+                          _fresh_plan(changed).run(changed))
+    with pytest.raises(DiagramError):
+        plan.run(changed)
+    assert plan_contraction(d) is plan
+    assert np.array_equal(plan.run(d), want)
     again = _controlled().discharge()
     assert plan_contraction(again) is plan
     assert np.array_equal(plan.run(again), want)

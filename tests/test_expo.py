@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zxwkit import (Circuit, Diagram, DiagramError, Gate, PauliString,
                     cayley_hamilton_diagram, check_anticommuting_gadgets,
@@ -15,7 +17,9 @@ from zxwkit import (Circuit, Diagram, DiagramError, Gate, PauliString,
                     identity, oracle_matrix, parse_pauli_sum, pauli_gadget,
                     putzer_coefficients, scalar_of,
                     structural_equal, taylor_diagram, trotter_diagram)
-from zxwkit.graph import Builder, splice
+from zxwkit import evaluate
+from zxwkit.expo import _chain
+from zxwkit.graph import Builder, splice, structure_key
 
 
 def _expm(h_matrix, t):
@@ -55,6 +59,44 @@ def test_gadget_unitarity():
     g = pauli_gadget(PauliString.from_text("XY"), 0.7)
     u = g.unitary(1.3)
     assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-10
+
+
+def _snapshot(d):
+    """Every field of every node (labels by their bits), the edges in
+    order, the boundaries and the regions."""
+    return ([(n.id, n.kind, n.ports, None if n.label is None
+              else np.array([n.label]).tobytes(), n.tag)
+             for n in d.nodes.values()],
+            list(d.edges), list(d.inputs), list(d.outputs), list(d.regions))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from(["1.0 ZZZ\n2.0 XZX\n0.5 ZIZ",
+                        "0.5 ZZ\n0.3 ZI\n-0.4 IZ", "0.7 XX\n-0.4 ZZ\n0.3 YY",
+                        "-1.5 Y\n0.25 I"]),
+       st.lists(st.sampled_from([0.0, -0.0, 0.3, -1.1, 2.5, 1e-300]),
+                min_size=1, max_size=5))
+def test_a_rebound_chain_is_a_fresh_build(text, times):
+    # at(t) rebinds the hats of a chain built once: each diagram is the
+    # chain written at t in every field, its matrix on the shared plan is
+    # a fresh plan's in every bit, signed zeros included, and no Node is
+    # held by two diagrams
+    w = commuting_exponential(parse_pauli_sum(text))
+    handed_out = []
+    for t in times:
+        d = w.at(t)
+        want = _chain(w.m, [(p, cmath.exp(1j * slope * t))
+                            for p, slope in w.gadgets]).build()
+        assert _snapshot(d) == _snapshot(want)
+        bits = evaluate._plan.__wrapped__(
+            structure_key(want), evaluate.DEFAULT_CAP).run(want).tobytes()
+        assert eval_diagram(d).tobytes() == w.eval(t).tobytes() == bits
+        handed_out.append((d, _snapshot(d)))
+    held = [id(n) for d, _ in handed_out for n in d.nodes.values()]
+    held += [id(n) for n in w._template[0].nodes.values()]
+    assert len(held) == len(set(held))
+    for d, before in handed_out:
+        assert _snapshot(d) == before
 
 
 def test_commuting_exponential_matches_oracle():
