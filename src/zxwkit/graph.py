@@ -146,8 +146,73 @@ def structural_equal(a: Diagram, b: Diagram, tol: float = 0.0) -> bool:
     return a.inputs == b.inputs and a.outputs == b.outputs
 
 
+def _legal(d: Diagram) -> bool:
+    """True only where ``validate``'s report is empty: one walk over the
+    edge ends (each a port in range, none twice, as many as the nodes
+    have ports) and one over the nodes (kinds, labels, port counts and
+    the boundary lists).  False on any defect, or on input the report
+    would raise on, which it then raises."""
+    nodes = d.nodes
+    edges = d.edges
+    ends = set()
+    add = ends.add
+    try:
+        n_edges = len(edges)
+        if not all(map((2).__eq__, map(len, edges))):   # every edge a pair
+            return False
+        for a, b in edges:
+            nid, port = a
+            node = nodes.get(nid)
+            if node is None or not 0 <= port < node.ports:
+                return False
+            nid, port = b
+            node = nodes.get(nid)
+            if node is None or not 0 <= port < node.ports:
+                return False
+            add(a)
+            add(b)
+        ins, outs = [], []
+        total = 0
+        for nid, node in nodes.items():
+            kind = node.kind
+            ports = node.ports
+            if kind == ZBOX:
+                if node.label is None or ports < 0:
+                    return False
+            elif _FIXED_PORTS.get(kind) != ports:
+                return False
+            elif kind == IN:
+                ins.append(nid)
+            elif kind == OUT:
+                outs.append(nid)
+            total += ports
+        # distinct ends, each a port in range, as many as there are ports:
+        # every port is covered exactly once
+        return (len(ends) == 2 * n_edges == total
+                and sorted(ins) == sorted(d.inputs)
+                and len(set(d.inputs)) == len(d.inputs)
+                and sorted(outs) == sorted(d.outputs)
+                and len(set(d.outputs)) == len(d.outputs))
+    except (TypeError, ValueError):
+        return False
+
+
 def validate(d: Diagram) -> list:
-    """Return a list of defect descriptions; empty means the diagram is legal."""
+    """Return a list of defect descriptions; empty means the diagram is legal.
+
+    Legal means: every edge is a pair of (node id, port) ends, each naming
+    a port in range on a node of ``d``; every port of every node is
+    covered by exactly one end; every node has a known kind, every ZBox a
+    label and every fixed-kind node its port count; and ``inputs`` and
+    ``outputs`` list each 'in' and each 'out' node exactly once.
+
+    A legal diagram is proved in one walk over the edge ends and one over
+    the nodes (``_legal``).  Only when that walk finds a defect does the
+    careful walk below run, which names every defect in a fixed order, or
+    raises where a part of ``d`` is not of the expected shape at all.
+    """
+    if _legal(d):
+        return []
     problems = []
     nodes = d.nodes
     seen: dict = {}
@@ -200,12 +265,16 @@ class StructureKey(tuple):
     """A diagram's structure as ``structure_key`` gives it, with its hash
     computed once, since a plan cache hashes it on every lookup.
     ``plugged`` maps the input wires plugged into a diagram of this
-    structure, in order, to the plugged diagram's key."""
+    structure, in order, to the plugged diagram's key, and ``plug_sites``
+    maps them to where ``plug_basis`` made the last of those plugs: the
+    index of the edge it cut, that edge's far end and the first id of the
+    nodes it added."""
 
     def __new__(cls, parts):
         key = super().__new__(cls, parts)
         key._hash = tuple.__hash__(key)
         key.plugged = {}
+        key.plug_sites = {}
         return key
 
     def __hash__(self):
@@ -333,12 +402,14 @@ class Builder:
     def wire(self, a, b) -> None:
         a = self.leg(a) if isinstance(a, int) else a
         b = self.leg(b) if isinstance(b, int) else b
-        for end in (a, b):
-            if end in self._used and not (a == b):
-                raise DiagramError(f"port {end!r} wired twice")
+        used = self._used
+        if a in used and a != b:
+            raise DiagramError(f"port {a!r} wired twice")
+        if b in used and a != b:
+            raise DiagramError(f"port {b!r} wired twice")
         self._edges.append((a, b))
-        self._used.add(a)
-        self._used.add(b)
+        used.add(a)
+        used.add(b)
 
     def region(self, write, *args):
         """Call ``write(self, *args)`` and record the ids of the nodes it
@@ -747,7 +818,9 @@ def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
     first).  A plug of a rebound diagram carries its origin on, with the
     wire and the new basis state's node as one more slot, so every plug
     of a template's rebinds at the same wires shares one structure key
-    (see ``structure_key``)."""
+    (see ``structure_key``).  Where the template's key is known, the
+    plug reads the edge to cut and the new ids from its ``plug_sites``,
+    which the first such plug of each wire records, and scans nothing."""
     if not 0 <= wire < d.n_inputs:
         raise DiagramError(f"no input wire {wire}")
     if bit not in (0, 1):
@@ -755,15 +828,27 @@ def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
     nodes = dict(d.nodes)
     edges = list(d.edges)
     target = d.inputs[wire]
-    hanging = next(idx for idx, e in enumerate(edges)
-                   if e[0][0] == target or e[1][0] == target)
-    (a, pa), (bb, pb) = edges.pop(hanging)
-    far = (bb, pb) if a == target else (a, pa)
-    if far == (target, 0):
-        # the input wired to itself; impossible after validation
-        raise DiagramError("degenerate wire")
     del nodes[target]
-    base = max(nodes) + 1 if nodes else 0
+    sites = site = None
+    if d._origin is not None:
+        template, plugs, slots = d._origin
+        plugs += (wire,)
+        if template._key is not None:
+            sites = template._key.plug_sites
+            site = sites.get(plugs)
+    if site is None:
+        hanging = next(idx for idx, e in enumerate(edges)
+                       if e[0][0] == target or e[1][0] == target)
+        (a, pa), (bb, pb) = edges[hanging]
+        far = (bb, pb) if a == target else (a, pa)
+        if far == (target, 0):
+            # the input wired to itself; impossible after validation
+            raise DiagramError("degenerate wire")
+        site = (hanging, far, max(nodes) + 1 if nodes else 0)
+        if sites is not None:
+            sites[plugs] = site
+    hanging, far, base = site
+    del edges[hanging]
     # pink state expansion: ZBox(exp(i tau)) - H - wire, plus scalar 1/sqrt(2)
     nodes[base] = Node(base, ZBOX, 1, -1.0 + 0j if bit else 1.0 + 0j, "basis")
     nodes[base + 1] = Node(base + 1, HAD, 2, tag="basis")
@@ -773,6 +858,5 @@ def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
     out = Diagram(nodes, edges, d.inputs[:wire] + d.inputs[wire + 1:],
                   list(d.outputs), list(d.regions))
     if d._origin is not None:
-        template, plugs, slots = d._origin
-        out._origin = (template, plugs + (wire,), slots + (base,))
+        out._origin = (template, plugs, slots + (base,))
     return out

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import DEFAULT_TOL, equal_up_to_scalar, eval_diagram
-from .graph import (HAD, W, ZBOX, Builder, Diagram, DiagramError, and_box,
-                    cap, compose_par, compose_seq, hadamard_diagram,
+from .graph import (HAD, W, ZBOX, Builder, Diagram, DiagramError, Node,
+                    and_box, cap, compose_par, compose_seq, hadamard_diagram,
                     identity, pink_spider, scalar_box, swap_pair,
                     transpose_diagram, triangle, validate, w_diagram,
                     w_spider, wire_permutation, zbox_diagram)
@@ -558,9 +558,10 @@ class _Queue:
 
     __slots__ = ("heap", "held")
 
-    def __init__(self):
-        self.heap: list = []
-        self.held: set = set()
+    def __init__(self, keys: list):
+        # distinct keys in increasing order are a heap as they stand
+        self.heap: list = keys
+        self.held: set = set(keys)
 
     def __bool__(self) -> bool:
         return bool(self.heap)
@@ -582,27 +583,53 @@ class _Work:
     ``edges`` maps edge id -> edge in list order (a new edge gets a fresh,
     larger id), ``ports`` maps every covered (node, port) to its
     (edge id, end), and ``queues`` holds one candidate queue per pass.
+
+    The set-up walks the nodes once (copying each ``Node``, numbering it
+    and queueing it) and the edges once (indexing their ends and queueing
+    them), with the candidates ``_queue_node`` and ``_queue_edge`` would
+    push.  Nothing is checked here: ``to_diagram`` validates the result.
     """
 
     def __init__(self, d: Diagram, passes):
-        cp = d.copy()
-        self.nodes = cp.nodes
-        self.edges = dict(enumerate(cp.edges))
-        self.next_eid = len(self.edges)
-        self.ports = {}
-        for eid, (a, b) in self.edges.items():
-            self.ports[a] = (eid, 0)
-            self.ports[b] = (eid, 1)
-        self.inputs = cp.inputs
-        self.outputs = cp.outputs
+        pending = {p: [] for p in passes}
+        hopf, scalars, unit, loops = (pending.get(p) for p in (
+            _pass_hopf, _pass_scalars, _pass_unit, _pass_loops))
+        same_kind = {kind: pending.get(p) for kind, p in _EDGE_PASSES.items()}
+        self.nodes = nodes = {}
+        self.pos = pos = {}
+        for i, (nid, n) in enumerate(d.nodes.items()):
+            kind, ports = n.kind, n.ports
+            nodes[nid] = Node(nid, kind, ports, n.label, n.tag)
+            pos[nid] = i
+            if kind == HAD:
+                q = hopf
+            elif kind == ZBOX and ports in (0, 2):
+                q = scalars if ports == 0 else unit
+            else:
+                continue
+            if q is not None:
+                q.append(i)
+        self.order = list(nodes)
+        self.edges = edges = dict(enumerate(map(tuple, d.edges)))
+        self.next_eid = len(edges)
+        self.ports = index = {}
+        for eid, e in edges.items():
+            (an, _), (bn, _) = a, b = e
+            index[a] = (eid, 0)
+            index[b] = (eid, 1)
+            kind = nodes[an].kind
+            if an == bn:
+                q = loops if kind == ZBOX else None
+            elif kind == nodes[bn].kind:
+                q = same_kind.get(kind)
+            else:
+                continue
+            if q is not None:
+                q.append(eid)
+        self.inputs = list(d.inputs)
+        self.outputs = list(d.outputs)
         self.scalar = 1.0 + 0j
-        self.order = list(self.nodes)
-        self.pos = {nid: i for i, nid in enumerate(self.order)}
-        self.queues = {p: _Queue() for p in passes}
-        for eid in self.edges:
-            _queue_edge(self, eid)
-        for nid in self.order:
-            _queue_node(self, nid)
+        self.queues = {p: _Queue(keys) for p, keys in pending.items()}
 
     def to_diagram(self) -> Diagram:
         d = Diagram(self.nodes, list(self.edges.values()), self.inputs,

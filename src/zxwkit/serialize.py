@@ -47,7 +47,13 @@ def _int(x) -> int:
 
 def diagram_from_dict(data: dict) -> Diagram:
     """Diagram from the JSON schema; a malformed entry is reported with
-    its place (``edge k`` or ``node k``) and what is wrong with it."""
+    its place (``edge k`` or ``node k``) and what is wrong with it.
+
+    Ids and ports must be ``int`` (a ``bool`` is not), labels finite, kinds
+    known and ids distinct.  Well-formed input is read in one pass with
+    inline type checks; only an entry that fails one goes through ``_int``,
+    which names the value that is not an integer.  The result is then
+    checked by ``validate``, whose defects are reported as invalid JSON."""
     where, k = "diagram", None
     try:
         nodes = {}
@@ -56,13 +62,20 @@ def diagram_from_dict(data: dict) -> Diagram:
         for k, e in enumerate(data["edges"]):
             where = "edge"
             (a, pa), (b, pb) = e
-            edges.append(((_int(a), _int(pa)), (_int(b), _int(pb))))
-            for nid, port in edges[-1]:
-                port_count[nid] = max(port_count.get(nid, 0), port + 1)
+            if not (type(a) is type(pa) is type(b) is type(pb) is int):
+                a, pa, b, pb = map(_int, (a, pa, b, pb))
+            edges.append(((a, pa), (b, pb)))
+            # a node's port count is its highest port + 1
+            if pa >= port_count.get(a, 0):
+                port_count[a] = pa + 1
+            if pb >= port_count.get(b, 0):
+                port_count[b] = pb + 1
         where = "diagram"
         for k, entry in enumerate(data["nodes"]):
             where = "node"
-            nid = _int(entry["id"])
+            nid = entry["id"]
+            if type(nid) is not int:
+                _int(nid)
             if nid in nodes:
                 raise ValueError(f"duplicate id {nid}")
             kind = _KINDS_BACK.get(entry["kind"])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import zxwkit
-from zxwkit import evaluate, graph
+from zxwkit import evaluate, graph, rules, serialize
 
 PACKAGE = Path(zxwkit.__file__).resolve().parent
 
@@ -159,6 +159,24 @@ def test_scan_check_sees_the_scanning_rewriter():
                         "_pass_scalars", "_pass_hh", "_pass_hopf",
                         "_pass_shear_pair", "_renumber_zbox", "_effect_on",
                         "_peer"}
+
+
+def test_a_cold_small_request_validates_three_times(monkeypatch):
+    # parse, build, simplify_basic, JSON round trip and eval: the
+    # template's build, the rewriter's result and the JSON read each run
+    # the whole check once; every module's binding counts into one list
+    calls = []
+    real = graph.validate
+    for mod in (graph, rules, serialize):
+        monkeypatch.setattr(mod, "validate",
+                            lambda d: calls.append(d) or real(d))
+    h = zxwkit.parse_pauli_sum("0.5 XY\n-1.0 ZZ\n2.0 IY")
+    _, discharged = zxwkit.build_hamiltonian_diagram(h)
+    res = zxwkit.simplify_basic(discharged)
+    d = zxwkit.diagram_from_json(zxwkit.diagram_to_json(res.diagram))
+    zxwkit.eval_diagram(d)
+    assert len(calls) == 3
+    assert calls[1] is res.diagram and calls[2] is d
 
 
 def test_controlled_matrix_builds_one_diagram(monkeypatch):

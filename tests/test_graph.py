@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from zxwkit import (Builder, Diagram, DiagramError, and_box, cap, compose_par,
                     compose_seq, cup, green_phase, hadamard_diagram,
-                    identity, make_generator, pink_spider, plug_basis,
-                    scalar_box, scalar_of, structural_equal, swap_pair,
-                    transpose_diagram, triangle, v_gate, validate, w_diagram,
+                    identity, make_generator, parse_pauli_sum, pink_spider,
+                    plug_basis, scalar_box, scalar_of, simplify_basic,
+                    structural_equal, swap_pair, transpose_diagram,
+                    trotter_diagram, triangle, v_gate, validate, w_diagram,
                     w_spider, wire_permutation, zbox_diagram)
 from zxwkit.evaluate import eval_diagram
-from zxwkit.graph import splice, structure_key
+from zxwkit.graph import Node, _legal, rebind, splice, structure_key
+from zxwkit.pauli import build_hamiltonian_diagram
 
 from circuit_strategies import circuits
+from validate_reference import reference_validate
 
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 
@@ -338,6 +341,13 @@ def test_double_use_of_port_rejected():
     b.wire(i, (h, 0))
     with pytest.raises(DiagramError):
         b.wire(b.input(), (h, 0))
+    # the message names the first end already wired
+    with pytest.raises(DiagramError, match=r"^port \(1, 0\) wired twice$"):
+        b.wire((h, 0), (h, 1))
+    with pytest.raises(DiagramError, match=r"^port \(0, 0\) wired twice$"):
+        b.wire((h, 1), i)
+    with pytest.raises(DiagramError, match=r"^port \(0, 0\) wired twice$"):
+        b.wire(i, (h, 0))
 
 
 @pytest.mark.parametrize("make", [lambda: identity(2), swap_pair, cap, cup,
@@ -361,3 +371,152 @@ def test_splice_wires_sub_diagram_in_directly(make):
     if ins:
         with pytest.raises(DiagramError):
             splice(b, sub, ins[:-1])
+
+
+def test_a_plug_reads_its_site_from_the_template_key():
+    # once the template's key is known, a plug of a rebind reads the edge
+    # it cuts and the ids it adds from the key: the same diagram, edge for
+    # edge, as a plug that scans (of a copy, which has no origin)
+    template = compose_seq(zbox_diagram(0.5j, 2, 2),
+                           compose_par(hadamard_diagram(), triangle()))
+    zbox = next(nid for nid, n in template.nodes.items() if n.label == 0.5j)
+    structure_key(template)
+    for label in (2.0, -1j):
+        d = rebind(template, [zbox], [label])
+        for wire, bit in ((0, 1), (1, 0), (0, 0)):
+            got, want = plug_basis(d, wire, bit), plug_basis(d.copy(), wire,
+                                                            bit)
+            assert (got.nodes, got.edges, got.inputs, got.outputs) == (
+                want.nodes, want.edges, want.inputs, want.outputs)
+        got = plug_basis(plug_basis(d, 1, 1), 0, 0)
+        want = plug_basis(plug_basis(d.copy(), 1, 1), 0, 0)
+        assert (got.nodes, got.edges, got.inputs) == (want.nodes, want.edges,
+                                                      want.inputs)
+    assert set(template._key.plug_sites) == {(0,), (1,), (1, 0)}
+
+
+def _outcome(check, d):
+    """What ``check(d)`` returns, or the type and message it raises."""
+    try:
+        return check(d)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_SUMS = st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.tuples(st.sampled_from([0.5, -1.0, 2.0]),
+              st.text("IXYZ", min_size=m, max_size=m)),
+    min_size=1, max_size=4)).map(
+        lambda terms: parse_pauli_sum(
+            "\n".join(f"{c} {s}" for c, s in terms)))
+
+
+@st.composite
+def _legal_diagrams(draw):
+    """A circuit, a Hamiltonian build (controlled, discharged or
+    rewritten) or a Trotter chain."""
+    pick = draw(st.sampled_from(["circuit", "controlled", "discharged",
+                                 "rewritten", "trotter"]))
+    if pick == "circuit":
+        return draw(circuits())[0]
+    h = draw(_SUMS)
+    if pick == "trotter":
+        return trotter_diagram(h, draw(st.integers(1, 3)), 0.5)
+    cd, discharged = build_hamiltonian_diagram(h)
+    if pick == "controlled":
+        return cd.diagram
+    if pick == "discharged":
+        return discharged
+    return simplify_basic(discharged).diagram
+
+
+_EDGE_MUTATIONS = ("drop end", "duplicate end", "missing node",
+                   "port too high", "negative port", "port True",
+                   "three ends", "one end", "iterator edge")
+_MUTATIONS = [*_EDGE_MUTATIONS, "unknown kind", "no label", "port count",
+              "permute inputs", "permute outputs", "duplicate input",
+              "duplicate output", "missing input", "missing output"]
+
+
+def _mutate(d: Diagram, draw) -> Diagram:
+    """A copy of ``d`` with one defect, or one legal change, drawn."""
+    d = d.copy()
+    nodes, edges = d.nodes, d.edges
+    what = draw(st.sampled_from(_MUTATIONS))
+    if what in _EDGE_MUTATIONS:
+        if not edges:
+            return d
+        i = draw(st.integers(0, len(edges) - 1))
+        j = draw(st.integers(0, 1))
+        end = edges[i][j]
+        nid, port = end
+        if what == "drop end":
+            edges[i] = (edges[i][1 - j],)
+        elif what == "duplicate end":
+            k = draw(st.integers(0, len(edges) - 1))
+            edges[k] = (end, edges[k][1]) if j == 0 else (edges[k][0], end)
+        elif what == "three ends":
+            edges[i] = edges[i] + (end,)
+        elif what == "one end":
+            edges[i] = (end,)
+        elif what == "iterator edge":
+            edges[i] = iter(edges[i])
+        else:
+            if what == "missing node":
+                end = (max(nodes) + 1 + draw(st.integers(0, 3)), port)
+            elif what == "port too high":
+                end = (nid, nodes[nid].ports + draw(st.integers(0, 2)))
+            elif what == "negative port":
+                end = (nid, -1 - draw(st.integers(0, 1)))
+            else:
+                end = (nid, True)
+            edges[i] = (end, edges[i][1]) if j == 0 else (edges[i][0], end)
+    elif what in ("unknown kind", "no label", "port count"):
+        kinds = {"unknown kind": ("zbox", "had", "w", "in", "out"),
+                 "no label": ("zbox",), "port count": ("had", "w", "in",
+                                                        "out")}[what]
+        picks = sorted(nid for nid, n in nodes.items() if n.kind in kinds)
+        if not picks:
+            return d
+        node = nodes[draw(st.sampled_from(picks))]
+        if what == "unknown kind":
+            node.kind = draw(st.sampled_from(["purple", None, "ZBOX"]))
+        elif what == "no label":
+            node.label = None
+        else:
+            node.ports += draw(st.sampled_from([-1, 1]))
+    else:
+        side = "inputs" if "input" in what else "outputs"
+        ids = getattr(d, side)
+        if what.startswith("permute"):
+            ids = list(draw(st.permutations(ids)))
+        elif ids and what.startswith("duplicate"):
+            ids = ids + [draw(st.sampled_from(ids))]
+        elif ids:
+            ids = ids[:]
+            del ids[draw(st.integers(0, len(ids) - 1))]
+        setattr(d, side, ids)
+    return d
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_legal_diagrams(), st.data())
+def test_validate_reports_what_the_reference_reports(d, data):
+    # the one walk proves every built diagram legal; on a single mutation,
+    # validate returns the reference's list, message for message (or
+    # raises as it does)
+    assert _legal(d)
+    assert validate(d) == reference_validate(d) == []
+    bad = _mutate(d, data.draw)
+    assert _outcome(validate, bad) == _outcome(reference_validate, bad)
+
+
+def test_validate_reports_a_negative_port_count():
+    # a scalar box with -1 ports next to an open port: the port count
+    # still adds up, and the report names the open port
+    d = zbox_diagram(1.0, 1, 1).copy()
+    box = next(nid for nid, n in d.nodes.items() if n.kind == "zbox")
+    d.nodes[box].ports += 1
+    d.nodes[99] = Node(99, "zbox", -1, 1.0)
+    assert validate(d) == reference_validate(d) == [
+        f"port ({box},2) covered 0 times, needs exactly 1"]

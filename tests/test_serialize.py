@@ -73,8 +73,11 @@ def test_from_dict_rejects_garbage():
                            "edges": [], "inputs": [], "outputs": []})
     bad = diagram_to_dict(zbox_diagram(1.0, 1, 1))
     bad["edges"].append([[99, 0], [100, 0]])
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError) as err:
         diagram_from_dict(bad)
+    assert str(err.value) == (
+        "invalid diagram JSON: edge endpoint (99, 0) references missing "
+        "node; edge endpoint (100, 0) references missing node")
 
 
 @pytest.mark.parametrize("mangle, message", [
@@ -91,8 +94,19 @@ def test_from_dict_rejects_garbage():
     (lambda d: d["inputs"].append("x"), "diagram: 'x' is not an integer"),
     (lambda d: d["nodes"].append(dict(d["nodes"][0], a=[5.0, 0.0])),
      "node 3: duplicate id 0"),
+    (lambda d: d["nodes"][2].update(id=True),
+     "node 2: True is not an integer"),
+    (lambda d: d["edges"][1][0].__setitem__(1, True),
+     "edge 1: True is not an integer"),
+    (lambda d: d["edges"][1].append([0, 5]),
+     "edge 1: too many values to unpack (expected 2)"),
+    (lambda d: d["nodes"][0].update(a=[1.0]),
+     "node 0: not enough values to unpack (expected 2, got 1)"),
+    (lambda d: d["nodes"][0].update(a=[math.inf, 0.0]),
+     "node 0: non-finite label"),
 ], ids=["kind", "label", "unknown-kind", "edge", "nodes", "outputs",
-        "float-port", "string-id", "string-input", "duplicate-id"])
+        "float-port", "string-id", "string-input", "duplicate-id", "true-id",
+        "true-port", "three-ends", "short-label", "non-finite-label"])
 def test_malformed_json_names_the_field_and_place(mangle, message):
     data = diagram_to_dict(zbox_diagram(1.0, 1, 1))
     mangle(data)
