@@ -23,11 +23,12 @@ terms appear.  So ``_factor_sum`` builds and validates each structure once,
 as a template kept in a small cache, and every call rebinds the template's
 weight boxes to its own coefficients (``graph.rebind``): the 13 random 2x2
 and 4x4 matrices of a benchmark pass build two diagrams, and a rebound 4x4
-takes about 20 us against about 1 ms for a build.  A rebound diagram, and
-each plug of it, records its template and the weight boxes (and basis
-states) it set, so it shares the template's structure key and a plan run
-after another rebind of the same template compares only those labels (see
-``evaluate.ContractionPlan``).
+takes about 20 us against about 1 ms for a build.  A rebound diagram
+records its template and the weight boxes it set, so it shares the
+template's structure key and a plan run after another rebind of the same
+template compares only those labels (see ``evaluate.ContractionPlan``).
+Its discharge and idle are rebinds too: of the template's plug, which the
+template makes once, with the weights and the basis state as slots.
 
 Every builder here returns the diagram as built, unfused; spider fusion
 (``rules.apply_fusion``) is a pass the caller runs when it wants one.
@@ -109,9 +110,10 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     structure, so checking another matrix of the same size and the same
     nonzero Pauli strings redoes for the discharge only the steps its new
     coefficients and the control reach.  The plugs of a rebound diagram
-    share one structure key with every other plug of its template's
-    rebinds, so neither the plan lookup nor the idle's check walks the
-    diagram.
+    are rebinds of its template's one plug at the control, so they share
+    that plug's structure key, neither the plan lookup nor the idle's
+    check walks the diagram, and each run compares only the weights and
+    the basis state.
     """
     dim = 2 ** cd.m
     target = np.asarray(target, dtype=complex)

@@ -35,8 +35,9 @@ its labels: a controlled matrix of a given size, say, is planned once, not
 once per matrix.  Plans are shared, so callers treat them as read-only.
 The lookup goes by the diagram's structure key (``graph.structure_key``),
 which is computed once per diagram, hashed once, and shared by a rebound
-diagram with its template and by the plugs of a template's rebinds at the
-same wires: such a diagram is looked up and checked by identity, walking
+diagram with its template.  A plug of a rebound diagram is a rebind of its
+template's plug, so the plugs of a template's rebinds at one wire share a
+key too: such a diagram is looked up and checked by identity, walking
 nothing.
 
 A plan compares every run with its last one.  While they total at most
@@ -51,13 +52,13 @@ kept one: the idle of a controlled diagram, run after its discharge, runs
 the 18 of a 4x4's 251 steps that the control's label reaches, and a
 discharge with new coefficients, run after another matrix's idle, runs the
 66 that its 16 weights and the control reach.  When the two runs are
-rebinds of one template (``graph.rebind``, carried on by ``plug_basis``),
-every label outside the slots they set is the template's, so the run
-compares only the union of both runs' slots: 17 of a 4x4 discharge's 252
-labels.  The same ``np.dot`` on the same arrays gives the same bits, so
-every matrix stays bit-identical.  No
-returned matrix shares memory with a memo or with this module's shared
-tensors, which are read-only.
+rebinds of one template (``graph.rebind``, or plugs of such rebinds,
+which are rebinds of the template's plug), every label outside the slots
+they set is the template's, so the run compares only the union of both
+runs' slots: 17 of a 4x4 discharge's 252 labels.  The same ``np.dot``
+on the same arrays gives the same bits, so every matrix stays
+bit-identical.  No returned matrix shares memory with a memo or with this
+module's shared tensors, which are read-only.
 
 This greedy schedule is the only one.  It contracts a diagram's
 ``regions`` (what each ``Builder.region`` call wrote: a Trotter chain's
@@ -428,7 +429,7 @@ class ContractionPlan:
         origin, slots = d._origin, ()
         if origin is not None:
             position = self._position
-            slots = tuple(position[nid] for nid in origin[2]
+            slots = tuple(position[nid] for nid in origin[1]
                           if nid in position)
         if old is not None and origin is not None \
                 and origin[0] is old.template:

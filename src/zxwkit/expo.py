@@ -53,20 +53,14 @@ class ExponentialDiagram:
         return d, tuple(n.id for n in d.nodes.values() if n.tag == "hat")
 
     def at(self, t: float) -> Diagram:
-        """The chain with its hats rebound to time t, every ``Node`` of it
-        new (see ``graph.rebind``)."""
-        return self._rebound(t, share=False)
-
-    def _rebound(self, t: float, share: bool) -> Diagram:
+        """The chain with its hats rebound to time t: new hat ``Node``s,
+        every other one the template's (see ``graph.rebind``)."""
         template, hats = self._template
         return rebind(template, hats, [cmath.exp(1j * slope * t)
-                                       for _, slope in self.gadgets],
-                      share=share)
+                                       for _, slope in self.gadgets])
 
     def eval(self, t: float) -> np.ndarray:
-        # the diagram is not handed out, so it may share the template's
-        # nodes
-        return eval_diagram(self._rebound(t, share=True))
+        return eval_diagram(self.at(t))
 
     def unitary(self, t: float) -> np.ndarray:
         return cmath.exp(1j * self.phase_slope * t) * self.eval(t)
@@ -264,8 +258,16 @@ def _eigenvalue_nodes(H: np.ndarray):
                 break
         else:
             clusters.append((v, [v]))
-    gap = np.abs(H @ H.conj().T - H.conj().T @ H).max()
-    normal = gap <= 1e-10 * max(1.0, float(np.abs(H).max())) ** 2
+    # a huge H overflows here: the gap may be inf or NaN and the bound
+    # inf, without a warning or an exception
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(H @ H.conj().T - H.conj().T @ H).max()
+    size = max(1.0, float(np.abs(H).max()))
+    try:
+        bound = 1e-10 * size ** 2
+    except OverflowError:   # a float's ** raises where * would give inf
+        bound = math.inf
+    normal = gap <= bound
     nodes, cluster_id = [], []
     for k, (rep, members) in enumerate(clusters):
         mean = sum(members) / len(members)

@@ -13,8 +13,9 @@ nodes, with no interior node at all.
 
 ``compose_seq``, ``compose_par`` (of any number of diagrams) and ``splice``
 all copy through one writer, ``_copy_into``.  ``rebind`` gives a built
-diagram new labels in some slots without building it again; the result
-and its plugs share the template's structure key (``structure_key``).
+diagram new labels in some slots without building it again, and shares
+the template's structure key (``structure_key``).  A plug of a rebound
+diagram is a rebind too: of the template's plug at that wire, made once.
 
 Derived generators (triangles, pink spiders, V gates, And boxes, phase
 spiders, n-ary W spiders) expand into the four primitive node kinds at
@@ -73,12 +74,12 @@ class Diagram:
     and operations that renumber or rewrite nodes drop them.
 
     A diagram from ``rebind``, or a ``plug_basis`` of one, records its
-    origin: the template it came from, the input wires plugged since, in
-    order, and its slots, the ids of the nodes whose labels it set (the
-    rebound ones and each plug's basis state).  Every other label is the
-    template's or a plug's constant.  Neither the key nor the origin is
-    compared, printed or serialized, and ``copy()``, rewrites and JSON hand
-    out diagrams without them.
+    origin: the template it came from and its slots, the ids of the nodes
+    whose labels it set.  Every other label is the template's.  A
+    template keeps its plugs, one per wire, which the plugs of its
+    rebinds are rebinds of.  Neither the key, the origin nor the plugs
+    are compared, printed or serialized, and ``copy()``, rewrites and JSON
+    hand out diagrams without them.
     """
 
     nodes: dict = field(default_factory=dict)
@@ -86,12 +87,15 @@ class Diagram:
     inputs: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     regions: list = field(default_factory=list, repr=False, compare=False)
-    # (template Diagram, plugged wires, slot ids), set by ``rebind`` and
-    # carried on by ``plug_basis``
+    # (template Diagram, slot ids), set by ``rebind`` and ``plug_basis``
     _origin: Optional[tuple] = field(default=None, init=False, repr=False,
                                      compare=False)
     _key: Optional[StructureKey] = field(default=None, init=False,
                                          repr=False, compare=False)
+    # input wire -> (this diagram plugged there, the basis state's id),
+    # filled by the first ``plug_basis`` of a rebind of this diagram
+    _plugs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def n_inputs(self) -> int:
@@ -263,18 +267,11 @@ def validate(d: Diagram) -> list:
 
 class StructureKey(tuple):
     """A diagram's structure as ``structure_key`` gives it, with its hash
-    computed once, since a plan cache hashes it on every lookup.
-    ``plugged`` maps the input wires plugged into a diagram of this
-    structure, in order, to the plugged diagram's key, and ``plug_sites``
-    maps them to where ``plug_basis`` made the last of those plugs: the
-    index of the edge it cut, that edge's far end and the first id of the
-    nodes it added."""
+    computed once, since a plan cache hashes it on every lookup."""
 
     def __new__(cls, parts):
         key = super().__new__(cls, parts)
         key._hash = tuple.__hash__(key)
-        key.plugged = {}
-        key.plug_sites = {}
         return key
 
     def __hash__(self):
@@ -294,49 +291,42 @@ def structure_key(d: Diagram) -> StructureKey:
     regions.
 
     It is computed the first time it is asked for and kept on ``d``.  A
-    rebound diagram takes its template's key, walking nothing after the
-    template's first walk.  A plugged one takes the key kept on its
-    template's for the wires plugged: the plugged structure depends on
-    the template's structure and those wires alone, not on the bits, so
-    it is walked once per template and wires."""
+    rebound diagram, or a plug of one, takes its template's key, so it
+    walks nothing after the template's first walk."""
     key = d._key
     if key is None:
-        if d._origin is None:
-            key = _walk(d)
-        else:
-            template, plugs, _ = d._origin
-            key = structure_key(template)
-            if plugs:
-                known = key.plugged
-                key = known.get(plugs) or known.setdefault(plugs, _walk(d))
+        origin = d._origin
+        key = _walk(d) if origin is None else structure_key(origin[0])
         d._key = key
     return key
 
 
-def rebind(template: Diagram, slots, labels, share: bool = True) -> Diagram:
+def _relabelled(template: Diagram, slots: tuple, nodes: dict) -> Diagram:
+    """``template`` with the node dict ``nodes``, which differs from the
+    template's in the slots' ``Node``s alone, and the origin
+    ``(template, slots)``."""
+    d = Diagram(nodes, list(template.edges), list(template.inputs),
+                list(template.outputs), list(template.regions))
+    d._origin = (template, slots)
+    return d
+
+
+def rebind(template: Diagram, slots, labels) -> Diagram:
     """``template`` with the ZBox of id slots[i] labelled
     ``complex(labels[i])``, as ``Builder.zbox`` writes a label: the same
     node ids, kinds, ports, tags, edges, boundaries and regions.
 
-    The slots get new ``Node``s.  With ``share`` every other ``Node`` is
-    the template's; without it every ``Node`` is new, so that nothing else
-    holds one.  The result records its origin (see ``Diagram``), so it
+    The slots get new ``Node``s and every other ``Node`` is the
+    template's.  The result records its origin (see ``Diagram``), so it
     shares the template's structure key.  It is not validated again:
     validity sees a label only as "a ZBox label is not None", and every
     port and edge is the template's."""
     old = template.nodes
-    if share:
-        nodes = dict(old)
-    else:
-        nodes = {nid: Node(nid, n.kind, n.ports, n.label, n.tag)
-                 for nid, n in old.items()}
+    nodes = dict(old)
     for nid, label in zip(slots, labels):
         n = old[nid]
         nodes[nid] = Node(nid, ZBOX, n.ports, complex(label), n.tag)
-    d = Diagram(nodes, list(template.edges), list(template.inputs),
-                list(template.outputs), list(template.regions))
-    d._origin = (template, (), tuple(slots))
-    return d
+    return _relabelled(template, tuple(slots), nodes)
 
 
 class Builder:
@@ -810,53 +800,55 @@ def transpose_diagram(d: Diagram) -> Diagram:
     return out
 
 
-def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
-    """Plug |0> or |1> (a pink-spider state) into input ``wire``.
-
-    The result has its own node dict and edge list but shares ``d``'s
-    unchanged ``Node`` objects, which nothing mutates (rewrites copy
-    first).  A plug of a rebound diagram carries its origin on, with the
-    wire and the new basis state's node as one more slot, so every plug
-    of a template's rebinds at the same wires shares one structure key
-    (see ``structure_key``).  Where the template's key is known, the
-    plug reads the edge to cut and the new ids from its ``plug_sites``,
-    which the first such plug of each wire records, and scans nothing."""
-    if not 0 <= wire < d.n_inputs:
-        raise DiagramError(f"no input wire {wire}")
-    if bit not in (0, 1):
-        raise DiagramError("bit must be 0 or 1")
-    nodes = dict(d.nodes)
-    edges = list(d.edges)
+def _plug(d: Diagram, wire: int, bit: int) -> tuple:
+    """``plug_basis`` of ``d`` as if it had no origin, and the id of the
+    basis state's Z box.  The node dict is built without the input's
+    node, not copied and cut, so it has no deletion hole and copies
+    fast."""
     target = d.inputs[wire]
-    del nodes[target]
-    sites = site = None
-    if d._origin is not None:
-        template, plugs, slots = d._origin
-        plugs += (wire,)
-        if template._key is not None:
-            sites = template._key.plug_sites
-            site = sites.get(plugs)
-    if site is None:
-        hanging = next(idx for idx, e in enumerate(edges)
-                       if e[0][0] == target or e[1][0] == target)
-        (a, pa), (bb, pb) = edges[hanging]
-        far = (bb, pb) if a == target else (a, pa)
-        if far == (target, 0):
-            # the input wired to itself; impossible after validation
-            raise DiagramError("degenerate wire")
-        site = (hanging, far, max(nodes) + 1 if nodes else 0)
-        if sites is not None:
-            sites[plugs] = site
-    hanging, far, base = site
-    del edges[hanging]
+    nodes = {nid: n for nid, n in d.nodes.items() if nid != target}
+    edges = list(d.edges)
+    hanging = next(idx for idx, e in enumerate(edges)
+                   if e[0][0] == target or e[1][0] == target)
+    (a, pa), (bb, pb) = edges.pop(hanging)
+    far = (bb, pb) if a == target else (a, pa)
+    if far == (target, 0):
+        # the input wired to itself; impossible after validation
+        raise DiagramError("degenerate wire")
+    base = max(nodes) + 1 if nodes else 0
     # pink state expansion: ZBox(exp(i tau)) - H - wire, plus scalar 1/sqrt(2)
     nodes[base] = Node(base, ZBOX, 1, -1.0 + 0j if bit else 1.0 + 0j, "basis")
     nodes[base + 1] = Node(base + 1, HAD, 2, tag="basis")
     nodes[base + 2] = Node(base + 2, ZBOX, 0, 2.0 ** -0.5 - 1.0, "basis")
     edges.append(((base, 0), (base + 1, 0)))
     edges.append(((base + 1, 1), far))
-    out = Diagram(nodes, edges, d.inputs[:wire] + d.inputs[wire + 1:],
-                  list(d.outputs), list(d.regions))
-    if d._origin is not None:
-        out._origin = (template, plugs, slots + (base,))
-    return out
+    return Diagram(nodes, edges, d.inputs[:wire] + d.inputs[wire + 1:],
+                   list(d.outputs), list(d.regions)), base
+
+
+def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
+    """Plug |0> or |1> (a pink-spider state) into input ``wire``.
+
+    The result has its own node dict and edge list but shares ``d``'s
+    unchanged ``Node`` objects, which nothing mutates (rewrites copy
+    first).  A plug of a rebound diagram is a rebind of its template's
+    plug at ``wire``, which the template makes once and keeps: ``d``'s
+    slots written back, and the basis state as one more slot.  So every
+    plug of a template's rebinds at one wire shares one structure key, and
+    a plug of that plug recurses the same way."""
+    if not 0 <= wire < d.n_inputs:
+        raise DiagramError(f"no input wire {wire}")
+    if bit not in (0, 1):
+        raise DiagramError("bit must be 0 or 1")
+    if d._origin is None:
+        return _plug(d, wire, bit)[0]
+    template, slots = d._origin
+    plugs = template._plugs
+    plugged, base = plugs.get(wire) or plugs.setdefault(
+        wire, _plug(template, wire, 0))
+    nodes = dict(plugged.nodes)
+    old = d.nodes
+    for nid in slots:
+        nodes[nid] = old[nid]
+    nodes[base] = Node(base, ZBOX, 1, -1.0 + 0j if bit else 1.0 + 0j, "basis")
+    return _relabelled(plugged, slots + (base,), nodes)

@@ -438,9 +438,10 @@ def test_verification_failure_exits_one(tmp_path, capsys):
      "--compare-oracle"],
     ["extract-demo", "--seed", "-1"],
     ["check-rules", "--seed", "-1", "--samples", "1"],
+    ["extract-demo", "--a", "1e160", "--b", "1", "--t", "1"],
 ], ids=["samples-negative", "samples-zero", "taylor-overflow",
         "oracle-overflow", "extract-demo-seed-negative",
-        "check-rules-seed-negative"])
+        "check-rules-seed-negative", "extract-demo-overflow"])
 def test_out_of_range_input_is_usage_error(argv, ham_file, capsys):
     assert main([ham_file if a == "FILE" else a for a in argv]) == 2
     err = capsys.readouterr().err

@@ -489,8 +489,9 @@ def test_the_template_cache_keeps_eight_structures():
 
 def test_threads_building_sums_get_fresh_builds():
     # ten structures through an eight-entry cache: threads rebind, build and
-    # evict templates while others read them, and every diagram handed out
-    # is still what a fresh build writes
+    # evict templates, and make their plugs, while others read them, and
+    # every diagram handed out, and each of its plugs, is still what a
+    # fresh build writes
     paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
               np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
     cases = []
@@ -499,13 +500,19 @@ def test_threads_building_sums_get_fresh_builds():
                      if support >> k & 1)
         terms, m = _pauli_terms(matrix)
         assert len(terms) == bin(support).count("1")
-        cases.append((matrix, _snapshot(_fresh_sum(terms, m, "chain"))))
+        fresh = _fresh_sum(terms, m, "chain")
+        cases.append((matrix, [_snapshot(d) for d in (
+            fresh, graph.plug_basis(fresh, 0, 1),
+            graph.plug_basis(fresh, 0, 0))]))
     wrong = []
 
     def work(offset):
         for k in range(offset, offset + 60):
             matrix, want = cases[k % len(cases)]
-            if _snapshot(controlled_matrix(matrix).diagram) != want:
+            cd = controlled_matrix(matrix)
+            got = [_snapshot(d) for d in (cd.diagram, cd.discharge(),
+                                          cd.idle())]
+            if got != want:
                 wrong.append(k)
 
     interval = sys.getswitchinterval()

@@ -472,6 +472,18 @@ def test_time_is_a_number():
     assert "resolve_time" not in zxwkit.__all__
 
 
+def test_one_rebind_path():
+    # a plug of a rebind is a rebind of the template's plug: a key caches
+    # only its hash, every rebind shares the template's unchanged nodes,
+    # and an exponential's diagrams come from ``at`` alone
+    key = graph.structure_key(zxwkit.hadamard_diagram())
+    for name in ("plugged", "plug_sites"):
+        assert not hasattr(key, name), name
+    assert list(inspect.signature(graph.rebind).parameters) == [
+        "template", "slots", "labels"]
+    assert not hasattr(zxwkit.ExponentialDiagram, "_rebound")
+
+
 _FIELDS = {"nodes", "edges", "inputs", "outputs"} | {
     f.name for f in dataclasses.fields(graph.Node)}
 _MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove",

@@ -867,7 +867,7 @@ def _label_sets():
     scaled = {}
     for k, c in enumerate((1.0, -0.5, 2.0j)):
         for t in _TIMES:
-            d = _region_free(chain.at(t))
+            d = _region_free(chain.at(t).copy())
             for node in d.nodes.values():
                 if node.kind == "zbox" and node.tag != "hat":
                     node.label = c * node.label

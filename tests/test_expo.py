@@ -79,10 +79,10 @@ def _snapshot(d):
 def test_a_rebound_chain_is_a_fresh_build(text, times):
     # at(t) rebinds the hats of a chain built once: each diagram is the
     # chain written at t in every field, its matrix on the shared plan is
-    # a fresh plan's in every bit, signed zeros included, and no Node is
-    # held by two diagrams
+    # a fresh plan's in every bit, signed zeros included, its hat Nodes
+    # are new and every other Node is the template's
     w = commuting_exponential(parse_pauli_sum(text))
-    handed_out = []
+    handed_out, hats = [], []
     for t in times:
         d = w.at(t)
         want = _chain(w.m, [(p, cmath.exp(1j * slope * t))
@@ -92,10 +92,14 @@ def test_a_rebound_chain_is_a_fresh_build(text, times):
             structure_key(want), evaluate.DEFAULT_CAP).run(want).tobytes()
         assert eval_diagram(d).tobytes() == w.eval(t).tobytes() == bits
         handed_out.append((d, _snapshot(d)))
-    held = [id(n) for d, _ in handed_out for n in d.nodes.values()]
-    held += [id(n) for n in w._template[0].nodes.values()]
-    assert len(held) == len(set(held))
+        hats += [d.nodes[nid] for nid in w._template[1]]
+    template, hat_ids = w._template
+    kept = {id(n) for n in template.nodes.values()}
+    assert len({id(n) for n in hats} | kept) == len(hats) + len(kept)
     for d, before in handed_out:
+        assert all(n is template.nodes[nid] for nid, n in d.nodes.items()
+                   if nid not in hat_ids)
+        # later calls change no diagram handed out
         assert _snapshot(d) == before
 
 

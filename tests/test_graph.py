@@ -14,6 +14,7 @@ from zxwkit import (Builder, Diagram, DiagramError, and_box, cap, compose_par,
                     structural_equal, swap_pair, transpose_diagram,
                     trotter_diagram, triangle, v_gate, validate, w_diagram,
                     w_spider, wire_permutation, zbox_diagram)
+from zxwkit import graph
 from zxwkit.evaluate import eval_diagram
 from zxwkit.graph import Node, _legal, rebind, splice, structure_key
 from zxwkit.pauli import build_hamiltonian_diagram
@@ -373,26 +374,40 @@ def test_splice_wires_sub_diagram_in_directly(make):
             splice(b, sub, ins[:-1])
 
 
-def test_a_plug_reads_its_site_from_the_template_key():
-    # once the template's key is known, a plug of a rebind reads the edge
-    # it cuts and the ids it adds from the key: the same diagram, edge for
-    # edge, as a plug that scans (of a copy, which has no origin)
+def _fields(d):
+    return (list(d.nodes.items()), d.edges, d.inputs, d.outputs, d.regions)
+
+
+def test_a_plug_of_a_rebind_is_a_rebind_of_the_template_plug(monkeypatch):
+    # a plug of a rebind is the same diagram, node for node and edge for
+    # edge, as a plain plug (of a copy, which has no origin), nested plugs
+    # included; the template is plugged once per wire, whatever the
+    # rebind and the bit, and so is that plug
     template = compose_seq(zbox_diagram(0.5j, 2, 2),
                            compose_par(hadamard_diagram(), triangle()))
     zbox = next(nid for nid, n in template.nodes.items() if n.label == 0.5j)
-    structure_key(template)
-    for label in (2.0, -1j):
+    plain, real = [], graph._plug
+    monkeypatch.setattr(graph, "_plug", lambda d, wire, bit: (
+        plain.append((d, wire)) or real(d, wire, bit)))
+    keys = set()
+    for label in (2.0, -1j, 0.5j):
         d = rebind(template, [zbox], [label])
-        for wire, bit in ((0, 1), (1, 0), (0, 0)):
+        for wire, bit in ((0, 1), (1, 0), (0, 0), (1, 1)):
             got, want = plug_basis(d, wire, bit), plug_basis(d.copy(), wire,
                                                             bit)
-            assert (got.nodes, got.edges, got.inputs, got.outputs) == (
-                want.nodes, want.edges, want.inputs, want.outputs)
-        got = plug_basis(plug_basis(d, 1, 1), 0, 0)
-        want = plug_basis(plug_basis(d.copy(), 1, 1), 0, 0)
-        assert (got.nodes, got.edges, got.inputs) == (want.nodes, want.edges,
-                                                      want.inputs)
-    assert set(template._key.plug_sites) == {(0,), (1,), (1, 0)}
+            assert _fields(got) == _fields(want)
+            keys.add(id(structure_key(got)))
+        for bits in ((1, 0), (0, 1)):
+            got = plug_basis(plug_basis(d, 1, bits[0]), 0, bits[1])
+            want = plug_basis(plug_basis(d.copy(), 1, bits[0]), 0, bits[1])
+            assert _fields(got) == _fields(want)
+            keys.add(id(structure_key(got)))
+    once = template._plugs[1][0]
+    made = [(d is template, wire) for d, wire in plain
+            if d is template or d is once]
+    assert sorted(made) == [(False, 0), (True, 0), (True, 1)]
+    # one key per plugged structure: wire 0, wire 1, wire 1 then 0
+    assert len(keys) == 3
 
 
 def _outcome(check, d):
