@@ -27,8 +27,10 @@ takes about 20 us against about 1 ms for a build.  A rebound diagram
 records its template and the weight boxes it set, so it shares the
 template's structure key and a plan run after another rebind of the same
 template compares only those labels (see ``evaluate.ContractionPlan``).
-Its discharge and idle are rebinds too: of the template's plug, which the
-template makes once, with the weights and the basis state as slots.
+Every plug is a rebind too: a rebound diagram's discharge and idle are
+rebinds of the template's plug, which the template makes once, with the
+weights and the basis state as slots, and a diagram built here without
+a template (a spliced sum, a state form) is the template of its own.
 
 Every builder here returns the diagram as built, unfused; spider fusion
 (``rules.apply_fusion``) is a pass the caller runs when it wants one.
@@ -103,17 +105,15 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     identity for matrices and |0...0> for states.  A matrix target must have
     shape (2^m, 2^m), a state target (2^m,) or (2^m, 1).  ``cap`` bounds the
     open wires and node legs of each evaluation, as in ``eval_diagram``.  The
-    two plugs differ in one label, so one contraction plan serves both: it
-    runs the discharge and then the idle, and each run redoes only the
-    steps that its changed labels reach from the plan's last run (see
-    ``ContractionPlan``).  The plan is shared by every diagram of the
-    structure, so checking another matrix of the same size and the same
-    nonzero Pauli strings redoes for the discharge only the steps its new
-    coefficients and the control reach.  The plugs of a rebound diagram
-    are rebinds of its template's one plug at the control, so they share
-    that plug's structure key, neither the plan lookup nor the idle's
-    check walks the diagram, and each run compares only the weights and
-    the basis state.
+    two plugs are rebinds of one plug (see ``graph.plug_basis``) and
+    differ in one label, so one contraction plan serves both: it runs the
+    discharge and then the idle, which compares only the slots and redoes
+    only the steps the basis state reaches (see ``ContractionPlan``).  The
+    plan is shared by every diagram of the structure, and a rebound
+    diagram's plugs are rebinds of its template's one plug at the control,
+    so checking another matrix of the same size and the same nonzero Pauli
+    strings walks no structure, compares only the weights and the basis
+    state, and redoes for the discharge only the steps they reach.
     """
     dim = 2 ** cd.m
     target = np.asarray(target, dtype=complex)

@@ -35,30 +35,28 @@ its labels: a controlled matrix of a given size, say, is planned once, not
 once per matrix.  Plans are shared, so callers treat them as read-only.
 The lookup goes by the diagram's structure key (``graph.structure_key``),
 which is computed once per diagram, hashed once, and shared by a rebound
-diagram with its template.  A plug of a rebound diagram is a rebind of its
-template's plug, so the plugs of a template's rebinds at one wire share a
-key too: such a diagram is looked up and checked by identity, walking
-nothing.
+diagram with its template.  Every plug is a rebind of its template's plug
+(a diagram with no origin is its own template), so the plugs of a
+template's rebinds at one wire share a key too: such a diagram is looked
+up and checked by identity, walking nothing.
 
-A plan compares every run with its last one.  While they total at most
-2 MiB, it keeps the arrays of its last run (its memo): the top-level
-tensors, with the labels they came from, the region tensors, and every
-top-level step result but the last.  The next run makes a tensor again
-only where its label differs from the kept one's, and a region tensor only
-where its template and labels match no kept region's.  Every array
-of a plan is the input of exactly one step, so the steps to run again are
-the changed tensors' paths to the last step, and every other result is the
-kept one: the idle of a controlled diagram, run after its discharge, runs
-the 18 of a 4x4's 251 steps that the control's label reaches, and a
-discharge with new coefficients, run after another matrix's idle, runs the
-66 that its 16 weights and the control reach.  When the two runs are
-rebinds of one template (``graph.rebind``, or plugs of such rebinds,
-which are rebinds of the template's plug), every label outside the slots
-they set is the template's, so the run compares only the union of both
-runs' slots: 17 of a 4x4 discharge's 252 labels.  The same ``np.dot``
-on the same arrays gives the same bits, so every matrix stays
-bit-identical.  No returned matrix shares memory with a memo or with this
-module's shared tensors, which are read-only.
+A plan reuses a run for one case only: the next run of a rebind of the
+same template (``graph.rebind``).  Every label outside the two runs'
+slots is the template's, so the run compares only the union of both
+runs' slots: 17 of a 4x4 discharge's 252 labels.  A rebind's run keeps
+its arrays (the plan's memo) while they total at most 2 MiB: the
+top-level tensors, the region tensors, and every top-level step result
+but the last.  The next such run makes again the tensor, or the region
+tensor, of each changed slot.  Every array of a plan is the input of
+exactly one step, so the steps to run again are the changed arrays' paths
+to the last step, and every other result is the kept one: the idle of a
+controlled diagram, run after its discharge, runs the 18 of a 4x4's 251
+steps that the control's label reaches, and a discharge with new
+coefficients, run after another matrix's idle, runs the 66 that its 16
+weights and the control reach.  Every other run is fresh and keeps
+nothing.  The same ``np.dot`` on the same arrays gives the same bits, so
+every matrix stays bit-identical.  No returned matrix shares memory with
+a memo or with this module's shared tensors, which are read-only.
 
 This greedy schedule is the only one.  It contracts a diagram's
 ``regions`` (what each ``Builder.region`` call wrote: a Trotter chain's
@@ -66,10 +64,9 @@ gadgets, a series' copies of H, a spliced arm) first, each by its
 template's steps, then runs over the other nodes, the boundary wires and
 the region tensors, numbered in that order.  A template (a region's
 layout) is planned once however many regions share it, and a region whose
-template and labels equal an earlier region's takes its tensor: a 32-step
-Trotter chain plans two small templates and 161 tensors, not 1447, and
-computes each distinct gadget once per run, and not again in the plan's
-next run while its labels stay the same.
+template and labels equal an earlier region's in the same run takes its
+tensor: a 32-step Trotter chain plans two small templates and 161
+tensors, not 1447, and computes each distinct gadget once per run.
 """
 
 from __future__ import annotations
@@ -295,18 +292,13 @@ def _fold(structure: tuple, tensors: list, loops: dict):
             [(n, steps) for n, steps, _ in templates])
 
 
-class _Labels(list):
-    """The label per tensor of a run, with the template its diagram was
-    rebound from (None if it was not) and the tensor numbers of its slots
-    (see ``graph.Diagram``)."""
-
-    __slots__ = ("template", "slots")
-
-
-def _changed(labels: list, old: list, positions) -> list:
-    """The tensor numbers among ``positions`` whose label in ``labels``
-    is not the one in ``old``."""
-    return [pos for pos in positions if labels[pos] != old[pos]]
+def _changed(d: Diagram, old: dict, template: Diagram, slots) -> list:
+    """The ids among ``slots`` whose label in ``d`` is not the one in
+    ``old``, or, for an id ``old`` lacks, the ``template``'s."""
+    nodes, was = d.nodes, template.nodes
+    return [nid for nid in slots
+            if nodes[nid].label != (old[nid] if nid in old
+                                    else was[nid].label)]
 
 
 def _execute(steps: list, arrs: list, redo, free: bool) -> None:
@@ -339,20 +331,20 @@ class ContractionPlan:
     steps are the top-level ones and each region's template steps, counted
     once per region as if no two regions shared a tensor.
 
-    A plan whose ``memo_bytes`` are at most a fixed internal bound (2 MiB)
-    keeps the arrays of its last run (its memo): the top-level tensors with
-    the labels they came from, the region tensors by template and labels,
-    and every top-level step result but the last.  Each run is compared
-    with the memo: it takes a kept tensor for a node whose label is the
-    kept one and a kept region tensor for a region whose template and
-    labels are a kept one's.  If the run and the memo's run are rebinds of
-    one template, only the labels of the slots either set are compared;
-    otherwise every label is.  The run then follows each changed tensor to
-    the last step through the step that consumes it (a list made on the
-    plan's second run) and runs only the steps on those paths, and the
-    last, to the same bits; every other result is a kept one.  Each run
-    builds a new memo and replaces the old in one assignment, never
-    changing it, so concurrent runs see one whole memo or another.
+    A plan keeps the arrays of a run (its memo) only for the next run of a
+    rebind of the same template (``graph.rebind``; every plug is one):
+    the run must be of a rebind, and ``memo_bytes`` at most a fixed
+    internal bound (2 MiB).  The memo is the template, the labels of the
+    run's slots, the top-level tensors, the region tensors and every
+    top-level step result but the last.  Every label outside two rebinds'
+    slots is the template's, so the next such run compares only the union
+    of both runs' slots, makes again the tensor or region tensor of each
+    changed one, follows each to the last step through the step that
+    consumes it (a list made on the first such run) and runs only
+    the steps on those paths, and the last, to the same bits; every other
+    result is a kept one.  Every other run is fresh.  Each run builds a
+    new memo and replaces the old in one assignment, never changing it,
+    so concurrent runs see one whole memo or another.
     """
 
     structure: tuple = field(repr=False)   # ``structure_key`` of the diagram
@@ -369,9 +361,8 @@ class ContractionPlan:
     flops: int
     memo_bytes: int      # what a memo holds: ``tensors``, region tensors,
                          # steps but the last
-    # None before the first run, then (the ``_Labels`` of the run,
-    # ``_execute``'s arrays but the last, the region tensors by (template
-    # number, labels))
+    # None before the first kept run, then (the template of its diagram,
+    # {slot id: label} of its slots, ``_execute``'s arrays but the last)
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -388,16 +379,20 @@ class ContractionPlan:
 
     @functools.cached_property
     def _position(self) -> dict:
-        """The tensor number of each node with a top-level tensor; made on
-        the first run of a rebound diagram."""
-        return {nid: pos for pos, nid in enumerate(self.tensors)
-                if nid is not None}
+        """The array number of each interior node: its top-level tensor's,
+        or its region tensor's; made on the first kept run."""
+        out = {nid: pos for pos, nid in enumerate(self.tensors)
+               if nid is not None}
+        for pos, (k, first) in enumerate(self.regions, len(self.tensors)):
+            out.update(dict.fromkeys(
+                range(first, first + self.templates[k][0]), pos))
+        return out
 
     @functools.cached_property
     def _consumer(self) -> list:
         """The step each array is the input of, by array number (tensors,
-        region tensors, step results); made on the plan's second run, so a
-        plan run once never makes it."""
+        region tensors, step results); made on the first run that reuses a
+        memo, so a plan that never reuses one never makes it."""
         out = [0] * (len(self.tensors) + len(self.regions) + len(self.steps))
         for k, (i, j, *_) in enumerate(self.steps):
             out[i] = out[j] = k
@@ -423,28 +418,8 @@ class ContractionPlan:
         if not self.tensors and not self.regions:
             return np.ones((1, 1), dtype=complex)
         n, n_steps = len(self.tensors), len(self.steps)
-        nodes, tensors = d.nodes, self.tensors
-        # read the memo once: another thread may replace it
-        old, arrs, kept = self._memo or (None, None, {})
-        origin, slots = d._origin, ()
-        if origin is not None:
-            position = self._position
-            slots = tuple(position[nid] for nid in origin[1]
-                          if nid in position)
-        if old is not None and origin is not None \
-                and origin[0] is old.template:
-            # both runs share every label outside their slots with the
-            # template, and the plan's structure with each other
-            compare = set(slots).union(old.slots)
-            labels = _Labels(old)
-            for pos in compare:
-                labels[pos] = nodes[tensors[pos]].label
-        else:
-            labels = _Labels(None if nid is None else nodes[nid].label
-                             for nid in tensors)
-            compare = range(n)
-        labels.template = origin and origin[0]
-        labels.slots = slots
+        nodes, loops = d.nodes, self.loops
+        origin, memo = d._origin, self._memo   # another thread may replace it
         made: dict = {}
 
         def region(k, first):
@@ -452,36 +427,34 @@ class ContractionPlan:
             nids = range(first, first + size)
             key = (k, tuple(nodes[nid].label for nid in nids))
             if key not in made:
-                arr = kept.get(key)
-                if arr is None:
-                    arrs = [_tensor(d, nid, self.loops) for nid in nids]
-                    arrs += [None] * len(steps)
-                    _execute(steps, arrs, range(len(steps)), True)
-                    arr = arrs[-1]
-                made[key] = arr
+                arrs = [_tensor(d, nid, loops) for nid in nids]
+                arrs += [None] * len(steps)
+                _execute(steps, arrs, range(len(steps)), True)
+                made[key] = arrs[-1]
             return made[key]
 
-        fresh = [region(*r) for r in self.regions]
-        if old is None:
-            arrs = [_tensor(d, nid, self.loops) for nid in tensors]
-            arrs += fresh + [None] * n_steps
-            redo = range(n_steps)
-        else:
+        if memo is not None and origin is not None and origin[0] is memo[0]:
+            template, old, arrs = memo
             # the memo keeps all results but the last
             arrs = arrs + [None] if n_steps else list(arrs)
-            changed = _changed(labels, old, compare)
+            position = self._position
+            changed = {position[nid] for nid in _changed(
+                d, old, template, set(origin[1]).union(old))}
             for pos in changed:
-                arrs[pos] = _tensor(d, tensors[pos], self.loops)
-            changed += [pos for pos, a in enumerate(fresh, n)
-                        if a is not arrs[pos]]
-            arrs[n:n + len(fresh)] = fresh
+                arrs[pos] = (_tensor(d, self.tensors[pos], loops) if pos < n
+                             else region(*self.regions[pos - n]))
             redo = sorted(self._reach(changed))
-        free = self.memo_bytes > _MEMO_BOUND
-        _execute(self.steps, arrs, redo, free)
-        if not free:
+        else:
+            arrs = [_tensor(d, nid, loops) for nid in self.tensors]
+            arrs += [region(*r) for r in self.regions] + [None] * n_steps
+            redo = range(n_steps)
+        keep = origin is not None and self.memo_bytes <= _MEMO_BOUND
+        _execute(self.steps, arrs, redo, not keep)
+        if keep:
             # the matrix is handed out
             object.__setattr__(self, "_memo", (
-                labels, arrs[:-1] if n_steps else arrs, made))
+                origin[0], {nid: nodes[nid].label for nid in origin[1]},
+                arrs[:-1] if n_steps else arrs))
         arr = arrs[-1].transpose(self.perm) if self.perm else arrs[-1]
         arr = arr.reshape(self.shape)
         # the last step always runs, so the result is new; without steps it

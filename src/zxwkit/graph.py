@@ -14,8 +14,9 @@ nodes, with no interior node at all.
 ``compose_seq``, ``compose_par`` (of any number of diagrams) and ``splice``
 all copy through one writer, ``_copy_into``.  ``rebind`` gives a built
 diagram new labels in some slots without building it again, and shares
-the template's structure key (``structure_key``).  A plug of a rebound
-diagram is a rebind too: of the template's plug at that wire, made once.
+the template's structure key (``structure_key``).  Every plug is a rebind
+too: of the template's plug at that wire, made once; a diagram with no
+origin is its own template.
 
 Derived generators (triangles, pink spiders, V gates, And boxes, phase
 spiders, n-ary W spiders) expand into the four primitive node kinds at
@@ -73,13 +74,13 @@ class Diagram:
     ``evaluate``).  JSON and ``structural_equal`` ignore them,
     and operations that renumber or rewrite nodes drop them.
 
-    A diagram from ``rebind``, or a ``plug_basis`` of one, records its
-    origin: the template it came from and its slots, the ids of the nodes
-    whose labels it set.  Every other label is the template's.  A
-    template keeps its plugs, one per wire, which the plugs of its
-    rebinds are rebinds of.  Neither the key, the origin nor the plugs
-    are compared, printed or serialized, and ``copy()``, rewrites and JSON
-    hand out diagrams without them.
+    A diagram from ``rebind`` or ``plug_basis`` records its origin: the
+    template it came from and its slots, the ids of the nodes whose labels
+    it set.  Every other label is the template's.  A template (a diagram
+    with no origin is its own) keeps its plugs, one per wire, which the
+    plugs of it and of its rebinds are rebinds of.  Neither the key, the
+    origin nor the plugs are compared, printed or serialized, and
+    ``copy()``, rewrites and JSON hand out diagrams without them.
     """
 
     nodes: dict = field(default_factory=dict)
@@ -93,7 +94,7 @@ class Diagram:
     _key: Optional[StructureKey] = field(default=None, init=False,
                                          repr=False, compare=False)
     # input wire -> (this diagram plugged there, the basis state's id),
-    # filled by the first ``plug_basis`` of a rebind of this diagram
+    # filled by the first ``plug_basis`` of this diagram or a rebind of it
     _plugs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -801,8 +802,8 @@ def transpose_diagram(d: Diagram) -> Diagram:
 
 
 def _plug(d: Diagram, wire: int, bit: int) -> tuple:
-    """``plug_basis`` of ``d`` as if it had no origin, and the id of the
-    basis state's Z box.  The node dict is built without the input's
+    """``d`` with ``bit`` plugged into input ``wire``, a diagram with no
+    origin, and the id of the basis state's Z box.  The node dict is built without the input's
     node, not copied and cut, so it has no deletion hole and copies
     fast."""
     target = d.inputs[wire]
@@ -829,20 +830,19 @@ def _plug(d: Diagram, wire: int, bit: int) -> tuple:
 def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
     """Plug |0> or |1> (a pink-spider state) into input ``wire``.
 
-    The result has its own node dict and edge list but shares ``d``'s
-    unchanged ``Node`` objects, which nothing mutates (rewrites copy
-    first).  A plug of a rebound diagram is a rebind of its template's
-    plug at ``wire``, which the template makes once and keeps: ``d``'s
-    slots written back, and the basis state as one more slot.  So every
-    plug of a template's rebinds at one wire shares one structure key, and
-    a plug of that plug recurses the same way."""
+    Every plug is a rebind of its template's plug at ``wire``, which the
+    template makes once and keeps: ``d``'s slots written back, and the
+    basis state as one more slot.  A diagram with no origin is its own
+    template, with no slots.  So every plug of a template and of its
+    rebinds at one wire shares one structure key, and a plug of that plug
+    recurses the same way.  The result has its own node dict and edge
+    list but shares unchanged ``Node`` objects, which nothing mutates
+    (rewrites copy first)."""
     if not 0 <= wire < d.n_inputs:
         raise DiagramError(f"no input wire {wire}")
     if bit not in (0, 1):
         raise DiagramError("bit must be 0 or 1")
-    if d._origin is None:
-        return _plug(d, wire, bit)[0]
-    template, slots = d._origin
+    template, slots = d._origin or (d, ())
     plugs = template._plugs
     plugged, base = plugs.get(wire) or plugs.setdefault(
         wire, _plug(template, wire, 0))

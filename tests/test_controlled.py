@@ -584,9 +584,8 @@ def test_a_warm_verify_walks_no_structure_and_compares_only_slots(
     real_walk, real_changed, real_dot = graph._walk, evaluate._changed, np.dot
     monkeypatch.setattr(graph, "_walk",
                         lambda d: walks.append(d) or real_walk(d))
-    monkeypatch.setattr(evaluate, "_changed", lambda labels, old, positions: (
-        compared.append(len(positions)) or real_changed(labels, old,
-                                                        positions)))
+    monkeypatch.setattr(evaluate, "_changed", lambda d, old, template, slots: (
+        compared.append(len(slots)) or real_changed(d, old, template, slots)))
     monkeypatch.setattr(np, "dot",
                         lambda *args: dots.append(1) or real_dot(*args))
     for m in mats[1:]:
@@ -621,3 +620,33 @@ def test_a_second_verify_of_a_spliced_sum_makes_no_region_tensor(
     del made[:]
     assert verify_controlled(cd, target) == first
     assert made == plug * 2 and not in_regions & set(plug)
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: controlled_sum_matrices(
+        [controlled_matrix(_rand_matrix(rng, 2)) for _ in range(2)],
+        weights=[0.5, -1.0j]),
+    lambda rng: controlled_state_normal_form(rng.normal(size=4)
+                                             + 1j * rng.normal(size=4)),
+], ids=["spliced_sum", "state_form"])
+def test_every_plug_is_a_rebind(build, monkeypatch):
+    # a diagram with no origin is its own template with no slots: its
+    # plug at a wire is made once and kept, and every plug is a rebind of
+    # it with the basis state as the one slot
+    cd = build(np.random.default_rng(14))
+    d = cd.diagram
+    assert d._origin is None
+    plain, real = [], graph._plug
+    monkeypatch.setattr(graph, "_plug", lambda d, wire, bit: (
+        plain.append((d, wire)) or real(d, wire, bit)))
+    for bit in (1, 0, 1, 0):
+        got = graph.plug_basis(d, 0, bit)
+        plugged, base = d._plugs[0]
+        assert got._origin[0] is plugged and got._origin[1] == (base,)
+        want = real(d, 0, bit)[0]
+        assert list(got.nodes.items()) == list(want.nodes.items())
+        assert (got.edges, got.inputs, got.outputs, got.regions) == (
+            want.edges, want.inputs, want.outputs, want.regions)
+    assert plain == [(d, 0)]
+    assert graph.structure_key(cd.discharge()) is graph.structure_key(
+        cd.idle())

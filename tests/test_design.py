@@ -475,13 +475,15 @@ def test_time_is_a_number():
 def test_one_rebind_path():
     # a plug of a rebind is a rebind of the template's plug: a key caches
     # only its hash, every rebind shares the template's unchanged nodes,
-    # and an exponential's diagrams come from ``at`` alone
+    # an exponential's diagrams come from ``at`` alone, and a plan reuses
+    # its memo only for a rebind, by its slots
     key = graph.structure_key(zxwkit.hadamard_diagram())
     for name in ("plugged", "plug_sites"):
         assert not hasattr(key, name), name
     assert list(inspect.signature(graph.rebind).parameters) == [
         "template", "slots", "labels"]
     assert not hasattr(zxwkit.ExponentialDiagram, "_rebound")
+    assert not hasattr(evaluate, "_Labels")
 
 
 _FIELDS = {"nodes", "edges", "inputs", "outputs"} | {

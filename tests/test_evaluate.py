@@ -24,7 +24,7 @@ from zxwkit import (Builder, CapExceeded, Diagram, DiagramError,
                     structural_equal, taylor_diagram, transpose_diagram,
                     trotter_diagram, triangle, w_diagram, zbox_diagram)
 from zxwkit import evaluate
-from zxwkit.graph import splice, structure_key
+from zxwkit.graph import rebind, splice, structure_key
 from zxwkit.pauli import DiagonalFactorSum
 
 from circuit_strategies import LABELS, circuits
@@ -354,9 +354,8 @@ def _assert_runs_in_a_row_are_fresh(plan, diagrams):
         assert np.array_equal(m, _fresh_plan(d).run(d))
     for k, m in enumerate(got):
         assert not any(np.shares_memory(m, other) for other in got[:k])
-    _, kept, regions = plan._memo
-    assert not any(np.shares_memory(m, a) for m in got
-                   for a in kept + list(regions.values()))
+    _, _, kept = plan._memo or (None, None, [])
+    assert not any(np.shares_memory(m, a) for m in got for a in kept)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -711,11 +710,12 @@ def test_writing_into_a_result_changes_no_later_result():
         assert not shared.flags.writeable
     # a plan without steps hands out a copy of its lone tensor, kept or not
     plan = plan_contraction(had)
+    kept = rebind(had, (), ())
     for _ in range(3):
-        got = plan.run(had)
+        got = plan.run(kept)
         assert not np.shares_memory(got, evaluate.HAD_MATRIX)
         got[:] = 5
-    assert plan._memo and np.array_equal(plan.run(had), evaluate.HAD_MATRIX)
+    assert plan._memo and np.array_equal(plan.run(kept), evaluate.HAD_MATRIX)
 
 
 def test_no_result_shares_memory_with_the_memo():
@@ -724,8 +724,9 @@ def test_no_result_shares_memory_with_the_memo():
     for _ in range(3):
         got = [plan.run(d) for d in (cd.discharge(), cd.idle(),
                                      cd.discharge())]
-    labels, kept, regions = plan._memo
-    assert len(labels) == len(plan.tensors) and regions == {}
+    template, labels, kept = plan._memo
+    assert template is cd.discharge()._origin[0] and not plan.regions
+    assert set(labels) == set(cd.discharge()._origin[1])
     assert len(kept) == len(plan.tensors) + len(plan.steps) - 1
     assert not any(np.shares_memory(m, a) for m in got for a in kept)
 
@@ -774,7 +775,7 @@ def test_a_plan_over_the_memo_bound_keeps_nothing(monkeypatch):
     monkeypatch.setattr(evaluate, "_tensor",
                         lambda *args: made.append(args[1]) or real(*args))
     # one 18-leg box: a 4 MiB tensor
-    wide = zbox_diagram(0.5, 9, 9)
+    wide = rebind(zbox_diagram(0.5, 9, 9), (), ())
     plan = plan_contraction(wide, cap=18)
     assert plan.memo_bytes == 16 * 2 ** 18 > evaluate._MEMO_BOUND
     for _ in range(3):
@@ -800,21 +801,21 @@ def test_a_plan_over_the_memo_bound_keeps_nothing(monkeypatch):
 
 def _kept_bytes(plan):
     """The bytes of the distinct arrays in ``plan``'s memo."""
-    _, kept, regions = plan._memo
-    arrays = {id(a): a for a in kept + list(regions.values())}
+    _, _, kept = plan._memo
+    arrays = {id(a): a for a in kept}
     return sum(a.nbytes for a in arrays.values())
 
 
 def test_memo_bytes_count_region_tensors(monkeypatch):
     # a 8-step Trotter chain: one phase box and 40 gadget tensors, of two
     # distinct values, so what it keeps is below what ``memo_bytes`` counts
-    d = trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7)
+    d = rebind(trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7), (), ())
     plan = plan_contraction(d)
     assert plan.memo_bytes == 27152
     plan.run(d)
     # one count per array slot: the tensor, the 40 region tensors and
     # every step result but the last
-    _, kept, _ = plan._memo
+    _, _, kept = plan._memo
     assert len(kept) == 1 + 40 + len(plan.steps) - 1
     assert sum(a.nbytes for a in kept) == plan.memo_bytes
     assert _kept_bytes(plan) == 21840
@@ -831,6 +832,29 @@ def test_memo_bytes_count_region_tensors(monkeypatch):
         del made[:]
         assert np.array_equal(plan.run(d), want)
         assert len(made) == 1 + 12 + 7 and plan._memo is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7),
+    lambda: diagram_from_json(diagram_to_json(_controlled(2).discharge())),
+    lambda: simplify_basic(_controlled(2).discharge()).diagram,
+], ids=["trotter", "json", "simplified"])
+def test_a_plain_diagram_keeps_no_memo(build, monkeypatch):
+    # only a rebind's run is kept: a diagram that is not one runs fresh
+    # every time, and leaves nothing behind
+    d = build()
+    assert d._origin is None
+    plan = _fresh_plan(d)
+    made = []
+    real = evaluate._tensor
+    monkeypatch.setattr(evaluate, "_tensor",
+                        lambda *args: made.append(args[1]) or real(*args))
+    want = plan.run(d)
+    first = list(made)
+    assert first and plan._memo is None
+    del made[:]
+    assert np.array_equal(plan.run(d), want)
+    assert made == first and plan._memo is None
 
 
 def test_a_symbolic_chain_keeps_its_gadgets_at_one_time(monkeypatch):
@@ -859,19 +883,22 @@ _TIMES = (0.0, 0.4, -1.3)
 @functools.lru_cache(maxsize=None)
 def _label_sets():
     """The diagrams the memo property test draws from: the discharge and
-    the idle of 2x2 matrices with one structure, and a flat gadget chain
-    at three times with its other box labels scaled, by (scale, time)."""
+    the idle of 2x2 matrices with one structure, and a gadget chain at
+    three times with its other box labels scaled, by (scale, time), each a
+    rebind of one template with every Z box a slot."""
     plugged = [(cd.discharge(), cd.idle()) for cd in
                (controlled_matrix(_dominant(2, seed)) for seed in range(3))]
     chain = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI"))
+    template = chain.at(0.0)
+    boxes = [nid for nid, node in template.nodes.items()
+             if node.kind == "zbox"]
     scaled = {}
     for k, c in enumerate((1.0, -0.5, 2.0j)):
         for t in _TIMES:
-            d = _region_free(chain.at(t).copy())
-            for node in d.nodes.values():
-                if node.kind == "zbox" and node.tag != "hat":
-                    node.label = c * node.label
-            scaled[k, t] = d
+            nodes = chain.at(t).nodes
+            scaled[k, t] = rebind(template, boxes, [
+                nodes[nid].label * (1 if nodes[nid].tag == "hat" else c)
+                for nid in boxes])
     return plugged, scaled
 
 

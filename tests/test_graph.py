@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zxwkit import (Builder, Diagram, DiagramError, and_box, cap, compose_par,
-                    compose_seq, cup, green_phase, hadamard_diagram,
+from zxwkit import (Builder, Diagram, DiagramError, and_box, apply_fusion,
+                    cap, compose_par, compose_seq, controlled_matrix,
+                    controlled_state_normal_form, cup, diagram_from_json,
+                    diagram_to_json, green_phase, hadamard_diagram,
                     identity, make_generator, parse_pauli_sum, pink_spider,
                     plug_basis, scalar_box, scalar_of, simplify_basic,
                     structural_equal, swap_pair, transpose_diagram,
@@ -297,6 +299,53 @@ def test_plug_basis_leaves_its_source_unchanged():
     assert not plugged.inputs and d.inputs
 
 
+def _state(d):
+    """Every field of every node (labels by ``repr``, which tells a signed
+    zero), in order, and the edges and boundaries."""
+    return ([(nid, n.kind, n.ports, repr(n.label), n.tag)
+             for nid, n in d.nodes.items()],
+            list(d.edges), list(d.inputs), list(d.outputs))
+
+
+_ENTRY = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                            allow_nan=False, allow_infinity=False)
+_INPUTS = st.one_of(
+    circuits().map(lambda c: c[0]),
+    st.lists(_ENTRY, min_size=4, max_size=4).map(
+        lambda e: controlled_matrix(np.array(e).reshape(2, 2)).diagram),
+    st.sampled_from([2, 4]).flatmap(lambda n: st.lists(
+        _ENTRY, min_size=n, max_size=n)).map(
+        lambda e: controlled_state_normal_form(np.array(e)).diagram))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_INPUTS, _ENTRY, st.integers(0, 1))
+def test_no_library_function_that_returns_a_diagram_changes_its_input(
+        d, label, bit):
+    # plain and rebound inputs alike keep their nodes, their edges and a
+    # cached structure key that a fresh walk still gives
+    boxes = [nid for nid, n in d.nodes.items() if n.kind == "zbox"][:2]
+    rebound = rebind(d, boxes, [label] * len(boxes))
+    calls = [lambda x: rebind(x, boxes, [-label] * len(boxes)),
+             lambda x: x.copy(),
+             lambda x: compose_seq(identity(x.n_inputs), x,
+                                   identity(x.n_outputs)),
+             lambda x: compose_par(x, x),
+             transpose_diagram,
+             lambda x: simplify_basic(x).diagram,
+             lambda x: apply_fusion(x).diagram,
+             lambda x: diagram_from_json(diagram_to_json(x))]
+    calls += [lambda x, w=w: plug_basis(x, w, bit)
+              for w in range(d.n_inputs)]
+    for x in (d, rebound):
+        structure_key(x)
+        before = _state(x)
+        for call in calls:
+            call(x)
+            assert structure_key(x) == graph._walk(x)
+            assert _state(x) == before
+
+
 def test_structural_equal_tracks_labels():
     a = zbox_diagram(1.5, 1, 1)
     b = zbox_diagram(1.5, 1, 1)
@@ -380,9 +429,9 @@ def _fields(d):
 
 def test_a_plug_of_a_rebind_is_a_rebind_of_the_template_plug(monkeypatch):
     # a plug of a rebind is the same diagram, node for node and edge for
-    # edge, as a plain plug (of a copy, which has no origin), nested plugs
-    # included; the template is plugged once per wire, whatever the
-    # rebind and the bit, and so is that plug
+    # edge, as a plug of a copy (which has no origin, so is its own
+    # template), nested plugs included; the template is plugged once per
+    # wire, whatever the rebind and the bit, and so is that plug
     template = compose_seq(zbox_diagram(0.5j, 2, 2),
                            compose_par(hadamard_diagram(), triangle()))
     zbox = next(nid for nid, n in template.nodes.items() if n.label == 0.5j)
