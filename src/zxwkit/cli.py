@@ -153,6 +153,19 @@ def _cmd_eval(args, cfg: Config) -> int:
     return 0
 
 
+def _verify(cd, target, cfg: Config) -> dict:
+    """``verify_controlled`` of ``cd`` against ``target``, or a usage error
+    when a residual is not finite: a finite input can still overflow in
+    the contraction."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_controlled(cd, np.asarray(target, dtype=complex),
+                                tol=cfg.tol, cap=cfg.cap)
+    if not all(map(math.isfinite, (rep["err_discharge"], rep["err_idle"]))):
+        raise _Usage("no finite comparison with the target: the "
+                     "diagram's contraction overflows")
+    return rep
+
+
 def _cmd_controlled(args, cfg: Config) -> int:
     if bool(args.matrix) == bool(args.state):
         raise _Usage("exactly one of --matrix or --state is required")
@@ -183,17 +196,8 @@ def _cmd_controlled(args, cfg: Config) -> int:
             cd = controlled_sum_states(
                 [controlled_state_normal_form(v) for v in vecs], weights=w)
             target = state_oracle(vecs, w)
-    rep = None
-    if args.verify:
-        # compare before printing, so a run that exits 2 leaves stdout
-        # empty; a finite input can still overflow in the contraction
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = verify_controlled(cd, np.asarray(target, dtype=complex),
-                                    tol=cfg.tol, cap=cfg.cap)
-        if not all(map(math.isfinite, (rep["err_discharge"],
-                                       rep["err_idle"]))):
-            raise _Usage("no finite comparison with the target: the "
-                         "diagram's contraction overflows")
+    # compare before printing, so a run that exits 2 leaves stdout empty
+    rep = _verify(cd, target, cfg) if args.verify else None
     sys.stdout.write(diagram_to_json(cd.diagram) + "\n")
     if rep is not None:
         print(f"discharge residual {rep['err_discharge']:.3e}, "
@@ -207,6 +211,9 @@ def _cmd_controlled(args, cfg: Config) -> int:
 def _cmd_ham_build(args, cfg: Config) -> int:
     h = parse_pauli_sum(_read(args.file))
     cd, discharged = build_hamiltonian_diagram(h, cap=cfg.cap)
+    # compare before printing, so a run that exits 2 leaves stdout empty
+    rep = (_verify(cd, oracle_matrix(h, cap=cfg.cap), cfg) if args.verify
+           else None)
     # keep stdout clean for piping when an export format was requested
     info = sys.stderr if args.export else sys.stdout
     if args.export == "json":
@@ -216,9 +223,7 @@ def _cmd_ham_build(args, cfg: Config) -> int:
     print(f"terms={len(h.terms)} qubits={h.m} "
           f"nodes={len(discharged.nodes)} edges={len(discharged.edges)}",
           file=info)
-    if args.verify:
-        target = oracle_matrix(h, cap=cfg.cap)
-        rep = verify_controlled(cd, target, tol=cfg.tol, cap=cfg.cap)
+    if rep is not None:
         dim = 2 ** h.m
         if rep["ok"]:
             print(f"oracle match: {dim}x{dim}, residual < {cfg.tol:g}",
@@ -343,11 +348,14 @@ def _cmd_extract_demo(args, cfg: Config) -> int:
         if a == 0.0 and b == 0.0:
             raise _Usage("--a and --b cannot both be zero")
     h = parse_pauli_sum(f"{a!r} X\n{b!r} Z")
-    d = cayley_hamilton_diagram(h, t)
-    circuit = extract_axz_circuit(a, b, t)
-    err_d = float(np.abs(_oracle_diff(eval_diagram(d, cap=cfg.cap), h, t,
-                                      cfg)).max())
-    err_c = float(np.abs(_oracle_diff(circuit.to_matrix(), h, t, cfg)).max())
+    # a finite input can still overflow on the way; the comparisons say so
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = cayley_hamilton_diagram(h, t)
+        circuit = extract_axz_circuit(a, b, t)
+        err_d = float(np.abs(_oracle_diff(eval_diagram(d, cap=cfg.cap), h,
+                                          t, cfg)).max())
+        err_c = float(np.abs(_oracle_diff(circuit.to_matrix(), h, t,
+                                          cfg)).max())
     print(f"H = {a:g} X + {b:g} Z, t = {t:g}")
     print(f"power-basis diagram: nodes={len(d.nodes)} edges={len(d.edges)}")
     print(f"diagram vs dense exponential: {err_d:.3e}")

@@ -28,7 +28,17 @@ The schedule depends on the diagram's structure only, never on its labels,
 so it is planned once (``plan_contraction``) and executed per set of labels
 (``ContractionPlan.run``): each step is compiled to the transpose, reshape
 and matrix product ``np.tensordot`` would do, so the matrices are
-bit-identical to contracting pair by pair with ``np.tensordot``.
+bit-identical to contracting pair by pair with ``np.tensordot``.  Every
+array of a plan is the input of exactly one step, so the planner records,
+as it makes each step, the permutation and 2-D shape that step reads each
+of its two inputs in (its layout).  A run makes every node tensor, and
+lays out every step's result, directly as the matrix the step that reads
+it multiplies, with the strides the transpose and reshape would give (a
+Fortran-ordered view reaches BLAS as a transposed matrix, which can round
+otherwise): a step is one ``np.dot`` plus the layout of its own result.
+A Z box (traced or not), a Hadamard and a boundary wire are symmetric in
+their legs, so their tensors need no transpose, and the shared Hadamard,
+W and identity tensors are laid out once per layout.
 ``plan_contraction`` keeps the plans of the last few structures it was given
 and hands the same plan out again for any diagram of one of them, whatever
 its labels: a controlled matrix of a given size, say, is planned once, not
@@ -45,13 +55,16 @@ same template (``graph.rebind``).  Every label outside the two runs'
 slots is the template's, so the run compares only the union of both
 runs' slots: 17 of a 4x4 discharge's 252 labels.  A rebind's run keeps
 its arrays (the plan's memo) while they total at most 2 MiB: the
-top-level tensors, the region tensors, and every top-level step result
-but the last.  The next such run makes again the tensor, or the region
-tensor, of each changed slot.  Every array of a plan is the input of
-exactly one step, so the steps to run again are the changed arrays' paths
-to the last step, and every other result is the kept one: the idle of a
-controlled diagram, run after its discharge, runs the 18 of a 4x4's 251
-steps that the control's label reaches, and a discharge with new
+top-level tensors and every top-level step result but the last, each in
+its layout, and the region tensors in their template's axis order, since
+equal region tensors share one array whatever layouts their steps read.
+The next such run makes again the tensor, or the region tensor, of each
+changed slot.  Every array of a plan is the input of exactly one step, so
+the steps to run again are the changed arrays' paths to the last step,
+and every other result is the kept one, so that a step run again beside
+a kept input is one ``np.dot`` on it (a region tensor is laid out first):
+the idle of a controlled diagram, run after its discharge, runs the 18 of
+a 4x4's 251 steps that the control's label reaches, and a discharge with new
 coefficients, run after another matrix's idle, runs the 66 that its 16
 weights and the control reach.  Every other run is fresh and keeps
 nothing.  The same ``np.dot`` on the same arrays gives the same bits, so
@@ -92,8 +105,10 @@ _W_TENSOR = np.zeros((2, 2, 2), dtype=complex)
 _W_TENSOR[0, 0, 0] = 1.0   # |0>  ->  |00>
 _W_TENSOR[1, 0, 1] = 1.0   # |1>  ->  |01> + |10>
 _W_TENSOR[1, 1, 0] = 1.0
-for _shared in (HAD_MATRIX, V_MATRIX, _W_TENSOR):
-    _shared.setflags(write=False)   # every Hadamard and W node shares these
+# every Hadamard and W node, and every boundary wire, shares one of these
+_SHARED = {HAD: HAD_MATRIX, W: _W_TENSOR, None: np.eye(2, dtype=complex)}
+for _shared in (V_MATRIX, *_SHARED.values()):
+    _shared.setflags(write=False)
 
 # A plan keeps the arrays of its last run, its memo, only while they total
 # at most this many bytes (``ContractionPlan.memo_bytes``): a 4x4 controlled
@@ -174,30 +189,91 @@ def _network(structure: tuple, cap: int):
     return tensors, loops, external
 
 
-def _tensor(d: Diagram, nid, loops: dict) -> np.ndarray:
-    """Tensor ``nid`` of ``_network`` with ``d``'s labels."""
+def _tensor(d: Diagram, nid, loops: dict, layout=None) -> np.ndarray:
+    """Tensor ``nid`` of ``_network`` with ``d``'s labels, as the matrix
+    its step reads: with ``layout`` (perm, shape, order) of ``_layout``,
+    the tensor's ``.transpose(perm).reshape(shape)`` (no transpose when
+    perm is None), with the strides that gives.  Without ``layout``, the
+    tensor in its own axis order."""
+    if layout is None:
+        if nid is None:
+            return np.eye(2, dtype=complex)
+        arr = node_tensor(d.nodes[nid])
+        for ax1, ax2 in loops.get(nid, ()):
+            arr = np.trace(arr, axis1=ax1, axis2=ax2)
+        return arr
+    perm, shape, order = layout
     if nid is None:
-        return np.eye(2, dtype=complex)
-    arr = node_tensor(d.nodes[nid])
-    for ax1, ax2 in loops.get(nid, ()):
-        arr = np.trace(arr, axis1=ax1, axis2=ax2)
+        return _shared_tensor(None, perm, shape)
+    node = d.nodes[nid]
+    if node.kind == ZBOX:
+        # symmetric in its legs, so a transpose moves no value, and a traced
+        # box is, bit for bit, the box on the legs left
+        arr = np.zeros(shape, complex, order)
+        arr[0, 0] = 1.0
+        arr[-1, -1] += node.label
+        return arr
+    if nid in loops or node.kind not in _SHARED:
+        return _read_as(_tensor(d, nid, loops), perm, shape)
+    return _shared_tensor(node.kind, perm, shape)
+
+
+def _read_as(arr: np.ndarray, perm, shape: tuple) -> np.ndarray:
+    """``arr`` as the matrix of ``shape`` that a step reads: transposed by
+    ``perm`` (unless it is None) and reshaped."""
+    return (arr.transpose(perm) if perm else arr).reshape(shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_tensor(kind, perm, shape) -> np.ndarray:
+    """The shared tensor of a Hadamard, a W node or (kind None) a boundary
+    wire as a step reads it, read-only: each layout is made once."""
+    arr = _read_as(_SHARED[kind], perm, shape)
+    arr.setflags(write=False)
     return arr
 
 
-def _schedule(ids: list) -> list:
-    """The compiled steps contracting the tensors with edge ids ``ids``
-    into one: greedily, then the tensors left (one per component) left to
-    right.  ``ids`` grows by each step's result and a step's two tensors
-    become None, so its last entry is the tensor left.
+@functools.lru_cache(maxsize=4096)
+def _layout(perm: tuple, shape: tuple) -> tuple:
+    """(perm, shape, order) of an array that a step reads as
+    ``.transpose(perm).reshape(shape)``: perm None where it is the
+    identity, and ``order`` 'F' where that is, on a C-ordered tensor, a
+    view with Fortran strides (the tensor's leading axes are the matrix's
+    columns), else 'C'.  ``np.dot`` hands a Fortran-ordered matrix to BLAS
+    as a transposed one, which can round otherwise, so a tensor made
+    straight in its layout is made in that order."""
+    q, rows = len(perm), shape[0].bit_length() - 1
+    ident = tuple(range(q))
+    if perm == ident:
+        return None, shape, "C"
+    split = ident[q - rows:] + ident[:q - rows]
+    return perm, shape, "F" if 0 < rows < q and perm == split else "C"
 
-    A step is (i, j, perm_a, shape_a, perm_b, shape_b, out_shape), what
-    ``np.tensordot`` does: the shared axes move to the end of a and the
-    front of b, each is flattened to a matrix (every bond has dimension 2)
-    and the product is unflattened.  Equal permutations and shapes are
-    stored once: each object a plan keeps alive is one more for the cyclic
-    garbage collector to scan while the plan runs.
+
+def _schedule(ids: list) -> tuple:
+    """The compiled steps contracting the tensors with edge ids ``ids``
+    into one, and the layout (``_layout``) each tensor is read in, None
+    for one no step reads: greedily, then the tensors left (one per
+    component) left to right.  ``ids`` grows by each step's result and a
+    step's two tensors become None, so its last entry is the tensor left.
+
+    A step is [i, j, perm, shape_a, shape, shape_b, out_shape]: arrays i
+    and j are matrices of shape_a and shape_b, and their product, a tensor
+    of out_shape with the open axes of i then j, is laid out for the one
+    step that reads it: ``.reshape(out_shape).transpose(perm)
+    .reshape(shape)``, or ``.reshape(shape)`` with perm None.  That is
+    what ``np.tensordot`` does (the shared axes move to the end of a and
+    the front of b, each is flattened to a matrix, every bond having
+    dimension 2), with each operand's transpose and reshape done where the
+    operand is made.  Every array is read by one step, so its layout is
+    written when that step is made; a result no step reads stays in its
+    own axis order (perm None, shape out_shape).  Equal shapes and
+    layouts are stored once: each object a plan keeps alive is one more
+    for the cyclic garbage collector to scan while the plan runs.
     """
     steps: list = []
+    n = len(ids)
+    layouts: list = [None] * n
     share = {}.setdefault
 
     def contract(i: int, j: int) -> list:
@@ -218,8 +294,24 @@ def _schedule(ids: list) -> list:
         bond = 2 ** len(ax_a)
         sa, sb = (2 ** len(keep_a), bond), (bond, 2 ** len(keep_b))
         so = (2,) * len(out)
-        steps.append((i, j, share(pa, pa), share(sa, sa), share(pb, pb),
-                      share(sb, sb), share(so, so)))
+        sa, sb, so = share(sa, sa), share(sb, sb), share(so, so)
+        # a tensor is made in its layout; a step's result is laid out by
+        # its step, with no transpose where a's kept axes, or b's shared
+        # ones in order, come first
+        if i < n:
+            layouts[i] = _layout(pa, sa)
+        else:
+            step = steps[i - n]
+            step[2] = (None if not keep_a or not ax_a or keep_a[-1] < ax_a[0]
+                       else share(pa, pa))
+            step[4] = sa
+        if j < n:
+            layouts[j] = _layout(pb, sb)
+        else:
+            step = steps[j - n]
+            step[2] = None if ax_b == [*range(len(ax_b))] else share(pb, pb)
+            step[4] = sb
+        steps.append([i, j, None, sa, so, sb, so])
         ids[i] = ids[j] = None
         ids.append(out)
         return out
@@ -229,8 +321,8 @@ def _schedule(ids: list) -> list:
         for e in tids:
             owners.setdefault(e, []).append(pos)
     bonds = Counter(tuple(own) for own in owners.values() if len(own) == 2)
-    heap = [(len(ids[i]) + len(ids[j]) - 2 * n, i, j)
-            for (i, j), n in bonds.items()]
+    heap = [(len(ids[i]) + len(ids[j]) - 2 * shared, i, j)
+            for (i, j), shared in bonds.items()]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
@@ -246,21 +338,22 @@ def _schedule(ids: list) -> list:
                 nb = own[1] if own[0] == i or own[0] == j else own[0]
                 own[0], own[1] = nb, fresh
                 bonds[nb] = bonds.get(nb, 0) + 1
-        for nb, n in bonds.items():
-            push(heap, (len(ids[nb]) + len(out) - 2 * n, nb, fresh))
+        for nb, shared in bonds.items():
+            push(heap, (len(ids[nb]) + len(out) - 2 * shared, nb, fresh))
     last, *rest = [k for k, tids in enumerate(ids) if tids is not None]
     for nxt in rest:
         contract(last, nxt)
         last = len(ids) - 1
-    return steps
+    return steps, layouts
 
 
 def _fold(structure: tuple, tensors: list, loops: dict):
     """The tensors of ``_network`` in no region; one tensor per region, as
     ((template number, first node id), its open legs' edge ids in the order
-    the template leaves them); and the templates as (node count, steps),
+    the template leaves them); the templates as (node count, steps),
     one per layout: the region's nodes' edges, numbered by first
-    appearance, and self-loops, which is all a schedule depends on."""
+    appearance, and self-loops, which is all a schedule depends on; and
+    the layouts of each template's tensors."""
     loose, folded, templates, planned = [], [], [], {}
     pos = stop = 0
     for start, end in sorted(structure[4]):
@@ -285,11 +378,12 @@ def _fold(structure: tuple, tensors: list, loops: dict):
                tuple(map(loops.get, range(start, stop))) if loops else ())
         k = planned.setdefault(key, len(templates))
         if k == len(templates):
-            templates.append((len(run), _schedule(local), local[-1]))
+            templates.append((len(run), *_schedule(local), local[-1]))
         edge = list(number)
-        folded.append(((k, start), [edge[e] for e in templates[k][2]]))
+        folded.append(((k, start), [edge[e] for e in templates[k][3]]))
     return (loose + tensors[pos:], folded,
-            [(n, steps) for n, steps, _ in templates])
+            [(n, steps) for n, steps, _, _ in templates],
+            [layouts for _, _, layouts, _ in templates])
 
 
 def _changed(d: Diagram, old: dict, template: Diagram, slots) -> list:
@@ -303,15 +397,17 @@ def _changed(d: Diagram, old: dict, template: Diagram, slots) -> list:
 
 def _execute(steps: list, arrs: list, redo, free: bool) -> None:
     """Run the steps numbered in ``redo``, in ascending order, on ``arrs``:
-    the tensors, then one slot per step, where the step's result goes.  A
-    slot whose step is not in ``redo`` keeps what it holds.  With ``free``,
+    the tensors, then one slot per step, where the step's result goes, each
+    laid out as the matrix its step multiplies.  A slot whose step is not
+    in ``redo`` keeps what it holds.  With ``free``,
     each step's inputs leave ``arrs`` once it ran, so that only live arrays
     stay: every array is the input of one step."""
     n = len(arrs) - len(steps)
     for k in redo:
-        i, j, pa, sa, pb, sb, so = steps[k]
-        arrs[n + k] = np.dot(arrs[i].transpose(pa).reshape(sa),
-                             arrs[j].transpose(pb).reshape(sb)).reshape(so)
+        i, j, perm, _, shape, _, so = steps[k]
+        arr = np.dot(arrs[i], arrs[j])
+        arrs[n + k] = (arr.reshape(shape) if perm is None
+                       else arr.reshape(so).transpose(perm).reshape(shape))
         if free:
             arrs[i] = arrs[j] = None
 
@@ -336,13 +432,18 @@ class ContractionPlan:
     the run must be of a rebind, and ``memo_bytes`` at most a fixed
     internal bound (2 MiB).  The memo is the template, the labels of the
     run's slots, the top-level tensors, the region tensors and every
-    top-level step result but the last.  Every label outside two rebinds'
-    slots is the template's, so the next such run compares only the union
-    of both runs' slots, makes again the tensor or region tensor of each
-    changed one, follows each to the last step through the step that
-    consumes it (a list made on the first such run) and runs only
-    the steps on those paths, and the last, to the same bits; every other
-    result is a kept one.  Every other run is fresh.  Each run builds a
+    top-level step result but the last.  Each tensor and result is kept
+    in its layout (``layouts``, and a step's ``perm`` and ``shape``): the
+    2-D matrix, with its strides, that the one step reading it multiplies.
+    Each region tensor is kept in its template's axis order, one array per
+    distinct region tensor, and laid out when a step that reads it runs.
+    Every label outside two rebinds' slots is the template's, so the next
+    such run compares only the union of both runs' slots, makes again the
+    tensor or region tensor of each changed one, follows each to the last
+    step through the step that consumes it (a list made on the first such
+    run) and runs only the steps on those paths, and the last, to the same
+    bits; every other result is a kept one, read as it is.  Every other
+    run is fresh.  Each run builds a
     new memo and replaces the old in one assignment, never changing it,
     so concurrent runs see one whole memo or another.
     """
@@ -350,11 +451,12 @@ class ContractionPlan:
     structure: tuple = field(repr=False)   # ``structure_key`` of the diagram
     tensors: list        # node id per tensor, None for a boundary wire
     loops: dict          # node id -> self-loop traces, for nodes with any
-    steps: list          # (i, j, perm_a, shape_a, perm_b, shape_b, out_shape)
+    steps: list          # [i, j, perm, shape_a, shape, shape_b, out_shape]
     regions: list        # (template number, first node id) per region
                          # tensor, numbered after ``tensors``
+    layouts: list        # (perm, shape, order) per tensor and region tensor
     templates: list      # (node count, steps) per region template
-    perm: list           # axes of the last tensor in (outputs, inputs) order
+    template_layouts: list   # the layouts of each template's tensors
     shape: tuple         # (2^outputs, 2^inputs)
     peak_rank: int
     peak_bytes: int      # 16 * 2^peak_rank: one complex128 intermediate
@@ -418,16 +520,19 @@ class ContractionPlan:
         if not self.tensors and not self.regions:
             return np.ones((1, 1), dtype=complex)
         n, n_steps = len(self.tensors), len(self.steps)
-        nodes, loops = d.nodes, self.loops
+        end = n + len(self.regions)   # the first step result's number
+        nodes, loops, layouts = d.nodes, self.loops, self.layouts
         origin, memo = d._origin, self._memo   # another thread may replace it
         made: dict = {}
 
-        def region(k, first):
+        def region(pos):
+            k, first = self.regions[pos - n]
             size, steps = self.templates[k]
             nids = range(first, first + size)
             key = (k, tuple(nodes[nid].label for nid in nids))
             if key not in made:
-                arrs = [_tensor(d, nid, loops) for nid in nids]
+                arrs = [_tensor(d, nid, loops, layout) for nid, layout
+                        in zip(nids, self.template_layouts[k])]
                 arrs += [None] * len(steps)
                 _execute(steps, arrs, range(len(steps)), True)
                 made[key] = arrs[-1]
@@ -441,25 +546,39 @@ class ContractionPlan:
             changed = {position[nid] for nid in _changed(
                 d, old, template, set(origin[1]).union(old))}
             for pos in changed:
-                arrs[pos] = (_tensor(d, self.tensors[pos], loops) if pos < n
-                             else region(*self.regions[pos - n]))
-            redo = sorted(self._reach(changed))
+                arrs[pos] = (_tensor(d, self.tensors[pos], loops, layouts[pos])
+                             if pos < n else region(pos))
+            redo = self._reach(changed)
+            consumer = self._consumer
+            # without steps, the matrix reads the lone array
+            read = [pos for pos in range(n, end)
+                    if not redo or consumer[pos] in redo]
+            redo = sorted(redo)
         else:
-            arrs = [_tensor(d, nid, loops) for nid in self.tensors]
-            arrs += [region(*r) for r in self.regions] + [None] * n_steps
+            arrs = [_tensor(d, nid, loops, layout)
+                    for nid, layout in zip(self.tensors, layouts)]
+            arrs += [region(pos) for pos in range(n, end)] + [None] * n_steps
+            read = range(n, end)
             redo = range(n_steps)
+        # equal region tensors share one array, which the memo keeps in its
+        # template's axis order; each is laid out for the step that reads it
+        # when that step runs
+        natural = arrs[n:end]
+        for pos in read:
+            arrs[pos] = _read_as(arrs[pos], *layouts[pos][:2])
         keep = origin is not None and self.memo_bytes <= _MEMO_BOUND
         _execute(self.steps, arrs, redo, not keep)
         if keep:
+            kept = arrs[:-1] if n_steps else arrs[:]
+            kept[n:end] = natural
             # the matrix is handed out
             object.__setattr__(self, "_memo", (
                 origin[0], {nid: nodes[nid].label for nid in origin[1]},
-                arrs[:-1] if n_steps else arrs))
-        arr = arrs[-1].transpose(self.perm) if self.perm else arrs[-1]
-        arr = arr.reshape(self.shape)
-        # the last step always runs, so the result is new; without steps it
-        # is a node tensor, which a module constant or the memo may hold
-        return arr if n_steps else arr.copy()
+                kept))
+        # the last step lays out the matrix and always runs, so the result
+        # is new; without steps it is a tensor or region tensor laid out as
+        # the matrix, which a module constant or the memo may hold
+        return arrs[-1] if n_steps else arrs[-1].copy()
 
 
 def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP) -> ContractionPlan:
@@ -481,26 +600,37 @@ def _plan(structure: tuple, cap: int) -> ContractionPlan:
     """``plan_contraction`` of a diagram with ``structure_key``
     ``structure``; an error propagates and is never kept."""
     tensors, loops, external = _network(structure, cap)
-    regions, templates = [], []
+    regions, templates, template_layouts = [], [], []
     if structure[4]:
-        tensors, regions, templates = _fold(structure, tensors, loops)
+        tensors, regions, templates, template_layouts = _fold(
+            structure, tensors, loops)
     ids = [tids for _, tids in tensors + regions]
-    steps, perm = [], []
+    _, inputs, outputs, _, _ = structure
+    shape = (2 ** len(outputs), 2 ** len(inputs))
+    steps, layouts = [], []
     if ids:
-        steps = _schedule(ids)
+        steps, layouts = _schedule(ids)
         out = ids[-1]
         if sorted(out) != sorted(external):
             raise DiagramError("internal error: contraction left stray indices")
-        perm = [out.index(e) for e in external]
-    # every region runs its template's steps once, unless it shares them
-    done = steps + [step for (k, _), _ in regions for step in templates[k][1]]
-    peak = max((len(so) for *_, so in done), default=0)
-    _, inputs, outputs, _, _ = structure
+        # the matrix reads the last array: its axes in (outputs, inputs)
+        # order, flattened
+        layout = _layout(tuple(out.index(e) for e in external), shape)
+        if steps:
+            steps[-1][2], steps[-1][4] = layout[0], layout[1]
+        else:
+            layouts[0] = layout
+    # every region runs its template's steps once, unless it shares them:
+    # each template's steps are walked once and counted once per region
+    done = [(steps, 1)] + [(templates[k][1], uses) for k, uses in
+                           Counter(k for (k, _), _ in regions).items()]
+    peak = max((len(so) for part, _ in done for *_, so in part), default=0)
     return ContractionPlan(
         structure, [nid for nid, _ in tensors], loops, steps,
-        [r for r, _ in regions], templates, perm,
-        (2 ** len(outputs), 2 ** len(inputs)), peak, 16 * 2 ** peak,
-        sum(sa[0] * sa[1] * sb[1] for _, _, _, sa, _, sb, _ in done),
+        [r for r, _ in regions], layouts, templates, template_layouts, shape,
+        peak, 16 * 2 ** peak,
+        sum(uses * sa[0] * sa[1] * sb[1] for part, uses in done
+            for _, _, _, sa, _, sb, _ in part),
         16 * (sum(2 ** len(tids) for _, tids in tensors + regions)
               + sum(2 ** len(so) for *_, so in steps[:-1])))
 

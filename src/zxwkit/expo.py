@@ -471,7 +471,11 @@ def extract_axz_circuit(a: float, b: float, t: float) -> Circuit:
     if b == 0.0:
         return Circuit([Gate("RX", (0,), a * t)], 1)
     lam = math.hypot(a, b)
-    c, s = math.cos(lam * t / 2.0), math.sin(lam * t / 2.0)
+    half = lam * t / 2.0
+    if not math.isfinite(half):
+        raise DiagramError(f"no finite rotation angle: lambda*t/2 overflows "
+                           f"at a={a!r}, b={b!r}, t={t!r}")
+    c, s = math.cos(half), math.sin(half)
     target = c * np.eye(2) - 1j * (s / lam) * np.array([[b, a], [a, -b]])
     gamma = 2.0 * math.atan2(abs(target[0, 1]), abs(target[0, 0]))
     half_sum = -cmath.phase(target[0, 0]) if abs(target[0, 0]) > 1e-14 else 0.0

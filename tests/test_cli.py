@@ -429,23 +429,43 @@ def test_verification_failure_exits_one(tmp_path, capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["check-rules", "--samples", "-3"],
-    ["check-rules", "--samples", "0"],
-    ["expm", "FILE", "--method", "taylor", "--t", "1e308", "--order", "3",
-     "--compare-oracle"],
-    ["expm", "FILE", "--method", "trotter", "--t", "1e308", "--steps", "3",
-     "--compare-oracle"],
-    ["extract-demo", "--seed", "-1"],
-    ["check-rules", "--seed", "-1", "--samples", "1"],
-    ["extract-demo", "--a", "1e160", "--b", "1", "--t", "1"],
+# a finite input whose check overflows: four terms whose discharge
+# contraction reaches inf and nan, and a 3-qubit sum whose check needs six
+# open wires
+_OVERFLOWING_SUM = "1e-320 X\n1e308 X\n-1e200 X\n1e-320 Z\n"
+_THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, text", [
+    (["check-rules", "--samples", "-3"], EXAMPLE),
+    (["check-rules", "--samples", "0"], EXAMPLE),
+    (["expm", "FILE", "--method", "taylor", "--t", "1e308", "--order", "3",
+      "--compare-oracle"], EXAMPLE),
+    (["expm", "FILE", "--method", "trotter", "--t", "1e308", "--steps", "3",
+      "--compare-oracle"], EXAMPLE),
+    (["extract-demo", "--seed", "-1"], EXAMPLE),
+    (["check-rules", "--seed", "-1", "--samples", "1"], EXAMPLE),
+    (["extract-demo", "--a", "1e160", "--b", "1", "--t", "1"], EXAMPLE),
+    (["extract-demo", "--a", "2", "--t", "1e308"], EXAMPLE),
+    (["extract-demo", "--a", "0.5", "--b", "1e308", "--t", "0.5"], EXAMPLE),
+    (["ham", "build", "FILE", "--verify"], _OVERFLOWING_SUM),
+    (["ham", "build", "FILE", "--verify", "--cap", "5"], _THREE_QUBITS),
+    (["ham", "build", "FILE", "--verify", "--cap", "5", "--export", "json"],
+     _THREE_QUBITS),
 ], ids=["samples-negative", "samples-zero", "taylor-overflow",
         "oracle-overflow", "extract-demo-seed-negative",
-        "check-rules-seed-negative", "extract-demo-overflow"])
-def test_out_of_range_input_is_usage_error(argv, ham_file, capsys):
-    assert main([ham_file if a == "FILE" else a for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
+        "check-rules-seed-negative", "extract-demo-overflow",
+        "extract-demo-angle-overflow", "extract-demo-warnings",
+        "ham-build-verify-overflow", "ham-build-verify-cap",
+        "ham-build-verify-cap-json"])
+def test_out_of_range_input_is_usage_error(argv, text, tmp_path, capsys):
+    # exit 2 with one error line, nothing on stdout and no warning
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    assert main([str(f) if a == "FILE" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
     lines = err.splitlines()
     assert [ln for ln in lines if "error" in ln] == lines[-1:]
     assert lines[-1].startswith("zxw: error: ")

@@ -22,7 +22,8 @@ from zxwkit import (Builder, CapExceeded, Diagram, DiagramError,
                     parse_pauli_sum, plan_contraction, plug_basis,
                     scalar_of, simplify_basic,
                     structural_equal, taylor_diagram, transpose_diagram,
-                    trotter_diagram, triangle, w_diagram, zbox_diagram)
+                    trotter_diagram, triangle, verify_controlled,
+                    w_diagram, zbox_diagram)
 from zxwkit import evaluate
 from zxwkit.graph import rebind, splice, structure_key
 from zxwkit.pauli import DiagonalFactorSum
@@ -834,6 +835,55 @@ def test_memo_bytes_count_region_tensors(monkeypatch):
         assert len(made) == 1 + 12 + 7 and plan._memo is None
 
 
+def test_a_warm_memo_keeps_each_array_as_its_step_multiplies_it():
+    # every kept array is the matrix the one step that reads it multiplies,
+    # so a step run again on a kept array is one np.dot on it
+    m = _dominant(4, 3)
+    cd = controlled_matrix(m)
+    for _ in range(2):
+        assert verify_controlled(cd, m)["ok"]
+    plan = plan_contraction(cd.discharge())
+    assert not plan.regions
+    read = [None] * (len(plan.tensors) + len(plan.steps))
+    for i, j, _, shape_a, _, shape_b, _ in plan.steps:
+        read[i], read[j] = shape_a, shape_b
+    _, _, kept = plan._memo
+    assert [a.shape for a in kept] == read[:-1]   # the matrix is handed out
+    assert None not in read[:-1]
+
+
+_SIGNED_LABELS = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                  0j, 1 + 0j, complex(-2.5, -0.0), complex(-0.0, 1.5),
+                  0.3 - 0.7j]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 2), st.sampled_from(_SIGNED_LABELS),
+       st.data())
+def test_a_laid_out_z_box_is_its_tensor_transposed_and_reshaped(
+        legs, traced, label, data):
+    # a Z box (traced or not) is made straight as the matrix its step
+    # reads: the bits, and the strides BLAS is handed, of its tensor's
+    # transpose and reshape
+    b = Builder()
+    box = b.zbox(label)
+    for _ in range(traced):
+        b.wire(b.leg(box), b.leg(box))
+    for _ in range(legs):
+        b.wire(b.leg(box), b.output())
+    d = b.build()
+    _, loops, _ = evaluate._network(structure_key(d), evaluate.DEFAULT_CAP)
+    assert len(loops.get(box, ())) == traced
+    perm = tuple(data.draw(st.permutations(range(legs))))
+    rows = data.draw(st.integers(0, legs))
+    shape = (2 ** rows, 2 ** (legs - rows))
+    want = np.asarray(evaluate._tensor(d, box, loops)).transpose(perm)
+    want = want.reshape(shape)
+    got = evaluate._tensor(d, box, loops, evaluate._layout(perm, shape))
+    assert got.shape == shape and got.tobytes() == want.tobytes()
+    assert got.strides == want.strides
+
+
 @pytest.mark.parametrize("build", [
     lambda: trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7),
     lambda: diagram_from_json(diagram_to_json(_controlled(2).discharge())),
@@ -883,17 +933,25 @@ _TIMES = (0.0, 0.4, -1.3)
 @functools.lru_cache(maxsize=None)
 def _label_sets():
     """The diagrams the memo property test draws from: the discharge and
-    the idle of 2x2 matrices with one structure, and a gadget chain at
-    three times with its other box labels scaled, by (scale, time), each a
+    the idle of 2x2 matrices with one structure (the first also with
+    signed zeros in its weights), and a gadget chain at three times with
+    its other box labels scaled (by -0.0 too), by (scale, time), each a
     rebind of one template with every Z box a slot."""
-    plugged = [(cd.discharge(), cd.idle()) for cd in
-               (controlled_matrix(_dominant(2, seed)) for seed in range(3))]
+    cds = [controlled_matrix(_dominant(2, seed)) for seed in range(3)]
+    plugged = [(cd.discharge(), cd.idle()) for cd in cds]
+    # the first matrix's weights, each with a part turned into a signed zero
+    template, slots = cds[0].diagram._origin
+    weights = [cds[0].diagram.nodes[nid].label for nid in slots]
+    signed = rebind(template, slots, [
+        complex(-0.0, w.imag) if k % 2 else complex(w.real, -0.0)
+        for k, w in enumerate(weights)])
+    plugged.append((plug_basis(signed, 0, 1), plug_basis(signed, 0, 0)))
     chain = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI"))
     template = chain.at(0.0)
     boxes = [nid for nid, node in template.nodes.items()
              if node.kind == "zbox"]
     scaled = {}
-    for k, c in enumerate((1.0, -0.5, 2.0j)):
+    for k, c in enumerate((1.0, -0.5, 2.0j, -0.0)):
         for t in _TIMES:
             nodes = chain.at(t).nodes
             scaled[k, t] = rebind(template, boxes, [
@@ -903,13 +961,14 @@ def _label_sets():
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), st.integers(0, 2),
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 3),
                           st.integers(0, 1), st.sampled_from(_TIMES),
                           st.booleans()),
                 min_size=1, max_size=8))
 def test_a_kept_plan_runs_any_label_sequence_bit_for_bit(runs):
     # each run: (gadget chain?, which weights or scale, which plug, time,
-    # followed by the other plug?)
+    # followed by the other plug?); the bytes compare, so a zero's sign
+    # counts
     plugged, scaled = _label_sets()
     for chain, k, plug, t, pair in runs:
         if chain:
@@ -921,7 +980,9 @@ def test_a_kept_plan_runs_any_label_sequence_bit_for_bit(runs):
         plan = plan_contraction(diagrams[0])
         for d in diagrams:
             got = plan.run(d)
-            assert np.array_equal(got, _fresh_plan(d).run(d))
+            want = _fresh_plan(d).run(d)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
             got[:] = np.nan   # the next run must not see this
 
 
