@@ -282,26 +282,32 @@ def _oracle_error(u: np.ndarray, h, t: float, cfg: Config) -> float:
 def _cmd_expm(args, cfg: Config) -> int:
     h = parse_pauli_sum(_read(args.file))
     t = args.t
-    if args.method == "taylor":
-        if args.order is None:
-            raise _Usage("--method taylor requires --order")
-        if args.steps is not None:
-            raise _Usage("--order and --steps are mutually exclusive")
-        d = taylor_diagram(h, args.order, t)
-        u = eval_diagram(d, cap=cfg.cap)
-    elif args.method == "trotter":
-        if args.steps is None:
-            raise _Usage("--method trotter requires --steps")
-        if args.order is not None:
-            raise _Usage("--order and --steps are mutually exclusive")
-        d = trotter_diagram(h, args.steps, t)
-        u = eval_diagram(d, cap=cfg.cap)
-    else:
-        if args.order is not None or args.steps is not None:
-            raise _Usage("--method exact takes neither --order nor --steps")
-        wrapper = commuting_exponential(h)
-        u = cmath.exp(1j * wrapper.phase_slope * t) * eval_diagram(
-            wrapper.at(t), cap=cfg.cap)
+    # a finite input can still overflow in the contraction
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.method == "taylor":
+            if args.order is None:
+                raise _Usage("--method taylor requires --order")
+            if args.steps is not None:
+                raise _Usage("--order and --steps are mutually exclusive")
+            d = taylor_diagram(h, args.order, t)
+            u = eval_diagram(d, cap=cfg.cap)
+        elif args.method == "trotter":
+            if args.steps is None:
+                raise _Usage("--method trotter requires --steps")
+            if args.order is not None:
+                raise _Usage("--order and --steps are mutually exclusive")
+            d = trotter_diagram(h, args.steps, t)
+            u = eval_diagram(d, cap=cfg.cap)
+        else:
+            if args.order is not None or args.steps is not None:
+                raise _Usage("--method exact takes neither --order nor "
+                             "--steps")
+            wrapper = commuting_exponential(h)
+            u = cmath.exp(1j * wrapper.phase_slope * t) * eval_diagram(
+                wrapper.at(t), cap=cfg.cap)
+    if not np.all(np.isfinite(u)):
+        raise _Usage(f"no finite exponential at t={t!r}: its evaluation "
+                     "overflows")
     # compare before printing, so a run that exits 2 leaves stdout empty
     circuit = circuit_err = oracle_err = None
     if args.emit_circuit:

@@ -53,23 +53,22 @@ up and checked by identity, walking nothing.
 A plan reuses a run for one case only: the next run of a rebind of the
 same template (``graph.rebind``).  Every label outside the two runs'
 slots is the template's, so the run compares only the union of both
-runs' slots: 17 of a 4x4 discharge's 252 labels.  A rebind's run keeps
-its arrays (the plan's memo) while they total at most 2 MiB: the
-top-level tensors and every top-level step result but the last, each in
-its layout, and the region tensors in their template's axis order, since
-equal region tensors share one array whatever layouts their steps read.
-The next such run makes again the tensor, or the region tensor, of each
-changed slot.  Every array of a plan is the input of exactly one step, so
-the steps to run again are the changed arrays' paths to the last step,
-and every other result is the kept one, so that a step run again beside
-a kept input is one ``np.dot`` on it (a region tensor is laid out first):
-the idle of a controlled diagram, run after its discharge, runs the 18 of
-a 4x4's 251 steps that the control's label reaches, and a discharge with new
-coefficients, run after another matrix's idle, runs the 66 that its 16
-weights and the control reach.  Every other run is fresh and keeps
-nothing.  The same ``np.dot`` on the same arrays gives the same bits, so
-every matrix stays bit-identical.  No returned matrix shares memory with
-a memo or with this module's shared tensors, which are read-only.
+runs' slots: 16 of a controlled 4x4 matrix's 249 interior nodes.  A
+rebind's run keeps its arrays (the plan's memo) while they total at most
+2 MiB: the top-level tensors and every top-level step result but the
+last, each in its layout, and the region tensors in their template's
+axis order, since equal region tensors share one array whatever layouts
+their steps read.  The next such run makes again the tensor, or the
+region tensor, of each changed slot.  Every array of a plan is the input
+of exactly one step, so the steps to run again are the changed arrays'
+paths to the last step, and every other result is the kept one, so that
+a step run again beside a kept input is one ``np.dot`` on it (a region
+tensor is laid out first): a controlled 4x4 matrix with new
+coefficients, run after another's, runs the 66 of its 248 steps that its
+16 weights reach.  Every other run is fresh and keeps nothing.  The same
+``np.dot`` on the same arrays gives the same bits, so every matrix stays
+bit-identical.  No returned matrix shares memory with a memo or with
+this module's shared tensors, which are read-only.
 
 This greedy schedule is the only one.  It contracts a diagram's
 ``regions`` (what each ``Builder.region`` call wrote: a Trotter chain's
@@ -112,7 +111,7 @@ for _shared in (V_MATRIX, *_SHARED.values()):
 
 # A plan keeps the arrays of its last run, its memo, only while they total
 # at most this many bytes (``ContractionPlan.memo_bytes``): a 4x4 controlled
-# matrix keeps 94 KB, an 8x8 one 1.45 MB, a 16x16 one would keep 84 MB.
+# matrix keeps 63,808 B, an 8x8 one 1.17 MB, a 16x16 one would keep 143 MB.
 _MEMO_BOUND = 2 * 2 ** 20
 
 
@@ -417,10 +416,11 @@ class ContractionPlan:
     """A contraction schedule compiled from a diagram's structure alone.
 
     ``run`` evaluates any diagram with the same structure, whatever its
-    labels: the discharge and the idle of a controlled diagram, or one
-    exponential route at several times.  The structure is the node ids
-    with their kinds and port counts, the edge list (in order: the plan
-    numbers edges by position), the boundaries and the regions.
+    labels: controlled matrices of one size with the same nonzero Pauli
+    strings, or one exponential route at several times.  The structure is
+    the node ids with their kinds and port counts, the edge list (in
+    order: the plan numbers edges by position), the boundaries and the
+    regions.
     ``peak_rank`` is the rank of the largest intermediate the steps make (0
     without steps), ``peak_bytes`` its size and ``flops`` the complex
     multiply-adds of all steps, all known before anything is allocated; the

@@ -453,12 +453,14 @@ _THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
     (["ham", "build", "FILE", "--verify", "--cap", "5"], _THREE_QUBITS),
     (["ham", "build", "FILE", "--verify", "--cap", "5", "--export", "json"],
      _THREE_QUBITS),
+    (["expm", "FILE", "--method", "taylor", "--order", "2", "--t", "1"],
+     "1e308 X\n1 Z\n"),
 ], ids=["samples-negative", "samples-zero", "taylor-overflow",
         "oracle-overflow", "extract-demo-seed-negative",
         "check-rules-seed-negative", "extract-demo-overflow",
         "extract-demo-angle-overflow", "extract-demo-warnings",
         "ham-build-verify-overflow", "ham-build-verify-cap",
-        "ham-build-verify-cap-json"])
+        "ham-build-verify-cap-json", "expm-taylor-not-finite"])
 def test_out_of_range_input_is_usage_error(argv, text, tmp_path, capsys):
     # exit 2 with one error line, nothing on stdout and no warning
     f = tmp_path / "input.txt"

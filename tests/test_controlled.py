@@ -225,23 +225,134 @@ def _matrix_cases():
     }
 
 
-def _verify_plug_by_plug(cd, matrix, tol=1e-9):
-    """``verify_controlled`` on a matrix as two separate runs of one plan."""
-    discharged = cd.discharge()
-    plan = plan_contraction(discharged)
-    err_d = float(np.max(np.abs(plan.run(discharged) - matrix)))
-    err_i = float(np.max(np.abs(plan.run(cd.idle())
-                                - np.eye(len(matrix)))))
+def _report(cd, blocks, target, tol=1e-9):
+    """``verify_controlled``'s report on the (idle, discharge) ``blocks``."""
+    idle, discharge = blocks
+    dim = 2 ** cd.m
+    if cd.kind == "matrix":
+        want_d, want_i = target, np.eye(dim, dtype=complex)
+    else:
+        want_d, want_i = np.reshape(target, (dim, 1)), np.eye(dim, 1,
+                                                               dtype=complex)
+    err_d = float(np.max(np.abs(discharge - np.asarray(want_d, complex))))
+    err_i = float(np.max(np.abs(idle - want_i)))
     return {"ok": err_d <= tol and err_i <= tol,
             "err_discharge": err_d, "err_idle": err_i}
 
 
+def _one_run(cd, cap=evaluate.DEFAULT_CAP):
+    """(idle, discharge) as the two column halves of one fresh run of the
+    open diagram, planned anew past the cache, one wire wider than a
+    plug's ``cap``."""
+    d = cd.diagram
+    got = evaluate._plan.__wrapped__(graph.structure_key(d), cap + 1).run(d)
+    half = got.shape[1] // 2
+    return got[:, :half], got[:, half:]
+
+
+def _plug_runs(cd):
+    """(idle, discharge) as two separate runs of one plan, one per plug."""
+    discharged = cd.discharge()
+    plan = plan_contraction(discharged)
+    return plan.run(cd.idle()), plan.run(discharged)
+
+
 @pytest.mark.parametrize("case", sorted(_matrix_cases()))
 def test_verify_controlled_is_plug_by_plug(case):
-    # one pass over both plugs reports what two separate runs do
+    # both plugs are read off one run of the open diagram: the report is
+    # that of a fresh run, bit for bit, whatever the plan kept from the
+    # matrix before, and each plug's matrix is the plug run's to within
+    # the accuracy pin
     for matrix in _matrix_cases()[case]:
         cd = controlled_matrix(matrix)
-        assert verify_controlled(cd, matrix) == _verify_plug_by_plug(cd, matrix)
+        rep = verify_controlled(cd, matrix)
+        blocks = _one_run(cd)
+        assert rep == _report(cd, blocks, matrix)
+        (idle, discharge), (plug_i, plug_d) = blocks, _plug_runs(cd)
+        assert _within_accuracy_pin(
+            {"err_discharge": float(np.max(np.abs(discharge - plug_d))),
+             "err_idle": float(np.max(np.abs(idle - plug_i)))}, matrix)
+
+
+_ZEROS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
+@st.composite
+def _targets(draw, kind, dim):
+    """A ``kind`` target of dimension ``dim``: the zero one, or entries in
+    the unit disc, signed zeros among them, times a scale up to 1e6."""
+    size = dim * dim if kind == "matrix" else dim
+    if draw(st.integers(0, 7)) == 0:
+        entries = [draw(st.sampled_from(_ZEROS))] * size
+    else:
+        entries = draw(st.lists(st.one_of(
+            st.sampled_from(_ZEROS),
+            st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                               allow_infinity=False)),
+            min_size=size, max_size=size))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    out = scale * np.array(entries, dtype=complex)
+    return out.reshape(dim, dim) if kind == "matrix" else out
+
+
+_BUILD = {"matrix": controlled_matrix, "state": controlled_state_normal_form}
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(["matrix", "state"]), st.sampled_from([2, 4]),
+       st.data())
+def test_a_verify_cold_or_warm_is_one_fresh_run(kind, dim, data):
+    # the report, with no plan yet or after another target of the same
+    # size, is the one read off a fresh run of the open diagram, bit for bit
+    target, other = (data.draw(_targets(kind, dim)) for _ in range(2))
+    cd = _BUILD[kind](target)
+    want = _report(cd, _one_run(cd), target)
+    evaluate._plan.cache_clear()
+    assert verify_controlled(cd, target) == want
+    verify_controlled(_BUILD[kind](other), other)
+    assert verify_controlled(cd, target) == want
+    assert verify_controlled(_BUILD[kind](target), target) == want
+
+
+def _wide_box(legs):
+    """A controlled 1-qubit matrix whose one Z box has ``legs`` legs: the
+    control, the data wire in and out, and 1-leg boxes on the rest."""
+    b = Builder()
+    box = b.zbox(0.5)
+    b.wire(b.input(), b.leg(box))
+    b.wire(b.input(), b.leg(box))
+    b.wire(b.leg(box), b.output())
+    for _ in range(legs - 3):
+        b.wire(b.leg(box), b.zbox(1.0))
+    return ControlledDiagram(b.build(), "matrix", 1), box
+
+
+@pytest.mark.parametrize("build, fits, over", [
+    (lambda: (controlled_matrix(np.array([[1.0, 2.0], [3.0, 4.0]])), None),
+     3, {2: "node 1 has 3 legs, cap is 2", 1: "2 open wires exceed cap 1"}),
+    (lambda: (controlled_state_normal_form(np.arange(1.0, 5.0)), None),
+     3, {2: "node 1 has 3 legs, cap is 2", 1: "2 open wires exceed cap 1"}),
+    (lambda: (controlled_matrix(np.eye(4) + 1.0), None),
+     4, {3: "4 open wires exceed cap 3"}),
+    (lambda: _wide_box(5), 5, {4: "node {box} has 5 legs, cap is 4"}),
+], ids=["matrix-2x2", "state-2-qubits", "matrix-4x4", "wide-box"])
+def test_verify_controlled_caps_each_plug(build, fits, over):
+    # cap bounds each plug's open wires, one fewer than the diagram's, and
+    # its node legs, as planning the plug does
+    cd, box = build()
+    dim = 2 ** cd.m
+    target = _plug_runs(cd)[1]
+    if cd.kind == "state":
+        target = target.reshape(dim)
+    rep = verify_controlled(cd, target, tol=np.inf, cap=fits)
+    assert rep["err_discharge"] <= 1e-12
+    for cap, message in over.items():
+        with pytest.raises(evaluate.CapExceeded) as err:
+            verify_controlled(cd, target, cap=cap)
+        assert str(err.value) == message.format(box=box)
+        with pytest.raises(evaluate.CapExceeded) as err:
+            plan_contraction(cd.discharge(), cap=cap)
+        assert str(err.value) == message.format(box=box)
 
 
 def _accuracy_draws():
@@ -544,20 +655,16 @@ def _reached(plan, changed):
 def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
     rng = np.random.default_rng(11)
     a, b = (_rand_matrix(rng, 4) for _ in range(2))
-    verify_controlled(controlled_matrix(a), a)   # the plan keeps a's idle
-    cd = controlled_matrix(b)
-    plan = plan_contraction(cd.discharge())
-    old, d, i = (controlled_matrix(a).idle(), cd.discharge(), cd.idle())
-    last = len(plan.steps) - 1
-    # the discharge runs what b's weights and the control reach from a's
-    # idle, and the idle what the control reaches from the discharge
-    redo_d = _reached(plan, [k for k, nid in enumerate(plan.tensors)
-                             if nid is not None and d.nodes[nid].label
-                             != old.nodes[nid].label]) | {last}
-    redo_i = _reached(plan, [k for k, nid in enumerate(plan.tensors)
-                             if nid is not None and i.nodes[nid].label
-                             != d.nodes[nid].label]) | {last}
-    assert (len(redo_d), len(redo_i), len(plan.steps)) == (66, 18, 251)
+    verify_controlled(controlled_matrix(a), a)   # the plan keeps a's run
+    old, cd = controlled_matrix(a).diagram, controlled_matrix(b)
+    d = cd.diagram
+    plan = plan_contraction(d, cap=evaluate.DEFAULT_CAP + 1)
+    # the one run redoes what b's weights reach from a's run, and the last
+    # step
+    redo = _reached(plan, [k for k, nid in enumerate(plan.tensors)
+                           if nid is not None and d.nodes[nid].label
+                           != old.nodes[nid].label]) | {len(plan.steps) - 1}
+    assert (len(redo), len(plan.steps)) == (66, 248)
     dots, visited = [], []
     real_dot, real_execute = np.dot, evaluate._execute
     monkeypatch.setattr(np, "dot",
@@ -567,16 +674,16 @@ def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
                         or real_execute(steps, arrs, redo, free))
     rep = verify_controlled(cd, b)
     monkeypatch.undo()
-    assert len(dots) == len(redo_d) + len(redo_i) == 84
-    assert visited == [redo_d, redo_i]
-    assert rep == _verify_plug_by_plug(controlled_matrix(b), b)
+    assert len(dots) == len(redo) == 66
+    assert visited == [redo]
+    assert rep == _report(cd, _one_run(cd), b)
 
 
 def test_a_warm_verify_walks_no_structure_and_compares_only_slots(
         monkeypatch):
-    # the plugs of a rebound diagram take the key kept on the template's,
-    # and a run after another rebind of the template compares only the
-    # labels the two set: 16 weights and the basis state
+    # a rebound diagram takes the key kept on its template, and a run after
+    # another rebind of the template compares only the labels the two set:
+    # 16 weights
     rng = np.random.default_rng(12)
     mats = [_rand_matrix(rng, 4) for _ in range(3)]
     verify_controlled(controlled_matrix(mats[0]), mats[0])
@@ -591,35 +698,36 @@ def test_a_warm_verify_walks_no_structure_and_compares_only_slots(
     for m in mats[1:]:
         del compared[:], dots[:]
         assert verify_controlled(controlled_matrix(m), m)["ok"]
-        assert (walks, compared, len(dots)) == ([], [17, 17], 66 + 18)
+        assert (walks, compared, len(dots)) == ([], [16], 66)
 
 
 def test_a_second_verify_of_a_spliced_sum_makes_no_region_tensor(
         monkeypatch):
-    # each arm is a spliced region; the plan keeps the region tensors of
-    # its last run, so only the plugged control's tensor is made again
+    # each arm is a spliced region; a diagram with no origin runs as a
+    # rebind of itself with no slots, so the plan keeps its run and the
+    # second verify makes no tensor and redoes only the last step
     rng = np.random.default_rng(13)
     mats = [_rand_matrix(rng, 4) for _ in range(3)]
     weights = [0.5, -1.0j, 2.0]
     cd = controlled_sum_matrices([controlled_matrix(m) for m in mats],
                                  weights=weights)
+    assert cd.diagram._origin is None
     target = sum(w * m for w, m in zip(weights, mats))
-    plan = plan_contraction(cd.discharge())
+    plan = plan_contraction(cd.diagram, cap=evaluate.DEFAULT_CAP + 1)
     assert len(plan.regions) == 3
     in_regions = {nid for k, first in plan.regions
                   for nid in range(first, first + plan.templates[k][0])}
-    made = []
-    real = evaluate._tensor
+    made, dots = [], []
+    real, real_dot = evaluate._tensor, np.dot
     monkeypatch.setattr(evaluate, "_tensor",
                         lambda *args: made.append(args[1]) or real(*args))
     first = verify_controlled(cd, target)
     assert first["ok"] and in_regions <= set(made)
-    d, i = cd.discharge(), cd.idle()
-    plug = [nid for nid, node in d.nodes.items()
-            if node.label != i.nodes[nid].label]
     del made[:]
+    monkeypatch.setattr(np, "dot",
+                        lambda *args: dots.append(1) or real_dot(*args))
     assert verify_controlled(cd, target) == first
-    assert made == plug * 2 and not in_regions & set(plug)
+    assert made == [] and len(dots) == 1
 
 
 @pytest.mark.parametrize("build", [

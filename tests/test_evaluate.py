@@ -842,7 +842,7 @@ def test_a_warm_memo_keeps_each_array_as_its_step_multiplies_it():
     cd = controlled_matrix(m)
     for _ in range(2):
         assert verify_controlled(cd, m)["ok"]
-    plan = plan_contraction(cd.discharge())
+    plan = plan_contraction(cd.diagram, cap=evaluate.DEFAULT_CAP + 1)
     assert not plan.regions
     read = [None] * (len(plan.tensors) + len(plan.steps))
     for i, j, _, shape_a, _, shape_b, _ in plan.steps:
