@@ -34,7 +34,7 @@ from .controlled import (controlled_matrix, controlled_state_normal_form,
                          controlled_sum_matrices, controlled_sum_states,
                          state_oracle, verify_controlled)
 from .evaluate import DEFAULT_CAP, eval_diagram
-from .expo import (Circuit, Gate, cayley_hamilton_diagram,
+from .expo import (Circuit, Gate, _phase, cayley_hamilton_diagram,
                    commuting_exponential, extract_axz_circuit, taylor_diagram,
                    trotter_diagram)
 from .graph import DiagramError
@@ -303,7 +303,7 @@ def _cmd_expm(args, cfg: Config) -> int:
                 raise _Usage("--method exact takes neither --order nor "
                              "--steps")
             wrapper = commuting_exponential(h)
-            u = cmath.exp(1j * wrapper.phase_slope * t) * eval_diagram(
+            u = _phase(wrapper.phase_slope, t) * eval_diagram(
                 wrapper.at(t), cap=cfg.cap)
     if not np.all(np.isfinite(u)):
         raise _Usage(f"no finite exponential at t={t!r}: its evaluation "

@@ -27,10 +27,7 @@ takes about 20 us against about 1 ms for a build.  A rebound diagram
 records its template and the weight boxes it set, so it shares the
 template's structure key and a plan run after another rebind of the same
 template compares only those labels (see ``evaluate.ContractionPlan``).
-Every plug is a rebind too: a rebound diagram's discharge and idle are
-rebinds of the template's plug, which the template makes once, with the
-weights and the basis state as slots, and a diagram built here without
-a template (a spliced sum, a state form) is the template of its own.
+A plug (``discharge``, ``idle``) is a plain diagram, and
 ``verify_controlled`` plugs nothing: it reads both plug contracts off
 one contraction of the diagram with the control left open.
 
@@ -108,17 +105,12 @@ def _plugs(cd: ControlledDiagram, cap: int = DEFAULT_CAP) -> tuple:
     half for |0>, the second for |1>.  ``cap`` bounds a plug's open wires
     (the diagram's minus one) and node legs, as in ``eval_diagram``, and
     the open diagram is planned one wire wider; a diagram a plug of which
-    is over ``cap`` raises what planning that plug raises.  A diagram with
-    no origin runs as a rebind of itself, as its plugs are rebinds of its
-    own plug (``graph.plug_basis``), so the plan's memo serves its next
-    run."""
+    is over ``cap`` raises what planning that plug raises."""
     d = cd.diagram
     key = structure_key(d)
     # a plug's basis state adds a 2-leg Hadamard
     if len(key[1]) + len(key[2]) - 1 > cap or max(_widest(key), 2) > cap:
         plan_contraction(cd.idle(), cap)   # raises the plug's CapExceeded
-    if d._origin is None:
-        d = rebind(d, (), ())
     got = plan_contraction(d, cap + 1)._run(d)
     half = got.shape[1] // 2
     return got[:, :half], got[:, half:]

@@ -45,10 +45,8 @@ its labels: a controlled matrix of a given size, say, is planned once, not
 once per matrix.  Plans are shared, so callers treat them as read-only.
 The lookup goes by the diagram's structure key (``graph.structure_key``),
 which is computed once per diagram, hashed once, and shared by a rebound
-diagram with its template.  Every plug is a rebind of its template's plug
-(a diagram with no origin is its own template), so the plugs of a
-template's rebinds at one wire share a key too: such a diagram is looked
-up and checked by identity, walking nothing.
+diagram with its template: such a diagram is looked up and checked by
+identity, walking nothing.
 
 A plan reuses a run for one case only: the next run of a rebind of the
 same template (``graph.rebind``).  Every label outside the two runs'
@@ -428,11 +426,11 @@ class ContractionPlan:
     once per region as if no two regions shared a tensor.
 
     A plan keeps the arrays of a run (its memo) only for the next run of a
-    rebind of the same template (``graph.rebind``; every plug is one):
-    the run must be of a rebind, and ``memo_bytes`` at most a fixed
-    internal bound (2 MiB).  The memo is the template, the labels of the
-    run's slots, the top-level tensors, the region tensors and every
-    top-level step result but the last.  Each tensor and result is kept
+    rebind of the same template (``graph.rebind``): the run must be of a
+    rebind, and ``memo_bytes`` at most a fixed internal bound (2 MiB).
+    The memo is the template, the labels of the run's slots, the
+    top-level tensors, the region tensors and every top-level step result
+    but the last.  Each tensor and result is kept
     in its layout (``layouts``, and a step's ``perm`` and ``shape``): the
     2-D matrix, with its strides, that the one step reading it multiplies.
     Each region tensor is kept in its template's axis order, one array per

@@ -56,14 +56,23 @@ class ExponentialDiagram:
         """The chain with its hats rebound to time t: new hat ``Node``s,
         every other one the template's (see ``graph.rebind``)."""
         template, hats = self._template
-        return rebind(template, hats, [cmath.exp(1j * slope * t)
+        return rebind(template, hats, [_phase(slope, t)
                                        for _, slope in self.gadgets])
 
     def eval(self, t: float) -> np.ndarray:
         return eval_diagram(self.at(t))
 
     def unitary(self, t: float) -> np.ndarray:
-        return cmath.exp(1j * self.phase_slope * t) * self.eval(t)
+        return _phase(self.phase_slope, t) * self.eval(t)
+
+
+def _phase(slope: float, t: float) -> complex:
+    """exp(i * slope * t); a ``DiagramError`` where slope * t is not
+    finite, since ``cmath.exp`` raises a bare ``ValueError`` there."""
+    if not math.isfinite(slope * t):
+        raise DiagramError(f"no finite phase: {slope!r} * {t!r} is not "
+                           "finite")
+    return cmath.exp(1j * slope * t)
 
 
 def _gadget_into(b: Builder, p: PauliString, label, data) -> list:
@@ -155,8 +164,10 @@ def trotter_diagram(h: PauliSum, steps: int, t: float) -> Diagram:
         raise DiagramError("steps must be >= 1")
     coeffs = _require_real(h.terms)
     tau = float(t) / steps
-    step = [(p, cmath.exp(1j * alpha * tau))
+    step = [(p, _phase(alpha, tau))
             for alpha, (_, p) in zip(coeffs, h.terms) if p.support()]
+    if not math.isfinite(0.5 * float(t) * sum(coeffs)):
+        raise DiagramError(f"no finite global phase at t={t!r}")
     b = _chain(h.m, step * steps)
     # one 0-leg box for all dropped gadget phases and all identity terms
     b.zbox(cmath.exp(-0.5j * float(t) * sum(coeffs)) - 1)

@@ -14,9 +14,7 @@ nodes, with no interior node at all.
 ``compose_seq``, ``compose_par`` (of any number of diagrams) and ``splice``
 all copy through one writer, ``_copy_into``.  ``rebind`` gives a built
 diagram new labels in some slots without building it again, and shares
-the template's structure key (``structure_key``).  Every plug is a rebind
-too: of the template's plug at that wire, made once; a diagram with no
-origin is its own template.
+the template's structure key (``structure_key``).
 
 Derived generators (triangles, pink spiders, V gates, And boxes, phase
 spiders, n-ary W spiders) expand into the four primitive node kinds at
@@ -74,13 +72,11 @@ class Diagram:
     ``evaluate``).  JSON and ``structural_equal`` ignore them,
     and operations that renumber or rewrite nodes drop them.
 
-    A diagram from ``rebind`` or ``plug_basis`` records its origin: the
-    template it came from and its slots, the ids of the nodes whose labels
-    it set.  Every other label is the template's.  A template (a diagram
-    with no origin is its own) keeps its plugs, one per wire, which the
-    plugs of it and of its rebinds are rebinds of.  Neither the key, the
-    origin nor the plugs are compared, printed or serialized, and
-    ``copy()``, rewrites and JSON hand out diagrams without them.
+    A diagram from ``rebind`` records its origin: the template it came
+    from and its slots, the ids of the nodes whose labels it set.  Every
+    other label is the template's.  Neither the key nor the origin is
+    compared, printed or serialized, and ``copy()``, rewrites, plugs and
+    JSON hand out diagrams without them.
     """
 
     nodes: dict = field(default_factory=dict)
@@ -88,15 +84,11 @@ class Diagram:
     inputs: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     regions: list = field(default_factory=list, repr=False, compare=False)
-    # (template Diagram, slot ids), set by ``rebind`` and ``plug_basis``
+    # (template Diagram, slot ids), set by ``rebind``
     _origin: Optional[tuple] = field(default=None, init=False, repr=False,
                                      compare=False)
     _key: Optional[StructureKey] = field(default=None, init=False,
                                          repr=False, compare=False)
-    # input wire -> (this diagram plugged there, the basis state's id),
-    # filled by the first ``plug_basis`` of this diagram or a rebind of it
-    _plugs: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     @property
     def n_inputs(self) -> int:
@@ -292,24 +284,14 @@ def structure_key(d: Diagram) -> StructureKey:
     regions.
 
     It is computed the first time it is asked for and kept on ``d``.  A
-    rebound diagram, or a plug of one, takes its template's key, so it
-    walks nothing after the template's first walk."""
+    rebound diagram takes its template's key, so it walks nothing after
+    the template's first walk."""
     key = d._key
     if key is None:
         origin = d._origin
         key = _walk(d) if origin is None else structure_key(origin[0])
         d._key = key
     return key
-
-
-def _relabelled(template: Diagram, slots: tuple, nodes: dict) -> Diagram:
-    """``template`` with the node dict ``nodes``, which differs from the
-    template's in the slots' ``Node``s alone, and the origin
-    ``(template, slots)``."""
-    d = Diagram(nodes, list(template.edges), list(template.inputs),
-                list(template.outputs), list(template.regions))
-    d._origin = (template, slots)
-    return d
 
 
 def rebind(template: Diagram, slots, labels) -> Diagram:
@@ -327,7 +309,10 @@ def rebind(template: Diagram, slots, labels) -> Diagram:
     for nid, label in zip(slots, labels):
         n = old[nid]
         nodes[nid] = Node(nid, ZBOX, n.ports, complex(label), n.tag)
-    return _relabelled(template, tuple(slots), nodes)
+    d = Diagram(nodes, list(template.edges), list(template.inputs),
+                list(template.outputs), list(template.regions))
+    d._origin = (template, tuple(slots))
+    return d
 
 
 class Builder:
@@ -801,11 +786,18 @@ def transpose_diagram(d: Diagram) -> Diagram:
     return out
 
 
-def _plug(d: Diagram, wire: int, bit: int) -> tuple:
-    """``d`` with ``bit`` plugged into input ``wire``, a diagram with no
-    origin, and the id of the basis state's Z box.  The node dict is built without the input's
-    node, not copied and cut, so it has no deletion hole and copies
-    fast."""
+def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
+    """Plug |0> or |1> (a pink-spider state) into input ``wire``.
+
+    The result is a plain diagram, with no origin: ``d`` without the
+    input's node, and the basis state's three nodes after ``d``'s.  The
+    node dict is built without that node, not copied and cut, so it has
+    no deletion hole and copies fast.  It shares ``d``'s other ``Node``
+    objects, which nothing mutates (rewrites copy first)."""
+    if not 0 <= wire < d.n_inputs:
+        raise DiagramError(f"no input wire {wire}")
+    if bit not in (0, 1):
+        raise DiagramError("bit must be 0 or 1")
     target = d.inputs[wire]
     nodes = {nid: n for nid, n in d.nodes.items() if nid != target}
     edges = list(d.edges)
@@ -824,31 +816,4 @@ def _plug(d: Diagram, wire: int, bit: int) -> tuple:
     edges.append(((base, 0), (base + 1, 0)))
     edges.append(((base + 1, 1), far))
     return Diagram(nodes, edges, d.inputs[:wire] + d.inputs[wire + 1:],
-                   list(d.outputs), list(d.regions)), base
-
-
-def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
-    """Plug |0> or |1> (a pink-spider state) into input ``wire``.
-
-    Every plug is a rebind of its template's plug at ``wire``, which the
-    template makes once and keeps: ``d``'s slots written back, and the
-    basis state as one more slot.  A diagram with no origin is its own
-    template, with no slots.  So every plug of a template and of its
-    rebinds at one wire shares one structure key, and a plug of that plug
-    recurses the same way.  The result has its own node dict and edge
-    list but shares unchanged ``Node`` objects, which nothing mutates
-    (rewrites copy first)."""
-    if not 0 <= wire < d.n_inputs:
-        raise DiagramError(f"no input wire {wire}")
-    if bit not in (0, 1):
-        raise DiagramError("bit must be 0 or 1")
-    template, slots = d._origin or (d, ())
-    plugs = template._plugs
-    plugged, base = plugs.get(wire) or plugs.setdefault(
-        wire, _plug(template, wire, 0))
-    nodes = dict(plugged.nodes)
-    old = d.nodes
-    for nid in slots:
-        nodes[nid] = old[nid]
-    nodes[base] = Node(base, ZBOX, 1, -1.0 + 0j if bit else 1.0 + 0j, "basis")
-    return _relabelled(plugged, slots + (base,), nodes)
+                   list(d.outputs), list(d.regions))

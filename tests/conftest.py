@@ -3,9 +3,9 @@ helper ``circuit_strategies`` under every pytest import mode, and empties the
 contraction plan cache, the controlled-sum template cache and the table of
 Pauli-string letters before each test, so that a test counting or patching
 the planner, the builds, the structure walks or the ``validate`` calls sees
-the same calls whatever ran before it.  Structure keys and plugs are
-kept on diagrams, the templates among them, so emptying the template
-cache drops the templates' too."""
+the same calls whatever ran before it.  Structure keys are kept on
+diagrams, the templates among them, so emptying the template cache drops
+the templates' too."""
 
 import os
 import sys

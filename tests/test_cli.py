@@ -455,12 +455,20 @@ _THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
      _THREE_QUBITS),
     (["expm", "FILE", "--method", "taylor", "--order", "2", "--t", "1"],
      "1e308 X\n1 Z\n"),
+    (["expm", "FILE", "--method", "exact", "--t", "1e308"],
+     "1e308 I\n1e308 Z\n"),
+    (["expm", "FILE", "--method", "trotter", "--steps", "2", "--t", "1e300"],
+     "1e308 X\n1 Z\n"),
+    (["expm", "FILE", "--method", "exact", "--t", "1e308"],
+     "1 I\n1 I\n1 I\n1 I\n"),
 ], ids=["samples-negative", "samples-zero", "taylor-overflow",
         "oracle-overflow", "extract-demo-seed-negative",
         "check-rules-seed-negative", "extract-demo-overflow",
         "extract-demo-angle-overflow", "extract-demo-warnings",
         "ham-build-verify-overflow", "ham-build-verify-cap",
-        "ham-build-verify-cap-json", "expm-taylor-not-finite"])
+        "ham-build-verify-cap-json", "expm-taylor-not-finite",
+        "expm-exact-gadget-phase", "expm-trotter-gadget-phase",
+        "expm-exact-global-phase"])
 def test_out_of_range_input_is_usage_error(argv, text, tmp_path, capsys):
     # exit 2 with one error line, nothing on stdout and no warning
     f = tmp_path / "input.txt"
@@ -604,7 +612,11 @@ def test_generated_input_never_raises(run):
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if rc == 2:
-        assert err.getvalue().splitlines()[-1].startswith("zxw: error: ")
+        # one error line, last, and nothing on stdout
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == ""
+        assert [ln for ln in lines if "error" in ln] == lines[-1:]
+        assert lines[-1].startswith("zxw: error: ")
 
 
 def _leaf_parsers(parser, words=()):

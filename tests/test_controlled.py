@@ -548,9 +548,8 @@ def test_a_rebound_diagonal_factor_sum_is_a_fresh_build(sums):
     st.lists(_ENTRIES, min_size=4 ** m, max_size=4 ** m),
     min_size=2, max_size=5)))
 def test_rebound_plugs_run_on_the_shared_plan_as_fresh_builds(draws):
-    # each plug runs on the cached plan, whose memo compares only the
-    # slots when its last run was a rebind of the same template; every
-    # field and every bit of the matrix is a fresh build's on a fresh plan
+    # each plug runs on the cached plan its structure shares; every field
+    # and every bit of the matrix is a fresh build's on a fresh plan
     for entries in draws:
         dim = int(np.sqrt(len(entries)))
         matrix = np.array(entries, dtype=complex).reshape(dim, dim)
@@ -701,11 +700,10 @@ def test_a_warm_verify_walks_no_structure_and_compares_only_slots(
         assert (walks, compared, len(dots)) == ([], [16], 66)
 
 
-def test_a_second_verify_of_a_spliced_sum_makes_no_region_tensor(
-        monkeypatch):
-    # each arm is a spliced region; a diagram with no origin runs as a
-    # rebind of itself with no slots, so the plan keeps its run and the
-    # second verify makes no tensor and redoes only the last step
+def test_a_second_verify_of_a_spliced_sum_is_a_fresh_run(monkeypatch):
+    # each arm is a spliced region; a diagram with no origin is no rebind,
+    # so its plan keeps nothing and a second verify makes every region
+    # tensor again, to the same report
     rng = np.random.default_rng(13)
     mats = [_rand_matrix(rng, 4) for _ in range(3)]
     weights = [0.5, -1.0j, 2.0]
@@ -717,44 +715,61 @@ def test_a_second_verify_of_a_spliced_sum_makes_no_region_tensor(
     assert len(plan.regions) == 3
     in_regions = {nid for k, first in plan.regions
                   for nid in range(first, first + plan.templates[k][0])}
-    made, dots = [], []
-    real, real_dot = evaluate._tensor, np.dot
+    made = []
+    real = evaluate._tensor
     monkeypatch.setattr(evaluate, "_tensor",
                         lambda *args: made.append(args[1]) or real(*args))
     first = verify_controlled(cd, target)
     assert first["ok"] and in_regions <= set(made)
+    assert plan._memo is None
+    again = list(made)
     del made[:]
-    monkeypatch.setattr(np, "dot",
-                        lambda *args: dots.append(1) or real_dot(*args))
     assert verify_controlled(cd, target) == first
-    assert made == [] and len(dots) == 1
+    assert made == again and plan._memo is None
 
 
-@pytest.mark.parametrize("build", [
-    lambda rng: controlled_sum_matrices(
+def _fields(d):
+    return (list(d.nodes.items()), d.edges, d.inputs, d.outputs, d.regions)
+
+
+@pytest.mark.parametrize("build, rebound", [
+    (lambda rng: controlled_sum_matrices(
         [controlled_matrix(_rand_matrix(rng, 2)) for _ in range(2)],
-        weights=[0.5, -1.0j]),
-    lambda rng: controlled_state_normal_form(rng.normal(size=4)
-                                             + 1j * rng.normal(size=4)),
-], ids=["spliced_sum", "state_form"])
-def test_every_plug_is_a_rebind(build, monkeypatch):
-    # a diagram with no origin is its own template with no slots: its
-    # plug at a wire is made once and kept, and every plug is a rebind of
-    # it with the basis state as the one slot
-    cd = build(np.random.default_rng(14))
-    d = cd.diagram
-    assert d._origin is None
-    plain, real = [], graph._plug
-    monkeypatch.setattr(graph, "_plug", lambda d, wire, bit: (
-        plain.append((d, wire)) or real(d, wire, bit)))
-    for bit in (1, 0, 1, 0):
-        got = graph.plug_basis(d, 0, bit)
-        plugged, base = d._plugs[0]
-        assert got._origin[0] is plugged and got._origin[1] == (base,)
-        want = real(d, 0, bit)[0]
-        assert list(got.nodes.items()) == list(want.nodes.items())
-        assert (got.edges, got.inputs, got.outputs, got.regions) == (
-            want.edges, want.inputs, want.outputs, want.regions)
-    assert plain == [(d, 0)]
-    assert graph.structure_key(cd.discharge()) is graph.structure_key(
-        cd.idle())
+        weights=[0.5, -1.0j]), False),
+    (lambda rng: controlled_state_normal_form(rng.normal(size=4)
+                                              + 1j * rng.normal(size=4)),
+     False),
+    (lambda rng: controlled_matrix(_rand_matrix(rng, 2)), True),
+], ids=["spliced_sum", "state_form", "rebind"])
+def test_a_plug_is_a_plain_diagram(build, rebound, monkeypatch):
+    # a plug is written straight from the diagram it plugs, a rebind's
+    # too: node for node and edge for edge a plug of a copy (which has no
+    # origin), nested plugs both ways included; it has no origin and no
+    # key, and each call writes one diagram and its basis state's three
+    # nodes, keeping nothing for a later plug
+    d = build(np.random.default_rng(14)).diagram
+    assert (d._origin is not None) == rebound
+    plugs = [[(wire, bit)] for wire in range(d.n_inputs) for bit in (1, 0)]
+    if d.n_inputs > 1:
+        plugs += [[(1, 1), (0, 0)], [(0, 1), (0, 0)], [(1, 0), (0, 1)]]
+
+    def plugged(x, seq):
+        for wire, bit in seq:
+            x = graph.plug_basis(x, wire, bit)
+        return x
+
+    want = [_fields(plugged(d.copy(), seq)) for seq in plugs]
+    made = []
+    real_diagram, real_node = graph.Diagram, graph.Node
+    monkeypatch.setattr(graph, "Diagram", lambda *a, **k: (
+        made.append("diagram") or real_diagram(*a, **k)))
+    monkeypatch.setattr(graph, "Node", lambda *a, **k: (
+        made.append("node") or real_node(*a, **k)))
+    for seq, fields in zip(plugs, want):
+        got = d
+        for wire, bit in seq:
+            del made[:]
+            got = graph.plug_basis(got, wire, bit)
+            assert sorted(made) == ["diagram"] + ["node"] * 3
+            assert got._origin is None and got._key is None
+        assert _fields(got) == fields

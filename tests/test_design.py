@@ -473,10 +473,16 @@ def test_time_is_a_number():
 
 
 def test_one_rebind_path():
-    # a plug of a rebind is a rebind of the template's plug: a key caches
-    # only its hash, every rebind shares the template's unchanged nodes,
-    # an exponential's diagrams come from ``at`` alone, and a plan reuses
-    # its memo only for a rebind, by its slots
+    # ``rebind`` is the one way to a diagram with an origin: a plug is a
+    # plain diagram and no diagram keeps its plugs; a key caches only its
+    # hash, every rebind shares the template's unchanged nodes, an
+    # exponential's diagrams come from ``at`` alone, and a plan reuses its
+    # memo only for a rebind, by its slots
+    assert "_plugs" not in {f.name for f in dataclasses.fields(graph.Diagram)}
+    assert not hasattr(graph, "_relabelled")
+    d = zxwkit.controlled_matrix(np.eye(2)).diagram
+    assert d._origin is not None
+    assert graph.plug_basis(d, 0, 1)._origin is None
     key = graph.structure_key(zxwkit.hadamard_diagram())
     for name in ("plugged", "plug_sites"):
         assert not hasattr(key, name), name

@@ -389,17 +389,22 @@ def test_runs_in_a_row_are_fresh_runs_on_a_symbolic_diagram():
     _assert_runs_in_a_row_are_fresh(plan_contraction(d), [d, other, d])
 
 
-def test_a_discharge_then_idle_makes_equal_tensors_once(monkeypatch):
-    # the idle differs from the discharge in one label: the control's state
-    cd = _controlled(2)
-    plan = plan_contraction(cd.discharge())
+def test_a_rebind_after_another_makes_only_its_changed_tensor(monkeypatch):
+    # two rebinds of one template that differ in one weight: the second
+    # run makes that weight's tensor alone
+    d = _controlled(2).diagram
+    template, slots = d._origin
+    labels = [d.nodes[nid].label for nid in slots]
+    other = rebind(template, slots, [-labels[0]] + labels[1:])
+    plan = plan_contraction(d)
     made = []
     real = evaluate._tensor
     monkeypatch.setattr(evaluate, "_tensor",
                         lambda *args: made.append(args[1]) or real(*args))
-    plan.run(cd.discharge())
-    plan.run(cd.idle())
+    plan.run(d)
+    plan.run(other)
     assert len(made) == len(plan.tensors) + 1
+    assert made[-1] == slots[0]
 
 
 def test_one_plan_sweeps_time():
@@ -720,20 +725,20 @@ def test_writing_into_a_result_changes_no_later_result():
 
 
 def test_no_result_shares_memory_with_the_memo():
-    cd = controlled_matrix(_dominant(4, 1))
-    plan = plan_contraction(cd.discharge())
+    d, other = (controlled_matrix(_dominant(4, seed)).diagram
+                for seed in (1, 2))
+    plan = plan_contraction(d)
     for _ in range(3):
-        got = [plan.run(d) for d in (cd.discharge(), cd.idle(),
-                                     cd.discharge())]
+        got = [plan.run(x) for x in (d, other, d)]
     template, labels, kept = plan._memo
-    assert template is cd.discharge()._origin[0] and not plan.regions
-    assert set(labels) == set(cd.discharge()._origin[1])
+    assert template is d._origin[0] and not plan.regions
+    assert set(labels) == set(d._origin[1])
     assert len(kept) == len(plan.tensors) + len(plan.steps) - 1
     assert not any(np.shares_memory(m, a) for m in got for a in kept)
 
 
 def test_a_kept_plan_redoes_only_what_new_weights_reach(monkeypatch):
-    a, b = (controlled_matrix(_dominant(4, seed)).discharge()
+    a, b = (controlled_matrix(_dominant(4, seed)).diagram
             for seed in (1, 2))
     plan = plan_contraction(a)
     assert plan_contraction(b) is plan
@@ -750,7 +755,7 @@ def test_a_kept_plan_redoes_only_what_new_weights_reach(monkeypatch):
             reached.add(n + k)
     redo = len(reached) - len(changed)
     assert (n + len(plan.steps) - 1) in reached   # the matrix
-    assert redo == 65 < len(plan.steps) == 251
+    assert redo == 66 < len(plan.steps) == 248
 
     made, dots = [], []
     real_tensor, real_dot = evaluate._tensor, np.dot
@@ -784,10 +789,11 @@ def test_a_plan_over_the_memo_bound_keeps_nothing(monkeypatch):
         got = plan.run(wide)
         assert (got[0, 0], got[-1, -1]) == (1, 0.5)
         assert len(made) == 1 and plan._memo is None
-    # a 4x4 discharge keeps 94 KB; one byte less of bound, and it keeps none
-    d = controlled_matrix(_dominant(4, 1)).discharge()
+    # a 4x4 controlled matrix keeps 63,808 B; one byte less of bound, and
+    # it keeps none
+    d = controlled_matrix(_dominant(4, 1)).diagram
     plan = plan_contraction(d)
-    assert plan.memo_bytes == 93936
+    assert plan.memo_bytes == 63808
     monkeypatch.setattr(evaluate, "_MEMO_BOUND", plan.memo_bytes - 1)
     want = _fresh_plan(d).run(d)
     for _ in range(3):
@@ -932,20 +938,20 @@ _TIMES = (0.0, 0.4, -1.3)
 
 @functools.lru_cache(maxsize=None)
 def _label_sets():
-    """The diagrams the memo property test draws from: the discharge and
-    the idle of 2x2 matrices with one structure (the first also with
-    signed zeros in its weights), and a gadget chain at three times with
-    its other box labels scaled (by -0.0 too), by (scale, time), each a
-    rebind of one template with every Z box a slot."""
-    cds = [controlled_matrix(_dominant(2, seed)) for seed in range(3)]
-    plugged = [(cd.discharge(), cd.idle()) for cd in cds]
+    """The diagrams the memo property test draws from: the controlled
+    diagrams of 2x2 matrices with one structure, each a rebind of one
+    template by its weights, and the first's weights again with signed
+    zeros; and a gadget chain at three times with its other box labels
+    scaled (by -0.0 too), by (scale, time), each a rebind of one template
+    with every Z box a slot."""
+    opened = [controlled_matrix(_dominant(2, seed)).diagram
+              for seed in range(3)]
     # the first matrix's weights, each with a part turned into a signed zero
-    template, slots = cds[0].diagram._origin
-    weights = [cds[0].diagram.nodes[nid].label for nid in slots]
-    signed = rebind(template, slots, [
+    template, slots = opened[0]._origin
+    weights = [opened[0].nodes[nid].label for nid in slots]
+    opened.append(rebind(template, slots, [
         complex(-0.0, w.imag) if k % 2 else complex(w.real, -0.0)
-        for k, w in enumerate(weights)])
-    plugged.append((plug_basis(signed, 0, 1), plug_basis(signed, 0, 0)))
+        for k, w in enumerate(weights)]))
     chain = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI"))
     template = chain.at(0.0)
     boxes = [nid for nid, node in template.nodes.items()
@@ -957,44 +963,35 @@ def _label_sets():
             scaled[k, t] = rebind(template, boxes, [
                 nodes[nid].label * (1 if nodes[nid].tag == "hat" else c)
                 for nid in boxes])
-    return plugged, scaled
+    return opened, scaled
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3),
-                          st.integers(0, 1), st.sampled_from(_TIMES),
-                          st.booleans()),
+                          st.sampled_from(_TIMES)),
                 min_size=1, max_size=8))
 def test_a_kept_plan_runs_any_label_sequence_bit_for_bit(runs):
-    # each run: (gadget chain?, which weights or scale, which plug, time,
-    # followed by the other plug?); the bytes compare, so a zero's sign
-    # counts
-    plugged, scaled = _label_sets()
-    for chain, k, plug, t, pair in runs:
-        if chain:
-            diagrams = [scaled[k, t]]
-        else:
-            diagrams = [plugged[k][plug]]
-            if pair:
-                diagrams.append(plugged[k][1 - plug])
-        plan = plan_contraction(diagrams[0])
-        for d in diagrams:
-            got = plan.run(d)
-            want = _fresh_plan(d).run(d)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            got[:] = np.nan   # the next run must not see this
+    # each run: (gadget chain?, which weights or scale, time); a run after
+    # another of the same template reuses its memo; the bytes compare, so a
+    # zero's sign counts
+    opened, scaled = _label_sets()
+    for chain, k, t in runs:
+        d = scaled[k, t] if chain else opened[k]
+        got = plan_contraction(d).run(d)
+        want = _fresh_plan(d).run(d)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        got[:] = np.nan   # the next run must not see this
 
 
 def test_threads_sharing_a_kept_plan_get_their_own_bits():
     # every run reads one whole memo and replaces it in one assignment, so
     # a run that interleaves with another still computes from one snapshot;
     # the gadget chain's runs also share kept region tensors
-    plugged, _ = _label_sets()
+    opened, _ = _label_sets()
     chain = commuting_exponential(
         parse_pauli_sum("0.5 ZZ\n0.3 ZI\n-0.4 IZ"))
-    cases = [d for pair in plugged for d in pair]
-    cases += [chain.at(t) for t in (0.3, 0.3, -1.1)]
+    cases = opened + [chain.at(t) for t in (0.3, 0.3, -1.1)]
     want = [_fresh_plan(d).run(d) for d in cases]
     plan = plan_contraction(cases[0])
     wrong = []
