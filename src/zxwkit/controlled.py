@@ -367,7 +367,8 @@ def _factor_sum(terms, m: int, assoc: str = "balanced") -> ControlledDiagram:
 
     The diagram gets its own node dict, lists and weight ``Node``s and
     shares every other ``Node`` with the template, which nothing mutates
-    (rewrites copy first), so no diagram handed out changes.
+    (a rewrite copies each ``Node`` it changes), so no diagram handed out
+    changes.
     """
     labels = tuple(tuple(labels) for _, labels, _ in terms)
     tpl, weight_ids = _sum_template(

@@ -423,7 +423,9 @@ class ContractionPlan:
     without steps), ``peak_bytes`` its size and ``flops`` the complex
     multiply-adds of all steps, all known before anything is allocated; the
     steps are the top-level ones and each region's template steps, counted
-    once per region as if no two regions shared a tensor.
+    once per region as if no two regions shared a tensor.  These and
+    ``memo_bytes`` are worked out from the steps the first time they are
+    read, since most plans are run without anyone reading them.
 
     A plan keeps the arrays of a run (its memo) only for the next run of a
     rebind of the same template (``graph.rebind``): the run must be of a
@@ -434,7 +436,8 @@ class ContractionPlan:
     in its layout (``layouts``, and a step's ``perm`` and ``shape``): the
     2-D matrix, with its strides, that the one step reading it multiplies.
     Each region tensor is kept in its template's axis order, one array per
-    distinct region tensor, and laid out when a step that reads it runs.
+    distinct region tensor, and laid out when a step that reads it runs,
+    once per run for each layout its steps read it in.
     Every label outside two rebinds' slots is the template's, so the next
     such run compares only the union of both runs' slots, makes again the
     tensor or region tensor of each changed one, follows each to the last
@@ -456,11 +459,6 @@ class ContractionPlan:
     templates: list      # (node count, steps) per region template
     template_layouts: list   # the layouts of each template's tensors
     shape: tuple         # (2^outputs, 2^inputs)
-    peak_rank: int
-    peak_bytes: int      # 16 * 2^peak_rank: one complex128 intermediate
-    flops: int
-    memo_bytes: int      # what a memo holds: ``tensors``, region tensors,
-                         # steps but the last
     # None before the first kept run, then (the template of its diagram,
     # {slot id: label} of its slots, ``_execute``'s arrays but the last)
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
@@ -476,6 +474,35 @@ class ContractionPlan:
             raise DiagramError(
                 "diagram does not have the structure the plan was made for")
         return self._run(d)
+
+    def _parts(self):
+        """(steps, uses): the top-level steps once, and each template's
+        steps with the number of regions that run them."""
+        yield self.steps, 1
+        for k, uses in Counter(k for k, _ in self.regions).items():
+            yield self.templates[k][1], uses
+
+    @functools.cached_property
+    def peak_rank(self) -> int:
+        return max((len(so) for part, _ in self._parts() for *_, so in part),
+                   default=0)
+
+    @property
+    def peak_bytes(self) -> int:
+        """16 * 2^peak_rank: one complex128 intermediate."""
+        return 16 * 2 ** self.peak_rank
+
+    @functools.cached_property
+    def flops(self) -> int:
+        return sum(uses * sa[0] * sa[1] * sb[1] for part, uses in self._parts()
+                   for _, _, _, sa, _, sb, _ in part)
+
+    @functools.cached_property
+    def memo_bytes(self) -> int:
+        """What a memo holds: ``tensors``, region tensors, steps but the
+        last.  Every tensor's layout is the 2-D matrix of all its values."""
+        return 16 * (sum(rows * cols for _, (rows, cols), _ in self.layouts)
+                     + sum(2 ** len(so) for *_, so in self.steps[:-1]))
 
     @functools.cached_property
     def _position(self) -> dict:
@@ -560,10 +587,15 @@ class ContractionPlan:
             redo = range(n_steps)
         # equal region tensors share one array, which the memo keeps in its
         # template's axis order; each is laid out for the step that reads it
-        # when that step runs
+        # when that step runs, once per layout
         natural = arrs[n:end]
+        laid: dict = {}
         for pos in read:
-            arrs[pos] = _read_as(arrs[pos], *layouts[pos][:2])
+            perm, shape, _ = layouts[pos]
+            key = (id(arrs[pos]), perm, shape)
+            if key not in laid:
+                laid[key] = _read_as(arrs[pos], perm, shape)
+            arrs[pos] = laid[key]
         keep = origin is not None and self.memo_bytes <= _MEMO_BOUND
         _execute(self.steps, arrs, redo, not keep)
         if keep:
@@ -618,19 +650,9 @@ def _plan(structure: tuple, cap: int) -> ContractionPlan:
             steps[-1][2], steps[-1][4] = layout[0], layout[1]
         else:
             layouts[0] = layout
-    # every region runs its template's steps once, unless it shares them:
-    # each template's steps are walked once and counted once per region
-    done = [(steps, 1)] + [(templates[k][1], uses) for k, uses in
-                           Counter(k for (k, _), _ in regions).items()]
-    peak = max((len(so) for part, _ in done for *_, so in part), default=0)
     return ContractionPlan(
         structure, [nid for nid, _ in tensors], loops, steps,
-        [r for r, _ in regions], layouts, templates, template_layouts, shape,
-        peak, 16 * 2 ** peak,
-        sum(uses * sa[0] * sa[1] * sb[1] for part, uses in done
-            for _, _, _, sa, _, sb, _ in part),
-        16 * (sum(2 ** len(tids) for _, tids in tensors + regions)
-              + sum(2 ** len(so) for *_, so in steps[:-1])))
+        [r for r, _ in regions], layouts, templates, template_layouts, shape)
 
 
 def eval_diagram(d: Diagram, cap: int = DEFAULT_CAP) -> np.ndarray:

@@ -307,8 +307,13 @@ def putzer_coefficients(H: np.ndarray, t_samples) -> CayleyCoeffs:
         s = -0.5j * t
 
         def fderiv(lam, k):
-            # k-th derivative of exp(s * lam), divided by k!
-            return s ** k * cmath.exp(s * lam) / math.factorial(k)
+            # k-th derivative of exp(s * lam), divided by k!; cmath.exp
+            # raises a bare ValueError where s * lam is not finite
+            z = s * lam
+            if not cmath.isfinite(z):
+                raise DiagramError(f"no finite phase: {s!r} * {complex(lam)!r}"
+                                   " is not finite")
+            return s ** k * cmath.exp(z) / math.factorial(k)
 
         dd = [[0j] * r for _ in range(r)]
         for i in range(r):

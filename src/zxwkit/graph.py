@@ -60,11 +60,12 @@ class Diagram:
 
     ``nodes`` maps id -> Node, ``edges`` is a list of port-ref pairs, and
     ``inputs``/``outputs`` list boundary node ids in wire order.  Only the
-    constructors in this module write a diagram or its nodes, and rewrites
-    copy first: code relies on it, since a diagram caches its structure key
-    (``structure_key``) the first time a plan looks it up, and a rebound
-    diagram shares ``Node`` objects with its template.  To change a
-    diagram, change a ``copy()``, which has no key yet.
+    constructors in this module write a diagram or its nodes, and a
+    rewrite copies each ``Node`` it changes: code relies on it, since a
+    diagram caches its structure key (``structure_key``) the first time a
+    plan looks it up, a rebound diagram shares ``Node`` objects with its
+    template, and a rewritten one with its input.  To change a diagram,
+    change a ``copy()``, which has no key yet.
 
     ``regions`` lists the (start, stop) node-id range of each sub-diagram
     a ``Builder.region`` call wrote (a gadget, a copy of H, a spliced
@@ -793,7 +794,8 @@ def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
     input's node, and the basis state's three nodes after ``d``'s.  The
     node dict is built without that node, not copied and cut, so it has
     no deletion hole and copies fast.  It shares ``d``'s other ``Node``
-    objects, which nothing mutates (rewrites copy first)."""
+    objects, which nothing mutates (a rewrite copies each ``Node`` it
+    changes)."""
     if not 0 <= wire < d.n_inputs:
         raise DiagramError(f"no input wire {wire}")
     if bit not in (0, 1):

@@ -27,6 +27,10 @@ PAULI_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# read-only: every oracle reads them, and a one-letter string's matrix is
+# the array itself
+for _m in PAULI_MATRICES.values():
+    _m.setflags(write=False)
 
 _LETTERS = "IXYZ"
 
@@ -57,9 +61,14 @@ class PauliString:
         return tuple(q for q, c in enumerate(self.ops) if c != "I")
 
     def matrix(self) -> np.ndarray:
+        """The Kronecker product of the letters' matrices, bit for bit
+        ``np.kron``'s: one broadcast product per letter,
+        out[i, k, j, l] = prev[i, j] * letter[k, l]."""
         out = PAULI_MATRICES[self.ops[0]]
         for c in self.ops[1:]:
-            out = np.kron(out, PAULI_MATRICES[c])
+            n = 2 * len(out)
+            out = (out[:, None, :, None] * PAULI_MATRICES[c][:, None]
+                   ).reshape(n, n)
         return out
 
     def __str__(self) -> str:

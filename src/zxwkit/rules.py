@@ -584,10 +584,13 @@ class _Work:
     larger id), ``ports`` maps every covered (node, port) to its
     (edge id, end), and ``queues`` holds one candidate queue per pass.
 
-    The set-up walks the nodes once (copying each ``Node``, numbering it
-    and queueing it) and the edges once (indexing their ends and queueing
-    them), with the candidates ``_queue_node`` and ``_queue_edge`` would
-    push.  Nothing is checked here: ``to_diagram`` validates the result.
+    ``nodes`` starts as the diagram's own ``Node`` objects: a pass that
+    changes a node's ports or label puts a new ``Node`` in its place, so
+    the input diagram is never written.  The set-up walks the nodes once
+    (numbering each and queueing it) and the edges once (indexing their
+    ends and queueing them), with the candidates ``_queue_node`` and
+    ``_queue_edge`` would push.  Nothing is checked here: ``to_diagram``
+    validates the result.
     """
 
     def __init__(self, d: Diagram, passes):
@@ -595,11 +598,10 @@ class _Work:
         hopf, scalars, unit, loops = (pending.get(p) for p in (
             _pass_hopf, _pass_scalars, _pass_unit, _pass_loops))
         same_kind = {kind: pending.get(p) for kind, p in _EDGE_PASSES.items()}
-        self.nodes = nodes = {}
+        self.nodes = nodes = dict(d.nodes)
         self.pos = pos = {}
-        for i, (nid, n) in enumerate(d.nodes.items()):
+        for i, (nid, n) in enumerate(nodes.items()):
             kind, ports = n.kind, n.ports
-            nodes[nid] = Node(nid, kind, ports, n.label, n.tag)
             pos[nid] = i
             if kind == HAD:
                 q = hopf
@@ -647,10 +649,6 @@ class _Work:
 def _ends(w: _Work, nid: int) -> list:
     """(edge id, end) of every port of ``nid``, in port order."""
     return [w.ports[(nid, p)] for p in range(w.nodes[nid].ports)]
-
-
-def _neighbours(w: _Work, nid: int) -> set:
-    return {w.edges[eid][1 - end][0] for eid, end in _ends(w, nid)}
 
 
 def _add_edge(w: _Work, a: tuple, b: tuple) -> None:
@@ -726,7 +724,7 @@ def _renumber_zbox(w: _Work, nid: int) -> None:
             if (nid, p) in w.ports]
     for newp, (eid, end) in enumerate(ends):
         _set_end(w, eid, end, (nid, newp))
-    node.ports = len(ends)
+    w.nodes[nid] = Node(nid, node.kind, len(ends), node.label, node.tag)
 
 
 def _pass_loops(w: _Work, steps: list) -> bool:
@@ -760,11 +758,12 @@ def _pass_fuse(w: _Work, steps: list) -> bool:
             continue
         na, nb = w.nodes[a], w.nodes[b]
         # b's ends move to fresh ports of a in edge order, as a scan meets them
+        ports = na.ports
         for eid, end in sorted(w.ports.pop((b, p)) for p in range(nb.ports)):
-            _set_end(w, eid, end, (a, na.ports))
-            na.ports += 1
+            _set_end(w, eid, end, (a, ports))
+            ports += 1
         del w.nodes[b]
-        na.label = na.label * nb.label
+        w.nodes[a] = Node(a, ZBOX, ports, na.label * nb.label, na.tag)
         steps.append(f"fuse: zbox {b} into zbox {a}")
         _touch(w, (a,))
         _pass_loops(w, steps)
@@ -842,7 +841,8 @@ def _pass_hh(w: _Work, steps: list) -> bool:
 
 def _bridge(w: _Work, h: int):
     """(u, v) with u < v if Hadamard ``h`` joins two distinct green boxes."""
-    (i0, j0), (i1, j1) = _ends(w, h)
+    i0, j0 = w.ports[(h, 0)]
+    i1, j1 = w.ports[(h, 1)]
     if i0 == i1:
         return None
     u, v = w.edges[i0][1 - j0][0], w.edges[i1][1 - j1][0]
@@ -853,16 +853,26 @@ def _bridge(w: _Work, h: int):
 
 def _pass_hopf(w: _Work, steps: list) -> bool:
     q = w.queues[_pass_hopf]
+    nodes, edges, ports = w.nodes, w.edges, w.ports
     while q:
         h = w.order[q.pop()]
-        if h not in w.nodes:
+        if h not in nodes:
             continue
         key = _bridge(w, h)
         if key is None:
             continue
         u, v = key
-        hs = sorted(w.pos[x] for x in _neighbours(w, u)
-                    if w.nodes[x].kind == HAD and _bridge(w, x) == key)
+        # a Hadamard bridges u and v when one leg is at u and the other at
+        # v, so u's ports meet each such Hadamard once
+        hs = []
+        for p in range(nodes[u].ports):
+            eid, end = ports[(u, p)]
+            x, xp = edges[eid][1 - end]
+            if nodes[x].kind == HAD:
+                j, e = ports[(x, 1 - xp)]
+                if edges[j][1 - e][0] == v:
+                    hs.append(w.pos[x])
+        hs.sort()
         if len(hs) < 2:
             continue
         for x in (w.order[hs[0]], w.order[hs[1]]):

@@ -24,6 +24,9 @@ from .graph import (_FIXED_PORTS, HAD, IN, OUT, W, ZBOX, Diagram,
 
 _KINDS = {ZBOX: "zbox", HAD: "had", W: "w", IN: "in", OUT: "out"}
 _KINDS_BACK = {v: k for k, v in _KINDS.items()}
+# ``json.dumps``'s encoder without its circular-reference check, which a
+# dict ``diagram_to_dict`` has just built cannot need: the same bytes
+_ENCODER = json.JSONEncoder(check_circular=False)
 
 
 def diagram_to_dict(d: Diagram) -> dict:
@@ -106,7 +109,7 @@ def diagram_from_dict(data: dict) -> Diagram:
 
 
 def diagram_to_json(d: Diagram) -> str:
-    return json.dumps(diagram_to_dict(d))
+    return _ENCODER.encode(diagram_to_dict(d))
 
 
 def diagram_from_json(text: str) -> Diagram:

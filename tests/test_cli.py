@@ -461,6 +461,9 @@ _THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
      "1e308 X\n1 Z\n"),
     (["expm", "FILE", "--method", "exact", "--t", "1e308"],
      "1 I\n1 I\n1 I\n1 I\n"),
+    (["extract-demo", "--a", "1e308", "--b", "1", "--t", "10"], EXAMPLE),
+    (["extract-demo", "--a", "100", "--b", "1", "--t", "1e307"], EXAMPLE),
+    (["extract-demo", "--a", "1e200", "--b", "1", "--t", "1e200"], EXAMPLE),
 ], ids=["samples-negative", "samples-zero", "taylor-overflow",
         "oracle-overflow", "extract-demo-seed-negative",
         "check-rules-seed-negative", "extract-demo-overflow",
@@ -468,7 +471,8 @@ _THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
         "ham-build-verify-overflow", "ham-build-verify-cap",
         "ham-build-verify-cap-json", "expm-taylor-not-finite",
         "expm-exact-gadget-phase", "expm-trotter-gadget-phase",
-        "expm-exact-global-phase"])
+        "expm-exact-global-phase", "extract-demo-putzer-large-a",
+        "extract-demo-putzer-large-t", "extract-demo-putzer-large-a-and-t"])
 def test_out_of_range_input_is_usage_error(argv, text, tmp_path, capsys):
     # exit 2 with one error line, nothing on stdout and no warning
     f = tmp_path / "input.txt"
@@ -584,6 +588,14 @@ _EXPM = st.one_of(
     st.tuples(_TIMES, _COUNTS).map(
         lambda a: ["--method", "trotter", "--t", a[0], "--steps", a[1]]),
     _TIMES.map(lambda t: ["--method", "exact", "--t", t]))
+# the finite numbers of both pools, which the flags' parser passes on, each
+# written as --flag=VALUE so that argparse does not read -1e308 as a flag
+_NUMBERS = st.one_of(_REAL, st.sampled_from(["1e308", "-1e308", "1e-320"]))
+_EXTRACT = st.one_of(
+    st.tuples(_NUMBERS, _NUMBERS, _NUMBERS).map(
+        lambda a: ["extract-demo", f"--a={a[0]}", f"--b={a[1]}",
+                   f"--t={a[2]}"]),
+    _COUNTS.map(lambda seed: ["extract-demo", f"--seed={seed}"]))
 _RUNS = st.one_of(
     st.tuples(_pauli_text(), st.just(["ham", "build", "FILE", "--verify"])),
     st.tuples(_pauli_text(), st.tuples(
@@ -598,11 +610,7 @@ _RUNS = st.one_of(
         ["export", "FILE", "--format", "dot"]]))] * 2)
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(_RUNS)
-def test_generated_input_never_raises(run):
-    # an exception escaping main is what a shell user would see as a traceback
-    text, argv = run
+def _exits_cleanly(text: str, argv: list) -> None:
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
@@ -617,6 +625,16 @@ def test_generated_input_never_raises(run):
         assert out.getvalue() == ""
         assert [ln for ln in lines if "error" in ln] == lines[-1:]
         assert lines[-1].startswith("zxw: error: ")
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_RUNS, _EXTRACT)
+def test_generated_input_never_raises(run, extract):
+    # an exception escaping main is what a shell user would see as a
+    # traceback; every example runs one command on a file and one
+    # extract-demo, which reads no file
+    _exits_cleanly(*run)
+    _exits_cleanly("", extract)
 
 
 def _leaf_parsers(parser, words=()):

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -266,6 +267,38 @@ def test_greedy_schedule_is_pinned(name):
                                         "taylor4"))
     assert np.array_equal(eval_diagram(_region_free(d)), want)
     assert np.abs(eval_diagram(d) - want).max() <= 1e-13
+
+
+def _eager_statistics(d, cap=evaluate.DEFAULT_CAP):
+    """(peak_rank, peak_bytes, flops, memo_bytes) worked out at planning
+    time from the network's tensors, the reference for the statistics a
+    plan works out from its steps when first read."""
+    structure = structure_key(d)
+    tensors, loops, _ = evaluate._network(structure, cap)
+    regions, templates = [], []
+    if structure[4]:
+        tensors, regions, templates, _ = evaluate._fold(structure, tensors,
+                                                        loops)
+    ids = [tids for _, tids in tensors + regions]
+    steps = evaluate._schedule(ids)[0] if ids else []
+    done = [(steps, 1)] + [(templates[k][1], uses) for k, uses in
+                           Counter(k for (k, _), _ in regions).items()]
+    peak = max((len(so) for part, _ in done for *_, so in part), default=0)
+    return (peak, 16 * 2 ** peak,
+            sum(uses * sa[0] * sa[1] * sb[1] for part, uses in done
+                for _, _, _, sa, _, sb, _ in part),
+            16 * (sum(2 ** len(tids) for _, tids in tensors + regions)
+                  + sum(2 ** len(so) for *_, so in steps[:-1])))
+
+
+@pytest.mark.parametrize("name", list(PIN_CASES))
+def test_plan_statistics_are_the_eager_formula(name):
+    d = PIN_CASES[name]()
+    for diagram in (d, _region_free(d)):
+        plan = _fresh_plan(diagram)
+        assert "memo_bytes" not in vars(plan)   # nothing computed yet
+        assert (plan.peak_rank, plan.peak_bytes, plan.flops,
+                plan.memo_bytes) == _eager_statistics(diagram)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -826,6 +859,17 @@ def test_memo_bytes_count_region_tensors(monkeypatch):
     assert len(kept) == 1 + 40 + len(plan.steps) - 1
     assert sum(a.nbytes for a in kept) == plan.memo_bytes
     assert _kept_bytes(plan) == 21840
+    # a fresh run lays out each distinct region tensor once per layout its
+    # steps read it in: 5 (array, layout) pairs over the 40 region slots
+    laid = []
+    real_read_as = evaluate._read_as
+    monkeypatch.setattr(evaluate, "_read_as",
+                        lambda *args: laid.append(args) or real_read_as(*args))
+    fresh = _fresh_plan(d).run(d)
+    assert len(laid) == 5
+    assert len({(id(a), perm, shape) for a, perm, shape in laid}) == 5
+    monkeypatch.undo()
+    assert np.array_equal(fresh, plan.run(d))
     # over the bound, every run makes the phase box and each distinct
     # gadget (an XX one of 12 nodes and a Z one of 7) again
     want = plan.run(d)

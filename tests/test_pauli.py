@@ -1,5 +1,6 @@
 """Pauli-sum parsing, Hamiltonian encoding, commutativity, linearity."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -73,6 +74,29 @@ def test_oracle_matrix_matches_kron():
     h = parse_pauli_sum("0.5 XY\n-2.0 ZZ\n1j IX")
     want = _kron_oracle([(0.5, "XY"), (-2.0, "ZZ"), (1j, "IX")])
     assert np.abs(oracle_matrix(h) - want).max() <= 1e-12
+
+
+def test_string_matrix_is_the_kron_chain_bit_for_bit():
+    for m in range(1, 5):
+        for ops in itertools.product("IXYZ", repeat=m):
+            want = PAULI_MATRICES[ops[0]]
+            for letter in ops[1:]:
+                want = np.kron(want, PAULI_MATRICES[letter])
+            got = PauliString(ops).matrix()
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), ops
+
+
+def test_pauli_matrices_are_read_only():
+    # a one-letter string's matrix is the shared array itself
+    assert PauliString(("X",)).matrix() is PAULI_MATRICES["X"]
+    for letter, matrix in PAULI_MATRICES.items():
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            PauliString((letter,)).matrix()[1, 1] += 1.0
+    assert np.array_equal(oracle_matrix(parse_pauli_sum("1.0 X")),
+                          [[0, 1], [1, 0]])
 
 
 def test_leftmost_letter_is_wire_zero():

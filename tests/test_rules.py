@@ -254,6 +254,23 @@ def test_queue_rewriter_matches_the_scan():
     assert fired == {"loop", "fuse", "unit", "scalar", "hh", "hopf", "shear"}
 
 
+def test_rewrites_leave_the_input_nodes_unchanged():
+    # the rewriter starts from the input's own Node objects and puts a new
+    # Node where a rewrite changes one
+    def fields(d):
+        return [(nid, id(n), n.id, n.kind, n.ports, repr(n.label), n.tag)
+                for nid, n in d.nodes.items()]
+
+    fired = set()
+    for d in _rewrite_corpus():
+        before = fields(d)
+        apply_fusion(d)
+        fired |= {step.split(":")[0] for step in simplify_basic(d).steps}
+        assert fields(d) == before
+    # every rewrite that changes a surviving node's ports or label ran
+    assert {"loop", "fuse", "hopf"} <= fired
+
+
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(circuits())
 def test_queue_rewriter_matches_the_scan_on_circuits(case):

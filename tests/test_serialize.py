@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zxwkit import (DiagramError, and_box, diagram_from_dict,
                     diagram_from_json, diagram_to_dict, diagram_to_dot,
@@ -13,6 +14,7 @@ from zxwkit import (DiagramError, and_box, diagram_from_dict,
                     matrix_from_text, matrix_to_text, pink_spider,
                     structural_equal, triangle, vector_from_text, w_spider,
                     zbox_diagram)
+from zxwkit.graph import rebind
 
 from circuit_strategies import circuits
 
@@ -48,6 +50,23 @@ def test_json_round_trip_of_random_circuits(circuit):
     back = diagram_from_json(diagram_to_json(d))
     assert structural_equal(d, back)
     assert np.array_equal(eval_diagram(back), eval_diagram(d))
+
+
+# labels whose JSON text is easy to get wrong: signed zero, a subnormal,
+# the largest floats and the non-finite ones (written as json.dumps does)
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 1e-320, 1e308, -1e308, math.inf,
+                                -math.inf, math.nan, 0.1])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(circuits(), st.data())
+def test_json_text_is_json_dumps_of_the_dict(circuit, data):
+    d, _ = circuit
+    boxes = sorted(nid for nid, n in d.nodes.items() if n.kind == "zbox")
+    d = rebind(d, boxes, [complex(data.draw(_EDGE_FLOATS),
+                                  data.draw(_EDGE_FLOATS)) for _ in boxes])
+    text = diagram_to_json(d)
+    assert text.encode() == json.dumps(diagram_to_dict(d)).encode()
 
 
 def test_dict_schema():
