@@ -25,6 +25,7 @@ import argparse
 import cmath
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -465,10 +466,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a word that starts like a negative number (argparse before 3.13 reads
+# one as an option unless it looks like -1 or -1.5); the valueless options
+_NEGATIVE = re.compile(r"-\.?\d")
+_SWITCHES = ("--help", "--verify", "--emit-circuit", "--compare-oracle")
+
+
+def _joined(argv: list) -> list:
+    """``argv`` with each negative number that follows a long option
+    taking a value joined to it, ``--t -1e3`` as ``--t=-1e3``: no zxw
+    option or operand starts like a number.  Words after ``--`` are left
+    alone."""
+    out: list = []
+    for word in argv:
+        prev = out[-1] if out else ""
+        if (_NEGATIVE.match(word) and prev[:2] == "--" and "=" not in prev
+                and prev not in _SWITCHES and "--" not in out):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

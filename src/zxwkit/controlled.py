@@ -24,9 +24,8 @@ as a template kept in a small cache, and every call rebinds the template's
 weight boxes to its own coefficients (``graph.rebind``): the 13 random 2x2
 and 4x4 matrices of a benchmark pass build two diagrams, and a rebound 4x4
 takes about 20 us against about 1 ms for a build.  A rebound diagram
-records its template and the weight boxes it set, so it shares the
-template's structure key and a plan run after another rebind of the same
-template compares only those labels (see ``evaluate.ContractionPlan``).
+shares the template's structure key, so a plan looks it up walking
+nothing (see ``evaluate.ContractionPlan``).
 A plug (``discharge``, ``idle``) is a plain diagram, and
 ``verify_controlled`` plugs nothing: it reads both plug contracts off
 one contraction of the diagram with the control left open.
@@ -133,11 +132,11 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     read off one contraction of ``cd.diagram`` with the control left open
     (``_plugs``), and ``cap`` bounds the open wires and node legs of each
     plug, as in ``eval_diagram``.  The plan is shared by every diagram of
-    the structure, and a run after another rebind of the same template
-    compares only the two runs' slots and redoes only the steps they
-    reach (see ``ContractionPlan``): checking another matrix of the same
-    size and the same nonzero Pauli strings walks no structure, compares
-    only the weights and runs only the steps they reach, 66 of a 4x4's
+    the structure, and from its third run on it remakes only the tensors
+    whose labels changed and redoes only the steps they reach (see
+    ``ContractionPlan``): checking another matrix of the same size and
+    the same nonzero Pauli strings walks no structure, makes only the
+    weights' tensors and runs only the steps they reach, 66 of a 4x4's
     248.
     """
     dim = 2 ** cd.m

@@ -44,29 +44,29 @@ and hands the same plan out again for any diagram of one of them, whatever
 its labels: a controlled matrix of a given size, say, is planned once, not
 once per matrix.  Plans are shared, so callers treat them as read-only.
 The lookup goes by the diagram's structure key (``graph.structure_key``),
-which is computed once per diagram, hashed once, and shared by a rebound
-diagram with its template: such a diagram is looked up and checked by
-identity, walking nothing.
+which is computed once per diagram, hashed once, and given to a rebound
+diagram (``graph.rebind``) by its template: such a diagram is looked up
+and checked by identity, walking nothing.
 
-A plan reuses a run for one case only: the next run of a rebind of the
-same template (``graph.rebind``).  Every label outside the two runs'
-slots is the template's, so the run compares only the union of both
-runs' slots: 16 of a controlled 4x4 matrix's 249 interior nodes.  A
-rebind's run keeps its arrays (the plan's memo) while they total at most
-2 MiB: the top-level tensors and every top-level step result but the
-last, each in its layout, and the region tensors in their template's
+A plan reuses its last run for the next diagram of its structure,
+whatever made that diagram.  Its first run keeps nothing.  From its
+second run on, a run keeps its arrays (the plan's memo) while they total
+at most 2 MiB: the top-level tensors and every top-level step result but
+the last, each in its layout, and the region tensors in their template's
 axis order, since equal region tensors share one array whatever layouts
-their steps read.  The next such run makes again the tensor, or the
-region tensor, of each changed slot.  Every array of a plan is the input
-of exactly one step, so the steps to run again are the changed arrays'
-paths to the last step, and every other result is the kept one, so that
-a step run again beside a kept input is one ``np.dot`` on it (a region
-tensor is laid out first): a controlled 4x4 matrix with new
-coefficients, run after another's, runs the 66 of its 248 steps that its
-16 weights reach.  Every other run is fresh and keeps nothing.  The same
-``np.dot`` on the same arrays gives the same bits, so every matrix stays
-bit-identical.  No returned matrix shares memory with a memo or with
-this module's shared tensors, which are read-only.
+their steps read; with them, the label of each tensor and the labels of
+each region tensor.  The next run makes again each tensor, or region
+tensor, whose labels are not equal (``!=``) to the memo's: signed zeros
+compare equal and make the same bits, and a NaN never does.  Every array
+of a plan is the input of exactly one step, so the steps to run again
+are the changed arrays' paths to the last step, and every other result
+is the kept one, so that a step run again beside a kept input is one
+``np.dot`` on it (a region tensor is laid out first): a controlled 4x4
+matrix with new coefficients, run after another's, runs the 66 of its
+248 steps that its 16 weights reach.  The same ``np.dot`` on the same
+arrays gives the same bits, so every matrix stays bit-identical.  No
+returned matrix shares memory with a memo or with this module's shared
+tensors, which are read-only.
 
 This greedy schedule is the only one.  It contracts a diagram's
 ``regions`` (what each ``Builder.region`` call wrote: a Trotter chain's
@@ -383,15 +383,6 @@ def _fold(structure: tuple, tensors: list, loops: dict):
             [layouts for _, _, layouts, _ in templates])
 
 
-def _changed(d: Diagram, old: dict, template: Diagram, slots) -> list:
-    """The ids among ``slots`` whose label in ``d`` is not the one in
-    ``old``, or, for an id ``old`` lacks, the ``template``'s."""
-    nodes, was = d.nodes, template.nodes
-    return [nid for nid in slots
-            if nodes[nid].label != (old[nid] if nid in old
-                                    else was[nid].label)]
-
-
 def _execute(steps: list, arrs: list, redo, free: bool) -> None:
     """Run the steps numbered in ``redo``, in ascending order, on ``arrs``:
     the tensors, then one slot per step, where the step's result goes, each
@@ -427,26 +418,25 @@ class ContractionPlan:
     ``memo_bytes`` are worked out from the steps the first time they are
     read, since most plans are run without anyone reading them.
 
-    A plan keeps the arrays of a run (its memo) only for the next run of a
-    rebind of the same template (``graph.rebind``): the run must be of a
-    rebind, and ``memo_bytes`` at most a fixed internal bound (2 MiB).
-    The memo is the template, the labels of the run's slots, the
-    top-level tensors, the region tensors and every top-level step result
-    but the last.  Each tensor and result is kept
+    A plan keeps the arrays of a run (its memo) from its second run on,
+    while ``memo_bytes`` is at most a fixed internal bound (2 MiB); its
+    first run keeps nothing and frees each array once a step read it.
+    The memo is the label of each top-level tensor (None for a boundary
+    wire), the template and labels of each region tensor, the top-level
+    tensors, the region tensors and every top-level step result but the
+    last.  Each tensor and result is kept
     in its layout (``layouts``, and a step's ``perm`` and ``shape``): the
     2-D matrix, with its strides, that the one step reading it multiplies.
     Each region tensor is kept in its template's axis order, one array per
     distinct region tensor, and laid out when a step that reads it runs,
     once per run for each layout its steps read it in.
-    Every label outside two rebinds' slots is the template's, so the next
-    such run compares only the union of both runs' slots, makes again the
-    tensor or region tensor of each changed one, follows each to the last
-    step through the step that consumes it (a list made on the first such
-    run) and runs only the steps on those paths, and the last, to the same
-    bits; every other result is a kept one, read as it is.  Every other
-    run is fresh.  Each run builds a
-    new memo and replaces the old in one assignment, never changing it,
-    so concurrent runs see one whole memo or another.
+    The next run compares every array's labels with the memo's, makes
+    again each array whose labels differ, follows each to the last step
+    through the step that consumes it (a list made on the first such run)
+    and runs only the steps on those paths, and the last, to the same
+    bits; every other result is a kept one, read as it is.  Each run
+    builds a new memo and replaces the old in one assignment, never
+    changing it, so concurrent runs see one whole memo or another.
     """
 
     structure: tuple = field(repr=False)   # ``structure_key`` of the diagram
@@ -459,8 +449,8 @@ class ContractionPlan:
     templates: list      # (node count, steps) per region template
     template_layouts: list   # the layouts of each template's tensors
     shape: tuple         # (2^outputs, 2^inputs)
-    # None before the first kept run, then (the template of its diagram,
-    # {slot id: label} of its slots, ``_execute``'s arrays but the last)
+    # None before the first run, () after it, then (each tensor's label and
+    # region tensor's (template, labels), ``_execute``'s arrays but the last)
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
 
@@ -505,17 +495,6 @@ class ContractionPlan:
                      + sum(2 ** len(so) for *_, so in self.steps[:-1]))
 
     @functools.cached_property
-    def _position(self) -> dict:
-        """The array number of each interior node: its top-level tensor's,
-        or its region tensor's; made on the first kept run."""
-        out = {nid: pos for pos, nid in enumerate(self.tensors)
-               if nid is not None}
-        for pos, (k, first) in enumerate(self.regions, len(self.tensors)):
-            out.update(dict.fromkeys(
-                range(first, first + self.templates[k][0]), pos))
-        return out
-
-    @functools.cached_property
     def _consumer(self) -> list:
         """The step each array is the input of, by array number (tensors,
         region tensors, step results); made on the first run that reuses a
@@ -547,29 +526,34 @@ class ContractionPlan:
         n, n_steps = len(self.tensors), len(self.steps)
         end = n + len(self.regions)   # the first step result's number
         nodes, loops, layouts = d.nodes, self.loops, self.layouts
-        origin, memo = d._origin, self._memo   # another thread may replace it
+        memo = self._memo   # another thread may replace it
+        # what each array depends on: a tensor's label (None for a boundary
+        # wire), a region tensor's template and labels
+        labels = [None if nid is None else nodes[nid].label
+                  for nid in self.tensors]
+        labels += [(k, tuple([nodes[nid].label for nid in range(
+            first, first + self.templates[k][0])]))
+            for k, first in self.regions]
         made: dict = {}
 
         def region(pos):
-            k, first = self.regions[pos - n]
-            size, steps = self.templates[k]
-            nids = range(first, first + size)
-            key = (k, tuple(nodes[nid].label for nid in nids))
+            key = labels[pos]
             if key not in made:
-                arrs = [_tensor(d, nid, loops, layout) for nid, layout
-                        in zip(nids, self.template_layouts[k])]
+                k, first = self.regions[pos - n]
+                steps = self.templates[k][1]
+                arrs = [_tensor(d, first + t, loops, layout) for t, layout
+                        in enumerate(self.template_layouts[k])]
                 arrs += [None] * len(steps)
                 _execute(steps, arrs, range(len(steps)), True)
                 made[key] = arrs[-1]
             return made[key]
 
-        if memo is not None and origin is not None and origin[0] is memo[0]:
-            template, old, arrs = memo
+        if memo:
+            old, arrs = memo
             # the memo keeps all results but the last
             arrs = arrs + [None] if n_steps else list(arrs)
-            position = self._position
-            changed = {position[nid] for nid in _changed(
-                d, old, template, set(origin[1]).union(old))}
+            changed = [pos for pos, new, was in zip(range(end), labels, old)
+                       if new != was]
             for pos in changed:
                 arrs[pos] = (_tensor(d, self.tensors[pos], loops, layouts[pos])
                              if pos < n else region(pos))
@@ -596,15 +580,15 @@ class ContractionPlan:
             if key not in laid:
                 laid[key] = _read_as(arrs[pos], perm, shape)
             arrs[pos] = laid[key]
-        keep = origin is not None and self.memo_bytes <= _MEMO_BOUND
+        keep = memo is not None and self.memo_bytes <= _MEMO_BOUND
         _execute(self.steps, arrs, redo, not keep)
         if keep:
             kept = arrs[:-1] if n_steps else arrs[:]
             kept[n:end] = natural
             # the matrix is handed out
-            object.__setattr__(self, "_memo", (
-                origin[0], {nid: nodes[nid].label for nid in origin[1]},
-                kept))
+            object.__setattr__(self, "_memo", (labels, kept))
+        elif memo is None:
+            object.__setattr__(self, "_memo", ())
         # the last step lays out the matrix and always runs, so the result
         # is new; without steps it is a tensor or region tensor laid out as
         # the matrix, which a module constant or the memo may hold

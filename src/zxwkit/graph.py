@@ -13,8 +13,8 @@ nodes, with no interior node at all.
 
 ``compose_seq``, ``compose_par`` (of any number of diagrams) and ``splice``
 all copy through one writer, ``_copy_into``.  ``rebind`` gives a built
-diagram new labels in some slots without building it again, and shares
-the template's structure key (``structure_key``).
+diagram new labels in some slots without building it again, and hands
+the result the template's structure key (``structure_key``).
 
 Derived generators (triangles, pink spiders, V gates, And boxes, phase
 spiders, n-ary W spiders) expand into the four primitive node kinds at
@@ -63,9 +63,10 @@ class Diagram:
     constructors in this module write a diagram or its nodes, and a
     rewrite copies each ``Node`` it changes: code relies on it, since a
     diagram caches its structure key (``structure_key``) the first time a
-    plan looks it up, a rebound diagram shares ``Node`` objects with its
-    template, and a rewritten one with its input.  To change a diagram,
-    change a ``copy()``, which has no key yet.
+    plan looks it up, a rebound diagram shares ``Node`` objects and the
+    key with its template, and a rewritten one shares ``Node`` objects
+    with its input.  To change a diagram, change a ``copy()``, which has
+    no key yet.
 
     ``regions`` lists the (start, stop) node-id range of each sub-diagram
     a ``Builder.region`` call wrote (a gadget, a copy of H, a spliced
@@ -73,11 +74,8 @@ class Diagram:
     ``evaluate``).  JSON and ``structural_equal`` ignore them,
     and operations that renumber or rewrite nodes drop them.
 
-    A diagram from ``rebind`` records its origin: the template it came
-    from and its slots, the ids of the nodes whose labels it set.  Every
-    other label is the template's.  Neither the key nor the origin is
-    compared, printed or serialized, and ``copy()``, rewrites, plugs and
-    JSON hand out diagrams without them.
+    The key is not compared, printed or serialized, and ``copy()``,
+    rewrites, plugs and JSON hand out diagrams without it.
     """
 
     nodes: dict = field(default_factory=dict)
@@ -85,9 +83,6 @@ class Diagram:
     inputs: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     regions: list = field(default_factory=list, repr=False, compare=False)
-    # (template Diagram, slot ids), set by ``rebind``
-    _origin: Optional[tuple] = field(default=None, init=False, repr=False,
-                                     compare=False)
     _key: Optional[StructureKey] = field(default=None, init=False,
                                          repr=False, compare=False)
 
@@ -285,14 +280,11 @@ def structure_key(d: Diagram) -> StructureKey:
     regions.
 
     It is computed the first time it is asked for and kept on ``d``.  A
-    rebound diagram takes its template's key, so it walks nothing after
-    the template's first walk."""
-    key = d._key
-    if key is None:
-        origin = d._origin
-        key = _walk(d) if origin is None else structure_key(origin[0])
-        d._key = key
-    return key
+    rebound diagram is given its template's key, so it walks nothing
+    after the template's first walk."""
+    if d._key is None:
+        d._key = _walk(d)
+    return d._key
 
 
 def rebind(template: Diagram, slots, labels) -> Diagram:
@@ -301,8 +293,8 @@ def rebind(template: Diagram, slots, labels) -> Diagram:
     node ids, kinds, ports, tags, edges, boundaries and regions.
 
     The slots get new ``Node``s and every other ``Node`` is the
-    template's.  The result records its origin (see ``Diagram``), so it
-    shares the template's structure key.  It is not validated again:
+    template's, and the result shares the template's structure key, so
+    a plan looks it up walking nothing.  It is not validated again:
     validity sees a label only as "a ZBox label is not None", and every
     port and edge is the template's."""
     old = template.nodes
@@ -312,7 +304,7 @@ def rebind(template: Diagram, slots, labels) -> Diagram:
         nodes[nid] = Node(nid, ZBOX, n.ports, complex(label), n.tag)
     d = Diagram(nodes, list(template.edges), list(template.inputs),
                 list(template.outputs), list(template.regions))
-    d._origin = (template, tuple(slots))
+    d._key = structure_key(template)
     return d
 
 
@@ -790,7 +782,7 @@ def transpose_diagram(d: Diagram) -> Diagram:
 def plug_basis(d: Diagram, wire: int, bit: int) -> Diagram:
     """Plug |0> or |1> (a pink-spider state) into input ``wire``.
 
-    The result is a plain diagram, with no origin: ``d`` without the
+    The result is a plain diagram, with no key yet: ``d`` without the
     input's node, and the basis state's three nodes after ``d``'s.  The
     node dict is built without that node, not copied and cut, so it has
     no deletion hole and copies fast.  It shares ``d``'s other ``Node``

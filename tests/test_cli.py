@@ -16,6 +16,7 @@ from zxwkit import (check_soundness, diagram_from_json, diagram_to_json,
                     hadamard_diagram, matrix_from_text, matrix_to_text,
                     structural_equal, template_names, triangle, w_diagram,
                     zbox_diagram)
+from zxwkit import cli
 from zxwkit.cli import CLI_TOL, _build_parser, _config, main
 from zxwkit.evaluate import DEFAULT_CAP
 
@@ -516,6 +517,37 @@ def test_non_finite_comparison_exits_two_with_empty_stdout(argv, tmp_path,
         "zxw: error: no finite comparison with the dense exponential")
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["extract-demo", "--a", "-1e3", "--b", "1", "--t", "1"], ""),
+    (["extract-demo", "--t", "-1e308"], ""),
+    (["expm", "FILE", "--method", "exact", "--t", "-1e3"], "1 Z\n0.3 I\n"),
+], ids=["extract-demo-a", "extract-demo-t", "expm-exact-t"])
+def test_a_negative_value_in_exponent_notation_reads_as_written(
+        argv, text, tmp_path, capsys):
+    # argparse reads ``-1e3`` after an option as another option; zxw reads
+    # ``--flag -1e3`` as its ``--flag=-1e3`` spelling
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    argv = [str(f) if a == "FILE" else a for a in argv]
+    k = next(k for k, a in enumerate(argv) if a.startswith("-1e"))
+    joined = argv[:k - 1] + [f"{argv[k - 1]}={argv[k]}"] + argv[k + 1:]
+    got = main(argv), capsys.readouterr()
+    assert got == (main(joined), capsys.readouterr())
+    assert "expected one argument" not in got[1].err
+
+
+def test_a_number_after_a_switch_is_an_extra_argument(ham_file, capsys):
+    # a switch takes no value, so ``-1e3`` after one is not joined to it;
+    # ``_SWITCHES`` names every long option that takes no value
+    switches = {s for _, parser in _leaf_parsers(_build_parser())
+                for a in parser._actions if a.nargs == 0
+                for s in a.option_strings if s.startswith("--")}
+    assert switches == set(cli._SWITCHES)
+    assert main(["ham", "build", ham_file, "--verify", "-1e3"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "zxw: error: unrecognized arguments: -1e3")
+
+
 _REAL = st.sampled_from(["1", "-0.5", "0", "2.5e3", "0.25"])
 _BAD = st.sampled_from(["1e308", "-1e308", "1e-320", "nan", "inf", "j",
                         "abc", ""])
@@ -588,14 +620,20 @@ _EXPM = st.one_of(
     st.tuples(_TIMES, _COUNTS).map(
         lambda a: ["--method", "trotter", "--t", a[0], "--steps", a[1]]),
     _TIMES.map(lambda t: ["--method", "exact", "--t", t]))
-# the finite numbers of both pools, which the flags' parser passes on, each
-# written as --flag=VALUE so that argparse does not read -1e308 as a flag
+# the finite numbers of both pools, which the flags' parser passes on
 _NUMBERS = st.one_of(_REAL, st.sampled_from(["1e308", "-1e308", "1e-320"]))
+
+
+def _spelled(flag: str, values):
+    """``flag`` with a drawn value, as ``--flag VALUE`` or ``--flag=VALUE``."""
+    return st.tuples(values, st.booleans()).map(
+        lambda a: [f"{flag}={a[0]}"] if a[1] else [flag, a[0]])
+
+
 _EXTRACT = st.one_of(
-    st.tuples(_NUMBERS, _NUMBERS, _NUMBERS).map(
-        lambda a: ["extract-demo", f"--a={a[0]}", f"--b={a[1]}",
-                   f"--t={a[2]}"]),
-    _COUNTS.map(lambda seed: ["extract-demo", f"--seed={seed}"]))
+    st.tuples(*[_spelled(flag, _NUMBERS) for flag in ("--a", "--b", "--t")])
+    .map(lambda a: ["extract-demo", *a[0], *a[1], *a[2]]),
+    _spelled("--seed", _COUNTS).map(lambda a: ["extract-demo", *a]))
 _RUNS = st.one_of(
     st.tuples(_pauli_text(), st.just(["ham", "build", "FILE", "--verify"])),
     st.tuples(_pauli_text(), st.tuples(

@@ -654,7 +654,8 @@ def _reached(plan, changed):
 def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
     rng = np.random.default_rng(11)
     a, b = (_rand_matrix(rng, 4) for _ in range(2))
-    verify_controlled(controlled_matrix(a), a)   # the plan keeps a's run
+    for _ in range(2):   # the plan's second run keeps a's run
+        verify_controlled(controlled_matrix(a), a)
     old, cd = controlled_matrix(a).diagram, controlled_matrix(b)
     d = cd.diagram
     plan = plan_contraction(d, cap=evaluate.DEFAULT_CAP + 1)
@@ -678,38 +679,39 @@ def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
     assert rep == _report(cd, _one_run(cd), b)
 
 
-def test_a_warm_verify_walks_no_structure_and_compares_only_slots(
+def test_a_warm_verify_walks_no_structure_and_makes_only_new_weights(
         monkeypatch):
     # a rebound diagram takes the key kept on its template, and a run after
-    # another rebind of the template compares only the labels the two set:
-    # 16 weights
+    # two of the structure makes only the tensors whose labels changed, the
+    # 16 weights, and runs the 66 steps they reach
     rng = np.random.default_rng(12)
     mats = [_rand_matrix(rng, 4) for _ in range(3)]
-    verify_controlled(controlled_matrix(mats[0]), mats[0])
-    walks, compared, dots = [], [], []
-    real_walk, real_changed, real_dot = graph._walk, evaluate._changed, np.dot
+    for _ in range(2):
+        verify_controlled(controlled_matrix(mats[0]), mats[0])
+    walks, made, dots = [], [], []
+    real_walk, real_tensor, real_dot = graph._walk, evaluate._tensor, np.dot
     monkeypatch.setattr(graph, "_walk",
                         lambda d: walks.append(d) or real_walk(d))
-    monkeypatch.setattr(evaluate, "_changed", lambda d, old, template, slots: (
-        compared.append(len(slots)) or real_changed(d, old, template, slots)))
+    monkeypatch.setattr(evaluate, "_tensor", lambda *args: (
+        made.append(args[0].nodes[args[1]].tag) or real_tensor(*args)))
     monkeypatch.setattr(np, "dot",
                         lambda *args: dots.append(1) or real_dot(*args))
     for m in mats[1:]:
-        del compared[:], dots[:]
+        del made[:], dots[:]
         assert verify_controlled(controlled_matrix(m), m)["ok"]
-        assert (walks, compared, len(dots)) == ([], [16], 66)
+        assert (walks, made, len(dots)) == ([], ["weight"] * 16, 66)
 
 
 def test_a_second_verify_of_a_spliced_sum_is_a_fresh_run(monkeypatch):
-    # each arm is a spliced region; a diagram with no origin is no rebind,
-    # so its plan keeps nothing and a second verify makes every region
-    # tensor again, to the same report
+    # each arm is a spliced region, and the diagram is no rebind: the
+    # plan's first run keeps nothing, a second verify makes every region
+    # tensor again, to the same report, and keeps its arrays, and a third
+    # makes no tensor and runs the last step only
     rng = np.random.default_rng(13)
     mats = [_rand_matrix(rng, 4) for _ in range(3)]
     weights = [0.5, -1.0j, 2.0]
     cd = controlled_sum_matrices([controlled_matrix(m) for m in mats],
                                  weights=weights)
-    assert cd.diagram._origin is None
     target = sum(w * m for w, m in zip(weights, mats))
     plan = plan_contraction(cd.diagram, cap=evaluate.DEFAULT_CAP + 1)
     assert len(plan.regions) == 3
@@ -721,11 +723,18 @@ def test_a_second_verify_of_a_spliced_sum_is_a_fresh_run(monkeypatch):
                         lambda *args: made.append(args[1]) or real(*args))
     first = verify_controlled(cd, target)
     assert first["ok"] and in_regions <= set(made)
-    assert plan._memo is None
+    assert plan._memo == ()
     again = list(made)
     del made[:]
     assert verify_controlled(cd, target) == first
-    assert made == again and plan._memo is None
+    assert made == again and plan._memo
+    dots = []
+    real_dot = np.dot
+    monkeypatch.setattr(np, "dot",
+                        lambda *args: dots.append(1) or real_dot(*args))
+    del made[:]
+    assert verify_controlled(cd, target) == first
+    assert (made, dots) == ([], [1])
 
 
 def _fields(d):
@@ -744,11 +753,11 @@ def _fields(d):
 def test_a_plug_is_a_plain_diagram(build, rebound, monkeypatch):
     # a plug is written straight from the diagram it plugs, a rebind's
     # too: node for node and edge for edge a plug of a copy (which has no
-    # origin), nested plugs both ways included; it has no origin and no
-    # key, and each call writes one diagram and its basis state's three
-    # nodes, keeping nothing for a later plug
+    # key), nested plugs both ways included; it has no key, and each call
+    # writes one diagram and its basis state's three nodes, keeping
+    # nothing for a later plug
     d = build(np.random.default_rng(14)).diagram
-    assert (d._origin is not None) == rebound
+    assert (d._key is not None) == rebound   # a rebind has its template's
     plugs = [[(wire, bit)] for wire in range(d.n_inputs) for bit in (1, 0)]
     if d.n_inputs > 1:
         plugs += [[(1, 1), (0, 0)], [(0, 1), (0, 0)], [(1, 0), (0, 1)]]
@@ -771,5 +780,5 @@ def test_a_plug_is_a_plain_diagram(build, rebound, monkeypatch):
             del made[:]
             got = graph.plug_basis(got, wire, bit)
             assert sorted(made) == ["diagram"] + ["node"] * 3
-            assert got._origin is None and got._key is None
+            assert got._key is None
         assert _fields(got) == fields

@@ -473,16 +473,22 @@ def test_time_is_a_number():
 
 
 def test_one_rebind_path():
-    # ``rebind`` is the one way to a diagram with an origin: a plug is a
-    # plain diagram and no diagram keeps its plugs; a key caches only its
-    # hash, every rebind shares the template's unchanged nodes, an
-    # exponential's diagrams come from ``at`` alone, and a plan reuses its
-    # memo only for a rebind, by its slots
-    assert "_plugs" not in {f.name for f in dataclasses.fields(graph.Diagram)}
+    # ``rebind`` is the one way to a diagram born with a key, its
+    # template's: a diagram records no origin, a plug is a plain diagram
+    # and no diagram keeps its plugs; a key caches only its hash, every
+    # rebind shares the template's unchanged nodes, an exponential's
+    # diagrams come from ``at`` alone, and a plan's memo follows labels,
+    # not origins
+    fields = {f.name for f in dataclasses.fields(graph.Diagram)}
+    assert not fields & {"_plugs", "_origin"}
     assert not hasattr(graph, "_relabelled")
-    d = zxwkit.controlled_matrix(np.eye(2)).diagram
-    assert d._origin is not None
-    assert graph.plug_basis(d, 0, 1)._origin is None
+    for name in ("_changed", "_position"):
+        assert not hasattr(evaluate, name), name
+    assert not hasattr(evaluate.ContractionPlan, "_position")
+    template = zxwkit.hadamard_diagram()
+    d = graph.rebind(template, (), ())
+    assert d._key is graph.structure_key(template)
+    assert graph.plug_basis(d, 0, 1)._key is None
     key = graph.structure_key(zxwkit.hadamard_diagram())
     for name in ("plugged", "plug_sites"):
         assert not hasattr(key, name), name
@@ -490,6 +496,22 @@ def test_one_rebind_path():
         "template", "slots", "labels"]
     assert not hasattr(zxwkit.ExponentialDiagram, "_rebound")
     assert not hasattr(evaluate, "_Labels")
+
+
+def test_only_graph_touches_a_diagrams_private_fields():
+    # caching a structure key is graph's decision alone: no other module
+    # reads or writes a private ``Diagram`` field, and the key is the only
+    # one (a diagram records no origin)
+    private = {f.name for f in dataclasses.fields(graph.Diagram)
+               if f.name.startswith("_")}
+    assert private == {"_key"}
+    offenders = [f"{path.name}:{line}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "graph.py"
+                 for name in private
+                 for line in _attribute_lines(
+                     ast.parse(path.read_text(encoding="utf-8")), name)]
+    assert not offenders, f"private Diagram field outside graph: {offenders}"
 
 
 _FIELDS = {"nodes", "edges", "inputs", "outputs"} | {

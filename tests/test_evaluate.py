@@ -388,7 +388,7 @@ def _assert_runs_in_a_row_are_fresh(plan, diagrams):
         assert np.array_equal(m, _fresh_plan(d).run(d))
     for k, m in enumerate(got):
         assert not any(np.shares_memory(m, other) for other in got[:k])
-    _, _, kept = plan._memo or (None, None, [])
+    _, kept = plan._memo or (None, [])
     assert not any(np.shares_memory(m, a) for m in got for a in kept)
 
 
@@ -423,20 +423,22 @@ def test_runs_in_a_row_are_fresh_runs_on_a_symbolic_diagram():
 
 
 def test_a_rebind_after_another_makes_only_its_changed_tensor(monkeypatch):
-    # two rebinds of one template that differ in one weight: the second
-    # run makes that weight's tensor alone
+    # two rebinds of one template that differ in one weight: after a run
+    # that kept its arrays, the other's run makes that weight's tensor
+    # alone
     d = _controlled(2).diagram
-    template, slots = d._origin
+    slots = [nid for nid, node in d.nodes.items() if node.tag == "weight"]
     labels = [d.nodes[nid].label for nid in slots]
-    other = rebind(template, slots, [-labels[0]] + labels[1:])
+    other = rebind(d, slots, [-labels[0]] + labels[1:])
     plan = plan_contraction(d)
     made = []
     real = evaluate._tensor
     monkeypatch.setattr(evaluate, "_tensor",
                         lambda *args: made.append(args[1]) or real(*args))
     plan.run(d)
+    plan.run(d)
     plan.run(other)
-    assert len(made) == len(plan.tensors) + 1
+    assert len(made) == 2 * len(plan.tensors) + 1
     assert made[-1] == slots[0]
 
 
@@ -763,9 +765,11 @@ def test_no_result_shares_memory_with_the_memo():
     plan = plan_contraction(d)
     for _ in range(3):
         got = [plan.run(x) for x in (d, other, d)]
-    template, labels, kept = plan._memo
-    assert template is d._origin[0] and not plan.regions
-    assert set(labels) == set(d._origin[1])
+    labels, kept = plan._memo
+    assert not plan.regions
+    # the label of each tensor of the last run, None for a boundary wire
+    assert labels == [None if nid is None else d.nodes[nid].label
+                      for nid in plan.tensors]
     assert len(kept) == len(plan.tensors) + len(plan.steps) - 1
     assert not any(np.shares_memory(m, a) for m in got for a in kept)
 
@@ -814,14 +818,14 @@ def test_a_plan_over_the_memo_bound_keeps_nothing(monkeypatch):
     monkeypatch.setattr(evaluate, "_tensor",
                         lambda *args: made.append(args[1]) or real(*args))
     # one 18-leg box: a 4 MiB tensor
-    wide = rebind(zbox_diagram(0.5, 9, 9), (), ())
+    wide = zbox_diagram(0.5, 9, 9)
     plan = plan_contraction(wide, cap=18)
     assert plan.memo_bytes == 16 * 2 ** 18 > evaluate._MEMO_BOUND
     for _ in range(3):
         del made[:]
         got = plan.run(wide)
         assert (got[0, 0], got[-1, -1]) == (1, 0.5)
-        assert len(made) == 1 and plan._memo is None
+        assert len(made) == 1 and plan._memo == ()
     # a 4x4 controlled matrix keeps 63,808 B; one byte less of bound, and
     # it keeps none
     d = controlled_matrix(_dominant(4, 1)).diagram
@@ -832,7 +836,7 @@ def test_a_plan_over_the_memo_bound_keeps_nothing(monkeypatch):
     for _ in range(3):
         del made[:]
         assert np.array_equal(plan.run(d), want)
-        assert len(made) == len(plan.tensors) and plan._memo is None
+        assert len(made) == len(plan.tensors) and plan._memo == ()
     monkeypatch.setattr(evaluate, "_MEMO_BOUND", plan.memo_bytes)
     for _ in range(3):
         plan.run(d)
@@ -841,7 +845,7 @@ def test_a_plan_over_the_memo_bound_keeps_nothing(monkeypatch):
 
 def _kept_bytes(plan):
     """The bytes of the distinct arrays in ``plan``'s memo."""
-    _, _, kept = plan._memo
+    _, kept = plan._memo
     arrays = {id(a): a for a in kept}
     return sum(a.nbytes for a in arrays.values())
 
@@ -849,13 +853,14 @@ def _kept_bytes(plan):
 def test_memo_bytes_count_region_tensors(monkeypatch):
     # a 8-step Trotter chain: one phase box and 40 gadget tensors, of two
     # distinct values, so what it keeps is below what ``memo_bytes`` counts
-    d = rebind(trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7), (), ())
+    d = trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7)
     plan = plan_contraction(d)
     assert plan.memo_bytes == 27152
     plan.run(d)
+    plan.run(d)
     # one count per array slot: the tensor, the 40 region tensors and
     # every step result but the last
-    _, _, kept = plan._memo
+    _, kept = plan._memo
     assert len(kept) == 1 + 40 + len(plan.steps) - 1
     assert sum(a.nbytes for a in kept) == plan.memo_bytes
     assert _kept_bytes(plan) == 21840
@@ -882,7 +887,7 @@ def test_memo_bytes_count_region_tensors(monkeypatch):
     for _ in range(3):
         del made[:]
         assert np.array_equal(plan.run(d), want)
-        assert len(made) == 1 + 12 + 7 and plan._memo is None
+        assert len(made) == 1 + 12 + 7 and plan._memo == ()
 
 
 def test_a_warm_memo_keeps_each_array_as_its_step_multiplies_it():
@@ -897,7 +902,7 @@ def test_a_warm_memo_keeps_each_array_as_its_step_multiplies_it():
     read = [None] * (len(plan.tensors) + len(plan.steps))
     for i, j, _, shape_a, _, shape_b, _ in plan.steps:
         read[i], read[j] = shape_a, shape_b
-    _, _, kept = plan._memo
+    _, kept = plan._memo
     assert [a.shape for a in kept] == read[:-1]   # the matrix is handed out
     assert None not in read[:-1]
 
@@ -934,27 +939,65 @@ def test_a_laid_out_z_box_is_its_tensor_transposed_and_reshaped(
     assert got.strides == want.strides
 
 
+def _remade_for(plan, nid) -> list:
+    """The node ids whose tensors a run makes again when only ``nid``'s
+    label changed: ``nid`` alone, or every node of its region."""
+    for k, first in plan.regions:
+        if first <= nid < first + plan.templates[k][0]:
+            return list(range(first, first + plan.templates[k][0]))
+    return [nid]
+
+
 @pytest.mark.parametrize("build", [
     lambda: trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7),
     lambda: diagram_from_json(diagram_to_json(_controlled(2).discharge())),
     lambda: simplify_basic(_controlled(2).discharge()).diagram,
 ], ids=["trotter", "json", "simplified"])
-def test_a_plain_diagram_keeps_no_memo(build, monkeypatch):
-    # only a rebind's run is kept: a diagram that is not one runs fresh
-    # every time, and leaves nothing behind
+def test_a_plain_diagram_reuses_the_memo_from_the_third_run(build,
+                                                            monkeypatch):
+    # every diagram of a structure gets one reuse rule, rebind or not: a
+    # plan's first run keeps nothing, its second keeps its arrays, and from
+    # the third on a run makes only the tensors whose labels changed, to a
+    # fresh plan's bytes
     d = build()
-    assert d._origin is None
     plan = _fresh_plan(d)
     made = []
     real = evaluate._tensor
     monkeypatch.setattr(evaluate, "_tensor",
                         lambda *args: made.append(args[1]) or real(*args))
-    want = plan.run(d)
+    want = plan.run(d).tobytes()
     first = list(made)
-    assert first and plan._memo is None
+    assert first and plan._memo == ()
+    # built again: new objects with equal labels
+    for remade in (first, []):
+        del made[:]
+        again = build()
+        assert plan.run(again).tobytes() == want
+        assert made == remade and plan._memo
+    other = build().copy()
+    nid = max(n for n, node in other.nodes.items() if node.kind == "zbox")
+    other.nodes[nid].label = other.nodes[nid].label * 0.5 + 0.25j
+    assert other.nodes[nid].label != d.nodes[nid].label
     del made[:]
-    assert np.array_equal(plan.run(d), want)
-    assert made == first and plan._memo is None
+    got = plan.run(other)
+    assert made == _remade_for(plan, nid)
+    assert got.tobytes() == _fresh_plan(other).run(other).tobytes()
+
+
+def test_a_plans_first_run_keeps_no_arrays(monkeypatch):
+    # a one-shot structure holds nothing: a plan's first run, a rebind's
+    # too, only marks the plan and frees each step's inputs once it ran;
+    # its second run keeps its arrays
+    d = controlled_matrix(_dominant(4, 1)).diagram
+    plan = plan_contraction(d)
+    frees = []
+    real = evaluate._execute
+    monkeypatch.setattr(evaluate, "_execute", lambda steps, arrs, redo, free: (
+        frees.append(free) or real(steps, arrs, redo, free)))
+    plan.run(d)
+    assert plan._memo == () and frees == [True]
+    plan.run(d)
+    assert plan._memo and frees == [True, False]
 
 
 def test_a_symbolic_chain_keeps_its_gadgets_at_one_time(monkeypatch):
@@ -991,9 +1034,10 @@ def _label_sets():
     opened = [controlled_matrix(_dominant(2, seed)).diagram
               for seed in range(3)]
     # the first matrix's weights, each with a part turned into a signed zero
-    template, slots = opened[0]._origin
+    slots = [nid for nid, node in opened[0].nodes.items()
+             if node.tag == "weight"]
     weights = [opened[0].nodes[nid].label for nid in slots]
-    opened.append(rebind(template, slots, [
+    opened.append(rebind(opened[0], slots, [
         complex(-0.0, w.imag) if k % 2 else complex(w.real, -0.0)
         for k, w in enumerate(weights)]))
     chain = commuting_exponential(parse_pauli_sum("0.5 ZZ\n0.3 ZI"))
@@ -1011,16 +1055,19 @@ def _label_sets():
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), st.integers(0, 3),
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                           st.sampled_from(_TIMES)),
                 min_size=1, max_size=8))
 def test_a_kept_plan_runs_any_label_sequence_bit_for_bit(runs):
-    # each run: (gadget chain?, which weights or scale, time); a run after
-    # another of the same template reuses its memo; the bytes compare, so a
-    # zero's sign counts
+    # each run: (a controlled diagram, a gadget chain, or, as a plain
+    # diagram, the JSON read of one; which weights or scale; time); a
+    # run after two of the structure reuses the memo, whatever diagrams
+    # they were; the bytes compare, so a zero's sign counts
     opened, scaled = _label_sets()
-    for chain, k, t in runs:
-        d = scaled[k, t] if chain else opened[k]
+    for family, k, t in runs:
+        d = scaled[k, t] if family % 2 else opened[k]
+        if family >= 2:
+            d = diagram_from_json(diagram_to_json(d))
         got = plan_contraction(d).run(d)
         want = _fresh_plan(d).run(d)
         assert got.shape == want.shape
