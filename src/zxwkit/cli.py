@@ -261,14 +261,20 @@ def _axz_circuit(h, t: float, cfg: Config) -> Circuit:
         gates.extend(extract_axz_circuit(a, b, t).gates)
     if c != 0.0:
         # identity component is a pure phase factor exp(-i*c*t/2)
-        gates.append(Gate("PHASE", (0,), -0.5 * c * t))
+        phase = -0.5 * c * t
+        if not math.isfinite(phase):
+            raise _Usage(f"no finite phase: -0.5 * {c!r} * {t!r} is not "
+                         "finite")
+        gates.append(Gate("PHASE", (0,), phase))
     return Circuit(gates, 1)
 
 
 def _oracle_diff(u: np.ndarray, h, t: float, cfg: Config) -> np.ndarray:
     """``u`` minus the dense exp(-i H t / 2); a usage error if not finite."""
     from scipy.linalg import expm as dense_expm   # keeps start-up light
-    diff = u - dense_expm(-0.5j * t * oracle_matrix(h, cap=cfg.cap))
+    # a finite input can still overflow in the dense exponential
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = u - dense_expm(-0.5j * t * oracle_matrix(h, cap=cfg.cap))
     if not np.all(np.isfinite(diff)):
         raise _Usage(f"no finite comparison with the dense exponential "
                      f"at t={t!r}")

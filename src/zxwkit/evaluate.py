@@ -51,22 +51,26 @@ and checked by identity, walking nothing.
 A plan reuses its last run for the next diagram of its structure,
 whatever made that diagram.  Its first run keeps nothing.  From its
 second run on, a run keeps its arrays (the plan's memo) while they total
-at most 2 MiB: the top-level tensors and every top-level step result but
-the last, each in its layout, and the region tensors in their template's
-axis order, since equal region tensors share one array whatever layouts
-their steps read; with them, the label of each tensor and the labels of
-each region tensor.  The next run makes again each tensor, or region
-tensor, whose labels are not equal (``!=``) to the memo's: signed zeros
-compare equal and make the same bits, and a NaN never does.  Every array
-of a plan is the input of exactly one step, so the steps to run again
-are the changed arrays' paths to the last step, and every other result
-is the kept one, so that a step run again beside a kept input is one
-``np.dot`` on it (a region tensor is laid out first): a controlled 4x4
-matrix with new coefficients, run after another's, runs the 66 of its
-248 steps that its 16 weights reach.  The same ``np.dot`` on the same
-arrays gives the same bits, so every matrix stays bit-identical.  No
-returned matrix shares memory with a memo or with this module's shared
-tensors, which are read-only.
+at most 2 MiB: every top-level tensor, every region tensor and every
+top-level step result but the last, each in its layout; with them, the
+label of each Z box (a Hadamard's, a W node's and a boundary wire's
+tensor depend on no label) and the template and labels of each region
+tensor.  Every run takes one path: it makes each array whose labels are
+not equal (``!=``) to the memo's, and every array when there is no memo,
+so a first run is a reuse run in which every array changed.  Signed
+zeros compare equal and make the same bits, and a NaN never does.  A
+region tensor is made once per distinct labels in a run and laid out
+once per layout a step reads it in, so the memo keeps it, like every
+other array, as its step multiplies it.  Every array of a plan is the
+input of exactly one step, so the steps to run are the changed arrays'
+paths to the last step, and every other result is the kept one: a step
+run again beside a kept input is one ``np.dot`` on it, and a controlled
+4x4 matrix with new coefficients, run after another's, runs the 66 of
+its 248 steps that its 16 weights reach.  A run that keeps nothing frees
+each array, region tensors included, once the last step reading it ran.
+The same ``np.dot`` on the same arrays gives the same bits, so every
+matrix stays bit-identical.  No returned matrix shares memory with a memo
+or with this module's shared tensors, which are read-only.
 
 This greedy schedule is the only one.  It contracts a diagram's
 ``regions`` (what each ``Builder.region`` call wrote: a Trotter chain's
@@ -86,6 +90,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -347,11 +352,11 @@ def _schedule(ids: list) -> tuple:
 def _fold(structure: tuple, tensors: list, loops: dict):
     """The tensors of ``_network`` in no region; one tensor per region, as
     ((template number, first node id), its open legs' edge ids in the order
-    the template leaves them); the templates as (node count, steps),
-    one per layout: the region's nodes' edges, numbered by first
-    appearance, and self-loops, which is all a schedule depends on; and
-    the layouts of each template's tensors."""
-    loose, folded, templates, planned = [], [], [], {}
+    the template leaves them); and the templates as (node count, steps,
+    the layout of each of its tensors), one per layout: the region's nodes'
+    edges, numbered by first appearance, and self-loops, which is all a
+    schedule depends on."""
+    loose, folded, templates, ends, planned = [], [], [], [], {}
     pos = stop = 0
     for start, end in sorted(structure[4]):
         if end <= start or start < stop:
@@ -375,12 +380,11 @@ def _fold(structure: tuple, tensors: list, loops: dict):
                tuple(map(loops.get, range(start, stop))) if loops else ())
         k = planned.setdefault(key, len(templates))
         if k == len(templates):
-            templates.append((len(run), *_schedule(local), local[-1]))
+            templates.append((len(run), *_schedule(local)))
+            ends.append(local[-1])   # the open legs the steps leave
         edge = list(number)
-        folded.append(((k, start), [edge[e] for e in templates[k][3]]))
-    return (loose + tensors[pos:], folded,
-            [(n, steps) for n, steps, _, _ in templates],
-            [layouts for _, _, layouts, _ in templates])
+        folded.append(((k, start), [edge[e] for e in ends[k]]))
+    return loose + tensors[pos:], folded, templates
 
 
 def _execute(steps: list, arrs: list, redo, free: bool) -> None:
@@ -398,6 +402,18 @@ def _execute(steps: list, arrs: list, redo, free: bool) -> None:
                        else arr.reshape(so).transpose(perm).reshape(shape))
         if free:
             arrs[i] = arrs[j] = None
+
+
+def _region(d: Diagram, template: tuple, first: int,
+            loops: dict) -> np.ndarray:
+    """The tensor, with ``d``'s labels, of the region of ``template`` whose
+    first node id is ``first``, in the axis order the template's steps
+    leave; each array is freed once a step read it."""
+    _, steps, layouts = template
+    arrs = [_tensor(d, first + t, loops, layout)
+            for t, layout in enumerate(layouts)] + [None] * len(steps)
+    _execute(steps, arrs, range(len(steps)), True)
+    return arrs[-1]
 
 
 @dataclass(frozen=True)
@@ -421,22 +437,21 @@ class ContractionPlan:
     A plan keeps the arrays of a run (its memo) from its second run on,
     while ``memo_bytes`` is at most a fixed internal bound (2 MiB); its
     first run keeps nothing and frees each array once a step read it.
-    The memo is the label of each top-level tensor (None for a boundary
-    wire), the template and labels of each region tensor, the top-level
-    tensors, the region tensors and every top-level step result but the
-    last.  Each tensor and result is kept
-    in its layout (``layouts``, and a step's ``perm`` and ``shape``): the
-    2-D matrix, with its strides, that the one step reading it multiplies.
-    Each region tensor is kept in its template's axis order, one array per
-    distinct region tensor, and laid out when a step that reads it runs,
-    once per run for each layout its steps read it in.
-    The next run compares every array's labels with the memo's, makes
-    again each array whose labels differ, follows each to the last step
-    through the step that consumes it (a list made on the first such run)
-    and runs only the steps on those paths, and the last, to the same
-    bits; every other result is a kept one, read as it is.  Each run
-    builds a new memo and replaces the old in one assignment, never
-    changing it, so concurrent runs see one whole memo or another.
+    The memo is the label of each Z-box tensor (``boxes``: no other
+    tensor depends on a label), the template and labels of each region
+    tensor, and every array but the last: the top-level tensors, the
+    region tensors and the top-level step results, each in its layout
+    (``layouts``, and a step's ``perm`` and ``shape``), the 2-D matrix,
+    with its strides, that the one step reading it multiplies.
+    Every run takes one path.  It makes each array whose labels differ
+    from the memo's, or every array without a memo; a region tensor by
+    its template's steps, once per distinct labels, and laid out once per
+    layout its steps read.  It follows each changed array to the last
+    step through the step that consumes it (a list made on the first run
+    with a memo) and runs only the steps on those paths, and the last,
+    to the same bits; every other result is a kept one, read as it is.
+    Each run builds a new memo and replaces the old in one assignment,
+    never changing it, so concurrent runs see one whole memo or another.
     """
 
     structure: tuple = field(repr=False)   # ``structure_key`` of the diagram
@@ -446,10 +461,10 @@ class ContractionPlan:
     regions: list        # (template number, first node id) per region
                          # tensor, numbered after ``tensors``
     layouts: list        # (perm, shape, order) per tensor and region tensor
-    templates: list      # (node count, steps) per region template
-    template_layouts: list   # the layouts of each template's tensors
+    templates: list      # (node count, steps, layouts) per region template
+    boxes: list          # the position in ``tensors`` of each Z box
     shape: tuple         # (2^outputs, 2^inputs)
-    # None before the first run, () after it, then (each tensor's label and
+    # None before the first run, () after it, then (each Z box's label and
     # region tensor's (template, labels), ``_execute``'s arrays but the last)
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
@@ -523,70 +538,51 @@ class ContractionPlan:
         diagram a plan was looked up by does."""
         if not self.tensors and not self.regions:
             return np.ones((1, 1), dtype=complex)
-        n, n_steps = len(self.tensors), len(self.steps)
+        tensors, loops, layouts = self.tensors, self.loops, self.layouts
+        n, n_steps = len(tensors), len(self.steps)
         end = n + len(self.regions)   # the first step result's number
-        nodes, loops, layouts = d.nodes, self.loops, self.layouts
+        nodes = d.nodes
         memo = self._memo   # another thread may replace it
-        # what each array depends on: a tensor's label (None for a boundary
-        # wire), a region tensor's template and labels
-        labels = [None if nid is None else nodes[nid].label
-                  for nid in self.tensors]
+        # what the arrays depend on: each Z box's label, then each region
+        # tensor's template and labels
+        labels = [nodes[tensors[pos]].label for pos in self.boxes]
         labels += [(k, tuple([nodes[nid].label for nid in range(
             first, first + self.templates[k][0])]))
             for k, first in self.regions]
-        made: dict = {}
-
-        def region(pos):
-            key = labels[pos]
-            if key not in made:
-                k, first = self.regions[pos - n]
-                steps = self.templates[k][1]
-                arrs = [_tensor(d, first + t, loops, layout) for t, layout
-                        in enumerate(self.template_layouts[k])]
-                arrs += [None] * len(steps)
-                _execute(steps, arrs, range(len(steps)), True)
-                made[key] = arrs[-1]
-            return made[key]
-
         if memo:
             old, arrs = memo
             # the memo keeps all results but the last
             arrs = arrs + [None] if n_steps else list(arrs)
-            changed = [pos for pos, new, was in zip(range(end), labels, old)
-                       if new != was]
-            for pos in changed:
-                arrs[pos] = (_tensor(d, self.tensors[pos], loops, layouts[pos])
-                             if pos < n else region(pos))
-            redo = self._reach(changed)
-            consumer = self._consumer
-            # without steps, the matrix reads the lone array
-            read = [pos for pos in range(n, end)
-                    if not redo or consumer[pos] in redo]
-            redo = sorted(redo)
+            changed = [pos for pos, new, was in zip(
+                chain(self.boxes, range(n, end)), labels, old) if new != was]
+            redo = sorted(self._reach(changed))
         else:
-            arrs = [_tensor(d, nid, loops, layout)
-                    for nid, layout in zip(self.tensors, layouts)]
-            arrs += [region(pos) for pos in range(n, end)] + [None] * n_steps
-            read = range(n, end)
-            redo = range(n_steps)
-        # equal region tensors share one array, which the memo keeps in its
-        # template's axis order; each is laid out for the step that reads it
-        # when that step runs, once per layout
-        natural = arrs[n:end]
-        laid: dict = {}
-        for pos in read:
+            arrs = [None] * (end + n_steps)
+            changed, redo = range(end), range(n_steps)
+        # each changed array, as its step reads it; a region tensor is made
+        # once per distinct labels in a run, and laid out once per layout
+        made: dict = {}
+        for pos in changed:
+            if pos < n:
+                arrs[pos] = _tensor(d, tensors[pos], loops, layouts[pos])
+                continue
+            key = labels[pos - end]   # the region tensors' labels end the list
             perm, shape, _ = layouts[pos]
-            key = (id(arrs[pos]), perm, shape)
-            if key not in laid:
-                laid[key] = _read_as(arrs[pos], perm, shape)
-            arrs[pos] = laid[key]
+            if (key, perm, shape) not in made:
+                if key not in made:
+                    k, first = self.regions[pos - n]
+                    made[key] = _region(d, self.templates[k], first, loops)
+                made[key, perm, shape] = _read_as(made[key], perm, shape)
+            arrs[pos] = made[key, perm, shape]
+        # each region tensor now lives in ``arrs`` alone, so a run that frees
+        # as it goes frees it once its last step ran
+        made = None
         keep = memo is not None and self.memo_bytes <= _MEMO_BOUND
         _execute(self.steps, arrs, redo, not keep)
         if keep:
-            kept = arrs[:-1] if n_steps else arrs[:]
-            kept[n:end] = natural
             # the matrix is handed out
-            object.__setattr__(self, "_memo", (labels, kept))
+            object.__setattr__(self, "_memo", (
+                labels, arrs[:-1] if n_steps else arrs[:]))
         elif memo is None:
             object.__setattr__(self, "_memo", ())
         # the last step lays out the matrix and always runs, so the result
@@ -614,10 +610,9 @@ def _plan(structure: tuple, cap: int) -> ContractionPlan:
     """``plan_contraction`` of a diagram with ``structure_key``
     ``structure``; an error propagates and is never kept."""
     tensors, loops, external = _network(structure, cap)
-    regions, templates, template_layouts = [], [], []
+    regions, templates = [], []
     if structure[4]:
-        tensors, regions, templates, template_layouts = _fold(
-            structure, tensors, loops)
+        tensors, regions, templates = _fold(structure, tensors, loops)
     ids = [tids for _, tids in tensors + regions]
     _, inputs, outputs, _, _ = structure
     shape = (2 ** len(outputs), 2 ** len(inputs))
@@ -634,9 +629,12 @@ def _plan(structure: tuple, cap: int) -> ContractionPlan:
             steps[-1][2], steps[-1][4] = layout[0], layout[1]
         else:
             layouts[0] = layout
+    kinds = {nid: kind for nid, kind, _ in structure[3]}
     return ContractionPlan(
         structure, [nid for nid, _ in tensors], loops, steps,
-        [r for r, _ in regions], layouts, templates, template_layouts, shape)
+        [r for r, _ in regions], layouts, templates,
+        [pos for pos, (nid, _) in enumerate(tensors)
+         if kinds.get(nid) == ZBOX], shape)
 
 
 def eval_diagram(d: Diagram, cap: int = DEFAULT_CAP) -> np.ndarray:

@@ -477,15 +477,18 @@ def extract_axz_circuit(a: float, b: float, t: float) -> Circuit:
     """Single-qubit rotations realizing exp(-i (a X + b Z) t / 2).
 
     Pure-X and pure-Z inputs come out as one rotation; the mixed case is
-    a Z-X-Z Euler split with the leftover phase emitted explicitly.
+    a Z-X-Z Euler split with the leftover phase emitted explicitly.  An
+    angle that is not finite raises ``DiagramError``.
     """
     a, b, t = float(a), float(b), float(t)
     if a == 0.0 and b == 0.0:
         raise DiagramError("a and b cannot both be zero")
-    if a == 0.0:
-        return Circuit([Gate("RZ", (0,), b * t)], 1)
-    if b == 0.0:
-        return Circuit([Gate("RX", (0,), a * t)], 1)
+    if a == 0.0 or b == 0.0:
+        name, angle = ("RZ", b * t) if a == 0.0 else ("RX", a * t)
+        if not math.isfinite(angle):
+            raise DiagramError(f"no finite rotation angle: {name} angle "
+                               f"overflows at a={a!r}, b={b!r}, t={t!r}")
+        return Circuit([Gate(name, (0,), angle)], 1)
     lam = math.hypot(a, b)
     half = lam * t / 2.0
     if not math.isfinite(half):

@@ -465,6 +465,12 @@ _THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
     (["extract-demo", "--a", "1e308", "--b", "1", "--t", "10"], EXAMPLE),
     (["extract-demo", "--a", "100", "--b", "1", "--t", "1e307"], EXAMPLE),
     (["extract-demo", "--a", "1e200", "--b", "1", "--t", "1e200"], EXAMPLE),
+    (["expm", "FILE", "--method", "taylor", "--t", "2", "--order", "0",
+      "--emit-circuit"], "1e308 X\n"),
+    (["expm", "FILE", "--method", "taylor", "--t", "1e308", "--order", "0",
+      "--emit-circuit"], "4 I\n"),
+    (["expm", "FILE", "--method", "taylor", "--t", "1e308", "--order", "0",
+      "--compare-oracle"], "4 I\n"),
 ], ids=["samples-negative", "samples-zero", "taylor-overflow",
         "oracle-overflow", "extract-demo-seed-negative",
         "check-rules-seed-negative", "extract-demo-overflow",
@@ -473,7 +479,9 @@ _THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
         "ham-build-verify-cap-json", "expm-taylor-not-finite",
         "expm-exact-gadget-phase", "expm-trotter-gadget-phase",
         "expm-exact-global-phase", "extract-demo-putzer-large-a",
-        "extract-demo-putzer-large-t", "extract-demo-putzer-large-a-and-t"])
+        "extract-demo-putzer-large-t", "extract-demo-putzer-large-a-and-t",
+        "expm-circuit-rotation-angle", "expm-circuit-global-phase",
+        "expm-oracle-warnings"])
 def test_out_of_range_input_is_usage_error(argv, text, tmp_path, capsys):
     # exit 2 with one error line, nothing on stdout and no warning
     f = tmp_path / "input.txt"

@@ -17,9 +17,9 @@ from zxwkit import (Builder, CapExceeded, Diagram, DiagramError,
                     build_hamiltonian_diagram, cap, cayley_hamilton_diagram,
                     commuting_exponential, compose_par, compose_seq,
                     controlled_matrix, controlled_state_normal_form,
-                    controlled_sum_states, cup, diagram_from_json,
-                    diagram_to_json, equal_up_to_scalar, eval_diagram,
-                    hadamard_diagram, identity, matrices_close,
+                    controlled_sum_matrices, controlled_sum_states, cup,
+                    diagram_from_json, diagram_to_json, equal_up_to_scalar,
+                    eval_diagram, hadamard_diagram, identity, matrices_close,
                     parse_pauli_sum, plan_contraction, plug_basis,
                     scalar_of, simplify_basic,
                     structural_equal, taylor_diagram, transpose_diagram,
@@ -277,8 +277,8 @@ def _eager_statistics(d, cap=evaluate.DEFAULT_CAP):
     tensors, loops, _ = evaluate._network(structure, cap)
     regions, templates = [], []
     if structure[4]:
-        tensors, regions, templates, _ = evaluate._fold(structure, tensors,
-                                                        loops)
+        tensors, regions, templates = evaluate._fold(structure, tensors,
+                                                     loops)
     ids = [tids for _, tids in tensors + regions]
     steps = evaluate._schedule(ids)[0] if ids else []
     done = [(steps, 1)] + [(templates[k][1], uses) for k, uses in
@@ -634,7 +634,7 @@ def test_a_trotter_step_is_planned_as_its_gadgets():
     assert len(plan.tensors) == 1
     assert len(plan.steps) == 40
     # the XX gadgets have one layout and the Z gadgets another
-    assert sorted(n for n, _ in plan.templates) == [7, 12]
+    assert sorted(n for n, *_ in plan.templates) == [7, 12]
     flat = plan_contraction(_region_free(d))
     assert plan.peak_rank == flat.peak_rank
     assert plan.peak_bytes == 16 * 2 ** plan.peak_rank
@@ -767,9 +767,11 @@ def test_no_result_shares_memory_with_the_memo():
         got = [plan.run(x) for x in (d, other, d)]
     labels, kept = plan._memo
     assert not plan.regions
-    # the label of each tensor of the last run, None for a boundary wire
-    assert labels == [None if nid is None else d.nodes[nid].label
-                      for nid in plan.tensors]
+    # the label of each Z box of the last run: no other tensor has one
+    assert labels == [d.nodes[plan.tensors[pos]].label for pos in plan.boxes]
+    assert {d.nodes[nid].kind for nid in plan.tensors if nid is not None
+            } - {d.nodes[plan.tensors[pos]].kind for pos in plan.boxes} == {
+                "had", "w"}
     assert len(kept) == len(plan.tensors) + len(plan.steps) - 1
     assert not any(np.shares_memory(m, a) for m in got for a in kept)
 
@@ -852,7 +854,8 @@ def _kept_bytes(plan):
 
 def test_memo_bytes_count_region_tensors(monkeypatch):
     # a 8-step Trotter chain: one phase box and 40 gadget tensors, of two
-    # distinct values, so what it keeps is below what ``memo_bytes`` counts
+    # distinct values laid out in 5 ways, so what it keeps is below what
+    # ``memo_bytes`` counts
     d = trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7)
     plan = plan_contraction(d)
     assert plan.memo_bytes == 27152
@@ -863,7 +866,7 @@ def test_memo_bytes_count_region_tensors(monkeypatch):
     _, kept = plan._memo
     assert len(kept) == 1 + 40 + len(plan.steps) - 1
     assert sum(a.nbytes for a in kept) == plan.memo_bytes
-    assert _kept_bytes(plan) == 21840
+    assert _kept_bytes(plan) == 22416 < plan.memo_bytes
     # a fresh run lays out each distinct region tensor once per layout its
     # steps read it in: 5 (array, layout) pairs over the 40 region slots
     laid = []
@@ -890,21 +893,57 @@ def test_memo_bytes_count_region_tensors(monkeypatch):
         assert len(made) == 1 + 12 + 7 and plan._memo == ()
 
 
-def test_a_warm_memo_keeps_each_array_as_its_step_multiplies_it():
-    # every kept array is the matrix the one step that reads it multiplies,
-    # so a step run again on a kept array is one np.dot on it
+def test_a_warm_memo_keeps_each_array_as_its_step_multiplies_it(
+        monkeypatch):
+    # every kept array, region tensors included, is the matrix the one step
+    # that reads it multiplies, so a step run again on a kept array is one
+    # np.dot on it
+    m = _dominant(4, 3)
+    cd = controlled_matrix(m)
+    for _ in range(2):
+        assert verify_controlled(cd, m)["ok"]
+    plans = [plan_contraction(cd.diagram, cap=evaluate.DEFAULT_CAP + 1)]
+    spliced = controlled_sum_matrices(
+        [controlled_matrix(_dominant(4, seed)) for seed in (4, 5, 6)],
+        weights=[0.5, -1.0j, 2.0]).diagram
+    chain = trotter_diagram(parse_pauli_sum(HAM5), 8, 0.7)
+    real_read_as = evaluate._read_as
+    for d in (spliced, chain):
+        plan = _fresh_plan(d)
+        want = plan.run(d)
+        assert np.array_equal(plan.run(d), want)
+        # so a third run of the unchanged diagram lays out nothing again
+        laid = []
+        monkeypatch.setattr(evaluate, "_read_as", lambda *args: laid.append(
+            args) or real_read_as(*args))
+        assert np.array_equal(plan.run(d), want)
+        assert laid == []
+        monkeypatch.undo()
+        plans.append(plan)
+    assert [len(plan.regions) for plan in plans] == [0, 3, 40]
+    for plan in plans:
+        read = [None] * (len(plan.tensors) + len(plan.regions)
+                         + len(plan.steps))
+        for i, j, _, shape_a, _, shape_b, _ in plan.steps:
+            read[i], read[j] = shape_a, shape_b
+        _, kept = plan._memo
+        assert [a.shape for a in kept] == read[:-1]   # the matrix is handed out
+        assert None not in read[:-1]
+
+
+def test_a_warm_memo_holds_only_the_z_box_labels():
+    # only a Z box's tensor depends on a label (a Hadamard's, a W node's and
+    # a boundary wire's never do), so a warm 4x4 verify keeps, and a run
+    # reads and compares, the labels of 138 of its 249 tensors
     m = _dominant(4, 3)
     cd = controlled_matrix(m)
     for _ in range(2):
         assert verify_controlled(cd, m)["ok"]
     plan = plan_contraction(cd.diagram, cap=evaluate.DEFAULT_CAP + 1)
-    assert not plan.regions
-    read = [None] * (len(plan.tensors) + len(plan.steps))
-    for i, j, _, shape_a, _, shape_b, _ in plan.steps:
-        read[i], read[j] = shape_a, shape_b
-    _, kept = plan._memo
-    assert [a.shape for a in kept] == read[:-1]   # the matrix is handed out
-    assert None not in read[:-1]
+    labels, _ = plan._memo
+    assert (len(labels), len(plan.tensors)) == (138, 249)
+    assert {cd.diagram.nodes[plan.tensors[pos]].kind
+            for pos in plan.boxes} == {"zbox"}
 
 
 _SIGNED_LABELS = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0),

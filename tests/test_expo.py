@@ -386,6 +386,15 @@ def test_extract_rejects_zero_hamiltonian():
         extract_axz_circuit(0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b, t", [(1e308, 0.0, 2.0), (0.0, -1e308, 2.0),
+                                     (1.0, 0.0, math.inf), (1e300, 1.0, 1e10)],
+                         ids=["x", "z", "x-infinite-time", "mixed"])
+def test_extract_rejects_an_angle_that_is_not_finite(a, b, t):
+    # a rotation angle that overflows, or an infinite time, is refused
+    with pytest.raises(DiagramError, match="no finite rotation angle"):
+        extract_axz_circuit(a, b, t)
+
+
 def test_circuit_text_grammar():
     c = extract_axz_circuit(1.0, 1.0, 0.7)
     for line in c.to_text().splitlines():
