@@ -24,6 +24,12 @@ picks the same pairs as re-ranking every pair on every step would, while
 each step costs a heap operation per neighbour instead of a scan over every
 pair.
 
+A plan can mark tensors late (``_plan``'s ``late``, the node ids of a
+controlled Pauli sum's weight boxes when ``verify_controlled`` plans it):
+the greedy then contracts what they do not reach before them, so their
+paths to the last step are short (``_schedule``).  With none marked, the
+steps are the rank greedy's.
+
 The schedule depends on the diagram's structure only, never on its labels,
 so it is planned once (``plan_contraction``) and executed per set of labels
 (``ContractionPlan.run``): each step is compiled to the transpose, reshape
@@ -65,7 +71,7 @@ other array, as its step multiplies it.  Every array of a plan is the
 input of exactly one step, so the steps to run are the changed arrays'
 paths to the last step, and every other result is the kept one: a step
 run again beside a kept input is one ``np.dot`` on it, and a controlled
-4x4 matrix with new coefficients, run after another's, runs the 66 of
+4x4 matrix with new coefficients, verified after another, runs the 39 of
 its 248 steps that its 16 weights reach.  A run that keeps nothing frees
 each array, region tensors included, once the last step reading it ran.
 The same ``np.dot`` on the same arrays gives the same bits, so every
@@ -113,8 +119,9 @@ for _shared in (V_MATRIX, *_SHARED.values()):
     _shared.setflags(write=False)
 
 # A plan keeps the arrays of its last run, its memo, only while they total
-# at most this many bytes (``ContractionPlan.memo_bytes``): a 4x4 controlled
-# matrix keeps 63,808 B, an 8x8 one 1.17 MB, a 16x16 one would keep 143 MB.
+# at most this many bytes (``ContractionPlan.memo_bytes``): the verify plan
+# of a 4x4 controlled matrix keeps 82,880 B, an 8x8 one's 1.25 MB, and a
+# 16x16 one's would keep 52 MB.
 _MEMO_BOUND = 2 * 2 ** 20
 
 
@@ -252,12 +259,20 @@ def _layout(perm: tuple, shape: tuple) -> tuple:
     return perm, shape, "F" if 0 < rows < q and perm == split else "C"
 
 
-def _schedule(ids: list) -> tuple:
+def _schedule(ids: list, late=()) -> tuple:
     """The compiled steps contracting the tensors with edge ids ``ids``
     into one, and the layout (``_layout``) each tensor is read in, None
     for one no step reads: greedily, then the tensors left (one per
     component) left to right.  ``ids`` grows by each step's result and a
     step's two tensors become None, so its last entry is the tensor left.
+
+    ``late`` holds positions in ``ids``: a pair that reads a late tensor,
+    or a result made from one, ranks as if it left one more open index,
+    after a pair that reads none and leaves that many (heap key
+    ``2 * rank + 3``, against ``2 * rank``).  What the late tensors do not
+    reach is contracted before them, so a run whose labels change only in
+    late tensors redoes few steps.  With no late tensors every key is
+    twice the rank, so the steps are the plain rank greedy's.
 
     A step is [i, j, perm, shape_a, shape, shape_b, out_shape]: arrays i
     and j are matrices of shape_a and shape_b, and their product, a tensor
@@ -323,7 +338,9 @@ def _schedule(ids: list) -> tuple:
         for e in tids:
             owners.setdefault(e, []).append(pos)
     bonds = Counter(tuple(own) for own in owners.values() if len(own) == 2)
-    heap = [(len(ids[i]) + len(ids[j]) - 2 * shared, i, j)
+    late = set(late)
+    heap = [(2 * (len(ids[i]) + len(ids[j]) - 2 * shared)
+             + 3 * (i in late or j in late), i, j)
             for (i, j), shared in bonds.items()]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -333,6 +350,8 @@ def _schedule(ids: list) -> tuple:
             continue
         out = contract(i, j)
         fresh = len(ids) - 1
+        if not late.isdisjoint((i, j)):
+            late.add(fresh)
         bonds = {}
         for e in out:
             own = owners[e]
@@ -341,7 +360,8 @@ def _schedule(ids: list) -> tuple:
                 own[0], own[1] = nb, fresh
                 bonds[nb] = bonds.get(nb, 0) + 1
         for nb, shared in bonds.items():
-            push(heap, (len(ids[nb]) + len(out) - 2 * shared, nb, fresh))
+            push(heap, (2 * (len(ids[nb]) + len(out) - 2 * shared)
+                        + 3 * (nb in late or fresh in late), nb, fresh))
     last, *rest = [k for k, tids in enumerate(ids) if tids is not None]
     for nxt in rest:
         contract(last, nxt)
@@ -602,13 +622,15 @@ def plan_contraction(d: Diagram, cap: int = DEFAULT_CAP) -> ContractionPlan:
     (regions included) of one planned recently gets that same plan back,
     so the plan is shared and must not be changed.
     """
-    return _plan(structure_key(d), cap)
+    return _plan(structure_key(d), cap, ())
 
 
 @functools.lru_cache(maxsize=8)
-def _plan(structure: tuple, cap: int) -> ContractionPlan:
+def _plan(structure: tuple, cap: int, late: tuple) -> ContractionPlan:
     """``plan_contraction`` of a diagram with ``structure_key``
-    ``structure``; an error propagates and is never kept."""
+    ``structure``, with the top-level tensors of the node ids in ``late``
+    contracted last (``_schedule``): one plan per late set, and a node in a
+    region is never late.  An error propagates and is never kept."""
     tensors, loops, external = _network(structure, cap)
     regions, templates = [], []
     if structure[4]:
@@ -618,7 +640,11 @@ def _plan(structure: tuple, cap: int) -> ContractionPlan:
     shape = (2 ** len(outputs), 2 ** len(inputs))
     steps, layouts = [], []
     if ids:
-        steps, layouts = _schedule(ids)
+        if late:
+            marked = set(late)
+            late = [pos for pos, (nid, _) in enumerate(tensors)
+                    if nid in marked]
+        steps, layouts = _schedule(ids, late)
         out = ids[-1]
         if sorted(out) != sorted(external):
             raise DiagramError("internal error: contraction left stray indices")

@@ -643,20 +643,25 @@ def attach_w_spider(b: Builder, fan_out: int, assoc: str = "chain",
         outs.append(tail)
         return b.leg(first, 0), outs
     if assoc == "balanced":
-        def build(k):   # k >= 2
-            node = b.w(tag=tag)
-            left, right = k // 2, k - k // 2
-            outs = []
-            for side, cnt in ((1, left), (2, right)):
-                if cnt == 1:
-                    outs.append(b.leg(node, side))
-                else:
-                    sub_in, sub_outs = build(cnt)
-                    b.wire((node, side), sub_in)
-                    outs.extend(sub_outs)
-            return b.leg(node, 0), outs
-        return build(fan_out)
+        return _w_tree(b, fan_out, tag)
     raise DiagramError(f"unknown association {assoc!r}")
+
+
+def _w_tree(b: Builder, k: int, tag: str):
+    """A balanced tree of W nodes fanning out to k >= 2 wires, as (in_ref,
+    out_refs): a node's leg 1 feeds k // 2 of them and leg 2 the rest.
+    It is not a closure that calls itself: that closure would hold ``b``
+    in a reference cycle until a full garbage collection."""
+    node = b.w(tag=tag)
+    outs = []
+    for side, cnt in ((1, k // 2), (2, k - k // 2)):
+        if cnt == 1:
+            outs.append(b.leg(node, side))
+        else:
+            sub_in, sub_outs = _w_tree(b, cnt, tag)
+            b.wire((node, side), sub_in)
+            outs.extend(sub_outs)
+    return b.leg(node, 0), outs
 
 
 def w_spider(fan_out: int, assoc: str = "chain") -> Diagram:

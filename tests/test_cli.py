@@ -97,9 +97,10 @@ def test_controlled_matrix_verify_at_large_norm(tmp_path, capsys):
 
 def test_controlled_verify_that_overflows_exits_two(tmp_path, capfd):
     # the entries are finite, but the diagram overflows before the matrix
-    # does: a one-line usage error, no numpy warning and an empty stdout
+    # does (its Pauli coefficients' partial sums pass 1.8e308): a one-line
+    # usage error, no numpy warning and an empty stdout
     f = tmp_path / "big.txt"
-    f.write_text("1e308\t0\n0\t-1e308\n")
+    f.write_text(matrix_to_text(np.full((4, 4), 1e308)))
     assert main(["controlled", "--matrix", str(f), "--verify"]) == 2
     out, err = capfd.readouterr()
     assert out == ""
@@ -430,10 +431,36 @@ def test_verification_failure_exits_one(tmp_path, capsys):
     assert rc == 1
 
 
-# a finite input whose check overflows: four terms whose discharge
-# contraction reaches inf and nan, and a 3-qubit sum whose check needs six
-# open wires
-_OVERFLOWING_SUM = "1e-320 X\n1e308 X\n-1e200 X\n1e-320 Z\n"
+@pytest.mark.parametrize("argv, text, rc, residual", [
+    (["controlled", "--matrix", "FILE", "--verify"], "1e308\t0\n0\t-1e308\n",
+     0, "discharge residual 0.000e+00"),
+    (["controlled", "--matrix", "FILE", "--verify"],
+     "1e308\t1e308\n1e308\t1e308\n", 1, "discharge residual 1.996e+292"),
+    (["controlled", "--matrix", "FILE", "--verify"],
+     "1e308\t-1e308\n-1e308\t1e308\n", 1, "discharge residual 1.996e+292"),
+    (["ham", "build", "FILE", "--verify"],
+     "1e-320 X\n1e308 X\n-1e200 X\n1e-320 Z\n", 1,
+     "oracle MISMATCH: discharge residual 5.988e+292"),
+], ids=["diagonal", "ones", "signs", "ham-build"])
+def test_a_check_at_the_float_limit_compares_absolutely(argv, text, rc,
+                                                       residual, tmp_path,
+                                                       capsys):
+    # the verify plan contracts the weights last, so these finite inputs
+    # no longer overflow; the tolerance is absolute, so a correct diagram
+    # with a relative error near 1e-16 of a 1e308 norm reads as a mismatch
+    # and exits 1 (a tolerance relative to the target's norm would pass
+    # all four)
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    assert main([str(f) if a == "FILE" else a for a in argv]) == rc
+    out, err = capsys.readouterr()
+    assert residual in out + err and "Traceback" not in err
+
+
+# a finite input whose check overflows: two terms whose finite sum the
+# open-control contraction overflows on the way to, and a 3-qubit sum
+# whose check needs six open wires
+_OVERFLOWING_SUM = "1e308 XX\n1e308 XY\n"
 _THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
 
 

@@ -243,9 +243,10 @@ def _report(cd, blocks, target, tol=1e-9):
 def _one_run(cd, cap=evaluate.DEFAULT_CAP):
     """(idle, discharge) as the two column halves of one fresh run of the
     open diagram, planned anew past the cache, one wire wider than a
-    plug's ``cap``."""
+    plug's ``cap``, with its weight boxes last."""
     d = cd.diagram
-    got = evaluate._plan.__wrapped__(graph.structure_key(d), cap + 1).run(d)
+    got = evaluate._plan.__wrapped__(graph.structure_key(d), cap + 1,
+                                     cd.weight_ids).run(d)
     half = got.shape[1] // 2
     return got[:, :half], got[:, half:]
 
@@ -486,7 +487,7 @@ def _snapshot(d):
 
 def _matrix_bits(d):
     plan = evaluate._plan.__wrapped__(graph.structure_key(d),
-                                      evaluate.DEFAULT_CAP)
+                                      evaluate.DEFAULT_CAP, ())
     with np.errstate(all="ignore"):
         return plan.run(d).tobytes()
 
@@ -658,13 +659,14 @@ def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
         verify_controlled(controlled_matrix(a), a)
     old, cd = controlled_matrix(a).diagram, controlled_matrix(b)
     d = cd.diagram
-    plan = plan_contraction(d, cap=evaluate.DEFAULT_CAP + 1)
+    plan = evaluate._plan(graph.structure_key(d), evaluate.DEFAULT_CAP + 1,
+                          cd.weight_ids)
     # the one run redoes what b's weights reach from a's run, and the last
     # step
     redo = _reached(plan, [k for k, nid in enumerate(plan.tensors)
                            if nid is not None and d.nodes[nid].label
                            != old.nodes[nid].label]) | {len(plan.steps) - 1}
-    assert (len(redo), len(plan.steps)) == (66, 248)
+    assert (len(redo), len(plan.steps)) == (39, 248)
     dots, visited = [], []
     real_dot, real_execute = np.dot, evaluate._execute
     monkeypatch.setattr(np, "dot",
@@ -674,16 +676,52 @@ def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
                         or real_execute(steps, arrs, redo, free))
     rep = verify_controlled(cd, b)
     monkeypatch.undo()
-    assert len(dots) == len(redo) == 66
+    assert len(dots) == len(redo) == 39
     assert visited == [redo]
     assert rep == _report(cd, _one_run(cd), b)
+
+
+# per size, the open-control plan of a dense matrix with no late tensors
+# and with its weight boxes late: (steps a new matrix's weights reach, the
+# last one included; steps; peak rank; flops; memo bytes)
+_VERIFY_PLANS = {
+    2: [(19, 33, 4, 412, 5632), (8, 33, 4, 516, 6336)],
+    4: [(66, 248, 8, 8740, 63808), (39, 248, 8, 16404, 82880)],
+    8: [(217, 1456, 13, 785964, 1165696), (169, 1456, 12, 772660, 1248448)],
+    16: [(748, 7680, 20, 814947220, 143262400),
+         (690, 7680, 18, 240857764, 52413504)],
+}
+
+
+@pytest.mark.parametrize("dim", sorted(_VERIFY_PLANS))
+def test_a_verify_plan_contracts_the_weights_last(dim):
+    # verify plans with the weight boxes late: a warm 2x2 redoes 8 steps
+    # and a 4x4 39, the 8x8 peaks at rank 12 with its memo under the bound,
+    # and the 16x16 peaks at 18 with 2.41e8 flops, below its discharge's
+    # 3.14e8; read off the plans, none run
+    rng = np.random.default_rng(5)
+    cd = controlled_matrix(_rand_matrix(rng, dim))
+    assert len(cd.weight_ids) == dim * dim
+    key = graph.structure_key(cd.diagram)
+    got = []
+    for late in ((), cd.weight_ids):
+        plan = evaluate._plan(key, evaluate.DEFAULT_CAP + 1, late)
+        weights = [pos for pos, nid in enumerate(plan.tensors)
+                   if nid in cd.weight_ids]
+        got.append((len(plan._reach(weights)), len(plan.steps),
+                    plan.peak_rank, plan.flops, plan.memo_bytes))
+    assert got == _VERIFY_PLANS[dim]
+    assert (got[1][-1] <= evaluate._MEMO_BOUND) == (dim <= 8)
+    if dim == 16:
+        plan = plan_contraction(cd.discharge())
+        assert (plan.peak_rank, plan.flops) == (18, 313872092)
 
 
 def test_a_warm_verify_walks_no_structure_and_makes_only_new_weights(
         monkeypatch):
     # a rebound diagram takes the key kept on its template, and a run after
     # two of the structure makes only the tensors whose labels changed, the
-    # 16 weights, and runs the 66 steps they reach
+    # 16 weights, and runs the 39 steps they reach
     rng = np.random.default_rng(12)
     mats = [_rand_matrix(rng, 4) for _ in range(3)]
     for _ in range(2):
@@ -699,7 +737,7 @@ def test_a_warm_verify_walks_no_structure_and_makes_only_new_weights(
     for m in mats[1:]:
         del made[:], dots[:]
         assert verify_controlled(controlled_matrix(m), m)["ok"]
-        assert (walks, made, len(dots)) == ([], ["weight"] * 16, 66)
+        assert (walks, made, len(dots)) == ([], ["weight"] * 16, 39)
 
 
 def test_a_second_verify_of_a_spliced_sum_is_a_fresh_run(monkeypatch):

@@ -416,7 +416,8 @@ def test_one_schedule_one_composition_and_one_soundness_run():
     # report
     assert list(inspect.signature(zxwkit.eval_diagram).parameters) == [
         "d", "cap"]
-    assert list(inspect.signature(evaluate._schedule).parameters) == ["ids"]
+    assert list(inspect.signature(evaluate._schedule).parameters) == [
+        "ids", "late"]
     tree = ast.parse((PACKAGE / "evaluate.py").read_text(encoding="utf-8"))
     params = {a.arg for fn in ast.walk(tree)
               if isinstance(fn, ast.FunctionDef) for a in fn.args.args}
@@ -443,8 +444,8 @@ def test_a_trotter_chain_plans_and_computes_each_gadget_once(monkeypatch):
     d = zxwkit.trotter_diagram(h, 32, 0.5)
     planned, made = [], []
     schedule, tensor = evaluate._schedule, evaluate._tensor
-    monkeypatch.setattr(evaluate, "_schedule", lambda ids: (
-        planned.append(len(ids)) or schedule(ids)))
+    monkeypatch.setattr(evaluate, "_schedule", lambda ids, *late: (
+        planned.append(len(ids)) or schedule(ids, *late)))
     monkeypatch.setattr(evaluate, "_tensor", lambda d, nid, *args: (
         made.append(nid) or tensor(d, nid, *args)))
     plan = zxwkit.plan_contraction(d)

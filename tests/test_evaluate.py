@@ -170,10 +170,15 @@ def _to_matrix(pool: list, external: list, d) -> np.ndarray:
     return arr.reshape(2 ** d.n_outputs, 2 ** d.n_inputs)
 
 
-def _min_scan_eval(d):
+def _min_scan_eval(d, late=(), picked=None):
     """The greedy schedule written as a full scan: every step re-ranks every
-    candidate pair and contracts the smallest (rank, (i, j))."""
+    candidate pair and contracts the smallest (key, (i, j)), the key being
+    2 * rank, plus 3 where the pair reads the tensor of a node in ``late``
+    or a result made from one.  Each pair contracted is appended to
+    ``picked``, numbered as the plan numbers its tensors and results."""
     tensors, external = _reference_network(d)
+    nids, _, _ = evaluate._network(structure_key(d), evaluate.DEFAULT_CAP)
+    behind = {pos for pos, (nid, _) in enumerate(nids) if nid in late}
     live = dict(enumerate(tensors))
     id2pos = {}
     for pos, (_, ids) in live.items():
@@ -185,12 +190,17 @@ def _min_scan_eval(d):
         if not pairs:
             break
 
-        def rank_after(pair):
+        def key(pair):
             ids_a, ids_b = live[pair[0]][1], live[pair[1]][1]
             shared = len(set(ids_a) & set(ids_b))
-            return len(ids_a) + len(ids_b) - 2 * shared
+            rank = len(ids_a) + len(ids_b) - 2 * shared
+            return 2 * rank + 3 * (not behind.isdisjoint(pair))
 
-        i, j = min(pairs, key=lambda p: (rank_after(p), p))
+        i, j = min(pairs, key=lambda p: (key(p), p))
+        if picked is not None:
+            picked.append((i, j))
+        if not behind.isdisjoint((i, j)):
+            behind.add(fresh)
         arr, ids = _contract_pair(*live[i], *live[j])
         for old in (i, j):
             for idx in live[old][1]:
@@ -306,6 +316,21 @@ def test_plan_statistics_are_the_eager_formula(name):
 def test_greedy_schedule_is_the_full_scan_on_random_circuits(circuit):
     d, _ = circuit
     assert np.array_equal(eval_diagram(d), _min_scan_eval(d))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(circuits(), st.data())
+def test_a_late_set_keeps_the_heap_equal_to_the_full_scan(circuit, data):
+    # the heap ranks a pair that reads a late tensor, or a result made from
+    # one, by the same key as the full scan, so the two pick the same pairs,
+    # in the same order, before the plan joins the components left
+    d, _ = circuit
+    late = data.draw(st.sets(st.sampled_from(sorted(d.nodes))))
+    plan = evaluate._plan.__wrapped__(structure_key(d), evaluate.DEFAULT_CAP,
+                                      tuple(sorted(late)))
+    picked = []
+    assert np.array_equal(plan.run(d), _min_scan_eval(d, late, picked))
+    assert [tuple(step[:2]) for step in plan.steps[:len(picked)]] == picked
 
 
 def test_discharge_plan_runs_the_idle_diagram():
@@ -454,7 +479,7 @@ def test_one_plan_sweeps_time():
 
 def _fresh_plan(d, cap=evaluate.DEFAULT_CAP):
     """``plan_contraction(d, cap)`` planned anew, past the cache."""
-    return evaluate._plan.__wrapped__(structure_key(d), cap)
+    return evaluate._plan.__wrapped__(structure_key(d), cap, ())
 
 
 def test_one_structure_is_planned_once():
@@ -893,6 +918,13 @@ def test_memo_bytes_count_region_tensors(monkeypatch):
         assert len(made) == 1 + 12 + 7 and plan._memo == ()
 
 
+def _verify_plan(cd):
+    """The plan ``verify_controlled`` runs ``cd`` on: the open diagram, one
+    wire wider than a plug, its weight boxes last."""
+    return evaluate._plan(structure_key(cd.diagram), evaluate.DEFAULT_CAP + 1,
+                          cd.weight_ids)
+
+
 def test_a_warm_memo_keeps_each_array_as_its_step_multiplies_it(
         monkeypatch):
     # every kept array, region tensors included, is the matrix the one step
@@ -902,7 +934,7 @@ def test_a_warm_memo_keeps_each_array_as_its_step_multiplies_it(
     cd = controlled_matrix(m)
     for _ in range(2):
         assert verify_controlled(cd, m)["ok"]
-    plans = [plan_contraction(cd.diagram, cap=evaluate.DEFAULT_CAP + 1)]
+    plans = [_verify_plan(cd)]
     spliced = controlled_sum_matrices(
         [controlled_matrix(_dominant(4, seed)) for seed in (4, 5, 6)],
         weights=[0.5, -1.0j, 2.0]).diagram
@@ -939,7 +971,7 @@ def test_a_warm_memo_holds_only_the_z_box_labels():
     cd = controlled_matrix(m)
     for _ in range(2):
         assert verify_controlled(cd, m)["ok"]
-    plan = plan_contraction(cd.diagram, cap=evaluate.DEFAULT_CAP + 1)
+    plan = _verify_plan(cd)
     labels, _ = plan._memo
     assert (len(labels), len(plan.tensors)) == (138, 249)
     assert {cd.diagram.nodes[plan.tensors[pos]].kind

@@ -89,7 +89,7 @@ def test_a_rebound_chain_is_a_fresh_build(text, times):
                             for p, slope in w.gadgets]).build()
         assert _snapshot(d) == _snapshot(want)
         bits = evaluate._plan.__wrapped__(
-            structure_key(want), evaluate.DEFAULT_CAP).run(want).tobytes()
+            structure_key(want), evaluate.DEFAULT_CAP, ()).run(want).tobytes()
         assert eval_diagram(d).tobytes() == w.eval(t).tobytes() == bits
         handed_out.append((d, _snapshot(d)))
         hats += [d.nodes[nid] for nid in w._template[1]]

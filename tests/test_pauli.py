@@ -1,5 +1,6 @@
 """Pauli-sum parsing, Hamiltonian encoding, commutativity, linearity."""
 
+import gc
 import itertools
 import json
 from pathlib import Path
@@ -17,6 +18,7 @@ from zxwkit import (Diagram, DiagramError, PauliString,
                     oracle_matrix, parse_pauli_sum, strings_commute,
                     structural_equal, taylor_diagram, trotter_diagram,
                     verify_controlled, verify_schrodinger_linearity)
+from zxwkit import controlled
 from zxwkit.pauli import PAULI_MATRICES, DiagonalFactorSum
 
 EXAMPLE = "1.0 XXI\n1.0 IXX\n-1.0 ZII\n-1.0 IZI\n-1.0 IIZ"
@@ -205,6 +207,22 @@ def test_build_hamiltonian_random():
         cd, _ = build_hamiltonian_diagram(h)
         rep = verify_controlled(cd, oracle_matrix(h), tol=1e-9)
         assert rep["ok"], (lines, rep)
+
+
+def test_a_dropped_build_leaves_no_garbage_cycle():
+    # the sum's balanced W fan is written without a self-calling closure,
+    # so a build and its template are freed by reference counting alone:
+    # the collector finds nothing left of them
+    h = parse_pauli_sum(EXAMPLE)
+    gc.collect()
+    gc.disable()
+    try:
+        cd, discharged = build_hamiltonian_diagram(h)
+        del cd, discharged
+        controlled._sum_template.cache_clear()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_single_term_sum():
