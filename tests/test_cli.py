@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zxwkit import (check_soundness, diagram_from_json, diagram_to_json,
+from zxwkit import (check_soundness, controlled_state_normal_form,
+                    controlled_sum_states, diagram_from_json, diagram_to_json,
                     hadamard_diagram, matrix_from_text, matrix_to_text,
-                    structural_equal, template_names, triangle, w_diagram,
-                    zbox_diagram)
+                    structural_equal, template_names, triangle,
+                    vector_from_text, w_diagram, zbox_diagram)
 from zxwkit import cli
 from zxwkit.cli import CLI_TOL, _build_parser, _config, main
 from zxwkit.evaluate import DEFAULT_CAP
@@ -148,6 +149,54 @@ def test_controlled_state(tmp_path, capsys):
     rc = main(["controlled", "--state", str(f), "--verify"])
     capsys.readouterr()
     assert rc == 0
+
+
+@pytest.mark.parametrize("extra, weights", [
+    ([], [1.0, 1.0]),
+    (["--verify"], [1.0, 1.0]),
+    (["--sum", "0.5,2j"], [0.5, 2j]),
+    (["--sum", "0.5,2j", "--verify"], [0.5, 2j]),
+], ids=["plain", "verify", "sum", "sum-verify"])
+def test_controlled_state_sum(extra, weights, tmp_path, capsys):
+    # two --state files are a weighted sum of controlled states, with unit
+    # weights when --sum is left out; --verify adds one stderr line
+    texts = ["1\n0\n0\n2j\n", "0.5\n-1j\n0.25\n1\n"]
+    files = []
+    for i, text in enumerate(texts):
+        files += ["--state", str(tmp_path / f"v{i}.txt")]
+        (tmp_path / f"v{i}.txt").write_text(text)
+    assert main(["controlled", *files, *extra]) == 0
+    out, err = capsys.readouterr()
+    vecs = [vector_from_text(text) for text in texts]
+    cd = controlled_sum_states(
+        [controlled_state_normal_form(v) for v in vecs], weights=weights)
+    assert out == diagram_to_json(cd.diagram) + "\n"
+    assert err == ("discharge residual 0.000e+00, idle residual 0.000e+00 "
+                   "(tol 1e-09)\n" if "--verify" in extra else "")
+
+
+@pytest.mark.parametrize("kind, count, spec, noun", [
+    ("--matrix", 1, "1,2,3", "matrices"),
+    ("--matrix", 2, "1", "matrices"),
+    ("--state", 1, "1,2", "states"),
+    ("--state", 2, "1,2,3", "states"),
+])
+def test_controlled_sum_count_mismatch_is_usage_error(kind, count, spec, noun,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")     # the width the usage wraps at
+    f = tmp_path / "input"
+    f.write_text("1\t0\n0\t1\n" if kind == "--matrix" else "1\n0\n")
+    argv = ["controlled"] + [kind, str(f)] * count + ["--sum", spec]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    n = len(spec.split(","))
+    assert err == (
+        "usage: zxw controlled [-h] [--cap N] [--tol X] [--matrix FILE] "
+        "[--state FILE]\n"
+        "                      [--sum SPEC] [--verify]\n"
+        f"zxw: error: --sum gave {n} weights for {count} {noun}\n")
 
 
 def test_ham_build_summary_and_verify(ham_file, capsys):
@@ -498,6 +547,10 @@ _THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
       "--emit-circuit"], "4 I\n"),
     (["expm", "FILE", "--method", "taylor", "--t", "1e308", "--order", "0",
       "--compare-oracle"], "4 I\n"),
+    (["expm", "FILE", "--method", "taylor", "--t", "0.5", "--order", "2",
+      "--emit-circuit"], "1j X\n0.5 Z\n"),
+    (["expm", "FILE", "--method", "taylor", "--t", "0.5", "--order", "2",
+      "--steps", "3"], EXAMPLE),
 ], ids=["samples-negative", "samples-zero", "taylor-overflow",
         "oracle-overflow", "extract-demo-seed-negative",
         "check-rules-seed-negative", "extract-demo-overflow",
@@ -508,7 +561,8 @@ _THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
         "expm-exact-global-phase", "extract-demo-putzer-large-a",
         "extract-demo-putzer-large-t", "extract-demo-putzer-large-a-and-t",
         "expm-circuit-rotation-angle", "expm-circuit-global-phase",
-        "expm-oracle-warnings"])
+        "expm-oracle-warnings", "expm-circuit-non-real",
+        "expm-order-and-steps"])
 def test_out_of_range_input_is_usage_error(argv, text, tmp_path, capsys):
     # exit 2 with one error line, nothing on stdout and no warning
     f = tmp_path / "input.txt"

@@ -154,6 +154,24 @@ def test_self_loop_removal():
         e[0][0] != e[1][0] for e in res.diagram.edges)
 
 
+def test_closed_hadamard_pair_folds_to_scalar_two():
+    # two Hadamards wired to each other on both legs, beside a plain wire:
+    # the pair is a closed loop, H H traced, and leaves the scalar 2
+    b = Builder()
+    b.wire(b.input(), b.output())
+    h1, h2 = b.had(), b.had()
+    b.wire((h1, 0), (h2, 0))
+    b.wire((h1, 1), (h2, 1))
+    d = b.build()
+    assert _same_as_scan(d) == [
+        f"hh: closed Hadamard pair {h1},{h2} -> scalar 2"]
+    res = simplify_basic(d)
+    assert res.scalar == 2
+    assert list(res.diagram.nodes) == d.inputs + d.outputs
+    assert matrices_close(eval_diagram(d),
+                          res.scalar * eval_diagram(res.diagram), 1e-12)
+
+
 def test_every_template_has_summary():
     for name, tpl in TEMPLATES.items():
         assert tpl.summary, name
