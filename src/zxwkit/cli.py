@@ -167,36 +167,35 @@ def _verify(cd, target, cfg: Config) -> dict:
     return rep
 
 
+# each input kind of ``zxw controlled``: its plural, the reader of one
+# file, the builder of one input, the builder of a weighted sum of built
+# inputs, and the sum's dense target
+_INPUTS = {
+    "matrix": ("matrices", matrix_from_text, controlled_matrix,
+               controlled_sum_matrices,
+               lambda mats, w: sum(c * m for c, m in zip(w, mats))),
+    "state": ("states", vector_from_text, controlled_state_normal_form,
+              controlled_sum_states, state_oracle),
+}
+
+
 def _cmd_controlled(args, cfg: Config) -> int:
     if bool(args.matrix) == bool(args.state):
         raise _Usage("exactly one of --matrix or --state is required")
     weights = _parse_weights(args.sum) if args.sum is not None else None
-    if args.matrix:
-        mats = [matrix_from_text(_read(f)) for f in args.matrix]
-        if weights is not None and len(weights) != len(mats):
-            raise _Usage(f"--sum gave {len(weights)} weights for "
-                         f"{len(mats)} matrices")
-        if len(mats) == 1 and weights is None:
-            cd = controlled_matrix(mats[0])
-            target = mats[0]
-        else:
-            w = weights if weights is not None else [1.0] * len(mats)
-            cd = controlled_sum_matrices([controlled_matrix(m) for m in mats],
-                                         weights=w)
-            target = sum(c * m for c, m in zip(w, mats))
+    kind = "matrix" if args.matrix else "state"
+    noun, read, build, build_sum, sum_target = _INPUTS[kind]
+    xs = [read(_read(f)) for f in getattr(args, kind)]
+    if weights is not None and len(weights) != len(xs):
+        raise _Usage(f"--sum gave {len(weights)} weights for {len(xs)} "
+                     f"{noun}")
+    if len(xs) == 1 and weights is None:
+        cd = build(xs[0])
+        target = xs[0]
     else:
-        vecs = [vector_from_text(_read(f)) for f in args.state]
-        if weights is not None and len(weights) != len(vecs):
-            raise _Usage(f"--sum gave {len(weights)} weights for "
-                         f"{len(vecs)} states")
-        if len(vecs) == 1 and weights is None:
-            cd = controlled_state_normal_form(vecs[0])
-            target = vecs[0]
-        else:
-            w = weights if weights is not None else [1.0] * len(vecs)
-            cd = controlled_sum_states(
-                [controlled_state_normal_form(v) for v in vecs], weights=w)
-            target = state_oracle(vecs, w)
+        w = weights if weights is not None else [1.0] * len(xs)
+        cd = build_sum([build(x) for x in xs], weights=w)
+        target = sum_target(xs, w)
     # compare before printing, so a run that exits 2 leaves stdout empty
     rep = _verify(cd, target, cfg) if args.verify else None
     sys.stdout.write(diagram_to_json(cd.diagram) + "\n")
@@ -286,29 +285,31 @@ def _oracle_error(u: np.ndarray, h, t: float, cfg: Config) -> float:
     return float(np.linalg.norm(_oracle_diff(u, h, t, cfg), 2))
 
 
+# the approximate methods of ``zxw expm``: the count each takes (a
+# truncation order or a number of steps) and its builder, of (h, count, t)
+_SERIES = {"taylor": ("order", taylor_diagram),
+           "trotter": ("steps", trotter_diagram)}
+
+
 def _cmd_expm(args, cfg: Config) -> int:
     h = parse_pauli_sum(_read(args.file))
     t = args.t
+    given = [name for name in ("order", "steps")
+             if getattr(args, name) is not None]
+    if args.method == "exact":
+        if given:
+            raise _Usage("--method exact takes neither --order nor --steps")
+    else:
+        count, build = _SERIES[args.method]
+        if count not in given:
+            raise _Usage(f"--method {args.method} requires --{count}")
+        if len(given) == 2:
+            raise _Usage("--order and --steps are mutually exclusive")
     # a finite input can still overflow in the contraction
     with np.errstate(over="ignore", invalid="ignore"):
-        if args.method == "taylor":
-            if args.order is None:
-                raise _Usage("--method taylor requires --order")
-            if args.steps is not None:
-                raise _Usage("--order and --steps are mutually exclusive")
-            d = taylor_diagram(h, args.order, t)
-            u = eval_diagram(d, cap=cfg.cap)
-        elif args.method == "trotter":
-            if args.steps is None:
-                raise _Usage("--method trotter requires --steps")
-            if args.order is not None:
-                raise _Usage("--order and --steps are mutually exclusive")
-            d = trotter_diagram(h, args.steps, t)
-            u = eval_diagram(d, cap=cfg.cap)
+        if args.method != "exact":
+            u = eval_diagram(build(h, getattr(args, count), t), cap=cfg.cap)
         else:
-            if args.order is not None or args.steps is not None:
-                raise _Usage("--method exact takes neither --order nor "
-                             "--steps")
             wrapper = commuting_exponential(h)
             u = _phase(wrapper.phase_slope, t) * eval_diagram(
                 wrapper.at(t), cap=cfg.cap)
@@ -395,25 +396,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zxw", allow_abbrev=False,
         description="Build, evaluate, verify and exponentiate ZXW diagrams.")
+
+    def command(parent, name: str, func, help: str):
+        """A subcommand of ``parent`` that runs ``func`` and takes the
+        common flags, or, with no ``func``, a group of subcommands."""
+        p = parent.add_parser(name, allow_abbrev=False, help=help,
+                              parents=[common] if func else [])
+        p.set_defaults(func=func, _parser=p)
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
 
-    p = sub.add_parser("check-rules", allow_abbrev=False, parents=[common],
-                       help="random soundness audit of the rewrite rules")
+    p = command(sub, "check-rules", _cmd_check_rules,
+                "random soundness audit of the rewrite rules")
     p.add_argument("--rule", metavar="NAME", help="check a single rule")
     p.add_argument("--samples", type=int, default=50, metavar="N",
                    help="random draws per rule (default 50)")
     p.add_argument("--seed", type=int, default=7, metavar="S")
-    p.set_defaults(func=_cmd_check_rules, _parser=p)
 
-    p = sub.add_parser("eval", allow_abbrev=False, parents=[common],
-                       help="evaluate a diagram JSON file to a dense matrix")
+    p = command(sub, "eval", _cmd_eval,
+                "evaluate a diagram JSON file to a dense matrix")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_eval, _parser=p)
 
-    p = sub.add_parser("controlled", allow_abbrev=False, parents=[common],
-                       help="build a controlled diagram from matrices "
-                            "or state vectors")
+    p = command(sub, "controlled", _cmd_controlled,
+                "build a controlled diagram from matrices or state vectors")
     p.add_argument("--matrix", metavar="FILE", action="append",
                    help="matrix text file; repeat for a sum")
     p.add_argument("--state", metavar="FILE", action="append",
@@ -422,22 +429,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated complex weights, one per input")
     p.add_argument("--verify", action="store_true",
                    help="check the discharge and idle contracts")
-    p.set_defaults(func=_cmd_controlled, _parser=p)
 
-    p = sub.add_parser("ham", allow_abbrev=False, help="Hamiltonian commands")
-    ham_sub = p.add_subparsers(dest="ham_command", required=True,
-                               metavar="SUBCOMMAND")
-    pb = ham_sub.add_parser("build", allow_abbrev=False, parents=[common],
-                            help="encode a Pauli-sum file as a diagram")
-    pb.add_argument("file")
-    pb.add_argument("--export", choices=("dot", "json"),
-                    help="write the discharged diagram to stdout")
-    pb.add_argument("--verify", action="store_true",
-                    help="compare the diagram against the dense matrix")
-    pb.set_defaults(func=_cmd_ham_build, _parser=pb)
+    ham_sub = command(sub, "ham", None, "Hamiltonian commands").add_subparsers(
+        dest="ham_command", required=True, metavar="SUBCOMMAND")
+    p = command(ham_sub, "build", _cmd_ham_build,
+                "encode a Pauli-sum file as a diagram")
+    p.add_argument("file")
+    p.add_argument("--export", choices=("dot", "json"),
+                   help="write the discharged diagram to stdout")
+    p.add_argument("--verify", action="store_true",
+                   help="compare the diagram against the dense matrix")
 
-    p = sub.add_parser("expm", allow_abbrev=False, parents=[common],
-                       help="diagrammatic exponential of a Pauli-sum file")
+    p = command(sub, "expm", _cmd_expm,
+                "diagrammatic exponential of a Pauli-sum file")
     p.add_argument("file")
     p.add_argument("--method", required=True,
                    choices=("taylor", "trotter", "exact"))
@@ -451,23 +455,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-oracle", action="store_true",
                    help="print the operator-norm error against a dense "
                         "exponential")
-    p.set_defaults(func=_cmd_expm, _parser=p)
 
-    p = sub.add_parser("export", allow_abbrev=False, parents=[common],
-                       help="re-emit a diagram JSON file as json or dot")
+    p = command(sub, "export", _cmd_export,
+                "re-emit a diagram JSON file as json or dot")
     p.add_argument("file")
     p.add_argument("--format", required=True, choices=("json", "dot"))
-    p.set_defaults(func=_cmd_export, _parser=p)
 
-    p = sub.add_parser("extract-demo", allow_abbrev=False, parents=[common],
-                       help="exponentiate a X + b Z diagrammatically and "
-                            "extract the rotation circuit")
+    p = command(sub, "extract-demo", _cmd_extract_demo,
+                "exponentiate a X + b Z diagrammatically and extract the "
+                "rotation circuit")
     p.add_argument("--a", type=_finite, default=1.0, metavar="VAL")
     p.add_argument("--b", type=_finite, default=1.0, metavar="VAL")
     p.add_argument("--t", type=_finite, default=0.7, metavar="VAL")
     p.add_argument("--seed", type=int, default=None, metavar="S",
                    help="draw a, b and t at random instead")
-    p.set_defaults(func=_cmd_extract_demo, _parser=p)
 
     return parser
 
@@ -504,11 +505,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config(args)
         return args.func(args, cfg)
-    except _Usage as exc:
-        args._parser.print_usage(sys.stderr)
-        print(f"zxw: error: {exc}", file=sys.stderr)
-        return 2
-    except DiagramError as exc:
+    except (_Usage, DiagramError) as exc:
         args._parser.print_usage(sys.stderr)
         print(f"zxw: error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -139,57 +140,6 @@ def structural_equal(a: Diagram, b: Diagram, tol: float = 0.0) -> bool:
     return a.inputs == b.inputs and a.outputs == b.outputs
 
 
-def _legal(d: Diagram) -> bool:
-    """True only where ``validate``'s report is empty: one walk over the
-    edge ends (each a port in range, none twice, as many as the nodes
-    have ports) and one over the nodes (kinds, labels, port counts and
-    the boundary lists).  False on any defect, or on input the report
-    would raise on, which it then raises."""
-    nodes = d.nodes
-    edges = d.edges
-    ends = set()
-    add = ends.add
-    try:
-        n_edges = len(edges)
-        if not all(map((2).__eq__, map(len, edges))):   # every edge a pair
-            return False
-        for a, b in edges:
-            nid, port = a
-            node = nodes.get(nid)
-            if node is None or not 0 <= port < node.ports:
-                return False
-            nid, port = b
-            node = nodes.get(nid)
-            if node is None or not 0 <= port < node.ports:
-                return False
-            add(a)
-            add(b)
-        ins, outs = [], []
-        total = 0
-        for nid, node in nodes.items():
-            kind = node.kind
-            ports = node.ports
-            if kind == ZBOX:
-                if node.label is None or ports < 0:
-                    return False
-            elif _FIXED_PORTS.get(kind) != ports:
-                return False
-            elif kind == IN:
-                ins.append(nid)
-            elif kind == OUT:
-                outs.append(nid)
-            total += ports
-        # distinct ends, each a port in range, as many as there are ports:
-        # every port is covered exactly once
-        return (len(ends) == 2 * n_edges == total
-                and sorted(ins) == sorted(d.inputs)
-                and len(set(d.inputs)) == len(d.inputs)
-                and sorted(outs) == sorted(d.outputs)
-                and len(set(d.outputs)) == len(d.outputs))
-    except (TypeError, ValueError):
-        return False
-
-
 def validate(d: Diagram) -> list:
     """Return a list of defect descriptions; empty means the diagram is legal.
 
@@ -199,59 +149,87 @@ def validate(d: Diagram) -> list:
     label and every fixed-kind node its port count; and ``inputs`` and
     ``outputs`` list each 'in' and each 'out' node exactly once.
 
-    A legal diagram is proved in one walk over the edge ends and one over
-    the nodes (``_legal``).  Only when that walk finds a defect does the
-    careful walk below run, which names every defect in a fixed order, or
-    raises where a part of ``d`` is not of the expected shape at all.
+    One walk over the edge ends and one over the nodes prove a legal
+    diagram and name every defect, in a fixed order: the edges' in edge
+    order, each node's, then the boundary lists'.  Distinct ends, each a
+    port in range, as many as the nodes have ports, cover every port
+    once.  Only when the ends miss or repeat a port does the check count
+    the ends at each port and walk the nodes again, to name each such
+    port after its node's own defect.  Where a part of ``d`` is not of
+    the expected shape at all, the check raises.
     """
-    if _legal(d):
-        return []
     problems = []
     nodes = d.nodes
-    seen: dict = {}
-    counted = 0
-    for e in d.edges:
+    edges = d.edges
+    ends = set()
+    add = ends.add
+    for e in edges:
         if len(e) != 2:
             problems.append(f"edge {e!r} is not a pair")
             continue
-        for end in e:
-            nid, port = end
-            node = nodes.get(nid)
-            if node is None:
-                problems.append(f"edge endpoint {end!r} references missing node")
-                continue
-            if not (0 <= port < node.ports):
-                problems.append(f"port {port} out of range on node {nid}")
-            seen[end] = seen.get(end, 0) + 1
-            counted += 1
-    # every counted end is a port in range and no port is counted twice:
-    # then every port is covered exactly once if the counts match
-    covered = (not problems and len(seen) == counted
-               == sum(max(node.ports, 0) for node in nodes.values()))
+        a, b = e
+        # the two ends written out: a loop over them is slower
+        nid, port = a
+        node = nodes.get(nid)
+        if node is None or not 0 <= port < node.ports:
+            _bad_end(problems, ends, a, node)
+        else:
+            add(a)
+        nid, port = b
+        node = nodes.get(nid)
+        if node is None or not 0 <= port < node.ports:
+            _bad_end(problems, ends, b, node)
+        else:
+            add(b)
+    said = {}       # node id -> the node's own defect
     ins, outs = [], []
+    total = 0
     for nid, node in nodes.items():
         kind = node.kind
-        want = _FIXED_PORTS.get(kind)
+        ports = node.ports
         if kind == ZBOX:
             if node.label is None:
-                problems.append(f"zbox {nid} has no label")
-        elif want is None:
-            problems.append(f"node {nid} has unknown kind {kind!r}")
-        elif node.ports != want:
-            problems.append(f"{kind} node {nid} has {node.ports} ports, needs {want}")
-        if kind == IN:
-            ins.append(nid)
-        elif kind == OUT:
-            outs.append(nid)
-        for p in range(0 if covered else node.ports):
-            cnt = seen.get((nid, p), 0)
-            if cnt != 1:
-                problems.append(f"port ({nid},{p}) covered {cnt} times, needs exactly 1")
+                said[nid] = f"zbox {nid} has no label"
+        else:
+            want = _FIXED_PORTS.get(kind)
+            if want is None:
+                said[nid] = f"node {nid} has unknown kind {kind!r}"
+            elif ports != want:
+                said[nid] = (f"{kind} node {nid} has {ports} ports, "
+                             f"needs {want}")
+            if kind == IN:
+                ins.append(nid)
+            elif kind == OUT:
+                outs.append(nid)
+        total += ports if ports > 0 else 0
+    if not problems and len(ends) == 2 * len(edges) == total:
+        problems = list(said.values())
+    else:
+        seen = Counter(end for e in edges if len(e) == 2 for end in e
+                       if end[0] in nodes)
+        for nid, node in nodes.items():
+            if nid in said:
+                problems.append(said[nid])
+            for p in range(node.ports):
+                cnt = seen[nid, p]
+                if cnt != 1:
+                    problems.append(f"port ({nid},{p}) covered {cnt} times, "
+                                    "needs exactly 1")
     if sorted(ins) != sorted(d.inputs) or len(set(d.inputs)) != len(d.inputs):
         problems.append("inputs list does not match the set of 'in' nodes")
     if sorted(outs) != sorted(d.outputs) or len(set(d.outputs)) != len(d.outputs):
         problems.append("outputs list does not match the set of 'out' nodes")
     return problems
+
+
+def _bad_end(problems: list, ends: set, end, node) -> None:
+    """Name an edge end with no node or a port out of range.  An end at a
+    node is still counted, as ``validate`` counts every end it meets."""
+    if node is None:
+        problems.append(f"edge endpoint {end!r} references missing node")
+    else:
+        problems.append(f"port {end[1]} out of range on node {end[0]}")
+        ends.add(end)
 
 
 class StructureKey(tuple):

@@ -502,14 +502,17 @@ def _classify(lhs: Diagram, rhs: Diagram, tol: float) -> DrawResult:
 
 def check_template(name: str, draws: int = 50, seed: int = 7,
                    tol: float = DEFAULT_TOL) -> TemplateReport:
-    """Random soundness audit of one template, both boundary orientations."""
+    """Random soundness audit of one template, both boundary orientations:
+    each draw is built once, and its transpose is the flipped one."""
     tpl = TEMPLATES[name]
     rng = np.random.default_rng(seed)
     results, failures, worst = [], 0, 0.0
     for _ in range(draws):
         params = tpl.sample(rng)
+        lhs, rhs, _ = instantiate(name, params=params)
         for flip in (False, True):
-            lhs, rhs, _ = instantiate(name, params=params, flip=flip)
+            if flip:
+                lhs, rhs = transpose_diagram(lhs), transpose_diagram(rhs)
             res = _classify(lhs, rhs, tol)
             res.params, res.flip = params, flip
             ok = (res.verdict == "exact" if tpl.expect == "exact"
@@ -554,14 +557,15 @@ class SimplifyResult:
 
 class _Queue:
     """Min-heap of candidate keys with lazy invalidation: a key is checked
-    when it is popped, and each key is held at most once."""
+    when it is popped, and each key is held at most once.  ``_Work``'s
+    set-up appends distinct keys in increasing order, a heap as they
+    stand, and then holds them."""
 
     __slots__ = ("heap", "held")
 
-    def __init__(self, keys: list):
-        # distinct keys in increasing order are a heap as they stand
-        self.heap: list = keys
-        self.held: set = set(keys)
+    def __init__(self):
+        self.heap: list = []
+        self.held: set = set()
 
     def __bool__(self) -> bool:
         return bool(self.heap)
@@ -583,34 +587,36 @@ class _Work:
     ``edges`` maps edge id -> edge in list order (a new edge gets a fresh,
     larger id), ``ports`` maps every covered (node, port) to its
     (edge id, end), and ``queues`` holds one candidate queue per pass.
+    ``at_node``, ``at_edge`` and ``at_loop`` are ``_RULES``'s three
+    columns with each pass replaced by its queue (None for a pass this
+    run leaves out).
 
     ``nodes`` starts as the diagram's own ``Node`` objects: a pass that
     changes a node's ports or label puts a new ``Node`` in its place, so
     the input diagram is never written.  The set-up walks the nodes once
     (numbering each and queueing it) and the edges once (indexing their
-    ends and queueing them), with the candidates ``_queue_node`` and
-    ``_queue_edge`` would push.  Nothing is checked here: ``to_diagram``
+    ends and queueing them), and reads the columns as ``_queue_node``
+    and ``_queue_edge`` do.  Nothing is checked here: ``to_diagram``
     validates the result.
     """
 
     def __init__(self, d: Diagram, passes):
-        pending = {p: [] for p in passes}
-        hopf, scalars, unit, loops = (pending.get(p) for p in (
-            _pass_hopf, _pass_scalars, _pass_unit, _pass_loops))
-        same_kind = {kind: pending.get(p) for kind, p in _EDGE_PASSES.items()}
+        self.queues = queues = {p: _Queue() for p in passes}
+        self.at_node, self.at_edge, self.at_loop = {}, {}, {}
+        at_node, at_edge, at_loop = self.at_node, self.at_edge, self.at_loop
+        for kind, (by_ports, edge, loop) in _RULES.items():
+            at_node[kind] = {n: queues.get(p) for n, p in by_ports.items()}
+            at_edge[kind] = queues.get(edge)
+            at_loop[kind] = queues.get(loop)
         self.nodes = nodes = dict(d.nodes)
         self.pos = pos = {}
         for i, (nid, n) in enumerate(nodes.items()):
-            kind, ports = n.kind, n.ports
             pos[nid] = i
-            if kind == HAD:
-                q = hopf
-            elif kind == ZBOX and ports in (0, 2):
-                q = scalars if ports == 0 else unit
-            else:
-                continue
+            q = at_node.get(n.kind)
             if q is not None:
-                q.append(i)
+                q = q.get(n.ports)
+                if q is not None:
+                    q.heap.append(i)
         self.order = list(nodes)
         self.edges = edges = dict(enumerate(map(tuple, d.edges)))
         self.next_eid = len(edges)
@@ -621,17 +627,18 @@ class _Work:
             index[b] = (eid, 1)
             kind = nodes[an].kind
             if an == bn:
-                q = loops if kind == ZBOX else None
+                q = at_loop.get(kind)
             elif kind == nodes[bn].kind:
-                q = same_kind.get(kind)
+                q = at_edge.get(kind)
             else:
                 continue
             if q is not None:
-                q.append(eid)
+                q.heap.append(eid)
+        for q in queues.values():
+            q.held.update(q.heap)
         self.inputs = list(d.inputs)
         self.outputs = list(d.outputs)
         self.scalar = 1.0 + 0j
-        self.queues = {p: _Queue(keys) for p, keys in pending.items()}
 
     def to_diagram(self) -> Diagram:
         d = Diagram(self.nodes, list(self.edges.values()), self.inputs,
@@ -676,27 +683,22 @@ def _queue_edge(w: _Work, eid: int) -> None:
     (a, _), (b, _) = w.edges[eid]
     kind = w.nodes[a].kind
     if a == b:
-        p = _pass_loops if kind == ZBOX else None
+        q = w.at_loop.get(kind)
     elif kind == w.nodes[b].kind:
-        p = _EDGE_PASSES.get(kind)
+        q = w.at_edge.get(kind)
     else:
         return
-    q = w.queues.get(p)
     if q is not None:
         q.push(eid)
 
 
 def _queue_node(w: _Work, nid: int) -> None:
     node = w.nodes[nid]
-    if node.kind == HAD:
-        p = _pass_hopf
-    elif node.kind == ZBOX and node.ports in (0, 2):
-        p = _pass_scalars if node.ports == 0 else _pass_unit
-    else:
-        return
-    q = w.queues.get(p)
+    q = w.at_node.get(node.kind)
     if q is not None:
-        q.push(w.pos[nid])
+        q = q.get(node.ports)
+        if q is not None:
+            q.push(w.pos[nid])
 
 
 def _touch(w: _Work, nids) -> None:
@@ -942,20 +944,31 @@ def _pass_shear_pair(w: _Work, steps: list) -> bool:
     return False
 
 
-_EDGE_PASSES = {ZBOX: _pass_fuse, HAD: _pass_hh, W: _pass_shear_pair}
+# The pass each rewrite candidate is queued for, by node kind: a node of
+# the kind by its port count, an edge between two nodes of the kind, and a
+# self-loop on one.  A Hadamard is a candidate with the two ports every
+# legal one has.
+_RULES = {
+    ZBOX: ({0: _pass_scalars, 2: _pass_unit}, _pass_fuse, _pass_loops),
+    HAD: ({2: _pass_hopf}, _pass_hh, None),
+    W: ({}, _pass_shear_pair, None),
+}
 
 
-def _run_passes(w: _Work, steps: list, passes) -> None:
+def _rewrite(d: Diagram, passes) -> SimplifyResult:
+    """Run every one of ``passes``, in order, round after round, until a
+    round hits nothing."""
+    w = _Work(d, passes)
+    steps: list = []
     # (nodes, edges) drops lexicographically on every hit, so this terminates
-    guard = len(w.nodes) + len(w.edges) + 8
-    for _ in range(guard):
+    for _ in range(len(w.nodes) + len(w.edges) + 8):
         before = w.measure()
         hit = False
         for p in passes:
             if p(w, steps):
                 hit = True
         if not hit:
-            return
+            return SimplifyResult(w.to_diagram(), w.scalar, steps)
         if w.measure() >= before:
             raise DiagramError("rewrite loop failed to make progress")
     raise DiagramError("rewrite loop exceeded its step bound")
@@ -971,10 +984,7 @@ def apply_fusion(d: Diagram) -> SimplifyResult:
 
     Evaluation is preserved exactly; the returned scalar is always 1.
     """
-    w = _Work(d, _FUSION_PASSES)
-    steps: list = []
-    _run_passes(w, steps, _FUSION_PASSES)
-    return SimplifyResult(w.to_diagram(), w.scalar, steps)
+    return _rewrite(d, _FUSION_PASSES)
 
 
 def simplify_basic(d: Diagram) -> SimplifyResult:
@@ -983,7 +993,4 @@ def simplify_basic(d: Diagram) -> SimplifyResult:
 
     eval(input) == result.scalar * eval(result.diagram).
     """
-    w = _Work(d, _BASIC_PASSES)
-    steps: list = []
-    _run_passes(w, steps, _BASIC_PASSES)
-    return SimplifyResult(w.to_diagram(), w.scalar, steps)
+    return _rewrite(d, _BASIC_PASSES)

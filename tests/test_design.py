@@ -1,5 +1,6 @@
 """Design rules of the package, checked on its source and public API."""
 
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -596,3 +597,129 @@ def test_field_write_check_sees_writes():
                      "def f(w: _Work):\n    pass\ndef g(w):\n    pass\n")
     assert [_works_on_a_copy(top) for top in work.body] == [True, True,
                                                             False]
+
+
+_KINDS = {"ZBOX", "HAD", "W", "IN", "OUT"}
+
+
+def _kinds_and_passes(node) -> tuple:
+    """The node kinds and the ``_pass_*`` functions that ``node`` names."""
+    names = _names(node)
+    kinds = {graph.ZBOX, *graph._FIXED_PORTS}
+    return ((names & _KINDS) | {c.value for c in ast.walk(node)
+                                if isinstance(c, ast.Constant)
+                                and c.value in kinds},
+            {n for n in names if n.startswith("_pass_")})
+
+
+def _candidate_rule_sites(tree) -> list:
+    """Where ``tree`` decides which pass a node or an edge is a candidate
+    of: each module-level assignment that names a node kind and a pass,
+    and each of ``_Work.__init__``, ``_queue_node`` and ``_queue_edge``
+    that names either."""
+    hits = []
+    for top in tree.body:
+        if isinstance(top, ast.Assign):
+            if all(_kinds_and_passes(top)):
+                hits += [t.id for t in top.targets if isinstance(t, ast.Name)]
+        elif isinstance(top, ast.FunctionDef) and top.name in ("_queue_node",
+                                                               "_queue_edge"):
+            if any(_kinds_and_passes(top)):
+                hits.append(top.name)
+        elif isinstance(top, ast.ClassDef) and top.name == "_Work":
+            hits += [f"_Work.{fn.name}" for fn in top.body
+                     if isinstance(fn, ast.FunctionDef)
+                     and fn.name == "__init__" and any(_kinds_and_passes(fn))]
+    return hits
+
+
+def _exit_two_handlers(fn) -> list:
+    """Lines of the ``except`` clauses in ``fn`` that return 2."""
+    return [h.lineno for h in ast.walk(fn) if isinstance(h, ast.ExceptHandler)
+            and any(isinstance(r, ast.Return)
+                    and isinstance(r.value, ast.Constant)
+                    and r.value.value == 2 for r in ast.walk(h))]
+
+
+def _add_parser_calls(tree) -> list:
+    """(innermost enclosing function, whether ``allow_abbrev=False`` is
+    given) of every ``add_parser`` call in ``tree``."""
+    hits = []
+
+    def visit(node, fn):
+        if isinstance(node, ast.FunctionDef):
+            fn = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_parser"):
+            hits.append((fn, any(
+                k.arg == "allow_abbrev" and isinstance(k.value, ast.Constant)
+                and k.value.value is False for k in node.keywords)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return hits
+
+
+def _parsers(parser, words=()):
+    """(command words, parser) of ``parser`` and every subparser below it."""
+    yield words, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, words + (name,))
+
+
+def test_one_of_each_in_validate_the_rewriter_and_the_cli():
+    # validate is one walk, with no separate legality check; one table
+    # names the pass each rewrite candidate is queued for; the CLI turns
+    # a usage error into exit 2 in one handler and makes every subcommand
+    # parser in one constructor
+    from zxwkit import cli
+    assert not hasattr(graph, "_legal")
+    tree = ast.parse((PACKAGE / "rules.py").read_text(encoding="utf-8"))
+    assert _candidate_rule_sites(tree) == ["_RULES"]
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "main")
+    assert len(_exit_two_handlers(main)) == 1
+    assert _add_parser_calls(tree) == [("command", True)]
+    for words, parser in _parsers(cli._build_parser()):
+        assert parser.allow_abbrev is False, words
+        runs = parser.get_default("func") is not None
+        options = {s for a in parser._actions for s in a.option_strings}
+        assert ({"--cap", "--tol"} <= options) == runs, words
+
+
+def test_one_of_each_checks_see_duplicates():
+    tree = ast.parse(textwrap.dedent("""\
+        _EDGE_PASSES = {ZBOX: _pass_fuse, HAD: _pass_hh}
+        _FUSION_PASSES = (_pass_loops, _pass_fuse)
+        class _Work:
+            def __init__(self, d, passes):
+                if kind == "had":
+                    q = hopf
+        def _queue_node(w, nid):
+            p = _pass_hopf
+        def _queue_edge(w, eid):
+            q = w.at_edge.get(kind)
+        def main():
+            try:
+                pass
+            except _Usage:
+                return 2
+            except DiagramError:
+                return 2
+            except BrokenPipeError:
+                return 0
+        def build():
+            sub.add_parser("eval", allow_abbrev=False)
+            def command(name):
+                return sub.add_parser(name)
+        """))
+    assert _candidate_rule_sites(tree) == ["_EDGE_PASSES", "_Work.__init__",
+                                           "_queue_node"]
+    main = next(fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "main")
+    assert len(_exit_two_handlers(main)) == 2
+    assert _add_parser_calls(tree) == [("build", True), ("command", False)]
