@@ -224,7 +224,8 @@ def validate(d: Diagram) -> list:
 
 def _bad_end(problems: list, ends: set, end, node) -> None:
     """Name an edge end with no node or a port out of range.  An end at a
-    node is still counted, as ``validate`` counts every end it meets."""
+    node joins ``ends`` like any other, so one that cannot be hashed
+    raises whether or not its port is in range."""
     if node is None:
         problems.append(f"edge endpoint {end!r} references missing node")
     else:
