@@ -143,7 +143,7 @@ def verify_controlled(cd: ControlledDiagram, target: np.ndarray,
     whose labels changed and redoes only the steps they reach (see
     ``ContractionPlan``): checking another matrix of the same size and
     the same nonzero Pauli strings walks no structure, makes only the
-    weights' tensors and runs only the steps they reach, 39 of a 4x4's
+    weights' tensors and runs only the steps they reach, 29 of a 4x4's
     248, as the plan contracts the weights last.
     """
     dim = 2 ** cd.m

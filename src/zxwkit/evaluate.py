@@ -27,8 +27,11 @@ pair.
 A plan can mark tensors late (``_plan``'s ``late``, the node ids of a
 controlled Pauli sum's weight boxes when ``verify_controlled`` plans it):
 the greedy then contracts what they do not reach before them, so their
-paths to the last step are short (``_schedule``).  With none marked, the
-steps are the rank greedy's.
+paths to the last step are short (``_schedule``).  A late pair waits
+longest while its result is small, where a step costs about its numpy
+call whatever its size, and only a little once the result is large,
+where waiting would raise the peak.  With none marked, the steps are the
+rank greedy's.
 
 The schedule depends on the diagram's structure only, never on its labels,
 so it is planned once (``plan_contraction``) and executed per set of labels
@@ -71,7 +74,7 @@ other array, as its step multiplies it.  Every array of a plan is the
 input of exactly one step, so the steps to run are the changed arrays'
 paths to the last step, and every other result is the kept one: a step
 run again beside a kept input is one ``np.dot`` on it, and a controlled
-4x4 matrix with new coefficients, verified after another, runs the 39 of
+4x4 matrix with new coefficients, verified after another, runs the 29 of
 its 248 steps that its 16 weights reach.  A run that keeps nothing frees
 each array, region tensors included, once the last step reading it ran.
 The same ``np.dot`` on the same arrays gives the same bits, so every
@@ -120,8 +123,8 @@ for _shared in (V_MATRIX, *_SHARED.values()):
 
 # A plan keeps the arrays of its last run, its memo, only while they total
 # at most this many bytes (``ContractionPlan.memo_bytes``): the verify plan
-# of a 4x4 controlled matrix keeps 82,880 B, an 8x8 one's 1.25 MB, and a
-# 16x16 one's would keep 52 MB.
+# of a 4x4 controlled matrix keeps 78,208 B, an 8x8 one's 1.37 MB, and a
+# 16x16 one's would keep 60 MB.
 _MEMO_BOUND = 2 * 2 ** 20
 
 
@@ -267,12 +270,16 @@ def _schedule(ids: list, late=()) -> tuple:
     step's two tensors become None, so its last entry is the tensor left.
 
     ``late`` holds positions in ``ids``: a pair that reads a late tensor,
-    or a result made from one, ranks as if it left one more open index,
-    after a pair that reads none and leaves that many (heap key
-    ``2 * rank + 3``, against ``2 * rank``).  What the late tensors do not
-    reach is contracted before them, so a run whose labels change only in
-    late tensors redoes few steps.  With no late tensors every key is
-    twice the rank, so the steps are the plain rank greedy's.
+    or a result made from one, waits behind pairs that read none.  While
+    its result would have at most 8 open indices (256 entries, where a
+    step costs about its numpy call) it waits behind every such pair that
+    leaves up to two more (heap key ``2 * rank + 5``); a larger one waits
+    only behind those that leave as many (``2 * rank + 1``), so waiting
+    does not raise the peak much.  A pair that reads no late tensor has
+    key ``2 * rank``.  What the late tensors do not reach is contracted
+    before them, so a run whose labels change only in late tensors redoes
+    few steps.  With no late tensors every key is twice the rank, so the
+    steps are the plain rank greedy's.
 
     A step is [i, j, perm, shape_a, shape, shape_b, out_shape]: arrays i
     and j are matrices of shape_a and shape_b, and their product, a tensor
@@ -339,9 +346,10 @@ def _schedule(ids: list, late=()) -> tuple:
             owners.setdefault(e, []).append(pos)
     bonds = Counter(tuple(own) for own in owners.values() if len(own) == 2)
     late = set(late)
-    heap = [(2 * (len(ids[i]) + len(ids[j]) - 2 * shared)
-             + 3 * (i in late or j in late), i, j)
-            for (i, j), shared in bonds.items()]
+    heap = [((2 * rank + (5 if rank <= 8 else 1)) if i in late or j in late
+             else 2 * rank, i, j)
+            for (i, j), shared in bonds.items()
+            for rank in (len(ids[i]) + len(ids[j]) - 2 * shared,)]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
@@ -360,8 +368,10 @@ def _schedule(ids: list, late=()) -> tuple:
                 own[0], own[1] = nb, fresh
                 bonds[nb] = bonds.get(nb, 0) + 1
         for nb, shared in bonds.items():
-            push(heap, (2 * (len(ids[nb]) + len(out) - 2 * shared)
-                        + 3 * (nb in late or fresh in late), nb, fresh))
+            rank = len(ids[nb]) + len(out) - 2 * shared
+            push(heap, ((2 * rank + (5 if rank <= 8 else 1))
+                        if nb in late or fresh in late else 2 * rank,
+                        nb, fresh))
     last, *rest = [k for k, tids in enumerate(ids) if tids is not None]
     for nxt in rest:
         contract(last, nxt)

@@ -490,7 +490,9 @@ def test_verification_failure_exits_one(tmp_path, capsys):
     (["ham", "build", "FILE", "--verify"],
      "1e-320 X\n1e308 X\n-1e200 X\n1e-320 Z\n", 1,
      "oracle MISMATCH: discharge residual 5.988e+292"),
-], ids=["diagonal", "ones", "signs", "ham-build"])
+    (["ham", "build", "FILE", "--verify"], "1e308 XX\n1e308 XY\n", 1,
+     "oracle MISMATCH: discharge residual 1.129e+293"),
+], ids=["diagonal", "ones", "signs", "ham-build", "ham-build-two-terms"])
 def test_a_check_at_the_float_limit_compares_absolutely(argv, text, rc,
                                                        residual, tmp_path,
                                                        capsys):
@@ -498,7 +500,7 @@ def test_a_check_at_the_float_limit_compares_absolutely(argv, text, rc,
     # no longer overflow; the tolerance is absolute, so a correct diagram
     # with a relative error near 1e-16 of a 1e308 norm reads as a mismatch
     # and exits 1 (a tolerance relative to the target's norm would pass
-    # all four)
+    # all five)
     f = tmp_path / "input.txt"
     f.write_text(text)
     assert main([str(f) if a == "FILE" else a for a in argv]) == rc
@@ -507,9 +509,10 @@ def test_a_check_at_the_float_limit_compares_absolutely(argv, text, rc,
 
 
 # a finite input whose check overflows: two terms whose finite sum the
-# open-control contraction overflows on the way to, and a 3-qubit sum
-# whose check needs six open wires
-_OVERFLOWING_SUM = "1e308 XX\n1e308 XY\n"
+# open-control contraction overflows on the way to, whatever order it
+# contracts the weights in, and a 3-qubit sum whose check needs six open
+# wires
+_OVERFLOWING_SUM = "1.2e308 ZZ\n1.2e308 XI\n"
 _THREE_QUBITS = "-0.0 ZZX\n1e-300 IYX\n"
 
 

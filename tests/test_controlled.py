@@ -666,7 +666,7 @@ def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
     redo = _reached(plan, [k for k, nid in enumerate(plan.tensors)
                            if nid is not None and d.nodes[nid].label
                            != old.nodes[nid].label]) | {len(plan.steps) - 1}
-    assert (len(redo), len(plan.steps)) == (39, 248)
+    assert (len(redo), len(plan.steps)) == (29, 248)
     dots, visited = [], []
     real_dot, real_execute = np.dot, evaluate._execute
     monkeypatch.setattr(np, "dot",
@@ -676,32 +676,16 @@ def test_a_warm_verify_runs_only_the_steps_new_weights_reach(monkeypatch):
                         or real_execute(steps, arrs, redo, free))
     rep = verify_controlled(cd, b)
     monkeypatch.undo()
-    assert len(dots) == len(redo) == 39
+    assert len(dots) == len(redo) == 29
     assert visited == [redo]
     assert rep == _report(cd, _one_run(cd), b)
 
 
-# per size, the open-control plan of a dense matrix with no late tensors
-# and with its weight boxes late: (steps a new matrix's weights reach, the
-# last one included; steps; peak rank; flops; memo bytes)
-_VERIFY_PLANS = {
-    2: [(19, 33, 4, 412, 5632), (8, 33, 4, 516, 6336)],
-    4: [(66, 248, 8, 8740, 63808), (39, 248, 8, 16404, 82880)],
-    8: [(217, 1456, 13, 785964, 1165696), (169, 1456, 12, 772660, 1248448)],
-    16: [(748, 7680, 20, 814947220, 143262400),
-         (690, 7680, 18, 240857764, 52413504)],
-}
-
-
-@pytest.mark.parametrize("dim", sorted(_VERIFY_PLANS))
-def test_a_verify_plan_contracts_the_weights_last(dim):
-    # verify plans with the weight boxes late: a warm 2x2 redoes 8 steps
-    # and a 4x4 39, the 8x8 peaks at rank 12 with its memo under the bound,
-    # and the 16x16 peaks at 18 with 2.41e8 flops, below its discharge's
-    # 3.14e8; read off the plans, none run
-    rng = np.random.default_rng(5)
-    cd = controlled_matrix(_rand_matrix(rng, dim))
-    assert len(cd.weight_ids) == dim * dim
+def _verify_plans(cd):
+    """The open-control plan of ``cd`` with no late tensors and with its
+    weight boxes late, each as (steps a new matrix's weights reach, the
+    last one included; steps; peak rank; flops; memo bytes), read off the
+    plans, none run."""
     key = graph.structure_key(cd.diagram)
     got = []
     for late in ((), cd.weight_ids):
@@ -710,6 +694,29 @@ def test_a_verify_plan_contracts_the_weights_last(dim):
                    if nid in cd.weight_ids]
         got.append((len(plan._reach(weights)), len(plan.steps),
                     plan.peak_rank, plan.flops, plan.memo_bytes))
+    return got
+
+
+# per size, ``_verify_plans`` of a dense matrix
+_VERIFY_PLANS = {
+    2: [(19, 33, 4, 412, 5632), (6, 33, 5, 620, 7168)],
+    4: [(66, 248, 8, 8740, 63808), (29, 248, 7, 12652, 78208)],
+    8: [(217, 1456, 13, 785964, 1165696), (135, 1456, 13, 921052, 1366784)],
+    16: [(748, 7680, 20, 814947220, 143262400),
+         (593, 7680, 18, 222358300, 60274944)],
+}
+
+
+@pytest.mark.parametrize("dim", sorted(_VERIFY_PLANS))
+def test_a_verify_plan_contracts_the_weights_last(dim):
+    # verify plans with the weight boxes late: a warm 2x2 redoes 6 steps
+    # and a 4x4 29, the 8x8 peaks at rank 13 with its memo under the bound,
+    # and the 16x16 peaks at 18 with 2.22e8 flops, below its discharge's
+    # 3.14e8
+    rng = np.random.default_rng(5)
+    cd = controlled_matrix(_rand_matrix(rng, dim))
+    assert len(cd.weight_ids) == dim * dim
+    got = _verify_plans(cd)
     assert got == _VERIFY_PLANS[dim]
     assert (got[1][-1] <= evaluate._MEMO_BOUND) == (dim <= 8)
     if dim == 16:
@@ -717,11 +724,69 @@ def test_a_verify_plan_contracts_the_weights_last(dim):
         assert (plan.peak_rank, plan.flops) == (18, 313872092)
 
 
+# matrices whose Pauli sums leave strings out: every draw of a kind has
+# the same nonzero strings, so the same structure
+_PERMUTATIONS = {4: [1, 3, 0, 2], 8: [5, 2, 7, 0, 3, 6, 1, 4]}
+_SPARSE = {
+    "diagonal": lambda rng, dim: np.diag(rng.normal(size=dim)
+                                         + 1j * rng.normal(size=dim)),
+    "tridiagonal": lambda rng, dim: np.triu(np.tril(_rand_matrix(rng, dim),
+                                                    1), -1),
+    "real-symmetric": lambda rng, dim: (lambda a: a + a.T)(
+        rng.normal(size=(dim, dim))),
+    "permutation": lambda rng, dim: (complex(*rng.normal(size=2))
+                                     * np.eye(dim)[_PERMUTATIONS[dim]]),
+}
+
+# per kind and size, ``_verify_plans`` of the first seed-5 draw
+_SPARSE_PLANS = {
+    ("diagonal", 4): [(18, 32, 5, 668, 6656), (7, 32, 5, 804, 7744)],
+    ("tridiagonal", 4): [(48, 186, 6, 5380, 44096),
+                         (22, 186, 9, 12460, 67456)],
+    ("real-symmetric", 4): [(38, 132, 8, 5900, 37888),
+                            (16, 132, 9, 8580, 49088)],
+    ("permutation", 4): [(19, 60, 6, 1768, 14016), (7, 60, 6, 1784, 15168)],
+    ("diagonal", 8): [(33, 92, 8, 8500, 35264), (15, 92, 10, 29668, 64832)],
+    ("tridiagonal", 8): [(108, 728, 11, 189564, 402432),
+                         (69, 728, 12, 352172, 595328)],
+    ("real-symmetric", 8): [(116, 750, 11, 274228, 498624),
+                            (73, 750, 12, 469420, 708480)],
+    ("permutation", 8): [(36, 260, 10, 29240, 102592),
+                         (19, 260, 10, 83768, 151744)],
+}
+
+
+@pytest.mark.parametrize("kind, dim", sorted(_SPARSE_PLANS))
+def test_a_sparse_verify_plan_contracts_the_weights_last(kind, dim,
+                                                         monkeypatch):
+    # the plans of a matrix with Pauli strings left out are pinned as a
+    # dense matrix's are, and a warm run of a second draw does the late
+    # plan's reach in products, bit for bit a fresh run
+    rng = np.random.default_rng(5)
+    mats = [_SPARSE[kind](rng, dim) for _ in range(2)]
+    first, cd = (controlled_matrix(m) for m in mats)
+    assert graph.structure_key(cd.diagram) == graph.structure_key(
+        first.diagram)
+    assert 0 < len(cd.weight_ids) < dim * dim
+    got = _verify_plans(first)
+    assert got == _SPARSE_PLANS[kind, dim]
+    for _ in range(2):   # the plan's second run keeps the first draw's
+        verify_controlled(first, mats[0])
+    dots = []
+    real_dot = np.dot
+    monkeypatch.setattr(np, "dot",
+                        lambda *args: dots.append(1) or real_dot(*args))
+    blocks = controlled._plugs(cd, evaluate.DEFAULT_CAP)
+    monkeypatch.undo()
+    assert len(dots) == got[1][0]
+    assert all(map(np.array_equal, blocks, _one_run(cd)))
+
+
 def test_a_warm_verify_walks_no_structure_and_makes_only_new_weights(
         monkeypatch):
     # a rebound diagram takes the key kept on its template, and a run after
     # two of the structure makes only the tensors whose labels changed, the
-    # 16 weights, and runs the 39 steps they reach
+    # 16 weights, and runs the 29 steps they reach
     rng = np.random.default_rng(12)
     mats = [_rand_matrix(rng, 4) for _ in range(3)]
     for _ in range(2):
@@ -737,7 +802,7 @@ def test_a_warm_verify_walks_no_structure_and_makes_only_new_weights(
     for m in mats[1:]:
         del made[:], dots[:]
         assert verify_controlled(controlled_matrix(m), m)["ok"]
-        assert (walks, made, len(dots)) == ([], ["weight"] * 16, 39)
+        assert (walks, made, len(dots)) == ([], ["weight"] * 16, 29)
 
 
 def test_a_second_verify_of_a_spliced_sum_is_a_fresh_run(monkeypatch):

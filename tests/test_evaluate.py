@@ -173,8 +173,9 @@ def _to_matrix(pool: list, external: list, d) -> np.ndarray:
 def _min_scan_eval(d, late=(), picked=None):
     """The greedy schedule written as a full scan: every step re-ranks every
     candidate pair and contracts the smallest (key, (i, j)), the key being
-    2 * rank, plus 3 where the pair reads the tensor of a node in ``late``
-    or a result made from one.  Each pair contracted is appended to
+    2 * rank, plus 5 where the pair reads the tensor of a node in ``late``
+    or a result made from one and its rank is at most 8, plus 1 where such
+    a pair's rank is larger.  Each pair contracted is appended to
     ``picked``, numbered as the plan numbers its tensors and results."""
     tensors, external = _reference_network(d)
     nids, _, _ = evaluate._network(structure_key(d), evaluate.DEFAULT_CAP)
@@ -194,7 +195,9 @@ def _min_scan_eval(d, late=(), picked=None):
             ids_a, ids_b = live[pair[0]][1], live[pair[1]][1]
             shared = len(set(ids_a) & set(ids_b))
             rank = len(ids_a) + len(ids_b) - 2 * shared
-            return 2 * rank + 3 * (not behind.isdisjoint(pair))
+            if behind.isdisjoint(pair):
+                return 2 * rank
+            return 2 * rank + (5 if rank <= 8 else 1)
 
         i, j = min(pairs, key=lambda p: (key(p), p))
         if picked is not None:
@@ -330,6 +333,38 @@ def test_a_late_set_keeps_the_heap_equal_to_the_full_scan(circuit, data):
                                       tuple(sorted(late)))
     picked = []
     assert np.array_equal(plan.run(d), _min_scan_eval(d, late, picked))
+    assert [tuple(step[:2]) for step in plan.steps[:len(picked)]] == picked
+
+
+def test_a_late_pair_waits_longer_only_while_its_result_is_small():
+    # four pairs of tensors, each pair sharing one index, the first and
+    # the last pair late: a late pair leaving 9 indices (key 19) goes
+    # after a plain one leaving 9 (18) and before one leaving 10 (20); a
+    # late one leaving 8 (21) goes after both
+    ids = [[0, *range(10, 15)], [0, *range(20, 24)],     # late, rank 9
+           [1, *range(30, 35)], [1, *range(40, 45)],     # rank 10
+           [2, *range(50, 55)], [2, *range(60, 64)],     # rank 9
+           [3, *range(70, 74)], [3, *range(80, 84)]]     # late, rank 8
+    steps, _ = evaluate._schedule(ids, late=(0, 6))
+    assert [tuple(step[:2]) for step in steps[:4]] == [(4, 5), (0, 1),
+                                                       (2, 3), (6, 7)]
+
+
+def test_a_late_verify_plan_is_the_full_scan():
+    # a verify plan's late pairs reach ranks above 8, where their key
+    # changes, which the small random circuits never do: on a tridiagonal
+    # 4x4 matrix with its weight boxes late (peak rank 9) the heap still
+    # picks the full scan's pairs, to the same bits
+    rng = np.random.default_rng(5)
+    cd = controlled_matrix(np.triu(np.tril(
+        rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), 1), -1))
+    d = cd.diagram
+    plan = evaluate._plan.__wrapped__(structure_key(d), evaluate.DEFAULT_CAP,
+                                      cd.weight_ids)
+    assert plan.peak_rank == 9
+    picked = []
+    assert np.array_equal(plan.run(d),
+                          _min_scan_eval(d, cd.weight_ids, picked))
     assert [tuple(step[:2]) for step in plan.steps[:len(picked)]] == picked
 
 

@@ -1,9 +1,11 @@
-"""The ``validate`` that ``zxwkit.graph`` puts behind a one-walk check.
+"""An earlier ``zxwkit.graph.validate``, kept unchanged as its reference.
 
 It counts every edge end in a dict and reports every defect it finds, in a
-fixed order.  ``zxwkit.graph.validate`` runs the same report whenever its
-one walk finds a defect, so the tests require both to return the same list,
-message for message, on legal diagrams and on single mutations of them.
+fixed order.  ``zxwkit.graph.validate`` proves a diagram legal and names
+its defects in one walk over the edge ends and one over the nodes, and
+counts the ends at each port only when they miss or repeat one; the tests
+require both to return the same list, message for message, on legal
+diagrams and on single mutations of them.
 """
 
 from zxwkit.graph import _FIXED_PORTS, IN, OUT, ZBOX, Diagram
